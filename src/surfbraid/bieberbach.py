@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .core import CoeffVector, Element, GroupDescriptor
-from .errors import GroupMismatchError
+from .errors import DomainError, GroupMismatchError
 from .intmatrix import IntMatrix
 from .permutations import Permutation
 from .torsion import order
@@ -198,6 +198,8 @@ class BieberbachDescriptor:
         every holonomy residue: all must have infinite order except the
         identity, and any finite order forces the handle-1 counting
         obstruction n*(sum of handle-1 coordinates) + j to vanish."""
+        if bound < 0:
+            raise DomainError(f"scan bound must be >= 0, got {bound}")
         n, g = self.n, self.genus
         dim = 2 * n * g
         hits: list[dict[str, Any]] = []

@@ -71,7 +71,12 @@ def _load_json(text: str, what: str) -> Any:
 
 
 def _load_element(group: GroupDescriptor, text: str) -> Element | MixedElement:
-    obj = _load_json(text, "element")
+    return _element_from_obj(group, _load_json(text, "element"))
+
+
+def _element_from_obj(group: GroupDescriptor, obj: Any) -> Element | MixedElement:
+    if not isinstance(obj, dict):
+        raise DomainError("bad element encoding: expected a JSON object")
     try:
         if group.is_orientable:
             return Element.from_json_obj(group, obj)
@@ -176,12 +181,7 @@ def _cmd_subgroup_conjugator(args: argparse.Namespace) -> int:
     arr = _load_json(args.images, "image list")
     if not isinstance(arr, list):
         raise DomainError("--images must be a JSON array of elements")
-    images = []
-    for obj in arr:
-        try:
-            images.append(Element.from_json_obj(group, obj))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"bad element encoding: {exc}") from exc
+    images = [_element_from_obj(group, obj) for obj in arr]
     _element_out(args, torsion.symmetric_copy_conjugator(group, images))
     return EXIT_OK
 
@@ -239,7 +239,7 @@ def _cmd_bieberbach(args: argparse.Namespace) -> int:
     elif args.action == "membership":
         if args.x is None:
             raise DomainError("membership requires --x ELEMENT_JSON")
-        element = Element.from_json_obj(desc.group, _load_json(args.x, "element"))
+        element = _load_element(desc.group, args.x)
         _emit(args, desc.membership(element).to_json_obj())
     elif args.action == "holonomy":
         _emit(args, {"n": desc.n, "g": desc.genus, "matrix": desc.holonomy_matrix().to_json_obj()})

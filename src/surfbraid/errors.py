@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Everything raised on bad mathematical input derives from DomainError so
-the command line front end can map it to a single exit code.
+the command line front end can map it to a single exit code.  A failed
+internal check raises VerificationError instead, which is not a DomainError.
 """
 
 from __future__ import annotations
@@ -57,3 +58,15 @@ class BadMultiplierError(DomainError):
 
 class NotProductOfCyclotomicsError(DomainError):
     """The polynomial is not a product of cyclotomic polynomials."""
+
+
+class VerificationError(RuntimeError):
+    """An internal consistency check failed: the computation, not the input,
+    is at fault.  Deliberately not a ValueError, so it is never reported as a
+    domain error, and raised explicitly so it survives ``python -O``."""
+
+
+def check(condition: bool, message: str) -> None:
+    """Raise VerificationError with ``message`` unless ``condition`` holds."""
+    if not condition:
+        raise VerificationError(message)

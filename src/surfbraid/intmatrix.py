@@ -4,15 +4,21 @@ polynomial.  No floating point anywhere; verdict-grade arithmetic only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .intpoly import IntPoly
 
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """A dense integer matrix as a tuple of row tuples."""
+    """A dense integer matrix as a tuple of row tuples.
+
+    Rows are built with tuple() of a list, not of a generator: from a list
+    the tuple is allocated at its exact size, from a generator it is
+    allocated at a guessed size and resized, and in a long run those resizes
+    fill CPython's per-size tuple free lists (megabytes of resident memory).
+    """
 
     rows: tuple[tuple[int, ...], ...]
 
@@ -24,11 +30,11 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> IntMatrix:
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+        return cls(tuple([tuple([int(v) for v in row]) for row in rows]))
 
     @classmethod
     def identity(cls, m: int) -> IntMatrix:
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m)))
+        return cls(tuple([tuple([1 if i == j else 0 for j in range(m)]) for i in range(m)]))
 
     @classmethod
     def block_diag(cls, *blocks: IntMatrix) -> IntMatrix:
@@ -56,24 +62,28 @@ class IntMatrix:
             raise ValueError(f"matrix is {self.nrows}x{self.ncols}, need square")
 
     def __mul__(self, other: IntMatrix) -> IntMatrix:
+        """Sparse-row product: row i of the result accumulates a * row_k(other)
+        over the nonzero entries a = self[i][k] only."""
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
-        cols = tuple(zip(*other.rows))
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
-        )
+        zero = (0,) * other.ncols
+        out = []
+        for row in self.rows:
+            acc = zero
+            for a, other_row in zip(row, other.rows):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, other_row)]
+            out.append(tuple(acc))
+        return IntMatrix(tuple(out))
 
     def __add__(self, other: IntMatrix) -> IntMatrix:
         return IntMatrix(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
+            tuple([tuple([a + b for a, b in zip(ra, rb)]) for ra, rb in zip(self.rows, other.rows)])
         )
 
     def __sub__(self, other: IntMatrix) -> IntMatrix:
         return IntMatrix(
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
+            tuple([tuple([a - b for a, b in zip(ra, rb)]) for ra, rb in zip(self.rows, other.rows)])
         )
 
     def __pow__(self, k: int) -> IntMatrix:
@@ -120,33 +130,38 @@ class IntMatrix:
         return sign * a[m - 1][m - 1]
 
     def rank(self) -> int:
-        """Rank over the rationals by exact Gaussian elimination."""
-        a = [[Fraction(v) for v in row] for row in self.rows]
+        """Rank over the rationals by fraction-free integer elimination: each
+        row below the pivot becomes pivot * row - entry * pivot_row, divided
+        by the gcd of its entries to keep them small."""
+        a = [list(row) for row in self.rows]
         rank = 0
         for col in range(self.ncols):
             pivot = next((i for i in range(rank, self.nrows) if a[i][col] != 0), None)
             if pivot is None:
                 continue
             a[rank], a[pivot] = a[pivot], a[rank]
-            inv = 1 / a[rank][col]
-            a[rank] = [v * inv for v in a[rank]]
-            for i in range(self.nrows):
-                if i != rank and a[i][col] != 0:
-                    factor = a[i][col]
-                    a[i] = [v - factor * w for v, w in zip(a[i], a[rank])]
+            pivot_row = a[rank]
+            p = pivot_row[col]
+            for i in range(rank + 1, self.nrows):
+                f = a[i][col]
+                if f:
+                    row = [p * v - f * w for v, w in zip(a[i], pivot_row)]
+                    g = math.gcd(*row)
+                    a[i] = [v // g for v in row] if g > 1 else row
             rank += 1
             if rank == self.nrows:
                 break
         return rank
 
     def scaled(self, k: int) -> IntMatrix:
-        return IntMatrix(tuple(tuple(k * v for v in row) for row in self.rows))
+        return IntMatrix(tuple([tuple([k * v for v in row]) for row in self.rows]))
 
     def char_poly(self) -> IntPoly:
         """Monic characteristic polynomial det(xI - M), exactly.
 
         Faddeev-LeVerrier recurrence: every division by the step index is
-        exact over the integers, which is asserted.
+        exact over the integers, which is asserted.  The invariants derive
+        the polynomial from power traces instead; this one cross-checks them.
         """
         self.require_square()
         m = self.nrows

@@ -33,7 +33,7 @@ class IntPoly:
         end = len(coeffs)
         while end > 0 and coeffs[end - 1] == 0:
             end -= 1
-        return cls(tuple(int(c) for c in coeffs[:end]))
+        return cls(tuple([int(c) for c in coeffs[:end]]))  # a list: see IntMatrix
 
     @classmethod
     def zero(cls) -> IntPoly:
@@ -74,7 +74,7 @@ class IntPoly:
         return self + (-other)
 
     def __neg__(self) -> IntPoly:
-        return IntPoly(tuple(-c for c in self.coeffs))
+        return IntPoly(tuple([-c for c in self.coeffs]))
 
     def __mul__(self, other: IntPoly | int) -> IntPoly:
         if isinstance(other, int):

@@ -1,44 +1,79 @@
 """Invariants of an exact integral representation of a finite cyclic group:
 orientability, Betti numbers of the associated flat manifold, and the
 multiplicity criteria deciding Anosov diffeomorphisms and Kaehler structure.
+
+Every invariant is derived from one vector of power traces tr(M^k), computed
+once per CyclicRep: Newton's identities turn the traces of M^j into the
+coefficients of det(I + t M^j), which give the characteristic polynomial
+(j = 1), the determinant and the Betti numbers (all j).  Factoring that
+polynomial into cyclotomic polynomials gives the eigenvalue multiplicities
+behind the Anosov and Kaehler criteria.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
+from .errors import check
 from .intmatrix import IntMatrix
 from .intpoly import IntPoly, cyclotomic_multiplicities
 
 
 @dataclass(frozen=True)
 class CyclicRep:
-    """A generator matrix of finite order: matrix ** order == identity."""
+    """A generator matrix of finite order: matrix ** order == identity.
+
+    Construction multiplies out the chain M, M^2, ... until it reaches the
+    identity, which must happen at a power dividing ``order``; that is the
+    order check.  It keeps ``power_traces`` = (tr M^0, ..., tr M^(p-1)), where
+    p is the exact order of M, the characteristic polynomial det(xI - M)
+    derived from them, and its cyclotomic factor multiplicities {d: mult}
+    (read-only), each index d checked to divide ``order``.
+    """
 
     matrix: IntMatrix
     order: int
+    power_traces: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    char_poly: IntPoly = field(init=False, repr=False, compare=False)
+    cyclotomic: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix.require_square()
         if self.order < 1:
             raise ValueError(f"group order must be >= 1, got {self.order}")
-        if self.matrix ** self.order != IntMatrix.identity(self.dimension):
+        m = self.dimension
+        identity = IntMatrix.identity(m)
+        traces = [m]
+        power = self.matrix
+        while power != identity and len(traces) < self.order:
+            traces.append(power.trace())
+            power = self.matrix * power
+        if power != identity or self.order % len(traces) != 0:
             raise ValueError(f"matrix does not have order dividing {self.order}")
+        object.__setattr__(self, "power_traces", tuple(traces))
+        e = _coefficients(self, 1)
+        object.__setattr__(self, "char_poly", IntPoly.of(*[(-1) ** k * e[k] for k in range(m, -1, -1)]))
+        mults = cyclotomic_multiplicities(self.char_poly)
+        for d in mults:
+            if self.order % d != 0:
+                raise ValueError(f"cyclotomic index {d} does not divide the group order {self.order}")
+        object.__setattr__(self, "cyclotomic", mults)
 
     @property
     def dimension(self) -> int:
         return self.matrix.nrows
 
-
-def char_poly(matrix: IntMatrix) -> IntPoly:
-    return matrix.char_poly()
+    @property
+    def det(self) -> int:
+        """det(M) = e_m, read off the constant term (-1)^m det(M) of det(xI - M)."""
+        return (-1) ** self.dimension * self.char_poly.coeffs[0]
 
 
 def orientability(rep: CyclicRep) -> bool:
     """True iff the generator lies in SL, i.e. has determinant +1."""
-    return rep.matrix.det() == 1
+    return rep.det == 1
 
 
 def _elementary_symmetric_from_traces(traces: list[int], m: int) -> list[int]:
@@ -53,9 +88,17 @@ def _elementary_symmetric_from_traces(traces: list[int], m: int) -> list[int]:
         for s in range(1, k + 1):
             acc += (-1) ** (s - 1) * e[k - s] * traces[s - 1]
         q, r = divmod(acc, k)
-        assert r == 0, "Newton identity division must be exact"
+        check(r == 0, f"Newton identity division must be exact (e_{k})")
         e[k] = q
     return e
+
+
+def _coefficients(rep: CyclicRep, j: int) -> list[int]:
+    """e_0..e_m of the eigenvalues of M^j, from the periodic traces tr(M^(j*s))."""
+    period = rep.power_traces
+    p = len(period)
+    m = rep.dimension
+    return _elementary_symmetric_from_traces([period[(j * s) % p] for s in range(1, m + 1)], m)
 
 
 def betti_numbers(rep: CyclicRep) -> tuple[int, ...]:
@@ -63,33 +106,28 @@ def betti_numbers(rep: CyclicRep) -> tuple[int, ...]:
 
     beta_i is the dimension of the invariant subspace of the i-th exterior
     power, computed by averaging the trace of the exterior-power action
-    over the group: beta_i = (1/N) * sum_j [t^i] det(I + t M^j).  The
-    leading coefficients come from Newton's identities on the power sums
-    trace(M^u), which are periodic with period N.  The first Betti number
-    is cross-checked against dim - rank(M - I).
+    over the group: beta_i = (1/p) * sum_j [t^i] det(I + t M^j), over the
+    exact order p of M (a divisor of the declared order, which gives the
+    same average).  The coefficients come from Newton's identities on the
+    cached power traces tr(M^u), which are periodic with period p.  The
+    first Betti number is cross-checked against dim - rank(M - I).
     """
     m = rep.dimension
-    n = rep.order
-    powers = [IntMatrix.identity(m)]
-    for _ in range(1, n):
-        powers.append(powers[-1] * rep.matrix)
-    period_traces = [p.trace() for p in powers]
+    p = len(rep.power_traces)
     totals = [0] * (m + 1)
-    for j in range(n):
-        traces = [period_traces[(j * s) % n] for s in range(1, m + 1)]
-        e = _elementary_symmetric_from_traces(traces, m)
-        for i in range(m + 1):
-            totals[i] += e[i]
+    for j in range(p):
+        for i, e_i in enumerate(_coefficients(rep, j)):
+            totals[i] += e_i
     betti = []
     for i, total in enumerate(totals):
-        q, r = divmod(total, n)
-        assert r == 0, f"Betti number beta_{i} must be an integer"
-        assert q >= 0
+        q, r = divmod(total, p)
+        check(r == 0 and q >= 0, f"Betti number beta_{i} = {total}/{p} must be a non-negative integer")
         betti.append(q)
     if m >= 1:
         rank_check = m - (rep.matrix - IntMatrix.identity(m)).rank()
-        assert betti[1] == rank_check, (
-            f"first Betti number mismatch: averaging gives {betti[1]}, rank formula {rank_check}"
+        check(
+            betti[1] == rank_check,
+            f"first Betti number mismatch: averaging gives {betti[1]}, rank formula {rank_check}",
         )
     return tuple(betti)
 
@@ -102,13 +140,10 @@ def eigenvalue_multiplicities(rep: CyclicRep) -> dict[int, int]:
     eigenvalue zeta_N^k appears as often as the cyclotomic factor of index
     N/gcd(N,k).
     """
-    mults = cyclotomic_multiplicities(rep.matrix.char_poly())
-    for d in mults:
-        if rep.order % d != 0:
-            raise ValueError(f"cyclotomic index {d} does not divide the group order {rep.order}")
+    mults = rep.cyclotomic
     n = rep.order
     out = {k: mults.get(n // math.gcd(n, k), 0) for k in range(n)}
-    assert sum(out.values()) == rep.dimension
+    check(sum(out.values()) == rep.dimension, "eigenvalue multiplicities must sum to the dimension")
     return out
 
 
@@ -116,8 +151,7 @@ def anosov_check(rep: CyclicRep) -> bool:
     """Multiplicity criterion for Anosov diffeomorphisms on the flat manifold:
     every rationally irreducible summand (cyclotomic factor of the
     characteristic polynomial) must occur with multiplicity >= 2."""
-    mults = cyclotomic_multiplicities(rep.matrix.char_poly())
-    return all(mult >= 2 for mult in mults.values())
+    return all(mult >= 2 for mult in rep.cyclotomic.values())
 
 
 def kahler_check(rep: CyclicRep) -> bool:
@@ -136,20 +170,23 @@ def kahler_check(rep: CyclicRep) -> bool:
     if n % 2 == 0:
         real_mults.append(m[n // 2])
     for k in range(1, (n + 1) // 2):
-        assert m[k] == m[n - k], "conjugate eigenvalues of an integer matrix must pair up"
+        check(m[k] == m[n - k], f"conjugate eigenvalues zeta^{k} and zeta^{n - k} must pair up")
         real_mults.append(m[k])
     return all(mult % 2 == 0 for mult in real_mults)
 
 
 def invariant_report(rep: CyclicRep) -> dict[str, Any]:
-    """All invariants as a JSON-ready mapping with fixed key order."""
-    p = rep.matrix.char_poly()
+    """All invariants as a JSON-ready mapping with fixed key order.
+
+    Everything is read off the rep's cached power traces and what was
+    derived from them at construction; no matrix product runs here.
+    """
     return {
-        "char_poly": list(p.coeffs),
-        "det": rep.matrix.det(),
+        "char_poly": list(rep.char_poly.coeffs),
+        "det": rep.det,
         "betti": list(betti_numbers(rep)),
         "anosov": anosov_check(rep),
         "kahler": kahler_check(rep),
         "orientable": orientability(rep),
-        "cyclotomic": {str(d): mult for d, mult in cyclotomic_multiplicities(p).items()},
+        "cyclotomic": {str(d): mult for d, mult in rep.cyclotomic.items()},
     }

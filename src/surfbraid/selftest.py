@@ -90,6 +90,9 @@ def _suite_bieberbach() -> None:
 def _suite_invariants() -> None:
     for n, g in [(2, 1), (3, 1), (4, 2)]:
         rep = CyclicRep(make_bieberbach(n, g).holonomy_matrix(), n)
+        # the trace-derived polynomial and determinant against Faddeev-LeVerrier and Bareiss
+        assert rep.char_poly == rep.matrix.char_poly()
+        assert rep.det == rep.matrix.det()
         betti = betti_numbers(rep)
         assert betti[1] == 2 * g
         assert sum((-1) ** i * b for i, b in enumerate(betti)) == 0

@@ -1,6 +1,7 @@
 """Shared test oracles, kept independent of the code paths they check:
 brute-force multiplication, rational linear algebra on flattened vectors,
-cofactor determinants, Smith normal form, and principal-minor sums.
+cofactor determinants, triple-loop matrix products, Smith normal form, and
+principal-minor sums.
 """
 
 from __future__ import annotations
@@ -139,6 +140,17 @@ def char_poly_by_cofactors(matrix: IntMatrix) -> IntPoly:
         for i in range(m)
     ]
     return det(rows)
+
+
+def matmul_by_triple_loop(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The textbook product: entry (i, j) is sum_k a[i][k] * b[k][j]."""
+    assert a.ncols == b.nrows
+    rows = [[0] * b.ncols for _ in range(a.nrows)]
+    for i in range(a.nrows):
+        for j in range(b.ncols):
+            for k in range(a.ncols):
+                rows[i][j] += a.rows[i][k] * b.rows[k][j]
+    return IntMatrix.from_rows(rows)
 
 
 def sum_principal_minors(matrix: IntMatrix, k: int) -> int:

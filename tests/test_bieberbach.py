@@ -5,6 +5,7 @@ import pytest
 
 from surfbraid.bieberbach import make_bieberbach, product_over_strands
 from surfbraid.core import CoeffVector, Element
+from surfbraid.errors import DomainError
 from surfbraid.intmatrix import IntMatrix
 from surfbraid.permutations import Permutation
 from surfbraid.torsion import order
@@ -222,6 +223,12 @@ def test_torsion_scan_small():
     assert report.scanned == 3**4 * 2
     assert report.torsion_hits == ()
     assert report.obstruction_mismatches == ()
+
+
+def test_torsion_scan_rejects_negative_bound():
+    with pytest.raises(DomainError):
+        make_bieberbach(2, 1).torsion_scan(-1)
+    assert make_bieberbach(2, 1).torsion_scan(0).scanned == 2
 
 
 def test_generator_itself_has_infinite_order():

@@ -134,6 +134,25 @@ def test_domain_errors_exit_2(capsys):
     assert code == 2 and "order" in err
 
 
+def test_torsion_scan_negative_bound_exits_2(capsys):
+    code, out, err = run(
+        capsys, "bieberbach", "torsion-scan", "--n", "2", "--genus", "1", "--bound", "-1"
+    )
+    assert code == 2 and out == "" and "bound" in err
+
+
+@pytest.mark.parametrize("x", ["[1]", '{"n":2,"g":1}', '"text"', "{bad json"])
+def test_membership_bad_element_exits_2(capsys, x):
+    code, out, err = run(capsys, "bieberbach", "membership", "--n", "2", "--genus", "1", "--x", x)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and err.startswith("surfbraid: ")
+
+
+def test_subgroup_conjugator_bad_image_exits_2(capsys):
+    code, _, err = run(capsys, "subgroup-conjugator", "--n", "2", "--images", "[[1]]")
+    assert code == 2 and "Traceback" not in err
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as info:
         main(["normalize"])  # missing --n and word

@@ -5,11 +5,25 @@ import pytest
 from surfbraid.intmatrix import IntMatrix
 from surfbraid.intpoly import IntPoly
 
-from helpers import char_poly_by_cofactors, cofactor_det
+from helpers import (
+    char_poly_by_cofactors,
+    cofactor_det,
+    matmul_by_triple_loop,
+    smith_invariant_factors,
+)
 
 
 def random_matrix(rng, m, bound=4):
     return IntMatrix.from_rows([[rng.randint(-bound, bound) for _ in range(m)] for _ in range(m)])
+
+
+def sparse_random_matrix(rng, nrows, ncols, density=0.3, bound=5):
+    return IntMatrix.from_rows(
+        [
+            [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+    )
 
 
 def companion_of_x_pow_minus_one(n):
@@ -37,6 +51,25 @@ def test_product_and_power():
     assert a.apply((3, 4)) == (7, 4)
 
 
+def test_sparse_product_against_triple_loop_oracle():
+    rng = random.Random(97)
+    for _ in range(200):
+        p, q, r = (rng.randint(1, 7) for _ in range(3))
+        a = sparse_random_matrix(rng, p, q, density=rng.choice([0.0, 0.15, 0.4, 1.0]))
+        b = sparse_random_matrix(rng, q, r, density=rng.choice([0.0, 0.15, 0.4, 1.0]))
+        assert a * b == matmul_by_triple_loop(a, b)
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([[1, 2]]) * IntMatrix.from_rows([[1, 2]])
+
+
+def test_sparse_product_keeps_big_integers_exact():
+    big = 10**30
+    a = IntMatrix.from_rows([[big, 0], [0, -big]])
+    b = IntMatrix.from_rows([[big + 1, 3], [0, big]])
+    assert a * b == matmul_by_triple_loop(a, b)
+    assert (a * b).rows[0][0] == big * (big + 1)
+
+
 def test_block_diag():
     a = IntMatrix.from_rows([[2]])
     b = IntMatrix.from_rows([[0, 1], [1, 0]])
@@ -60,6 +93,15 @@ def test_rank():
     assert IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 5]]).rank() == 2
     assert IntMatrix.from_rows([[0, 0], [0, 0]]).rank() == 0
     assert IntMatrix.from_rows([[1, 2, 3], [0, 1, 1]]).rank() == 2
+
+
+def test_rank_against_smith_oracle():
+    # the rank is the number of nonzero invariant factors
+    rng = random.Random(101)
+    for _ in range(60):
+        p, q = rng.randint(1, 4), rng.randint(1, 4)
+        a = sparse_random_matrix(rng, p, q, density=rng.choice([0.2, 0.5, 1.0]), bound=3)
+        assert a.rank() == len(smith_invariant_factors([list(r) for r in a.rows]))
 
 
 def test_char_poly_identity():

@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from surfbraid.bieberbach import make_bieberbach
+from surfbraid.errors import VerificationError
 from surfbraid.intmatrix import IntMatrix
 from surfbraid.intpoly import IntPoly
 from surfbraid.invariants import (
     CyclicRep,
+    _elementary_symmetric_from_traces,
     anosov_check,
     betti_numbers,
     eigenvalue_multiplicities,
@@ -15,7 +21,7 @@ from surfbraid.invariants import (
     orientability,
 )
 
-from helpers import sum_principal_minors
+from helpers import char_poly_by_cofactors, sum_principal_minors
 
 
 def holonomy_rep(n, g):
@@ -157,3 +163,93 @@ def test_invariant_report_shape():
     assert report["anosov"] and report["kahler"] and report["orientable"]
     assert report["cyclotomic"] == {"1": 2, "2": 2}
     json.dumps(report)
+
+
+def test_trace_char_poly_and_det_match_oracles_on_holonomy_sweep():
+    for n in range(2, 7):
+        for g in range(1, 4):
+            rep = holonomy_rep(n, g)
+            assert rep.char_poly == rep.matrix.char_poly()  # Faddeev-LeVerrier
+            assert rep.det == rep.matrix.det() == 1  # Bareiss
+            if rep.dimension <= 6:
+                assert rep.char_poly == char_poly_by_cofactors(rep.matrix)
+
+
+def test_trace_char_poly_and_det_match_oracles_off_holonomy():
+    odd = IntMatrix.block_diag(companion_x3_minus_one(), diag(1), diag(-1))
+    for rep in [
+        CyclicRep(diag(-1, 1), 2),
+        CyclicRep(companion_x3_minus_one(), 3),
+        CyclicRep(IntMatrix.identity(4), 1),
+        CyclicRep(IntMatrix.identity(2), 2),  # declared order a multiple of the exact order
+        CyclicRep(odd, 6),  # dimension 5
+    ]:
+        assert rep.char_poly == rep.matrix.char_poly() == char_poly_by_cofactors(rep.matrix)
+        assert rep.det == rep.matrix.det()
+        assert orientability(rep) == (rep.matrix.det() == 1)
+        report = invariant_report(rep)
+        assert report["char_poly"] == list(rep.matrix.char_poly().coeffs)
+        assert report["det"] == rep.matrix.det()
+    assert CyclicRep(diag(-1, 1), 2).det == -1
+
+
+def test_power_traces_stop_at_the_exact_order():
+    assert holonomy_rep(3, 1).power_traces == (6, 0, 0)
+    assert CyclicRep(IntMatrix.identity(3), 10**12).power_traces == (3,)
+    # averaging over the exact order gives the declared order's average
+    assert betti_numbers(CyclicRep(IntMatrix.identity(2), 10**12)) == (1, 2, 1)
+    with pytest.raises(ValueError):
+        CyclicRep(diag(-1, -1), 3)  # order 2 does not divide 3
+    with pytest.raises(ValueError):
+        CyclicRep(companion_x3_minus_one(), 2)
+
+
+def test_cyclotomic_index_must_divide_the_order(monkeypatch):
+    import surfbraid.invariants as invariants_module
+
+    monkeypatch.setattr(invariants_module, "cyclotomic_multiplicities", lambda p: {1: 1, 3: 1})
+    with pytest.raises(ValueError, match="cyclotomic index 3"):
+        CyclicRep(diag(-1, -1, 1), 2)
+
+
+def test_invariant_report_needs_at_most_order_products(monkeypatch):
+    calls = 0
+    original = IntMatrix.__mul__
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return original(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", counting_mul)
+    for n, g in [(2, 1), (3, 2), (4, 2), (6, 1), (8, 1)]:
+        matrix = make_bieberbach(n, g).holonomy_matrix()
+        calls = 0
+        rep = CyclicRep(matrix, n)
+        invariant_report(rep)
+        assert calls <= rep.order
+
+
+def test_verification_error_is_not_a_domain_error():
+    assert issubclass(VerificationError, RuntimeError)
+    assert not issubclass(VerificationError, ValueError)
+    assert _elementary_symmetric_from_traces([2, 2], 2) == [1, 2, 1]
+    with pytest.raises(VerificationError):
+        _elementary_symmetric_from_traces([1, 0], 2)  # e_2 = 1/2
+
+
+def test_newton_check_survives_python_O():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "from surfbraid.invariants import _elementary_symmetric_from_traces\n"
+        "_elementary_symmetric_from_traces([1, 0], 2)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert res.returncode != 0
+    assert "VerificationError" in res.stderr
