@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .core import CoeffVector, Element, GroupDescriptor
-from .errors import DomainError, GroupMismatchError
+from .errors import DomainError, GroupMismatchError, check
 from .intmatrix import IntMatrix
 from .permutations import Permutation
 from .torsion import order
@@ -190,7 +190,7 @@ class BieberbachDescriptor:
             basis.append(product_over_strands(group, r, n))
         for z in basis:
             for gen in self.x_generators:
-                assert z * gen == gen * z, "centre element must commute with every generator"
+                check(z * gen == gen * z, "centre element must commute with every generator")
         return tuple(basis)
 
     def torsion_scan(self, bound: int) -> TorsionScanReport:
@@ -254,5 +254,5 @@ def make_bieberbach(n: int, genus: int) -> BieberbachDescriptor:
                 basis.append(power_gen)
             elif r >= 2:
                 basis.append(power_gen)
-    assert generator**n == basis[0], "generator power identity must hold"
+    check(generator**n == basis[0], "generator power identity must hold")
     return BieberbachDescriptor(group, cycle, generator, tuple(x_gens), tuple(basis))

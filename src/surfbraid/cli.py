@@ -3,7 +3,8 @@
 Every subcommand takes explicit flags (no config files or environment
 variables) and emits either canonical JSON (default) or a short text
 rendering.  Exit codes: 0 success, 1 usage error, 2 domain error (bad
-indices, failed preconditions, malformed input data), 3 selftest failure.
+indices, failed preconditions, malformed input data), 3 selftest failure,
+4 internal check failed (a bug, never bad input).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Any
 
 from . import nonorientable, torsion, words
 from .bieberbach import make_bieberbach
-from .core import CoeffVector, Element, GroupDescriptor, verify_crystallographic
-from .errors import DomainError
+from .core import CoeffVector, Element, GroupDescriptor, json_int_rows, verify_crystallographic
+from .errors import DomainError, VerificationError
 from .invariants import CyclicRep, invariant_report
 from .nonorientable import MixedElement
 from .selftest import run_selftest
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_SELFTEST = 3
+EXIT_VERIFY = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,11 +72,11 @@ def _load_json(text: str, what: str) -> Any:
         raise DomainError(f"malformed JSON for {what}: {exc}") from exc
 
 
-def _load_element(group: GroupDescriptor, text: str) -> Element | MixedElement:
+def _load_element(group: GroupDescriptor, text: str) -> Element:
     return _element_from_obj(group, _load_json(text, "element"))
 
 
-def _element_from_obj(group: GroupDescriptor, obj: Any) -> Element | MixedElement:
+def _element_from_obj(group: GroupDescriptor, obj: Any) -> Element:
     if not isinstance(obj, dict):
         raise DomainError("bad element encoding: expected a JSON object")
     try:
@@ -92,10 +94,10 @@ def _load_coeffs(group: GroupDescriptor, text: str | None) -> CoeffVector | None
         return None
     obj = _load_json(text, "coefficient matrix")
     try:
-        vec = CoeffVector.from_rows(obj)
-    except (TypeError, ValueError) as exc:
+        vec = CoeffVector(json_int_rows(obj, "coefficient matrix"))
+    except ValueError as exc:
         raise DomainError(f"bad coefficient matrix: {exc}") from exc
-    if vec.n != group.n or vec.handles != group.handle_count:
+    if vec.n != group.n or any(len(row) != group.handle_count for row in vec.rows):
         raise DomainError(
             f"coefficient matrix must be {group.n}x{group.handle_count}"
         )
@@ -109,8 +111,8 @@ def _emit(args: argparse.Namespace, obj: Any, text: str | None = None) -> None:
         print(text if text is not None else json.dumps(obj, indent=2))
 
 
-def _element_out(args: argparse.Namespace, element: Element | MixedElement) -> None:
-    _emit(args, element.to_json_obj(), str(element) if isinstance(element, Element) else None)
+def _element_out(args: argparse.Namespace, element: Element) -> None:
+    _emit(args, element.to_json_obj(), str(element) if element.group.is_orientable else None)
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
@@ -147,10 +149,7 @@ def _cmd_pow(args: argparse.Namespace) -> int:
 
 def _cmd_order(args: argparse.Namespace) -> int:
     group = _group_from_args(args)
-    element = _load_element(group, args.x)
-    if not isinstance(element, Element):
-        raise DomainError("order is computed in the orientable model only")
-    result = torsion.order(element)
+    result = torsion.order(_load_element(group, args.x))
     _emit(
         args,
         {"finite": result.is_finite, "order": result.value},
@@ -161,11 +160,7 @@ def _cmd_order(args: argparse.Namespace) -> int:
 
 def _cmd_conjugacy(args: argparse.Namespace) -> int:
     group = _group_from_args(args)
-    e1 = _load_element(group, args.x)
-    e2 = _load_element(group, args.y)
-    if not isinstance(e1, Element) or not isinstance(e2, Element):
-        raise DomainError("conjugacy is decided in the orientable model only")
-    witness = torsion.conjugacy_test(e1, e2)
+    witness = torsion.conjugacy_test(_load_element(group, args.x), _load_element(group, args.y))
     _emit(
         args,
         {"conjugate": witness is not None, "witness": witness.to_json_obj() if witness else None},
@@ -192,9 +187,9 @@ def _frobenius_embedding(args: argparse.Namespace) -> torsion.FrobeniusEmbedding
         return torsion.FrobeniusEmbedding.zero(genus)
     arr = _load_json(args.blocks, "parameter blocks")
     try:
-        blocks = tuple(tuple(int(v) for v in row) for row in arr)
+        blocks = json_int_rows(arr, "parameter blocks")
         return torsion.FrobeniusEmbedding(genus, blocks)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise DomainError(f"bad parameter blocks: {exc}") from exc
 
 
@@ -359,6 +354,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # DomainError and input-validation ValueErrors
         print(f"surfbraid: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except VerificationError as exc:
+        print(f"surfbraid: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -1,15 +1,23 @@
 """Normal-form arithmetic in the lattice-by-symmetric-group quotient of a
 surface braid group.
 
-For a closed orientable surface of genus g and n strands, the quotient of
+For a closed surface other than the sphere and n strands, the quotient of
 the braid group by the commutator subgroup of the pure braid group splits
-as a semidirect product: a free abelian lattice of rank 2ng (one generator
-``a[i,r]`` per strand i and handle coordinate r in 1..2g) extended by the
-symmetric group S_n, which acts by permuting strand indices.  Every
-element has a unique normal form ``lattice_part * section(permutation)``,
-stored as a (CoeffVector, Permutation) pair; the lattice part sits on the
-left.
+as a semidirect product: an abelian kernel with one coefficient row per
+strand, extended by the symmetric group S_n, which acts by permuting
+strand indices.  Every element has a unique normal form
+``coeffs * section(permutation)``, stored as a (CoeffVector, Permutation)
+pair; the lattice part sits on the left.  One :class:`Element` serves both
+kernels:
 
+* orientable genus g: Z^{2ng}, row i holding the exponents of
+  ``a[i,1], ..., a[i,2g]``;
+* non-orientable genus g: Z_2^n + Z^{n(g-1)}, row i holding the Z_2 torsion
+  bit of strand i in column 1 (kept reduced mod 2) and its g-1 free
+  coordinates in columns 2..g.  :class:`surfbraid.nonorientable.MixedElement`
+  is the bits/free view of such an element.
+
+The handle letters act through :meth:`GroupDescriptor.letter_images`.
 Conjugating a strand generator ``a[j,r]`` by an element with permutation
 part w yields ``a[w(j),r]`` (w applied per the composition convention of
 :mod:`surfbraid.permutations`); this determines the product rule below.
@@ -21,8 +29,9 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import GroupMismatchError, UnsupportedSurfaceError
+from .errors import GroupMismatchError, UnsupportedSurfaceError, check
 from .permutations import Permutation
+from .powers import power
 
 ORIENTABLE = "orientable"
 SPHERE = "sphere"
@@ -90,10 +99,46 @@ class GroupDescriptor:
         if self.kind != ORIENTABLE:
             raise UnsupportedSurfaceError(f"{what} requires an orientable surface, got {self.kind}")
 
+    def letter_images(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Coefficient row of each handle letter, indexed by r - 1, as sparse
+        (column, value) pairs with 0-based columns: ``a[j,r]^e`` adds e times
+        this row to the row of strand j.
+
+        Orientable: ``a[j,r]`` is column r.  Non-orientable: ``a[j,r]`` is
+        free coordinate r (column r + 1) for r < g, and ``a[j,g]`` is torsion
+        bit 1 with free part (-1, ..., -1), since the product
+        ``a[j,1] ... a[j,g]`` is the torsion class of strand j.
+        """
+        handles = self.handle_count
+        if self.kind == ORIENTABLE:
+            return tuple([((r, 1),) for r in range(handles)])
+        free = tuple([((r, 1),) for r in range(1, handles)])
+        return free + (((0, 1),) + tuple([(r, -1) for r in range(1, handles)]),)
+
+
+def json_ints(obj: Any, what: str) -> tuple[int, ...]:
+    """A JSON array of integers as a tuple.  Only JSON integers pass: floats,
+    booleans and strings are rejected, never coerced."""
+    if not isinstance(obj, list) or any(type(v) is not int for v in obj):
+        raise ValueError(f"{what} must be an array of integers, got {obj!r}")
+    return tuple(obj)
+
+
+def json_int_rows(obj: Any, what: str) -> tuple[tuple[int, ...], ...]:
+    """A JSON array of integer arrays as row tuples, checked by :func:`json_ints`."""
+    if not isinstance(obj, list):
+        raise ValueError(f"{what} must be an array of integer arrays, got {obj!r}")
+    return tuple([json_ints(row, what) for row in obj])
+
 
 @dataclass(frozen=True)
 class CoeffVector:
-    """Exponent matrix of the lattice part: rows[i-1][r-1] is the exponent of a[i,r]."""
+    """Exponent matrix of the lattice part: rows[i-1][r-1] is the exponent of a[i,r].
+
+    Tuples are built from lists, not generators: tuple() of a generator is
+    resized after allocation, and in a long run those resizes fill CPython's
+    per-size tuple free lists (see :class:`surfbraid.intmatrix.IntMatrix`).
+    """
 
     rows: tuple[tuple[int, ...], ...]
 
@@ -101,29 +146,22 @@ class CoeffVector:
     def n(self) -> int:
         return len(self.rows)
 
-    @property
-    def handles(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
     @classmethod
     def zero(cls, n: int, handles: int) -> CoeffVector:
-        return cls(tuple((0,) * handles for _ in range(n)))
+        return cls(((0,) * handles,) * n)
 
     @classmethod
     def basis(cls, n: int, handles: int, i: int, r: int) -> CoeffVector:
         """The vector with a single 1 at strand i, handle r."""
         if not (1 <= i <= n and 1 <= r <= handles):
             raise ValueError(f"basis index ({i},{r}) out of range")
-        return cls(
-            tuple(
-                tuple(1 if (row == i and col == r) else 0 for col in range(1, handles + 1))
-                for row in range(1, n + 1)
-            )
-        )
+        rows = [(0,) * handles] * n
+        rows[i - 1] = (0,) * (r - 1) + (1,) + (0,) * (handles - r)
+        return cls(tuple(rows))
 
     @classmethod
     def from_rows(cls, rows) -> CoeffVector:
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+        return cls(tuple([tuple([int(v) for v in row]) for row in rows]))
 
     def entry(self, i: int, r: int) -> int:
         return self.rows[i - 1][r - 1]
@@ -133,17 +171,17 @@ class CoeffVector:
 
     def __add__(self, other: CoeffVector) -> CoeffVector:
         return CoeffVector(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
+            tuple([tuple([a + b for a, b in zip(ra, rb)]) for ra, rb in zip(self.rows, other.rows)])
         )
 
     def __sub__(self, other: CoeffVector) -> CoeffVector:
         return self + (-other)
 
     def __neg__(self) -> CoeffVector:
-        return CoeffVector(tuple(tuple(-v for v in row) for row in self.rows))
+        return CoeffVector(tuple([tuple([-v for v in row]) for row in self.rows]))
 
     def scaled(self, k: int) -> CoeffVector:
-        return CoeffVector(tuple(tuple(k * v for v in row) for row in self.rows))
+        return CoeffVector(tuple([tuple([k * v for v in row]) for row in self.rows]))
 
     def permuted(self, w: Permutation) -> CoeffVector:
         """Strand action: the row at strand i moves to strand w(i); handles are fixed."""
@@ -154,53 +192,86 @@ class CoeffVector:
 
     def handle_sums(self) -> tuple[int, ...]:
         """Coordinate sum over strands, one integer per handle index."""
-        return tuple(sum(row[r] for row in self.rows) for r in range(self.handles))
+        return tuple([sum(column) for column in zip(*self.rows)])
 
 
 @dataclass(frozen=True)
 class Element:
-    """Normal form ``coeffs * section(perm)`` of a quotient-group element."""
+    """Normal form ``coeffs * section(perm)`` of a quotient-group element.
+
+    The public constructor and class methods validate their input; the
+    results of arithmetic are built by :meth:`_trusted`, which keeps the
+    operand's class and reduces non-orientable torsion bits mod 2.
+    """
 
     group: GroupDescriptor
     coeffs: CoeffVector
     perm: Permutation
 
     def __post_init__(self):
-        self.group.require_orientable("Element arithmetic")
-        if self.coeffs.n != self.group.n or self.perm.n != self.group.n:
+        self._require_model(self.group)
+        n, handles = self.group.n, self.group.handle_count
+        if self.coeffs.n != n or self.perm.n != n:
             raise ValueError("coefficient/permutation size does not match the group")
-        if self.coeffs.rows and self.coeffs.handles != self.group.handle_count:
-            raise ValueError("handle count does not match the group")
+        if any(len(row) != handles for row in self.coeffs.rows):
+            raise ValueError(f"every coefficient row must have {handles} entries")
+        if self.group.kind == NONORIENTABLE and any(row[0] not in (0, 1) for row in self.coeffs.rows):
+            raise ValueError("torsion bits must be 0 or 1")
+
+    @classmethod
+    def _require_model(cls, group: GroupDescriptor) -> None:
+        if group.kind == SPHERE:
+            raise UnsupportedSurfaceError("the sphere model has no element arithmetic")
+
+    @classmethod
+    def _build(cls, group: GroupDescriptor, coeffs: CoeffVector, perm: Permutation) -> Element:
+        """Validating constructor from parts, for any subclass whatever its __init__."""
+        x = object.__new__(cls)
+        Element.__init__(x, group, coeffs, perm)
+        return x
+
+    @classmethod
+    def _trusted(cls, group: GroupDescriptor, coeffs: CoeffVector, perm: Permutation) -> Element:
+        """Constructor for parts computed from valid operands: no validation,
+        torsion bits reduced mod 2 on a non-orientable surface."""
+        if group.kind == NONORIENTABLE:
+            coeffs = CoeffVector(tuple([(row[0] % 2,) + row[1:] for row in coeffs.rows]))
+        x = object.__new__(cls)
+        object.__setattr__(x, "group", group)
+        object.__setattr__(x, "coeffs", coeffs)
+        object.__setattr__(x, "perm", perm)
+        return x
 
     @classmethod
     def identity(cls, group: GroupDescriptor) -> Element:
-        return cls(group, CoeffVector.zero(group.n, group.handle_count), Permutation.identity(group.n))
+        return cls.section(group, Permutation.identity(group.n))
 
     @classmethod
     def section(cls, group: GroupDescriptor, w: Permutation) -> Element:
         """The canonical section of a permutation: trivial lattice part."""
-        return cls(group, CoeffVector.zero(group.n, group.handle_count), w)
+        return cls._build(group, CoeffVector.zero(group.n, group.handle_count), w)
 
     @classmethod
     def strand_generator(cls, group: GroupDescriptor, i: int, r: int) -> Element:
-        """The lattice generator a[i,r]."""
-        return cls(
-            group,
-            CoeffVector.basis(group.n, group.handle_count, i, r),
-            Permutation.identity(group.n),
-        )
+        """The generator a[i,r]: its letter image on strand i."""
+        n, handles = group.n, group.handle_count
+        if not (1 <= i <= n and 1 <= r <= handles):
+            raise ValueError(f"generator index ({i},{r}) out of range")
+        row = [0] * handles
+        for col, v in group.letter_images()[r - 1]:
+            row[col] = v
+        rows = [(0,) * handles] * n
+        rows[i - 1] = tuple(row)
+        return cls._build(group, CoeffVector(tuple(rows)), Permutation.identity(n))
 
     @classmethod
     def from_coeffs(cls, group: GroupDescriptor, rows) -> Element:
-        return cls(group, CoeffVector.from_rows(rows), Permutation.identity(group.n))
-
-    def _check_group(self, other: Element) -> None:
-        if self.group != other.group:
-            raise GroupMismatchError(f"operands live in different groups: {self.group} vs {other.group}")
+        return cls._build(group, CoeffVector.from_rows(rows), Permutation.identity(group.n))
 
     def __mul__(self, other: Element) -> Element:
-        self._check_group(other)
-        return Element(
+        if self.group != other.group:
+            raise GroupMismatchError(f"operands live in different groups: {self.group} vs {other.group}")
+        return self._trusted(
             self.group,
             self.coeffs + other.coeffs.permuted(self.perm),
             self.perm * other.perm,
@@ -208,19 +279,14 @@ class Element:
 
     def inverse(self) -> Element:
         w_inv = self.perm.inverse()
-        return Element(self.group, (-self.coeffs).permuted(w_inv), w_inv)
+        return self._trusted(self.group, (-self.coeffs).permuted(w_inv), w_inv)
 
     def __pow__(self, k: int) -> Element:
         if k < 0:
             return self.inverse() ** (-k)
-        result = Element.identity(self.group)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        n = self.group.n
+        one = self._trusted(self.group, CoeffVector.zero(n, self.group.handle_count), Permutation.identity(n))
+        return power(self, k, one)
 
     def conjugated_by(self, by: Element) -> Element:
         """Return by * self * by^{-1}."""
@@ -239,19 +305,23 @@ class Element:
 
     @classmethod
     def from_json_obj(cls, group: GroupDescriptor, obj: dict[str, Any]) -> Element:
-        if obj.get("n") != group.n or obj.get("g") != group.genus:
-            raise ValueError(f"element encodes (n={obj.get('n')}, g={obj.get('g')}), expected "
+        n, g = obj.get("n"), obj.get("g")
+        if type(n) is not int or type(g) is not int or (n, g) != (group.n, group.genus):
+            raise ValueError(f"element encodes (n={n}, g={g}), expected "
                              f"(n={group.n}, g={group.genus})")
-        perm = Permutation(tuple(int(v) for v in obj["perm"]))
-        coeffs = CoeffVector.from_rows(obj["coeffs"])
-        return cls(group, coeffs, perm)
+        return cls._build(group, cls._coeffs_from_json(obj), Permutation(json_ints(obj["perm"], "perm")))
+
+    @staticmethod
+    def _coeffs_from_json(obj: dict[str, Any]) -> CoeffVector:
+        return CoeffVector(json_int_rows(obj["coeffs"], "coeffs"))
 
     def as_word_text(self) -> str:
         """A braid word in the generator grammar that normalizes back to this element."""
         parts = []
-        for i in range(1, self.group.n + 1):
-            for r in range(1, self.group.handle_count + 1):
-                e = self.coeffs.entry(i, r)
+        for i, row in enumerate(self.coeffs.rows, start=1):
+            if self.group.kind == NONORIENTABLE:  # bit b, free f: a[i,r]^(f_r + b) ... a[i,g]^b
+                row = tuple([f + row[0] for f in row[1:]]) + row[:1]
+            for r, e in enumerate(row, start=1):
                 if e == 1:
                     parts.append(f"a[{i},{r}]")
                 elif e != 0:
@@ -282,35 +352,6 @@ class Verdict:
         }
 
 
-def identity(group: GroupDescriptor) -> Element:
-    return Element.identity(group)
-
-
-def section(group: GroupDescriptor, w: Permutation) -> Element:
-    return Element.section(group, w)
-
-
-def action(w: Permutation, v: CoeffVector) -> CoeffVector:
-    """The lattice automorphism induced by w: strand i is sent to w(i)."""
-    return v.permuted(w)
-
-
-def mul(x: Element, y: Element) -> Element:
-    return x * y
-
-
-def inverse(x: Element) -> Element:
-    return x.inverse()
-
-
-def power(x: Element, k: int) -> Element:
-    return x**k
-
-
-def conjugate(x: Element, by: Element) -> Element:
-    return x.conjugated_by(by)
-
-
 def verify_crystallographic(group: GroupDescriptor) -> Verdict:
     """Decide crystallographicity of the quotient for this surface.
 
@@ -331,7 +372,7 @@ def verify_crystallographic(group: GroupDescriptor) -> Verdict:
     for i in range(1, n):
         tau = Permutation.transposition(n, i)
         moved = CoeffVector.basis(n, handles, i, 1).permuted(tau)
-        assert moved == CoeffVector.basis(n, handles, i + 1, 1)
+        check(moved == CoeffVector.basis(n, handles, i + 1, 1), f"transposition {i} must move a[{i},1]")
         moves.append({"transposition": i, "from": [i, 1], "to": [i + 1, 1]})
     return Verdict(
         is_crystallographic=True,

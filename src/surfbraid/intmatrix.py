@@ -7,7 +7,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import check
 from .intpoly import IntPoly
+from .powers import power
 
 
 @dataclass(frozen=True)
@@ -90,14 +92,7 @@ class IntMatrix:
         self.require_square()
         if k < 0:
             raise ValueError("negative matrix powers are not supported")
-        result = IntMatrix.identity(self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, IntMatrix.identity(self.nrows))
 
     def trace(self) -> int:
         self.require_square()
@@ -123,7 +118,7 @@ class IntMatrix:
                 for j in range(k + 1, m):
                     num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
                     q, r = divmod(num, prev)
-                    assert r == 0, "Bareiss division must be exact"
+                    check(r == 0, "Bareiss division must be exact")
                     a[i][j] = q
                 a[i][k] = 0
             prev = a[k][k]
@@ -160,7 +155,7 @@ class IntMatrix:
         """Monic characteristic polynomial det(xI - M), exactly.
 
         Faddeev-LeVerrier recurrence: every division by the step index is
-        exact over the integers, which is asserted.  The invariants derive
+        exact over the integers, which is checked.  The invariants derive
         the polynomial from power traces instead; this one cross-checks them.
         """
         self.require_square()
@@ -171,7 +166,7 @@ class IntMatrix:
         for k in range(1, m + 1):
             t = aux.trace()
             q, r = divmod(-t, k)
-            assert r == 0, "Faddeev-LeVerrier division must be exact"
+            check(r == 0, "Faddeev-LeVerrier division must be exact")
             coeffs[m - k] = q
             if k < m:
                 shifted = aux + IntMatrix.identity(m).scaled(q)

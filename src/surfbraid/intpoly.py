@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import NotProductOfCyclotomicsError
+from .powers import power
 
 
 @dataclass(frozen=True)
@@ -65,10 +67,7 @@ class IntPoly:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __add__(self, other: IntPoly) -> IntPoly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return IntPoly.of(*(x + y for x, y in zip(a, b)))
+        return IntPoly.of(*[x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __sub__(self, other: IntPoly) -> IntPoly:
         return self + (-other)
@@ -78,7 +77,7 @@ class IntPoly:
 
     def __mul__(self, other: IntPoly | int) -> IntPoly:
         if isinstance(other, int):
-            return IntPoly.of(*(c * other for c in self.coeffs))
+            return IntPoly.of(*[c * other for c in self.coeffs])
         out = [0] * (len(self.coeffs) + len(other.coeffs))
         for i, c in enumerate(self.coeffs):
             if c == 0:
@@ -92,14 +91,7 @@ class IntPoly:
     def __pow__(self, k: int) -> IntPoly:
         if k < 0:
             raise ValueError("negative polynomial powers are not defined")
-        result = IntPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, IntPoly.one())
 
     def __divmod__(self, other: IntPoly) -> tuple[IntPoly, IntPoly]:
         """Exact Euclidean division over Z; the divisor's leading coefficient
@@ -205,8 +197,8 @@ def cyclotomic_multiplicities(p: IntPoly) -> dict[int, int]:
         if totient(d) <= work.degree:
             phi = cyclotomic(d)
             while True:
-                quo, rem = divmod_or_none(work, phi)
-                if quo is None or not rem.is_zero():
+                quo, rem = divmod(work, phi)  # phi is monic, so the division never fails
+                if not rem.is_zero():
                     break
                 work = quo
                 out[d] = out.get(d, 0) + 1
@@ -216,12 +208,3 @@ def cyclotomic_multiplicities(p: IntPoly) -> dict[int, int]:
     if work != IntPoly.one():
         raise NotProductOfCyclotomicsError(f"constant factor {work} is not 1")
     return dict(sorted(out.items()))
-
-
-def divmod_or_none(num: IntPoly, den: IntPoly) -> tuple[IntPoly | None, IntPoly]:
-    """divmod that returns (None, num) when the coefficient division is not exact."""
-    try:
-        quo, rem = divmod(num, den)
-    except ValueError:
-        return None, num
-    return quo, rem

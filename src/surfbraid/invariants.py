@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from .errors import check
+from .errors import NotProductOfCyclotomicsError, check
 from .intmatrix import IntMatrix
 from .intpoly import IntPoly, cyclotomic_multiplicities
 
@@ -27,7 +27,13 @@ class CyclicRep:
 
     Construction multiplies out the chain M, M^2, ... until it reaches the
     identity, which must happen at a power dividing ``order``; that is the
-    order check.  It keeps ``power_traces`` = (tr M^0, ..., tr M^(p-1)), where
+    order check.  If M, ..., M^m (m the dimension) all differ from the
+    identity, the chain is cut at the lcm L of the cyclotomic indices of
+    the characteristic polynomial derived from their traces: a matrix of
+    finite order is diagonalizable with root-of-unity eigenvalues, so its
+    exact order is L, and a polynomial that is no product of cyclotomics,
+    or an L not dividing ``order``, rejects M after m + 1 products.  It keeps
+    ``power_traces`` = (tr M^0, ..., tr M^(p-1)), where
     p is the exact order of M, the characteristic polynomial det(xI - M)
     derived from them, and its cyclotomic factor multiplicities {d: mult}
     (read-only), each index d checked to divide ``order``.
@@ -47,14 +53,16 @@ class CyclicRep:
         identity = IntMatrix.identity(m)
         traces = [m]
         power = self.matrix
-        while power != identity and len(traces) < self.order:
+        limit = self.order
+        while power != identity and len(traces) < limit:
             traces.append(power.trace())
+            if len(traces) == m + 1:
+                limit = _order_bound(traces, self.order)
             power = self.matrix * power
         if power != identity or self.order % len(traces) != 0:
             raise ValueError(f"matrix does not have order dividing {self.order}")
         object.__setattr__(self, "power_traces", tuple(traces))
-        e = _coefficients(self, 1)
-        object.__setattr__(self, "char_poly", IntPoly.of(*[(-1) ** k * e[k] for k in range(m, -1, -1)]))
+        object.__setattr__(self, "char_poly", _char_poly(_coefficients(self, 1)))
         mults = cyclotomic_multiplicities(self.char_poly)
         for d in mults:
             if self.order % d != 0:
@@ -91,6 +99,25 @@ def _elementary_symmetric_from_traces(traces: list[int], m: int) -> list[int]:
         check(r == 0, f"Newton identity division must be exact (e_{k})")
         e[k] = q
     return e
+
+
+def _char_poly(e: list[int]) -> IntPoly:
+    """det(xI - A) = sum_k (-1)^k e_k x^(m-k) from e_0..e_m of A's eigenvalues."""
+    m = len(e) - 1
+    return IntPoly.of(*[(-1) ** k * e[k] for k in range(m, -1, -1)])
+
+
+def _order_bound(traces: list[int], order: int) -> int:
+    """The lcm L of the cyclotomic indices of the characteristic polynomial
+    whose power sums are traces[1:], when that polynomial is a product of
+    cyclotomics and L divides ``order``; otherwise 0."""
+    m = len(traces) - 1
+    try:
+        mults = cyclotomic_multiplicities(_char_poly(_elementary_symmetric_from_traces(traces[1:], m)))
+    except NotProductOfCyclotomicsError:
+        return 0
+    bound = math.lcm(*mults)
+    return bound if order % bound == 0 else 0
 
 
 def _coefficients(rep: CyclicRep, j: int) -> list[int]:

@@ -12,6 +12,12 @@ a[j,1], ..., a[j,g-1]); the last generator a[j,g] maps to torsion bit 1
 with free part (-1, ..., -1).  This change of basis is validated against
 a Smith-normal-form oracle in the test suite.
 
+The arithmetic is the orientable one: a :class:`surfbraid.core.Element`
+whose coefficient row per strand holds the torsion bit in column 1 and the
+free coordinates after it, driven by the letter images of
+:meth:`surfbraid.core.GroupDescriptor.letter_images`.  :class:`MixedElement`
+is its bits/free view.
+
 For the sphere (n >= 3) the kernel is Z_2 + Z^{n(n-3)/2} with the full
 twist generating the torsion summand; no strand action on that basis is
 available here, so only the structure and the verdict are exposed.
@@ -23,10 +29,10 @@ from dataclasses import dataclass
 from typing import Any
 
 from . import core
-from .core import GroupDescriptor, Verdict
-from .errors import GroupMismatchError, UnsupportedSurfaceError
+from .core import CoeffVector, Element, GroupDescriptor, Verdict, json_int_rows, json_ints
+from .errors import UnsupportedSurfaceError, check
 from .permutations import Permutation
-from .words import BraidWord, check_letter, full_twist_word
+from .words import BraidWord, full_twist_word, normalize
 
 
 @dataclass(frozen=True)
@@ -86,106 +92,31 @@ def kernel_structure(group: GroupDescriptor) -> AbelianInvariants:
     )
 
 
-@dataclass(frozen=True)
-class MixedElement:
-    """Normal form over a non-orientable surface: torsion bits, free part, permutation.
+class MixedElement(Element):
+    """The bits/free view of an :class:`Element` over a non-orientable surface.
 
-    bits[j-1] is the Z_2 coordinate of strand j, free[j-1] its g-1 free
-    coordinates; the permutation acts by relabelling strands, exactly as in
-    the orientable model.
+    bits[j-1] is the Z_2 coordinate of strand j (column 1 of its coefficient
+    row), free[j-1] its g-1 free coordinates (columns 2..g).  Arithmetic,
+    identity, sections and strand generators are Element's, and products
+    and inverses stay MixedElements; only the constructor, the two views
+    and the ``torsion_bits`` JSON are added here.
     """
 
-    group: GroupDescriptor
-    bits: tuple[int, ...]
-    free: tuple[tuple[int, ...], ...]
-    perm: Permutation
+    def __init__(self, group: GroupDescriptor, bits, free, perm: Permutation):
+        super().__init__(group, _rows_from_parts(bits, free), perm)
 
-    def __post_init__(self):
-        if self.group.kind != core.NONORIENTABLE:
+    @classmethod
+    def _require_model(cls, group: GroupDescriptor) -> None:
+        if group.kind != core.NONORIENTABLE:
             raise UnsupportedSurfaceError("MixedElement arithmetic is the non-orientable model")
-        n, g = self.group.n, self.group.genus
-        if len(self.bits) != n or len(self.free) != n or self.perm.n != n:
-            raise ValueError("component sizes do not match the group")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("torsion bits must be 0 or 1")
-        if any(len(row) != g - 1 for row in self.free):
-            raise ValueError(f"free part rows must have length {g - 1}")
 
-    @classmethod
-    def identity(cls, group: GroupDescriptor) -> MixedElement:
-        n, g = group.n, group.genus
-        return cls(group, (0,) * n, tuple((0,) * (g - 1) for _ in range(n)), Permutation.identity(n))
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple([row[0] for row in self.coeffs.rows])
 
-    @classmethod
-    def section(cls, group: GroupDescriptor, w: Permutation) -> MixedElement:
-        n, g = group.n, group.genus
-        return cls(group, (0,) * n, tuple((0,) * (g - 1) for _ in range(n)), w)
-
-    @classmethod
-    def strand_generator(cls, group: GroupDescriptor, j: int, r: int) -> MixedElement:
-        """Image of a[j,r] in the torsion-bit/free coordinates."""
-        n, g = group.n, group.genus
-        if not (1 <= j <= n and 1 <= r <= g):
-            raise ValueError(f"generator index ({j},{r}) out of range")
-        bits = [0] * n
-        free = [[0] * (g - 1) for _ in range(n)]
-        if r == g:
-            bits[j - 1] = 1
-            free[j - 1] = [-1] * (g - 1)
-        else:
-            free[j - 1][r - 1] = 1
-        return cls(group, tuple(bits), tuple(tuple(row) for row in free), Permutation.identity(n))
-
-    def _permuted_bits(self, w: Permutation, bits: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * len(bits)
-        for j in range(1, len(bits) + 1):
-            out[w(j) - 1] = bits[j - 1]
-        return tuple(out)
-
-    def _permuted_free(
-        self, w: Permutation, free: tuple[tuple[int, ...], ...]
-    ) -> tuple[tuple[int, ...], ...]:
-        out: list[tuple[int, ...] | None] = [None] * len(free)
-        for j in range(1, len(free) + 1):
-            out[w(j) - 1] = free[j - 1]
-        return tuple(out)
-
-    def __mul__(self, other: MixedElement) -> MixedElement:
-        if self.group != other.group:
-            raise GroupMismatchError("operands live in different groups")
-        bits = tuple(
-            (a + b) % 2 for a, b in zip(self.bits, self._permuted_bits(self.perm, other.bits))
-        )
-        free = tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.free, self._permuted_free(self.perm, other.free))
-        )
-        return MixedElement(self.group, bits, free, self.perm * other.perm)
-
-    def inverse(self) -> MixedElement:
-        w_inv = self.perm.inverse()
-        bits = self._permuted_bits(w_inv, self.bits)
-        free = self._permuted_free(w_inv, tuple(tuple(-v for v in row) for row in self.free))
-        return MixedElement(self.group, bits, free, w_inv)
-
-    def __pow__(self, k: int) -> MixedElement:
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = MixedElement.identity(self.group)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def is_identity(self) -> bool:
-        return (
-            all(b == 0 for b in self.bits)
-            and all(v == 0 for row in self.free for v in row)
-            and self.perm.is_identity()
-        )
+    @property
+    def free(self) -> tuple[tuple[int, ...], ...]:
+        return tuple([row[1:] for row in self.coeffs.rows])
 
     def to_json_obj(self) -> dict[str, Any]:
         return {
@@ -196,43 +127,24 @@ class MixedElement:
             "coeffs": [list(row) for row in self.free],
         }
 
-    @classmethod
-    def from_json_obj(cls, group: GroupDescriptor, obj: dict[str, Any]) -> MixedElement:
-        if obj.get("n") != group.n or obj.get("g") != group.genus:
-            raise ValueError("element size does not match the group")
-        return cls(
-            group,
-            tuple(int(b) for b in obj["torsion_bits"]),
-            tuple(tuple(int(v) for v in row) for row in obj["coeffs"]),
-            Permutation(tuple(int(v) for v in obj["perm"])),
-        )
+    @staticmethod
+    def _coeffs_from_json(obj: dict[str, Any]) -> CoeffVector:
+        return _rows_from_parts(json_ints(obj["torsion_bits"], "torsion_bits"),
+                                json_int_rows(obj["coeffs"], "coeffs"))
+
+
+def _rows_from_parts(bits, free) -> CoeffVector:
+    if len(bits) != len(free):
+        raise ValueError("component sizes do not match the group")
+    return CoeffVector(tuple([(b,) + tuple(f) for b, f in zip(bits, free)]))
 
 
 def normalize_word(group: GroupDescriptor, word: BraidWord) -> MixedElement:
-    """Left-fold rewriting to the mixed normal form (non-orientable surfaces):
-    s_i letters multiply the permutation by the transposition, a[j,r]^e
-    letters add e copies of the strand generator image at the relabelled
-    strand."""
-    if group.kind != core.NONORIENTABLE:
-        raise UnsupportedSurfaceError("mixed normalization requires a non-orientable surface")
-    n, g = group.n, group.genus
-    bits = [0] * n
-    free = [[0] * (g - 1) for _ in range(n)]
-    perm = Permutation.identity(n)
-    for letter in word.letters:
-        check_letter(group, letter)
-        if letter.kind == "s":
-            if letter.exp % 2:
-                perm = perm * Permutation.transposition(n, letter.i)
-        else:
-            j, r, e = perm(letter.i), letter.r, letter.exp
-            if r == g:
-                bits[j - 1] = (bits[j - 1] + e) % 2
-                for s in range(g - 1):
-                    free[j - 1][s] -= e
-            else:
-                free[j - 1][r - 1] += e
-    return MixedElement(group, tuple(bits), tuple(tuple(row) for row in free), perm)
+    """The normal form of a word over a non-orientable surface: the one
+    left fold of :func:`surfbraid.words.normalize`, seen as a MixedElement."""
+    MixedElement._require_model(group)
+    x = normalize(group, word)
+    return MixedElement._trusted(group, x.coeffs, x.perm)
 
 
 def torsion_subgroup_elements(group: GroupDescriptor) -> list[MixedElement]:
@@ -285,8 +197,7 @@ def finite_normal_subgroup(group: GroupDescriptor) -> FiniteNormalWitness:
     ]
     for t in torsion_gens:
         for c in conjugators:
-            if not _in_torsion_subgroup(c * t * c.inverse()):
-                raise AssertionError("torsion subgroup failed the normality check")
+            check(_in_torsion_subgroup(c * t * c.inverse()), "torsion subgroup failed the normality check")
     note = "entire kernel (projective plane)" if g == 1 else "per-strand torsion classes"
     return FiniteNormalWitness(
         tuple(_strand_product_word(j, g) for j in range(1, n + 1)),

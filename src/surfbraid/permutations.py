@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
+from .powers import power
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -71,7 +73,7 @@ class Permutation:
     def __mul__(self, other: Permutation) -> Permutation:
         if self.n != other.n:
             raise ValueError("cannot compose permutations of different degree")
-        return Permutation(tuple(self.images[other.images[i] - 1] for i in range(self.n)))
+        return Permutation(tuple([self.images[j - 1] for j in other.images]))
 
     def inverse(self) -> Permutation:
         images = [0] * self.n
@@ -82,14 +84,7 @@ class Permutation:
     def __pow__(self, k: int) -> Permutation:
         if k < 0:
             return self.inverse() ** (-k)
-        result = Permutation.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, Permutation.identity(self.n))
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images, start=1))

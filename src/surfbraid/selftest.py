@@ -1,6 +1,7 @@
 """Built-in property suites for the `selftest` CLI subcommand.
 
-Each suite raises AssertionError on failure; the runner prints one
+Each suite raises VerificationError (:func:`surfbraid.errors.check`) on
+failure, so the checks also run under ``python -O``; the runner prints one
 TAP-style line per suite.
 """
 
@@ -12,6 +13,7 @@ from typing import Callable, TextIO
 from . import nonorientable, torsion, words
 from .bieberbach import make_bieberbach
 from .core import CoeffVector, Element, GroupDescriptor, verify_crystallographic
+from .errors import check
 from .intpoly import IntPoly
 from .invariants import CyclicRep, anosov_check, betti_numbers, kahler_check, orientability
 from .permutations import Permutation
@@ -34,16 +36,16 @@ def _suite_group_axioms() -> None:
         e = Element.identity(group)
         for _ in range(40):
             x, y, z = (_random_element(rng, group) for _ in range(3))
-            assert (x * y) * z == x * (y * z)
-            assert x * e == x and e * x == x
-            assert x * x.inverse() == e
-            assert (x * y).perm == x.perm * y.perm
+            check((x * y) * z == x * (y * z), "multiplication must be associative")
+            check(x * e == x and e * x == x, "the identity must be neutral")
+            check(x * x.inverse() == e, "x * x^-1 must be the identity")
+            check((x * y).perm == x.perm * y.perm, "the permutation map must be a homomorphism")
 
 
 def _suite_relations() -> None:
     for n, g in [(3, 1), (4, 2)]:
         report = words.check_relations(GroupDescriptor.orientable(n, g))
-        assert report.ok, f"relation failures: {report.failures}"
+        check(report.ok, f"relation failures: {report.failures}")
 
 
 def _suite_power_formula() -> None:
@@ -60,7 +62,7 @@ def _suite_power_formula() -> None:
             )
             z = Element(group, CoeffVector(rows), perm)
             k = m * rng.randint(1, 4)
-            assert torsion.cycle_power_coeffs(z, k) == (z**k).coeffs
+            check(torsion.cycle_power_coeffs(z, k) == (z**k).coeffs, f"cycle power formula fails at k={k}")
 
 
 def _suite_conjugacy() -> None:
@@ -68,35 +70,36 @@ def _suite_conjugacy() -> None:
     t1 = Element.section(group, Permutation.transposition(3, 1))
     t2 = Element.section(group, Permutation.transposition(3, 2))
     three = Element.section(group, Permutation.from_cycles(3, (1, 2, 3)))
-    assert torsion.conjugacy_test(t1, t2) is not None
-    assert torsion.conjugacy_test(t1, three) is None
+    check(torsion.conjugacy_test(t1, t2) is not None, "two transpositions must be conjugate")
+    check(torsion.conjugacy_test(t1, three) is None, "a transposition and a 3-cycle must not be conjugate")
     rng = random.Random(303)
     for _ in range(20):
         c = _random_element(rng, group)
         theta = three.conjugated_by(c)
-        assert torsion.order(theta).value == 3
-        assert torsion.conjugacy_test(theta, three) is not None
+        check(torsion.order(theta).value == 3, "a conjugate of a 3-cycle section must have order 3")
+        check(torsion.conjugacy_test(theta, three) is not None, "a conjugate must be found conjugate")
 
 
 def _suite_bieberbach() -> None:
     for n, g in [(2, 1), (3, 2), (4, 1)]:
         desc = make_bieberbach(n, g)
         matrix = desc.holonomy_matrix()
-        assert matrix.char_poly() == IntPoly.x_pow_minus_one(n) ** (2 * g)
-        assert matrix.det() == 1
-        assert len(desc.centre()) == 2 * g
+        check(matrix.char_poly() == IntPoly.x_pow_minus_one(n) ** (2 * g), "holonomy char poly must be (x^n - 1)^2g")
+        check(matrix.det() == 1, "holonomy determinant must be 1")
+        check(len(desc.centre()) == 2 * g, "the centre must have rank 2g")
 
 
 def _suite_invariants() -> None:
     for n, g in [(2, 1), (3, 1), (4, 2)]:
         rep = CyclicRep(make_bieberbach(n, g).holonomy_matrix(), n)
         # the trace-derived polynomial and determinant against Faddeev-LeVerrier and Bareiss
-        assert rep.char_poly == rep.matrix.char_poly()
-        assert rep.det == rep.matrix.det()
+        check(rep.char_poly == rep.matrix.char_poly(), "trace char poly must match Faddeev-LeVerrier")
+        check(rep.det == rep.matrix.det(), "trace determinant must match Bareiss")
         betti = betti_numbers(rep)
-        assert betti[1] == 2 * g
-        assert sum((-1) ** i * b for i, b in enumerate(betti)) == 0
-        assert orientability(rep) and anosov_check(rep) and kahler_check(rep)
+        check(betti[1] == 2 * g, "beta_1 must be 2g")
+        check(sum((-1) ** i * b for i, b in enumerate(betti)) == 0, "the Euler characteristic must vanish")
+        check(orientability(rep) and anosov_check(rep) and kahler_check(rep),
+              "the flat manifold must be orientable, Anosov and Kaehler")
 
 
 def _suite_frobenius() -> None:
@@ -106,12 +109,12 @@ def _suite_frobenius() -> None:
             1, (tuple(rng.randint(-3, 3) for _ in range(4)), tuple(rng.randint(-3, 3) for _ in range(4)))
         )
         v1, v2 = torsion.frobenius_embed(emb)
-        assert (v1**5).is_identity() and (v2**2).is_identity()
-        assert v1.conjugated_by(v2) == v1**4
+        check((v1**5).is_identity() and (v2**2).is_identity(), "v1 must have order 5 and v2 order 2")
+        check(v1.conjugated_by(v2) == v1**4, "v2 must conjugate v1 to v1^4")
         torsion.frobenius_conjugator(emb)
     group = GroupDescriptor.torus(5)
     v = torsion.frobenius_torsion_element(group, 5, 4)
-    assert torsion.order(v).value == 5
+    check(torsion.order(v).value == 5, "the Frobenius torsion element must have order 5")
 
 
 def _suite_nonorientable() -> None:
@@ -121,7 +124,7 @@ def _suite_nonorientable() -> None:
         e = nonorientable.MixedElement.identity(group)
         for i in range(1, n):
             s = nonorientable.MixedElement.section(group, Permutation.transposition(n, i))
-            assert s * s == e
+            check(s * s == e, "sections of transpositions must be involutions")
         for _ in range(20):
             xs = []
             for _ in range(3):
@@ -133,11 +136,14 @@ def _suite_nonorientable() -> None:
                 rng.shuffle(images)
                 xs.append(nonorientable.MixedElement(group, bits, free, Permutation(tuple(images))))
             x, y, z = xs
-            assert (x * y) * z == x * (y * z)
-            assert x * x.inverse() == e
-        assert not nonorientable.crystallographic_verdict(group).is_crystallographic
-    assert not nonorientable.crystallographic_verdict(GroupDescriptor.sphere(4)).is_crystallographic
-    assert verify_crystallographic(GroupDescriptor.orientable(3, 2)).is_crystallographic
+            check((x * y) * z == x * (y * z), "mixed multiplication must be associative")
+            check(x * x.inverse() == e, "x * x^-1 must be the identity")
+        check(not nonorientable.crystallographic_verdict(group).is_crystallographic,
+              "non-orientable quotients are not crystallographic")
+    check(not nonorientable.crystallographic_verdict(GroupDescriptor.sphere(4)).is_crystallographic,
+          "the sphere quotient is not crystallographic")
+    check(verify_crystallographic(GroupDescriptor.orientable(3, 2)).is_crystallographic,
+          "orientable quotients are crystallographic")
 
 
 SUITES: list[tuple[str, Callable[[], None]]] = [

@@ -16,6 +16,7 @@ from .errors import (
     NotAnSnEmbeddingError,
     NotDivisibleError,
     NotSingleCycleError,
+    check,
 )
 from .permutations import Permutation
 
@@ -48,6 +49,7 @@ def cycle_power_coeffs(z: Element, k: int) -> CoeffVector:
     The cycle sums are invariant under moving the section across the lattice
     part, so the formula applies directly to normal-form coefficients.
     """
+    z.group.require_orientable("the cycle power formula")
     cycles = z.perm.cycles()
     if len(cycles) != 1:
         raise NotSingleCycleError(
@@ -75,6 +77,7 @@ def order(x: Element) -> OrderResult:
     """Order of x: finite iff every cycle of the permutation part has zero
     coefficient sum in every handle and every fixed strand has zero
     coefficients; then the order equals the order of the permutation part."""
+    x.group.require_orientable("element order")
     handles = x.group.handle_count
     for cycle in x.perm.cycles(include_fixed=True):
         for r in range(1, handles + 1):
@@ -91,6 +94,7 @@ def conjugator_to_section(theta: Element) -> Element:
     partial sums of theta's coefficients, anchored at p[c_0] = 0; fixed
     strands get 0.
     """
+    theta.group.require_orientable("a conjugator to the section")
     if not order(theta).is_finite:
         raise InfiniteOrderError("only finite-order elements are conjugate to a section")
     n, handles = theta.group.n, theta.group.handle_count
@@ -102,7 +106,8 @@ def conjugator_to_section(theta: Element) -> Element:
                 acc += theta.coeffs.entry(c, r)
                 rows[c - 1][r - 1] = acc
     alpha = Element.from_coeffs(theta.group, rows)
-    assert Element.section(theta.group, theta.perm).conjugated_by(alpha) == theta
+    check(Element.section(theta.group, theta.perm).conjugated_by(alpha) == theta,
+          "the conjugator must carry the section to the element")
     return alpha
 
 
@@ -152,6 +157,7 @@ def conjugacy_test(e1: Element, e2: Element) -> Element | None:
     with c * e1 * c^{-1} == e2, or None."""
     if e1.group != e2.group:
         raise GroupMismatchError("conjugacy test requires elements of the same group")
+    e1.group.require_orientable("conjugacy")
     for e in (e1, e2):
         if not order(e).is_finite:
             raise InfiniteOrderError("conjugacy is only decided for finite-order elements")
@@ -161,7 +167,7 @@ def conjugacy_test(e1: Element, e2: Element) -> Element | None:
     alpha1 = conjugator_to_section(e1)
     alpha2 = conjugator_to_section(e2)
     c = alpha2 * Element.section(e1.group, xi) * alpha1.inverse()
-    assert e1.conjugated_by(c) == e2
+    check(e1.conjugated_by(c) == e2, "the conjugacy witness must conjugate the first element to the second")
     return c
 
 
@@ -293,8 +299,10 @@ def frobenius_conjugator(emb: FrobeniusEmbedding) -> Element:
     group = emb.group
     a = Element(group, CoeffVector(tuple(rows)), Permutation.identity(5))
     v1, v2 = frobenius_embed(emb)
-    assert Element.section(group, emb.five_cycle).conjugated_by(a) == v1
-    assert Element.section(group, emb.double_transposition).conjugated_by(a) == v2
+    check(Element.section(group, emb.five_cycle).conjugated_by(a) == v1,
+          "the conjugator must carry the 5-cycle section to v1")
+    check(Element.section(group, emb.double_transposition).conjugated_by(a) == v2,
+          "the conjugator must carry the involution section to v2")
     return a
 
 
@@ -367,9 +375,9 @@ def frobenius_torsion_element(
         lift2 = CoeffVector.zero(p, handles)
     w1 = Permutation.from_cycles(p, tuple(range(1, p + 1)))
     w2 = multiplication_permutation(p, l)
-    assert w2 * w1 * w2.inverse() == w1**l
+    check(w2 * w1 * w2.inverse() == w1**l, "w2 must conjugate the p-cycle to its l-th power")
     v1 = Element(group, lift1, w1)
     v2 = Element(group, lift2, w2)
     v = v2 * v1 * v2.inverse() * v1 ** (-l) * v1 ** (l - 1)
-    assert not v.perm.is_identity()
+    check(not v.perm.is_identity(), "the torsion element must lie over a p-cycle")
     return v

@@ -136,16 +136,16 @@ def parse(group: GroupDescriptor, text: str) -> BraidWord:
 
 
 def normalize(group: GroupDescriptor, word: BraidWord) -> Element:
-    """Rewrite a word to its unique normal form (orientable surfaces).
+    """Rewrite a word to its unique normal form (any surface but the sphere).
 
     Folding left to right: an s_i letter multiplies the permutation part by
     the transposition (i, i+1) (its section squares to the identity, so the
-    sign of the exponent is irrelevant); an a[j,r]^e letter adds e to the
-    coefficient at strand w(j), handle r, where w is the permutation
-    accumulated so far.
+    sign of the exponent is irrelevant); an a[j,r]^e letter adds e times the
+    letter image of a[j,r] (:meth:`GroupDescriptor.letter_images`) to the
+    row of strand w(j), where w is the permutation accumulated so far.
     """
-    group.require_orientable("word normalization")
     n, handles = group.n, group.handle_count
+    images = group.letter_images()
     rows = [[0] * handles for _ in range(n)]
     perm = Permutation.identity(n)
     for letter in word.letters:
@@ -154,8 +154,10 @@ def normalize(group: GroupDescriptor, word: BraidWord) -> Element:
             if letter.exp % 2:
                 perm = perm * Permutation.transposition(n, letter.i)
         else:
-            rows[perm(letter.i) - 1][letter.r - 1] += letter.exp
-    return Element(group, CoeffVector(tuple(tuple(r) for r in rows)), perm)
+            row = rows[perm(letter.i) - 1]
+            for col, v in images[letter.r - 1]:
+                row[col] += v * letter.exp
+    return Element._trusted(group, CoeffVector(tuple([tuple(r) for r in rows])), perm)
 
 
 def normalize_text(group: GroupDescriptor, text: str) -> Element:

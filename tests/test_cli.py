@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +193,93 @@ def test_selftest_failure_exits_3(capsys, monkeypatch):
     code, out, _ = run(capsys, "selftest")
     assert code == 3
     assert "not ok 1 - forced" in out
+
+
+KLEIN = ["--surface", "nonorientable", "--n", "2", "--genus", "2"]
+MIXED = json.dumps({"n": 2, "g": 2, "perm": [2, 1], "torsion_bits": [1, 0], "coeffs": [[3], [-3]]})
+
+
+def test_orientable_only_commands_reject_nonorientable_elements(capsys):
+    for argv in (["order", *KLEIN, MIXED], ["conjugacy", *KLEIN, MIXED, MIXED]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "orientable" in err
+
+
+def test_nonorientable_text_format_prints_indented_json(capsys):
+    # A non-orientable element has no word rendering on the command line;
+    # --format text prints its JSON encoding, indented.
+    code, out, _ = run(capsys, "inv", *KLEIN, "--format", "text", MIXED)
+    assert code == 0
+    assert json.loads(out) == {"n": 2, "g": 2, "perm": [2, 1], "torsion_bits": [0, 1], "coeffs": [[3], [-3]]}
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    code, out, _ = run(capsys, "normalize", *KLEIN, "--format", "text", "a[1,2] s1")
+    assert code == 0 and out.startswith("{\n") and '"torsion_bits": [\n' in out
+
+
+GOOD = '{"n":2,"g":1,"perm":[1,2],"coeffs":[[1,0],[0,0]]}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["order", "--n", "2", '{"n":2,"g":1,"perm":[1,2],"coeffs":[[1,0],[1]]}'],
+        ["mul", "--n", "2", '{"n":2,"g":1,"perm":[1,2],"coeffs":[[1,0],[1]]}', GOOD],
+        ["mul", "--n", "2", '{"n":2,"g":1,"perm":["2",true],"coeffs":[[1,0],[0,0]]}', GOOD],
+        ["mul", "--n", "2", '{"n":2,"g":1,"perm":[1,2],"coeffs":[[1.7,0],[0,0]]}', GOOD],
+        ["inv", "--n", "2", '{"n":2,"g":1,"perm":[1,2],"coeffs":[[true,0],[0,0]]}'],
+        ["inv", "--n", "2", '{"n":2,"g":1,"perm":[1,2],"coeffs":[["3",0],[0,0]]}'],
+        ["inv", "--n", "2", '{"n":2,"g":true,"perm":[1,2],"coeffs":[[1,0],[0,0]]}'],
+        ["inv", "--n", "2", '{"n":2,"g":1,"perm":[1,2],"coeffs":{"a":1}}'],
+        ["inv", *KLEIN, '{"n":2,"g":2,"perm":[1,2],"torsion_bits":[true,0],"coeffs":[[0],[0]]}'],
+        ["inv", *KLEIN, '{"n":2,"g":2,"perm":[1,2],"torsion_bits":[1],"coeffs":[[0],[0]]}'],
+        ["frobenius", "embed", "--blocks", "[[1,2,3,4.0],[0,0,0,0]]"],
+        ["frobenius", "embed", "--blocks", "7"],
+        ["frobenius", "torsion", "--lift1", '[[1,0],[0,0],[0,0],[0,0],["1",0]]'],
+        ["frobenius", "torsion", "--lift1", "[[1,0],[0,0],[0,0],[0,0],[0]]"],
+    ],
+)
+def test_non_integer_or_ragged_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and err.startswith("surfbraid: ")
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_optimized(code):
+    """Run ``code`` under ``python -O``, where assert statements are stripped."""
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_failed_internal_check_exits_4_under_python_O():
+    finite = json.dumps({"n": 2, "g": 1, "perm": [2, 1], "coeffs": [[1, 0], [-1, 0]]})
+    section = json.dumps({"n": 2, "g": 1, "perm": [2, 1], "coeffs": [[0, 0], [0, 0]]})
+    code = (
+        "import sys\n"
+        "from surfbraid import cli, core\n"
+        "core.Element.conjugated_by = lambda self, by: self  # a wrong conjugation\n"
+        f"sys.exit(cli.main(['conjugacy', '--n', '2', {finite!r}, {section!r}]))\n"
+    )
+    res = run_optimized(code)
+    assert res.returncode == 4 and res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("surfbraid: internal check failed: ")
+
+
+def test_broken_selftest_exits_3_under_python_O():
+    code = (
+        "import sys\n"
+        "from surfbraid import cli, torsion\n"
+        "torsion.cycle_power_coeffs = lambda z, k: z.coeffs  # a wrong power formula\n"
+        "sys.exit(cli.main(['selftest']))\n"
+    )
+    res = run_optimized(code)
+    assert res.returncode == 3
+    assert "not ok 3 - cycle power formula" in res.stdout

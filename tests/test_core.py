@@ -8,7 +8,6 @@ from surfbraid.core import (
     CoeffVector,
     Element,
     GroupDescriptor,
-    action,
     verify_crystallographic,
 )
 from surfbraid.errors import GroupMismatchError, UnsupportedSurfaceError
@@ -67,12 +66,12 @@ def test_section_is_homomorphism():
 def test_action_examples():
     # transposition sends a[1,1] to a[2,1]
     v = CoeffVector.basis(2, 2, 1, 1)
-    assert action(Permutation.transposition(2, 1), v) == CoeffVector.basis(2, 2, 2, 1)
+    assert v.permuted(Permutation.transposition(2, 1)) == CoeffVector.basis(2, 2, 2, 1)
     # identity acts trivially
     rng = random.Random(3)
     w = Permutation.identity(3)
     vec = random_element(rng, T3).coeffs
-    assert action(w, vec) == vec
+    assert vec.permuted(w) == vec
 
 
 def test_action_on_cycle_matches_composed_transpositions():
@@ -83,8 +82,8 @@ def test_action_on_cycle_matches_composed_transpositions():
     assert cycle == t1 * t2
     vec = CoeffVector.basis(3, 2, 1, 2) + CoeffVector.basis(3, 2, 3, 1).scaled(2)
     expected = CoeffVector.basis(3, 2, 2, 2) + CoeffVector.basis(3, 2, 1, 1).scaled(2)
-    assert action(cycle, vec) == expected
-    assert action(t1, action(t2, vec)) == expected
+    assert vec.permuted(cycle) == expected
+    assert vec.permuted(t2).permuted(t1) == expected
 
 
 def test_action_preserves_handles_and_is_faithful():
@@ -93,7 +92,7 @@ def test_action_preserves_handles_and_is_faithful():
         group = GroupDescriptor.orientable(n, 2)
         for w in map(Permutation, itertools.permutations(range(1, n + 1))):
             moved = any(
-                action(w, CoeffVector.basis(n, 4, i, r)) != CoeffVector.basis(n, 4, i, r)
+                CoeffVector.basis(n, 4, i, r).permuted(w) != CoeffVector.basis(n, 4, i, r)
                 for i in range(1, n + 1)
                 for r in range(1, 5)
             )
@@ -101,7 +100,7 @@ def test_action_preserves_handles_and_is_faithful():
         for _ in range(10):
             w = random_permutation(rng, n)
             i, r = rng.randint(1, n), rng.randint(1, 4)
-            assert action(w, CoeffVector.basis(n, 4, i, r)) == CoeffVector.basis(n, 4, w(i), r)
+            assert CoeffVector.basis(n, 4, i, r).permuted(w) == CoeffVector.basis(n, 4, w(i), r)
 
 
 def test_mul_moves_section_across_generator():
@@ -208,3 +207,14 @@ def test_verify_crystallographic_single_strand():
 def test_verify_crystallographic_delegates():
     assert not verify_crystallographic(GroupDescriptor.sphere(3)).is_crystallographic
     assert not verify_crystallographic(GroupDescriptor.nonorientable(2, 2)).is_crystallographic
+
+
+def test_element_validates_every_row():
+    with pytest.raises(ValueError):
+        Element(T2, CoeffVector(((1, 0), (1,))), Permutation.identity(2))
+    with pytest.raises(ValueError):
+        Element(T2, CoeffVector(((1, 0), (1, 0, 0))), Permutation.identity(2))
+    klein = GroupDescriptor.nonorientable(2, 2)
+    with pytest.raises(ValueError):  # the torsion bit in column 1 must be reduced
+        Element(klein, CoeffVector(((0, 5), (2, 0))), Permutation.identity(2))
+    assert Element(klein, CoeffVector(((1, 5), (0, 0))), Permutation.identity(2)).coeffs.rows[0] == (1, 5)

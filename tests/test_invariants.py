@@ -253,3 +253,31 @@ def test_newton_check_survives_python_O():
     )
     assert res.returncode != 0
     assert "VerificationError" in res.stderr
+
+
+def test_infinite_order_matrix_is_rejected_within_dimension_products(monkeypatch):
+    calls = 0
+    original = IntMatrix.__mul__
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return original(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", counting_mul)
+    cases = [
+        IntMatrix.from_rows([[1, 1], [0, 1]]),  # unipotent: cyclotomic char poly, infinite order
+        IntMatrix.from_rows([[2, 1], [1, 1]]),  # hyperbolic: char poly not cyclotomic
+        IntMatrix.block_diag(IntMatrix.from_rows([[0, -1], [1, 0]]), IntMatrix.from_rows([[1, 1], [0, 1]])),
+    ]
+    for matrix in cases:
+        calls = 0
+        with pytest.raises(ValueError):
+            CyclicRep(matrix, 10**5)
+        assert calls <= matrix.nrows + 2
+    # finite order above the dimension: the bound is the exact order, 6 here
+    calls = 0
+    rep = CyclicRep(IntMatrix.from_rows([[1, -1], [1, 0]]), 6 * 10**4)
+    assert len(rep.power_traces) == 6 and calls <= 6
+    with pytest.raises(ValueError):  # order 6 does not divide 10^5
+        CyclicRep(IntMatrix.from_rows([[1, -1], [1, 0]]), 10**5)

@@ -304,3 +304,38 @@ def test_mixed_element_validation():
         MixedElement(group, (1, 0), ((0, 0), (0, 0)), Permutation.identity(2))
     with pytest.raises(UnsupportedSurfaceError):
         MixedElement.identity(GroupDescriptor.torus(2))
+
+
+def test_orientable_only_torsion_functions_reject_nonorientable_elements():
+    from surfbraid import torsion
+
+    group = GroupDescriptor.nonorientable(3, 2)
+    x = MixedElement(group, (1, 0, 1), ((2,), (-1,), (0,)), Permutation.from_cycles(3, (1, 2)))
+    with pytest.raises(UnsupportedSurfaceError):
+        torsion.order(x)
+    with pytest.raises(UnsupportedSurfaceError):
+        torsion.cycle_power_coeffs(x, 2)
+    with pytest.raises(UnsupportedSurfaceError):
+        torsion.conjugator_to_section(x)
+    with pytest.raises(UnsupportedSurfaceError):
+        torsion.conjugacy_test(x, x)
+
+
+def test_products_and_inverses_stay_mixed_views():
+    rng = random.Random(197)
+    group = GroupDescriptor.nonorientable(4, 3)
+    for _ in range(20):
+        x, y = random_mixed(rng, group), random_mixed(rng, group)
+        for z in (x * y, x.inverse(), x**-3, MixedElement.identity(group)):
+            assert type(z) is MixedElement
+            assert all(b in (0, 1) for b in z.bits)
+            assert z.coeffs.rows == tuple((b,) + f for b, f in zip(z.bits, z.free))
+
+
+def test_word_text_round_trips_through_normalize_word():
+    rng = random.Random(199)
+    for n, g in [(2, 1), (3, 2), (4, 3)]:
+        group = GroupDescriptor.nonorientable(n, g)
+        for _ in range(20):
+            x = random_mixed(rng, group)
+            assert normalize_word(group, parse(group, x.as_word_text())) == x
