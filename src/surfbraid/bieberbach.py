@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from .core import CoeffVector, Element, GroupDescriptor
@@ -76,7 +77,6 @@ class BieberbachDescriptor:
     """Generators and lattice data of the cyclic-holonomy Bieberbach subgroup."""
 
     group: GroupDescriptor
-    cycle: Permutation
     generator: Element
     x_generators: tuple[Element, ...]
     lattice_basis: tuple[Element, ...]
@@ -92,6 +92,16 @@ class BieberbachDescriptor:
     @property
     def dimension(self) -> int:
         return self.group.lattice_rank
+
+    @cached_property
+    def powers(self) -> tuple[Element, ...]:
+        """The powers of the generator with exponents 0..n-1, one product each
+        on first use; the j-th lies over the permutation sending strand 1 to
+        1 + j."""
+        out = [Element.identity(self.group)]
+        for _ in range(1, self.n):
+            out.append(out[-1] * self.generator)
+        return tuple(out)
 
     def holonomy_matrix(self) -> IntMatrix:
         """Matrix of conjugation by the distinguished generator on L, in the
@@ -143,11 +153,9 @@ class BieberbachDescriptor:
         if len(coords) != 2 * n * g:
             raise ValueError(f"need {2 * n * g} coordinates, got {len(coords)}")
         rows = [[0] * (2 * g) for _ in range(n)]
-        lam = coords[0]
-        for i in range(1, n + 1):
-            rows[i - 1][0] = lam
+        rows[0][0] = coords[0]
         for i in range(2, n + 1):
-            rows[i - 1][0] += n * coords[i - 1]
+            rows[i - 1][0] = coords[0] + n * coords[i - 1]
         pos = n
         for r in range(2, 2 * g + 1):
             for i in range(1, n + 1):
@@ -158,24 +166,17 @@ class BieberbachDescriptor:
     def element_from_coords(self, j: int, coords: tuple[int, ...]) -> Element:
         """The element with lattice part given by coords and holonomy residue j."""
         theta = Element(self.group, self.coeffs_from_coords(coords), Permutation.identity(self.n))
-        return theta * self.generator**j
+        return theta * self.powers[j]
 
     def membership(self, x: Element) -> GnMembership:
         """Decide membership and, if so, express x as lattice part times the
         j-th power of the distinguished generator."""
         if x.group != self.group:
             raise GroupMismatchError("element does not live in the ambient group of this subgroup")
-        j = None
-        probe = Permutation.identity(self.n)
-        for candidate in range(self.n):
-            if x.perm == probe:
-                j = candidate
-                break
-            probe = self.cycle * probe
-        if j is None:
+        j = x.perm(1) - 1
+        if x.perm != self.powers[j].perm:
             return GnMembership(False)
-        diff = x.coeffs - (self.generator**j).coeffs
-        coords = self.lattice_coords(diff)
+        coords = self.lattice_coords(x.coeffs - self.powers[j].coeffs)
         if coords is None:
             return GnMembership(False)
         return GnMembership(True, j, coords)
@@ -237,8 +238,7 @@ def make_bieberbach(n: int, genus: int) -> BieberbachDescriptor:
     if n < 2:
         raise ValueError(f"strand count must be >= 2, got {n}")
     group = GroupDescriptor.orientable(n, genus)
-    cycle = Permutation.from_cycles(n, tuple(range(1, n + 1)))
-    alpha = Element.section(group, cycle)
+    alpha = Element.section(group, Permutation.from_cycles(n, tuple(range(1, n + 1))))
     generator = Element.strand_generator(group, 1, 1) * alpha
     x_gens = [generator]
     basis = [product_over_strands(group, 1, 1)]
@@ -250,9 +250,7 @@ def make_bieberbach(n: int, genus: int) -> BieberbachDescriptor:
                 Permutation.identity(n),
             )
             x_gens.append(power_gen)
-            if r == 1 and i >= 2:
-                basis.append(power_gen)
-            elif r >= 2:
+            if r >= 2 or i >= 2:  # a[1,1]^n is not a basis vector: u takes its place
                 basis.append(power_gen)
     check(generator**n == basis[0], "generator power identity must hold")
-    return BieberbachDescriptor(group, cycle, generator, tuple(x_gens), tuple(basis))
+    return BieberbachDescriptor(group, generator, tuple(x_gens), tuple(basis))

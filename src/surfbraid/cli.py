@@ -36,20 +36,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_group_flags(parser: argparse.ArgumentParser, surfaces: bool = True) -> None:
-    if surfaces:
-        parser.add_argument(
-            "--surface",
-            choices=["torus", "orientable", "sphere", "nonorientable"],
-            default="torus",
-        )
+def _add_group_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--surface",
+        choices=["torus", "orientable", "sphere", "nonorientable"],
+        default="torus",
+    )
     parser.add_argument("--n", type=int, required=True, help="strand count")
     parser.add_argument("--genus", type=int, help="surface genus (not used for the sphere)")
     parser.add_argument("--format", choices=["json", "text"], default="json")
 
 
 def _group_from_args(args: argparse.Namespace) -> GroupDescriptor:
-    surface = getattr(args, "surface", "torus")
+    surface = args.surface
     if surface == "torus":
         if args.genus not in (None, 1):
             raise DomainError("--surface torus fixes --genus 1")
@@ -105,7 +104,7 @@ def _load_coeffs(group: GroupDescriptor, text: str | None) -> CoeffVector | None
 
 
 def _emit(args: argparse.Namespace, obj: Any, text: str | None = None) -> None:
-    if getattr(args, "format", "json") == "json":
+    if args.format == "json":
         print(json.dumps(obj))
     else:
         print(text if text is not None else json.dumps(obj, indent=2))
@@ -215,8 +214,6 @@ def _cmd_frobenius(args: argparse.Namespace) -> int:
 
 
 def _cmd_bieberbach(args: argparse.Namespace) -> int:
-    if args.genus is None:
-        raise DomainError("bieberbach subcommands require --genus")
     desc = make_bieberbach(args.n, args.genus)
     if args.action == "info":
         _emit(
@@ -247,8 +244,6 @@ def _cmd_bieberbach(args: argparse.Namespace) -> int:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
-    if args.genus is None:
-        raise DomainError("invariants require --genus")
     desc = make_bieberbach(args.n, args.genus)
     rep = CyclicRep(desc.holonomy_matrix(), desc.n)
     _emit(args, invariant_report(rep))
@@ -347,6 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Outputs such as the holonomy order n! of `verdict` may run past the
+    # 4300-digit limit on int-to-str conversion of recent CPython releases.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -5,7 +5,9 @@ order-p element living over a Frobenius permutation group.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from .core import CoeffVector, Element, GroupDescriptor
 from .errors import (
@@ -88,23 +90,27 @@ def order(x: Element) -> OrderResult:
 
 def conjugator_to_section(theta: Element) -> Element:
     """A pure-lattice alpha with alpha * section(w) * alpha^{-1} == theta,
-    where w is the permutation part of theta; theta must have finite order.
+    where w is the permutation part of theta.
 
-    Along each cycle (c_0, c_1, ...) the conjugation condition telescopes to
-    partial sums of theta's coefficients, anchored at p[c_0] = 0; fixed
-    strands get 0.
+    Along each cycle (c_0, c_1, ...) of w, fixed strands included, the
+    conjugation condition telescopes to partial sums of theta's
+    coefficients, anchored at alpha[c_0] = 0.  The walk closes only when the
+    last partial sum plus the anchor's coefficient, the whole cycle sum,
+    vanishes in every handle: that is the finite-order criterion of
+    :func:`order`, so an element of infinite order raises
+    InfiniteOrderError here.
     """
     theta.group.require_orientable("a conjugator to the section")
-    if not order(theta).is_finite:
-        raise InfiniteOrderError("only finite-order elements are conjugate to a section")
     n, handles = theta.group.n, theta.group.handle_count
     rows = [[0] * handles for _ in range(n)]
-    for cycle in theta.perm.cycles():
+    for cycle in theta.perm.cycles(include_fixed=True):
         for r in range(1, handles + 1):
             acc = 0
             for c in cycle[1:]:
                 acc += theta.coeffs.entry(c, r)
                 rows[c - 1][r - 1] = acc
+            if acc + theta.coeffs.entry(cycle[0], r) != 0:
+                raise InfiniteOrderError("only finite-order elements are conjugate to a section")
     alpha = Element.from_coeffs(theta.group, rows)
     check(Element.section(theta.group, theta.perm).conjugated_by(alpha) == theta,
           "the conjugator must carry the section to the element")
@@ -115,15 +121,13 @@ def conjugating_permutation(p: Permutation, q: Permutation) -> Permutation | Non
     """Lexicographically least xi with xi * p * xi^{-1} == q, or None when the
     cycle types differ.
 
-    Greedy: scan i = 1..n; for the first unassigned strand of each p-cycle
-    pick the smallest unused image whose q-cycle has the same length, then
-    propagate xi(p^t(i)) = q^t(v) around the cycle.  Whole cycles are
+    Greedy: walk the p-cycles in order of their least strand i; for each
+    pick the smallest unused image v whose q-cycle has the same length,
+    then propagate xi(p^t(i)) = q^t(v) around the cycle.  Whole cycles are
     consumed at once, so the greedy minimum is the global lexicographic
     minimum.
     """
-    if p.n != q.n:
-        return None
-    if p.cycle_type() != q.cycle_type():
+    if p.n != q.n or p.cycle_type() != q.cycle_type():
         return None
     n = p.n
     q_cycle_len = [0] * (n + 1)
@@ -132,18 +136,8 @@ def conjugating_permutation(p: Permutation, q: Permutation) -> Permutation | Non
             q_cycle_len[v] = len(cycle)
     images = [0] * (n + 1)
     used = [False] * (n + 1)
-    for i in range(1, n + 1):
-        if images[i]:
-            continue
-        cycle = [i]
-        v = p(i)
-        while v != i:
-            cycle.append(v)
-            v = p(v)
-        target = next(
-            v for v in range(1, n + 1) if not used[v] and q_cycle_len[v] == len(cycle)
-        )
-        w = target
+    for cycle in p.cycles(include_fixed=True):
+        w = next(v for v in range(1, n + 1) if not used[v] and q_cycle_len[v] == len(cycle))
         for c in cycle:
             images[c] = w
             used[w] = True
@@ -154,34 +148,38 @@ def conjugating_permutation(p: Permutation, q: Permutation) -> Permutation | Non
 def conjugacy_test(e1: Element, e2: Element) -> Element | None:
     """Decide conjugacy of two finite-order elements; conjugate iff their
     permutation parts share a cycle type.  Returns a verified conjugator c
-    with c * e1 * c^{-1} == e2, or None."""
+    with c * e1 * c^{-1} == e2, or None.  Each element is carried to its
+    section first, which raises InfiniteOrderError for an element of
+    infinite order whatever the cycle types."""
     if e1.group != e2.group:
         raise GroupMismatchError("conjugacy test requires elements of the same group")
     e1.group.require_orientable("conjugacy")
-    for e in (e1, e2):
-        if not order(e).is_finite:
-            raise InfiniteOrderError("conjugacy is only decided for finite-order elements")
+    alpha1 = conjugator_to_section(e1)
+    alpha2 = conjugator_to_section(e2)
     xi = conjugating_permutation(e1.perm, e2.perm)
     if xi is None:
         return None
-    alpha1 = conjugator_to_section(e1)
-    alpha2 = conjugator_to_section(e2)
     c = alpha2 * Element.section(e1.group, xi) * alpha1.inverse()
     check(e1.conjugated_by(c) == e2, "the conjugacy witness must conjugate the first element to the second")
     return c
 
 
 def symmetric_copy_conjugator(group: GroupDescriptor, images: list[Element]) -> Element:
-    """Given involutions alpha_1..alpha_{n-1} over the adjacent transpositions
-    that satisfy the symmetric-group relations, return a pure-lattice x with
-    x * section(t_i) * x^{-1} == alpha_i for every i.
+    """Given involutions alpha_1..alpha_{n-1} over the adjacent transpositions,
+    return a pure-lattice x with x * section(t_i) * x^{-1} == alpha_i for
+    every i.
 
-    The involution condition forces each alpha_i to carry opposite
-    coefficients a_i, -a_i on strands i, i+1 (per handle); the conjugator
-    coordinates telescope as x_{i+1} = x_i - a_i with x_1 = 0.
+    An involution over t_i is zero off strands i and i+1 and carries
+    opposite coefficients there, so x * section(t_i) * x^{-1} == alpha_i
+    exactly when x_{i+1} - x_i == alpha_i[i+1] in every handle.  These n-1
+    conditions are independent, so the images always satisfy the
+    symmetric-group relations and one x serves them all: the conjugator to
+    the section of the Coxeter element alpha_1 * ... * alpha_{n-1}, which
+    lies over the n-cycle t_1 ... t_{n-1} = (1 2 ... n) and is unique once
+    x_1 = 0.
     """
     group.require_orientable("symmetric-group copies")
-    n, handles = group.n, group.handle_count
+    n = group.n
     if len(images) != n - 1:
         raise NotAnSnEmbeddingError(f"need {n - 1} images, got {len(images)}")
     identity = Element.identity(group)
@@ -192,24 +190,11 @@ def symmetric_copy_conjugator(group: GroupDescriptor, images: list[Element]) -> 
             raise NotAnSnEmbeddingError(f"image {i} does not project to the transposition ({i},{i + 1})")
         if alpha * alpha != identity:
             raise NotAnSnEmbeddingError(f"image {i} is not an involution")
-    for i in range(1, n - 1):
-        a, b = images[i - 1], images[i]
-        if a * b * a != b * a * b:
-            raise NotAnSnEmbeddingError(f"braid relation fails at images {i}, {i + 1}")
-        for j in range(i + 2, n):
-            c = images[j - 1]
-            if a * c != c * a:
-                raise NotAnSnEmbeddingError(f"images {i} and {j} do not commute")
-    rows = [[0] * handles for _ in range(n)]
-    for i in range(1, n):
-        a_i = [images[i - 1].coeffs.entry(i, r) for r in range(1, handles + 1)]
-        for r in range(handles):
-            rows[i][r] = rows[i - 1][r] - a_i[r]
-    x = Element.from_coeffs(group, rows)
+    x = conjugator_to_section(reduce(operator.mul, images, identity))
     for i in range(1, n):
         sect = Element.section(group, Permutation.transposition(n, i))
-        if sect.conjugated_by(x) != images[i - 1]:
-            raise NotAnSnEmbeddingError(f"conjugation identity fails at image {i}")
+        check(sect.conjugated_by(x) == images[i - 1],
+              f"the Coxeter-element conjugator must carry section(t_{i}) to image {i}")
     return x
 
 
@@ -354,10 +339,11 @@ def frobenius_torsion_element(
     generated by the p-cycle w1 = (1,2,...,p) and the multiplication-by-l
     permutation w2, where l has multiplicative order (p-1)/2.
 
-    Given arbitrary lattice lifts v_i = lift_i * section(w_i), the element
-    v2 * v1 * v2^{-1} * v1^{-l} * v1^{l-1} has zero coefficient sum in
-    every handle and a nontrivial p-cycle permutation part, hence order
-    exactly p.  This is why no such subgroup is torsion free.
+    Given arbitrary lattice lifts v_i = lift_i * section(w_i), the
+    commutator [v2, v1] = v2 * v1 * v2^{-1} * v1^{-1} lies over
+    w1**l * w1^{-1} = w1**(l-1), a p-cycle because l != 1 mod p, and, as a
+    commutator, has zero coefficient sum in every handle; hence it has
+    order exactly p.  This is why no such subgroup is torsion free.
     """
     group.require_orientable("Frobenius torsion construction")
     if not _is_prime(p) or p < 5:
@@ -378,6 +364,6 @@ def frobenius_torsion_element(
     check(w2 * w1 * w2.inverse() == w1**l, "w2 must conjugate the p-cycle to its l-th power")
     v1 = Element(group, lift1, w1)
     v2 = Element(group, lift2, w2)
-    v = v2 * v1 * v2.inverse() * v1 ** (-l) * v1 ** (l - 1)
+    v = v2 * v1 * v2.inverse() * v1.inverse()
     check(not v.perm.is_identity(), "the torsion element must lie over a p-cycle")
     return v

@@ -1,6 +1,7 @@
 """Braid words over the generators s_i and a[j,r], and rewriting to normal form.
 
-Grammar (whitespace or '*' separates terms, indices 1-based)::
+Grammar (ASCII whitespace or '*' separates terms, indices 1-based, every
+integer written in ASCII digits)::
 
     word := term (('*' | whitespace) term)*
     term := gen ('^' signed-int)?
@@ -99,9 +100,9 @@ _TOKEN = re.compile(
       | a\[\s*(?P<aj>\d+)\s*,\s*(?P<ar>\d+)\s*\]
       | (?P<bad>\S)
     )""",
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
-_EXP = re.compile(r"\^(?P<exp>[+-]?\d+)")
+_EXP = re.compile(r"\^(?P<exp>[+-]?\d+)", re.ASCII)
 
 
 def parse(group: GroupDescriptor, text: str) -> BraidWord:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from surfbraid.bieberbach import make_bieberbach, product_over_strands
+from surfbraid.bieberbach import GnMembership, make_bieberbach, product_over_strands
 from surfbraid.core import CoeffVector, Element
 from surfbraid.errors import DomainError
 from surfbraid.intmatrix import IntMatrix
@@ -249,3 +249,25 @@ def test_random_subgroup_members_are_torsion_free():
             if x.is_identity():
                 continue
             assert not order(x).is_finite
+
+
+def test_scan_and_membership_raise_no_power_after_construction(monkeypatch):
+    # The descriptor caches generator**0 .. generator**(n-1); only
+    # make_bieberbach raises the generator to a power.
+    desc = make_bieberbach(3, 1)
+
+    def no_power(self, k):
+        raise AssertionError("Element.__pow__ called after make_bieberbach")
+
+    monkeypatch.setattr(Element, "__pow__", no_power)
+    report = desc.torsion_scan(1)
+    assert report.passed and report.scanned == 3**6 * 3
+    for j in range(3):
+        coords = (1, -1, 0, 2, 0, -3)
+        x = desc.element_from_coords(j, coords)
+        assert desc.membership(x) == GnMembership(True, j, coords)
+    # the lattice part of generator**1 over another permutation: not a member
+    for w in (Permutation.transposition(3, 1), Permutation.from_cycles(3, (1, 2, 3)).inverse()):
+        outside = Element(desc.group, desc.powers[1].coeffs, w)
+        assert desc.membership(outside) == GnMembership(False)
+    assert desc.powers[1] == desc.generator

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -242,6 +243,21 @@ def test_non_integer_or_ragged_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "Traceback" not in err and err.startswith("surfbraid: ")
+
+
+@pytest.mark.parametrize("word", ["s\u0661", "s1^\u0662", "a[\u0661,1]", "s1\u00a0s2"])
+def test_non_ascii_digits_and_spaces_in_words_exit_2(capsys, word):
+    # The word grammar is ASCII: an Arabic-Indic digit is not coerced to
+    # its value and a no-break space is not a separator.
+    code, out, err = run(capsys, "normalize", "--n", "3", word)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and err.startswith("surfbraid: ")
+
+
+def test_verdict_prints_a_holonomy_order_past_the_int_string_limit(capsys):
+    # 1700! has 4,755 digits, more than CPython's default 4,300 for str(int).
+    obj = run_json(capsys, "verdict", "--n", "1700")
+    assert obj["holonomy_order"] == math.factorial(1700)
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

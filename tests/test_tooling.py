@@ -1,4 +1,6 @@
 import ast
+import json
+import shlex
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "surfbraid"
@@ -13,3 +15,41 @@ def test_library_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in the library: {found}"
+
+
+README = SRC.parent.parent / "README.md"
+README_GOLDEN = Path(__file__).resolve().parent / "data" / "readme_outputs.json"
+
+
+def readme_commands() -> list[str]:
+    """Every `surfbraid ...` command of README.md's sh blocks, with
+    backslash continuations joined; comments are left for shlex to strip."""
+    commands, in_block, pending = [], False, ""
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_block = not in_block and line.strip() == "```sh"
+            continue
+        if not in_block or not (pending or line.startswith("surfbraid ")):
+            continue
+        pending += line.rstrip()
+        if pending.endswith("\\"):
+            pending = pending[:-1] + " "
+            continue
+        commands.append(pending)
+        pending = ""
+    return commands
+
+
+def test_readme_commands_print_their_recorded_output(capsys):
+    # The golden file holds the recorded stdout of each README command, so
+    # README examples stay byte-identical; a deliberate change to one of
+    # them updates its entry in the same commit.
+    from surfbraid.cli import main
+
+    golden = json.loads(README_GOLDEN.read_text())
+    commands = readme_commands()
+    assert commands == [entry["command"] for entry in golden]
+    for entry in golden:
+        code = main(shlex.split(entry["command"], comments=True)[1:])
+        out = capsys.readouterr().out
+        assert (code, out) == (0, entry["stdout"]), entry["command"]

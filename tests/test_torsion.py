@@ -182,6 +182,31 @@ def test_conjugacy_examples():
         conjugacy_test(Element.identity(T2), Element.identity(T3))
 
 
+def test_conjugacy_rejects_infinite_order_whatever_the_cycle_types():
+    three = psi(T3, (1, 2, 3))
+    infinite_transposition = a(T3, 1, 1) * psi(T3, (1, 2))
+    infinite_fixed_strand = a(T3, 3, 2) * psi(T3, (1, 2))
+    for x in (infinite_transposition, infinite_fixed_strand):
+        assert x.perm.cycle_type() != three.perm.cycle_type()
+        for pair in ((x, three), (three, x), (x, Element.identity(T3))):
+            with pytest.raises(InfiniteOrderError):
+                conjugacy_test(*pair)
+
+
+def test_conjugator_to_section_raises_exactly_on_infinite_order():
+    rng = random.Random(157)
+    group = GroupDescriptor.orientable(4, 2)
+    for _ in range(60):
+        w = random_permutation(rng, 4)
+        finite = Element.section(group, w).conjugated_by(random_element(rng, group))
+        for x in (finite, random_element(rng, group)):
+            if order(x).is_finite:
+                assert Element.section(group, x.perm).conjugated_by(conjugator_to_section(x)) == x
+            else:
+                with pytest.raises(InfiniteOrderError):
+                    conjugator_to_section(x)
+
+
 def test_conjugacy_randomized_round_trip():
     rng = random.Random(127)
     group = GroupDescriptor.orientable(4, 2)
@@ -238,6 +263,34 @@ def test_symmetric_copy_randomized():
             for i in range(1, n):
                 sect = Element.section(group, Permutation.transposition(n, i))
                 assert sect.conjugated_by(x) == images[i - 1]
+
+
+def test_symmetric_copy_conjugator_is_the_coxeter_element_conjugator(monkeypatch):
+    # The images of a copy determine x up to a constant; with x_1 = 0 it is
+    # found from the Coxeter element in O(n) products, with no O(n^2)
+    # relation checks.
+    rng = random.Random(163)
+    n = 12
+    group = GroupDescriptor.orientable(n, 2)
+    rows = [[0] * 4] + [[rng.randint(-5, 5) for _ in range(4)] for _ in range(n - 1)]
+    expected = Element.from_coeffs(group, rows)
+    images = [
+        Element.section(group, Permutation.transposition(n, i)).conjugated_by(expected)
+        for i in range(1, n)
+    ]
+    calls = 0
+    original = Element.__mul__
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return original(self, other)
+
+    monkeypatch.setattr(Element, "__mul__", counting_mul)
+    x = symmetric_copy_conjugator(group, images)
+    monkeypatch.undo()
+    assert x == expected
+    assert calls <= 5 * (n - 1)
 
 
 def test_symmetric_copy_rejections():
@@ -345,6 +398,26 @@ def test_frobenius_torsion_with_lifts():
         v = frobenius_torsion_element(group7, 7, 2, lifts[0], lifts[1])
         assert order(v).value == 7
         assert v.coeffs.handle_sums() == (0, 0, 0, 0)
+
+
+def test_frobenius_torsion_element_is_the_commutator_of_the_lifts():
+    # v1^(-l) * v1^(l-1) == v1^(-1): the element equals the longer word
+    # v2 v1 v2^-1 v1^(-l) v1^(l-1) of the construction.
+    rng = random.Random(167)
+    for p in (5, 7, 11, 13):
+        group = GroupDescriptor.orientable(p, 1)
+        l = default_multiplier(p)
+        for _ in range(5):
+            lift1, lift2 = (
+                CoeffVector(tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(p)))
+                for _ in range(2)
+            )
+            v1 = Element(group, lift1, Permutation.from_cycles(p, tuple(range(1, p + 1))))
+            v2 = Element(group, lift2, multiplication_permutation(p, l))
+            word = v2 * v1 * v2.inverse() * v1 ** (-l) * v1 ** (l - 1)
+            v = frobenius_torsion_element(group, p, l, lift1, lift2)
+            assert v == word
+            assert order(v).value == p
 
 
 def test_frobenius_torsion_rejections():
