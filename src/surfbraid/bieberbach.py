@@ -132,41 +132,35 @@ class BieberbachDescriptor:
     def lattice_coords(self, vec: CoeffVector) -> tuple[int, ...] | None:
         """Coordinates of a lattice vector in the fixed basis, or None if the
         vector lies outside L."""
-        n, g = self.n, self.genus
-        lam = vec.entry(1, 1)
+        rows = vec.rows
+        lam = rows[0][0]
         coords = [lam]
-        for i in range(2, n + 1):
-            diff = vec.entry(i, 1) - lam
-            if diff % n != 0:
+        scaled = [row[0] - lam for row in rows[1:]]
+        scaled += [row[r] for r in range(1, 2 * self.genus) for row in rows]
+        for v in scaled:
+            q, rem = divmod(v, self.n)
+            if rem:
                 return None
-            coords.append(diff // n)
-        for r in range(2, 2 * g + 1):
-            for i in range(1, n + 1):
-                v = vec.entry(i, r)
-                if v % n != 0:
-                    return None
-                coords.append(v // n)
+            coords.append(q)
         return tuple(coords)
 
     def coeffs_from_coords(self, coords: tuple[int, ...]) -> CoeffVector:
         n, g = self.n, self.genus
         if len(coords) != 2 * n * g:
             raise ValueError(f"need {2 * n * g} coordinates, got {len(coords)}")
-        rows = [[0] * (2 * g) for _ in range(n)]
-        rows[0][0] = coords[0]
-        for i in range(2, n + 1):
-            rows[i - 1][0] = coords[0] + n * coords[i - 1]
-        pos = n
-        for r in range(2, 2 * g + 1):
-            for i in range(1, n + 1):
-                rows[i - 1][r - 1] = n * coords[pos]
-                pos += 1
-        return CoeffVector(tuple(tuple(row) for row in rows))
+        lam = coords[0]
+        return CoeffVector(tuple([
+            (lam + n * coords[i] if i else lam,) + tuple([n * coords[r * n + i] for r in range(1, 2 * g)])
+            for i in range(n)
+        ]))
 
     def element_from_coords(self, j: int, coords: tuple[int, ...]) -> Element:
-        """The element with lattice part given by coords and holonomy residue j."""
-        theta = Element(self.group, self.coeffs_from_coords(coords), Permutation.identity(self.n))
-        return theta * self.powers[j]
+        """The element with lattice part given by coords and holonomy residue j.
+
+        The lattice part theta is pure lattice, so theta * generator**j adds
+        the two lattice parts and keeps the permutation of generator**j."""
+        gj = self.powers[j]
+        return Element(self.group, self.coeffs_from_coords(coords) + gj.coeffs, gj.perm)
 
     def membership(self, x: Element) -> GnMembership:
         """Decide membership and, if so, express x as lattice part times the

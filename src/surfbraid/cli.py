@@ -181,13 +181,12 @@ def _cmd_subgroup_conjugator(args: argparse.Namespace) -> int:
 
 
 def _frobenius_embedding(args: argparse.Namespace) -> torsion.FrobeniusEmbedding:
-    genus = args.genus if args.genus is not None else 1
     if args.blocks is None:
-        return torsion.FrobeniusEmbedding.zero(genus)
+        return torsion.FrobeniusEmbedding.zero(args.genus)
     arr = _load_json(args.blocks, "parameter blocks")
     try:
         blocks = json_int_rows(arr, "parameter blocks")
-        return torsion.FrobeniusEmbedding(genus, blocks)
+        return torsion.FrobeniusEmbedding(args.genus, blocks)
     except ValueError as exc:
         raise DomainError(f"bad parameter blocks: {exc}") from exc
 
@@ -199,8 +198,7 @@ def _cmd_frobenius(args: argparse.Namespace) -> int:
     elif args.action == "conjugator":
         _element_out(args, torsion.frobenius_conjugator(_frobenius_embedding(args)))
     else:  # torsion
-        genus = args.genus if args.genus is not None else 1
-        group = GroupDescriptor.orientable(args.p, genus)
+        group = GroupDescriptor.orientable(args.p, args.genus)
         v = torsion.frobenius_torsion_element(
             group,
             args.p,
@@ -307,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frobenius", help="order-10 Frobenius subgroup tools (n = 5)")
     p.add_argument("action", choices=["embed", "conjugator", "torsion"])
-    p.add_argument("--genus", type=int)
+    p.add_argument("--genus", type=int, default=1)
     p.add_argument("--blocks", help="JSON 2g x 4 parameter blocks")
     p.add_argument("--p", type=int, default=5, help="odd prime >= 5 (torsion action)")
     p.add_argument("--l", type=int, help="multiplier of order (p-1)/2 mod p")

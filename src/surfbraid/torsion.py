@@ -1,6 +1,10 @@
 """Finite-order elements: detection, the closed power formula, constructive
 conjugators for torsion elements and embedded finite subgroups, and the
 order-p element living over a Frobenius permutation group.
+
+Detection and the power formula read one linear map, the cycle-sum map S_w
+of :func:`cycle_sums`: v * section(w) has finite order iff the rows of v
+sum to zero over every cycle of w.
 """
 
 from __future__ import annotations
@@ -29,27 +33,32 @@ class OrderResult:
 
     value: int | None
 
-    @classmethod
-    def finite(cls, k: int) -> OrderResult:
-        return cls(k)
-
-    @classmethod
-    def infinite(cls) -> OrderResult:
-        return cls(None)
-
     @property
     def is_finite(self) -> bool:
         return self.value is not None
+
+
+def cycle_sums(x: Element) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The cycle-sum map S_w of x = v * section(w): for each cycle C of w,
+    fixed strands included, the pair (C, S_C) where S_C sums the rows of v
+    over C.  x has finite order iff every S_C vanishes.  Conjugation by a
+    pure-lattice alpha adds alpha - w(alpha) to v, which sums to zero over
+    every cycle of w, so the sums are conjugation invariant."""
+    rows = x.coeffs.rows
+    return [
+        (cycle, CoeffVector(tuple([rows[c - 1] for c in cycle])).handle_sums())
+        for cycle in x.perm.cycles(include_fixed=True)
+    ]
 
 
 def cycle_power_coeffs(z: Element, k: int) -> CoeffVector:
     """Closed form for the lattice part of z**k when the permutation part is a
     single m-cycle (fixed points allowed) and m divides k.
 
-    Strands fixed by the cycle get k times their coefficient; strands on the
-    cycle all get (k/m) times the sum of the coefficients around the cycle.
-    The cycle sums are invariant under moving the section across the lattice
-    part, so the formula applies directly to normal-form coefficients.
+    Every strand of a cycle C gets (k/|C|) * S_C from :func:`cycle_sums`, so
+    a fixed strand, a 1-cycle, gets k times its own row.  The cycle sums are
+    invariant under moving the section across the lattice part, so the
+    formula applies directly to normal-form coefficients.
     """
     z.group.require_orientable("the cycle power formula")
     cycles = z.perm.cycles()
@@ -57,35 +66,24 @@ def cycle_power_coeffs(z: Element, k: int) -> CoeffVector:
         raise NotSingleCycleError(
             f"permutation part has {len(cycles)} nontrivial cycles, need exactly 1"
         )
-    cycle = cycles[0]
-    m = len(cycle)
+    m = len(cycles[0])
     if k % m != 0:
         raise NotDivisibleError(f"cycle length {m} does not divide exponent {k}")
-    handles = z.group.handle_count
-    in_cycle = set(cycle)
-    cycle_totals = [
-        (k // m) * sum(z.coeffs.entry(i, r) for i in cycle) for r in range(1, handles + 1)
-    ]
-    rows = []
-    for i in range(1, z.group.n + 1):
-        if i in in_cycle:
-            rows.append(tuple(cycle_totals))
-        else:
-            rows.append(tuple(k * z.coeffs.entry(i, r) for r in range(1, handles + 1)))
+    rows: list[tuple[int, ...]] = [()] * z.group.n
+    for cycle, sums in cycle_sums(z):
+        row = tuple([(k // len(cycle)) * s for s in sums])
+        for c in cycle:
+            rows[c - 1] = row
     return CoeffVector(tuple(rows))
 
 
 def order(x: Element) -> OrderResult:
-    """Order of x: finite iff every cycle of the permutation part has zero
-    coefficient sum in every handle and every fixed strand has zero
-    coefficients; then the order equals the order of the permutation part."""
+    """Order of x: finite iff every cycle sum of :func:`cycle_sums` vanishes;
+    then the order equals the order of the permutation part."""
     x.group.require_orientable("element order")
-    handles = x.group.handle_count
-    for cycle in x.perm.cycles(include_fixed=True):
-        for r in range(1, handles + 1):
-            if sum(x.coeffs.entry(i, r) for i in cycle) != 0:
-                return OrderResult.infinite()
-    return OrderResult.finite(x.perm.order())
+    if any(any(sums) for _, sums in cycle_sums(x)):
+        return OrderResult(None)
+    return OrderResult(x.perm.order())
 
 
 def conjugator_to_section(theta: Element) -> Element:
@@ -93,24 +91,23 @@ def conjugator_to_section(theta: Element) -> Element:
     where w is the permutation part of theta.
 
     Along each cycle (c_0, c_1, ...) of w, fixed strands included, the
-    conjugation condition telescopes to partial sums of theta's
-    coefficients, anchored at alpha[c_0] = 0.  The walk closes only when the
-    last partial sum plus the anchor's coefficient, the whole cycle sum,
-    vanishes in every handle: that is the finite-order criterion of
-    :func:`order`, so an element of infinite order raises
-    InfiniteOrderError here.
+    conjugation condition telescopes to partial sums of theta's rows,
+    anchored at alpha[c_0] = 0.  The walk closes only when the last partial
+    sum plus the anchor's row, the whole cycle sum, vanishes: that is the
+    finite-order criterion of :func:`order`, so an element of infinite order
+    raises InfiniteOrderError here.
     """
     theta.group.require_orientable("a conjugator to the section")
-    n, handles = theta.group.n, theta.group.handle_count
-    rows = [[0] * handles for _ in range(n)]
+    coeffs = theta.coeffs.rows
+    rows: list[tuple[int, ...]] = [()] * theta.group.n
     for cycle in theta.perm.cycles(include_fixed=True):
-        for r in range(1, handles + 1):
-            acc = 0
-            for c in cycle[1:]:
-                acc += theta.coeffs.entry(c, r)
-                rows[c - 1][r - 1] = acc
-            if acc + theta.coeffs.entry(cycle[0], r) != 0:
-                raise InfiniteOrderError("only finite-order elements are conjugate to a section")
+        acc = (0,) * theta.group.handle_count
+        rows[cycle[0] - 1] = acc
+        for c in cycle[1:]:
+            acc = tuple([a + b for a, b in zip(acc, coeffs[c - 1])])
+            rows[c - 1] = acc
+        if any([a + b for a, b in zip(acc, coeffs[cycle[0] - 1])]):
+            raise InfiniteOrderError("only finite-order elements are conjugate to a section")
     alpha = Element.from_coeffs(theta.group, rows)
     check(Element.section(theta.group, theta.perm).conjugated_by(alpha) == theta,
           "the conjugator must carry the section to the element")

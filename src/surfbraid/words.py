@@ -103,6 +103,8 @@ _TOKEN = re.compile(
     re.VERBOSE | re.ASCII,
 )
 _EXP = re.compile(r"\^(?P<exp>[+-]?\d+)", re.ASCII)
+# The longest start of a generator, to name the character that breaks one.
+_GEN_PREFIX = re.compile(r"s\d*|a(?:\[\s*(?:\d+\s*(?:,\s*(?:\d+\s*)?)?)?)?", re.ASCII)
 
 
 def parse(group: GroupDescriptor, text: str) -> BraidWord:
@@ -114,7 +116,11 @@ def parse(group: GroupDescriptor, text: str) -> BraidWord:
         if m is None:  # only trailing whitespace remains
             break
         if m.group("bad"):
-            raise WordSyntaxError(f"unexpected character {m.group('bad')!r}", m.start("bad"))
+            prefix = _GEN_PREFIX.match(text, m.start("bad"))
+            pos = prefix.end() if prefix else m.start("bad")
+            if pos == len(text):
+                raise WordSyntaxError("unexpected end of word", pos)
+            raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
         pos = m.end()
         if m.group("sep"):
             continue

@@ -271,3 +271,26 @@ def test_scan_and_membership_raise_no_power_after_construction(monkeypatch):
         outside = Element(desc.group, desc.powers[1].coeffs, w)
         assert desc.membership(outside) == GnMembership(False)
     assert desc.powers[1] == desc.generator
+
+
+def test_scanned_elements_are_built_without_a_product(monkeypatch):
+    # A scanned lattice part theta is pure lattice, so theta * generator**j
+    # is one addition of lattice parts over the permutation of generator**j.
+    for n, g in [(2, 1), (3, 1)]:
+        desc = make_bieberbach(n, g)
+        rng = random.Random(n)
+        expected = []
+        for j in range(n):
+            coords = tuple(rng.randint(-2, 2) for _ in range(2 * n * g))
+            theta = Element(desc.group, desc.coeffs_from_coords(coords), Permutation.identity(n))
+            expected.append((j, coords, theta * desc.powers[j]))
+
+        def no_product(self, other):
+            raise AssertionError("Element.__mul__ called after the powers were cached")
+
+        monkeypatch.setattr(Element, "__mul__", no_product)
+        report = desc.torsion_scan(1)
+        assert report.passed and report.scanned == 3 ** (2 * n * g) * n
+        for j, coords, x in expected:
+            assert desc.element_from_coords(j, coords) == x
+        monkeypatch.undo()

@@ -254,6 +254,18 @@ def test_non_ascii_digits_and_spaces_in_words_exit_2(capsys, word):
     assert "Traceback" not in err and err.startswith("surfbraid: ")
 
 
+@pytest.mark.parametrize("word, message", [
+    ("s\u0661", "unexpected character '\u0661' (at position 1)"),
+    ("a[\u0661,1]", "unexpected character '\u0661' (at position 2)"),
+    ("a[1,x]", "unexpected character 'x' (at position 4)"),
+    ("s", "unexpected end of word (at position 1)"),
+    ("a[1,2", "unexpected end of word (at position 5)"),
+])
+def test_word_syntax_errors_name_the_character_that_breaks_the_generator(capsys, word, message):
+    code, out, err = run(capsys, "normalize", "--n", "3", word)
+    assert (code, out, err) == (2, "", f"surfbraid: {message}\n")
+
+
 def test_verdict_prints_a_holonomy_order_past_the_int_string_limit(capsys):
     # 1700! has 4,755 digits, more than CPython's default 4,300 for str(int).
     obj = run_json(capsys, "verdict", "--n", "1700")

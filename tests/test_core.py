@@ -199,6 +199,19 @@ def test_verify_crystallographic_orientable():
     assert big.dimension == 12 and big.holonomy_order == 6
 
 
+def test_verify_crystallographic_builds_no_coefficient_vector(monkeypatch):
+    # The product rule sends a[i,1] to a[tau(i),1]; the witness needs no vector.
+    def refuse(*args):
+        raise AssertionError("a coefficient vector was built for the witness")
+
+    monkeypatch.setattr(CoeffVector, "basis", refuse)
+    monkeypatch.setattr(CoeffVector, "permuted", refuse)
+    verdict = verify_crystallographic(GroupDescriptor.orientable(40, 2))
+    assert verdict.witness["generator_moves"] == [
+        {"transposition": i, "from": [i, 1], "to": [i + 1, 1]} for i in range(1, 40)
+    ]
+
+
 def test_verify_crystallographic_single_strand():
     verdict = verify_crystallographic(GroupDescriptor.orientable(1, 2))
     assert verdict.is_crystallographic and verdict.dimension == 4 and verdict.holonomy_order == 1

@@ -20,6 +20,7 @@ from surfbraid.torsion import (
     conjugating_permutation,
     conjugator_to_section,
     cycle_power_coeffs,
+    cycle_sums,
     default_multiplier,
     frobenius_conjugator,
     frobenius_embed,
@@ -446,3 +447,35 @@ def test_handle_sums_are_additive_under_mul():
         assert product.coeffs.handle_sums() == tuple(
             a + b for a, b in zip(x.coeffs.handle_sums(), y.coeffs.handle_sums())
         )
+
+
+def _pure_lattice(rng, group):
+    return Element(group, random_element(rng, group).coeffs, Permutation.identity(group.n))
+
+
+def test_cycle_sums_are_invariant_under_pure_lattice_conjugation():
+    rng = random.Random(311)
+    for n in range(1, 7):
+        for g in (1, 2):
+            group = GroupDescriptor.orientable(n, g)
+            for _ in range(10):
+                x = random_element(rng, group)
+                assert cycle_sums(x.conjugated_by(_pure_lattice(rng, group))) == cycle_sums(x)
+
+
+def test_order_is_finite_exactly_when_every_cycle_sum_vanishes():
+    rng = random.Random(313)
+    seen = set()
+    for n in range(1, 6):
+        for g in (1, 2):
+            group = GroupDescriptor.orientable(n, g)
+            for trial in range(20):
+                x = random_element(rng, group, bound=1)
+                if trial % 2:  # a conjugate of a section has finite order
+                    x = Element.section(group, x.perm).conjugated_by(_pure_lattice(rng, group))
+                vanishing = all(not any(sums) for _, sums in cycle_sums(x))
+                seen.add(vanishing)
+                assert order(x).is_finite == vanishing
+                # every permutation of at most 5 strands has order dividing 60
+                assert order(x).value == order_by_repeated_mul(x, 60)
+    assert seen == {True, False}
