@@ -145,22 +145,29 @@ class BieberbachDescriptor:
         return tuple(coords)
 
     def coeffs_from_coords(self, coords: tuple[int, ...]) -> CoeffVector:
+        """The lattice vector with the given coordinates in the fixed basis."""
+        return self.element_from_coords(0, coords).coeffs
+
+    def element_from_coords(self, j: int, coords: tuple[int, ...]) -> Element:
+        """The element theta * generator**j, where theta is the lattice vector
+        with the given coordinates and j the holonomy residue.
+
+        theta is pure lattice, so the product adds theta's rows to those of
+        generator**j and keeps its permutation.  The rows are built in one
+        pass: strand i of theta holds lam + n*coords[i] (lam alone for i = 0)
+        in handle 1 and n*coords[r*n + i] in handle r + 1.  The result goes
+        through the validating Element constructor."""
         n, g = self.n, self.genus
         if len(coords) != 2 * n * g:
             raise ValueError(f"need {2 * n * g} coordinates, got {len(coords)}")
-        lam = coords[0]
-        return CoeffVector(tuple([
-            (lam + n * coords[i] if i else lam,) + tuple([n * coords[r * n + i] for r in range(1, 2 * g)])
-            for i in range(n)
-        ]))
-
-    def element_from_coords(self, j: int, coords: tuple[int, ...]) -> Element:
-        """The element with lattice part given by coords and holonomy residue j.
-
-        The lattice part theta is pure lattice, so theta * generator**j adds
-        the two lattice parts and keeps the permutation of generator**j."""
         gj = self.powers[j]
-        return Element(self.group, self.coeffs_from_coords(coords) + gj.coeffs, gj.perm)
+        lam = coords[0]
+        rows = gj.coeffs.rows
+        return Element(self.group, CoeffVector(tuple([
+            tuple([lam + row[0] + (n * coords[i] if i else 0)]
+                  + [n * coords[r * n + i] + row[r] for r in range(1, 2 * g)])
+            for i, row in enumerate(rows)
+        ])), gj.perm)
 
     def membership(self, x: Element) -> GnMembership:
         """Decide membership and, if so, express x as lattice part times the
@@ -201,11 +208,12 @@ class BieberbachDescriptor:
         mismatches: list[dict[str, Any]] = []
         scanned = 0
         for coords in itertools.product(range(-bound, bound + 1), repeat=dim):
+            handle1 = n * sum(coords[:n])
             for j in range(n):
                 scanned += 1
                 elt = self.element_from_coords(j, coords)
                 finite = order(elt).is_finite
-                obstruction = n * sum(coords[:n]) + j
+                obstruction = handle1 + j
                 if finite and obstruction != 0:
                     mismatches.append({"coords": list(coords), "j": j, "obstruction": obstruction})
                 if finite and not elt.is_identity():
@@ -216,7 +224,7 @@ class BieberbachDescriptor:
 def product_over_strands(group: GroupDescriptor, r: int, exponent: int) -> Element:
     """The pure-lattice element a[1,r]^e a[2,r]^e ... a[n,r]^e."""
     rows = [
-        tuple(exponent if col == r else 0 for col in range(1, group.handle_count + 1))
+        tuple([exponent if col == r else 0 for col in range(1, group.handle_count + 1)])
         for _ in range(group.n)
     ]
     return Element.from_coeffs(group, rows)

@@ -206,13 +206,14 @@ class Element:
     perm: Permutation
 
     def __post_init__(self):
-        self._require_model(self.group)
-        n, handles = self.group.n, self.group.handle_count
-        if self.coeffs.n != n or self.perm.n != n:
+        group, rows = self.group, self.coeffs.rows
+        self._require_model(group)
+        n, handles = group.n, group.handle_count
+        if len(rows) != n or len(self.perm.images) != n:
             raise ValueError("coefficient/permutation size does not match the group")
-        if any(len(row) != handles for row in self.coeffs.rows):
+        if any([len(row) != handles for row in rows]):
             raise ValueError(f"every coefficient row must have {handles} entries")
-        if self.group.kind == NONORIENTABLE and any(row[0] not in (0, 1) for row in self.coeffs.rows):
+        if group.kind == NONORIENTABLE and any([row[0] not in (0, 1) for row in rows]):
             raise ValueError("torsion bits must be 0 or 1")
 
     @classmethod
@@ -366,10 +367,12 @@ def verify_crystallographic(group: GroupDescriptor) -> Verdict:
 
     n = group.n
     moves = []
+    tau = list(range(1, n + 1))  # the identity's images; swapping entries i-1 and i gives t(i)
     for i in range(1, n):
         # Conjugation by section(tau) sends a[i,1] to a[tau(i),1] (the product rule).
-        tau = Permutation.transposition(n, i)
-        check(tau(i) == i + 1, f"transposition {i} must move a[{i},1]")
+        tau[i - 1], tau[i] = tau[i], tau[i - 1]
+        check(tau[i - 1] == i + 1, f"transposition {i} must move a[{i},1]")
+        tau[i - 1], tau[i] = tau[i], tau[i - 1]
         moves.append({"transposition": i, "from": [i, 1], "to": [i + 1, 1]})
     return Verdict(
         is_crystallographic=True,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 from .powers import power
 
@@ -26,6 +26,12 @@ class Permutation:
     [2, 3, 1]
     >>> str(p * p)
     '(1 3 2)'
+
+    The public constructor validates its images.  Results of arithmetic
+    are built by :meth:`_trusted`, which skips that O(n log n) check.  The
+    orbit decomposition :attr:`orbits` is computed on first use and cached
+    on the instance; the class is frozen, so the images never change and
+    the cache never goes stale.
     """
 
     images: tuple[int, ...]
@@ -34,13 +40,20 @@ class Permutation:
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> Permutation:
+        """Constructor for images known to permute 1..n: no validation."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     @property
     def n(self) -> int:
         return len(self.images)
 
     @classmethod
     def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(1, n + 1)))
+        return cls._trusted(tuple(range(1, n + 1)))
 
     @classmethod
     def transposition(cls, n: int, i: int) -> Permutation:
@@ -49,7 +62,7 @@ class Permutation:
             raise ValueError(f"transposition index {i} out of range 1..{n - 1}")
         images = list(range(1, n + 1))
         images[i - 1], images[i] = images[i], images[i - 1]
-        return cls(tuple(images))
+        return cls._trusted(tuple(images))
 
     @classmethod
     def from_cycles(cls, n: int, *cycles: tuple[int, ...]) -> Permutation:
@@ -65,7 +78,7 @@ class Permutation:
                 seen.add(v)
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 images[a - 1] = b
-        return cls(tuple(images))
+        return cls._trusted(tuple(images))
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
@@ -73,13 +86,13 @@ class Permutation:
     def __mul__(self, other: Permutation) -> Permutation:
         if self.n != other.n:
             raise ValueError("cannot compose permutations of different degree")
-        return Permutation(tuple([self.images[j - 1] for j in other.images]))
+        return Permutation._trusted(tuple([self.images[j - 1] for j in other.images]))
 
     def inverse(self) -> Permutation:
         images = [0] * self.n
         for i, v in enumerate(self.images, start=1):
             images[v - 1] = i
-        return Permutation(tuple(images))
+        return Permutation._trusted(tuple(images))
 
     def __pow__(self, k: int) -> Permutation:
         if k < 0:
@@ -89,30 +102,38 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images, start=1))
 
-    def cycles(self, include_fixed: bool = False) -> tuple[tuple[int, ...], ...]:
-        """Disjoint cycles, each starting at its least element, sorted by that element."""
+    @cached_property
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        """Every orbit, fixed points included, each starting at its least
+        element, sorted by that element; computed once per permutation."""
+        images = self.images
+        seen = [False] * (len(images) + 1)
         out = []
-        seen: set[int] = set()
-        for start in range(1, self.n + 1):
-            if start in seen:
+        for start in range(1, len(images) + 1):
+            if seen[start]:
                 continue
             cycle = [start]
-            seen.add(start)
-            v = self(start)
+            seen[start] = True
+            v = images[start - 1]
             while v != start:
                 cycle.append(v)
-                seen.add(v)
-                v = self(v)
-            if len(cycle) > 1 or include_fixed:
-                out.append(tuple(cycle))
+                seen[v] = True
+                v = images[v - 1]
+            out.append(tuple(cycle))
         return tuple(out)
+
+    def cycles(self, include_fixed: bool = False) -> tuple[tuple[int, ...], ...]:
+        """Disjoint cycles, each starting at its least element, sorted by that element."""
+        if include_fixed:
+            return self.orbits
+        return tuple([c for c in self.orbits if len(c) > 1])
 
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths including fixed points, in decreasing order."""
-        return tuple(sorted((len(c) for c in self.cycles(include_fixed=True)), reverse=True))
+        return tuple(sorted([len(c) for c in self.orbits], reverse=True))
 
     def order(self) -> int:
-        return reduce(math.lcm, (len(c) for c in self.cycles()), 1)
+        return reduce(math.lcm, [len(c) for c in self.orbits], 1)
 
     def adjacent_word(self) -> tuple[int, ...]:
         """Indices i(1), ..., i(k) with t(i(1)) * ... * t(i(k)) equal to self."""

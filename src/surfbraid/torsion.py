@@ -43,11 +43,14 @@ def cycle_sums(x: Element) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     fixed strands included, the pair (C, S_C) where S_C sums the rows of v
     over C.  x has finite order iff every S_C vanishes.  Conjugation by a
     pure-lattice alpha adds alpha - w(alpha) to v, which sums to zero over
-    every cycle of w, so the sums are conjugation invariant."""
+    every cycle of w, so the sums are conjugation invariant.
+
+    The cycles are w's cached :attr:`~surfbraid.permutations.Permutation.orbits`,
+    and each S_C is summed column by column straight from the rows of v."""
     rows = x.coeffs.rows
     return [
-        (cycle, CoeffVector(tuple([rows[c - 1] for c in cycle])).handle_sums())
-        for cycle in x.perm.cycles(include_fixed=True)
+        (cycle, tuple([sum(column) for column in zip(*[rows[c - 1] for c in cycle])]))
+        for cycle in x.perm.orbits
     ]
 
 
@@ -81,7 +84,7 @@ def order(x: Element) -> OrderResult:
     """Order of x: finite iff every cycle sum of :func:`cycle_sums` vanishes;
     then the order equals the order of the permutation part."""
     x.group.require_orientable("element order")
-    if any(any(sums) for _, sums in cycle_sums(x)):
+    if any([any(sums) for _, sums in cycle_sums(x)]):
         return OrderResult(None)
     return OrderResult(x.perm.order())
 
@@ -219,14 +222,14 @@ class FrobeniusEmbedding:
 
     @classmethod
     def zero(cls, genus: int) -> FrobeniusEmbedding:
-        return cls(genus, tuple((0, 0, 0, 0) for _ in range(2 * genus)))
+        return cls(genus, ((0, 0, 0, 0),) * (2 * genus))
 
     @classmethod
     def single_block(cls, genus: int, r: int, params: tuple[int, int, int, int]) -> FrobeniusEmbedding:
         if not 1 <= r <= 2 * genus:
             raise ValueError(f"handle index {r} out of range 1..{2 * genus}")
         blocks = [(0, 0, 0, 0)] * (2 * genus)
-        blocks[r - 1] = tuple(int(v) for v in params)
+        blocks[r - 1] = tuple([int(v) for v in params])
         return cls(genus, tuple(blocks))
 
     @property

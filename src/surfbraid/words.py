@@ -150,21 +150,26 @@ def normalize(group: GroupDescriptor, word: BraidWord) -> Element:
     sign of the exponent is irrelevant); an a[j,r]^e letter adds e times the
     letter image of a[j,r] (:meth:`GroupDescriptor.letter_images`) to the
     row of strand w(j), where w is the permutation accumulated so far.
+
+    w is kept as one mutable image list: (w * t_i)(k) = w(t_i(k)), so an
+    odd power of s_i swaps entries i-1 and i in O(1).
     """
     n, handles = group.n, group.handle_count
     images = group.letter_images()
     rows = [[0] * handles for _ in range(n)]
-    perm = Permutation.identity(n)
+    w = list(range(1, n + 1))
     for letter in word.letters:
         check_letter(group, letter)
         if letter.kind == SIGMA:
             if letter.exp % 2:
-                perm = perm * Permutation.transposition(n, letter.i)
+                i = letter.i
+                w[i - 1], w[i] = w[i], w[i - 1]
         else:
-            row = rows[perm(letter.i) - 1]
+            row = rows[w[letter.i - 1] - 1]
             for col, v in images[letter.r - 1]:
                 row[col] += v * letter.exp
-    return Element._trusted(group, CoeffVector(tuple([tuple(r) for r in rows])), perm)
+    coeffs = CoeffVector(tuple([tuple(r) for r in rows]))
+    return Element._trusted(group, coeffs, Permutation._trusted(tuple(w)))
 
 
 def normalize_text(group: GroupDescriptor, text: str) -> Element:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -294,3 +295,24 @@ def test_scanned_elements_are_built_without_a_product(monkeypatch):
         for j, coords, x in expected:
             assert desc.element_from_coords(j, coords) == x
         monkeypatch.undo()
+
+
+def test_torsion_scan_walks_one_orbit_decomposition_per_residue(monkeypatch):
+    # Every scanned element of residue j lies over the permutation of
+    # generator**j, whose orbit decomposition is cached on first use.
+    walk = Permutation.orbits.func
+    walks = []
+
+    def counted(self):
+        walks.append(self.images)
+        return walk(self)
+
+    orbits = functools.cached_property(counted)
+    orbits.__set_name__(Permutation, "orbits")
+    monkeypatch.setattr(Permutation, "orbits", orbits)
+    for n, g in [(2, 2), (3, 1)]:
+        desc = make_bieberbach(n, g)
+        walks.clear()
+        report = desc.torsion_scan(1)
+        assert report.passed and report.scanned == 3 ** (2 * n * g) * n
+        assert len(walks) <= n

@@ -200,16 +200,32 @@ def test_verify_crystallographic_orientable():
 
 
 def test_verify_crystallographic_builds_no_coefficient_vector(monkeypatch):
-    # The product rule sends a[i,1] to a[tau(i),1]; the witness needs no vector.
+    # The product rule sends a[i,1] to a[tau(i),1]; the witness needs no
+    # vector, and no permutation either: one image list, swapped in place.
     def refuse(*args):
-        raise AssertionError("a coefficient vector was built for the witness")
+        raise AssertionError("a coefficient vector or permutation was built for the witness")
 
     monkeypatch.setattr(CoeffVector, "basis", refuse)
     monkeypatch.setattr(CoeffVector, "permuted", refuse)
+    monkeypatch.setattr(Permutation, "__post_init__", refuse)
+    monkeypatch.setattr(Permutation, "_trusted", refuse)
     verdict = verify_crystallographic(GroupDescriptor.orientable(40, 2))
     assert verdict.witness["generator_moves"] == [
         {"transposition": i, "from": [i, 1], "to": [i + 1, 1]} for i in range(1, 40)
     ]
+
+
+def test_arithmetic_builds_permutations_without_validation(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Permutation.__post_init__ ran on an arithmetic result")
+
+    rng = random.Random(23)
+    for group in (T3, GroupDescriptor.orientable(5, 2)):
+        x, y = random_element(rng, group), random_element(rng, group)
+        expected = [x * y, x.inverse(), x**5, x**-3, x**0]
+        monkeypatch.setattr(Permutation, "__post_init__", refuse)
+        assert [x * y, x.inverse(), x**5, x**-3, x**0] == expected
+        monkeypatch.undo()
 
 
 def test_verify_crystallographic_single_strand():
@@ -223,6 +239,10 @@ def test_verify_crystallographic_delegates():
 
 
 def test_element_validates_every_row():
+    with pytest.raises(ValueError):
+        Element(T2, CoeffVector(((1, 0),)), Permutation.identity(2))
+    with pytest.raises(ValueError):
+        Element(T2, CoeffVector.zero(2, 2), Permutation.identity(3))
     with pytest.raises(ValueError):
         Element(T2, CoeffVector(((1, 0), (1,))), Permutation.identity(2))
     with pytest.raises(ValueError):

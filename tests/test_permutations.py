@@ -1,3 +1,4 @@
+import math
 import random
 from functools import reduce
 
@@ -11,10 +12,11 @@ from helpers import random_permutation
 def test_identity_and_validation():
     assert Permutation.identity(3)(2) == 2
     assert Permutation.identity(1).is_identity()
-    with pytest.raises(ValueError):
-        Permutation((1, 1, 3))
-    with pytest.raises(ValueError):
-        Permutation((0, 1))
+    # Arithmetic builds its results unchecked; the public constructor, the
+    # one JSON input takes, still validates.
+    for images in [(1, 1, 3), (1, 1), (0, 1), (2, 3)]:
+        with pytest.raises(ValueError):
+            Permutation(images)
 
 
 def test_transposition():
@@ -71,6 +73,33 @@ def test_cycles_and_cycle_type():
     assert p.order() == 6
     assert str(p) == "(2 5)(3 6 4)"
     assert str(Permutation.identity(2)) == "id"
+
+
+def reference_orbits(p):
+    """Orbits by repeated application from each unvisited strand, in order."""
+    out, seen = [], set()
+    for start in range(1, p.n + 1):
+        if start not in seen:
+            orbit = [start]
+            while p(orbit[-1]) != start:
+                orbit.append(p(orbit[-1]))
+            seen.update(orbit)
+            out.append(tuple(orbit))
+    return tuple(out)
+
+
+def test_cached_orbits_match_a_reference_walk():
+    rng = random.Random(17)
+    samples = [Permutation.identity(n) for n in range(1, 10)]
+    samples += [random_permutation(rng, rng.randint(1, 9)) for _ in range(200)]
+    samples += [random_permutation(rng, 4) * random_permutation(rng, 4) for _ in range(20)]
+    for p in samples:
+        ref = reference_orbits(p)
+        assert p.orbits == ref and p.orbits is p.orbits
+        assert p.cycles(include_fixed=True) == ref
+        assert p.cycles() == tuple(c for c in ref if len(c) > 1)
+        assert p.cycle_type() == tuple(sorted((len(c) for c in ref), reverse=True))
+        assert p.order() == reduce(math.lcm, (len(c) for c in ref), 1)
 
 
 def test_adjacent_word_reconstructs():

@@ -17,6 +17,20 @@ def test_library_has_no_assert_statements():
     assert not found, f"assert statements in the library: {found}"
 
 
+def test_hot_modules_build_no_tuple_from_a_generator():
+    # tuple() of a generator is resized after allocation; in a long run the
+    # resizes fill CPython's per-size tuple free lists and peak memory grows
+    # with throughput.  The hot layers build tuples from lists instead.
+    found = []
+    for name in ("core", "permutations", "torsion", "bieberbach"):
+        path = SRC / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "tuple"
+                    and len(node.args) == 1 and isinstance(node.args[0], ast.GeneratorExp)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"tuple(<generator>) in a hot module: {found}"
+
+
 README = SRC.parent.parent / "README.md"
 README_GOLDEN = Path(__file__).resolve().parent / "data" / "readme_outputs.json"
 

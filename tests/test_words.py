@@ -139,6 +139,23 @@ def random_word(rng, n, g, max_len):
     return BraidWord(tuple(letters))
 
 
+def test_normalize_builds_one_unchecked_permutation(monkeypatch):
+    # s_i letters swap entries of one image list, so no product, no
+    # transposition and no validated permutation is built per letter.
+    rng = random.Random(29)
+    groups = (GroupDescriptor.orientable(5, 2), GroupDescriptor.nonorientable(4, 4))  # 4 handles each
+    cases = [(group, random_word(rng, group.n, 2, 40)) for group in groups for _ in range(10)]
+    expected = [normalize(group, word) for group, word in cases]
+
+    def refuse(self, *args):
+        raise AssertionError("normalize built a permutation per letter")
+
+    monkeypatch.setattr(Permutation, "__post_init__", refuse)
+    monkeypatch.setattr(Permutation, "__mul__", refuse)
+    monkeypatch.setattr(Permutation, "transposition", refuse)
+    assert [normalize(group, word) for group, word in cases] == expected
+
+
 def test_full_twist_normalizes_to_identity():
     for n in range(2, 6):
         group = GroupDescriptor.orientable(n, 2)
