@@ -170,8 +170,6 @@ def _cmd_conjugacy(args: argparse.Namespace) -> int:
 
 def _cmd_subgroup_conjugator(args: argparse.Namespace) -> int:
     group = _group_from_args(args)
-    if not group.is_orientable:
-        raise DomainError("symmetric-group copies live in the orientable model")
     arr = _load_json(args.images, "image list")
     if not isinstance(arr, list):
         raise DomainError("--images must be a JSON array of elements")

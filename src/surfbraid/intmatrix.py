@@ -173,13 +173,5 @@ class IntMatrix:
                 aux = self * shifted
         return IntPoly.of(*coeffs)
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.rows)
-
-    def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
-
     def to_json_obj(self) -> list[list[int]]:
         return [list(row) for row in self.rows]

@@ -1,17 +1,18 @@
-"""Finite-order elements: detection, the closed power formula, constructive
-conjugators for torsion elements and embedded finite subgroups, and the
-order-p element living over a Frobenius permutation group.
+"""Finite-order elements and finite subgroups: detection, the closed power
+formula, one constructive conjugator, and the order-p element living over a
+Frobenius permutation group.
 
-Detection and the power formula read one linear map, the cycle-sum map S_w
-of :func:`cycle_sums`: v * section(w) has finite order iff the rows of v
-sum to zero over every cycle of w.
+Detection and the power formula read the cycle-sum map S_w of
+:func:`cycle_sums`: v * section(w) has finite order iff the rows of v sum to
+zero over every cycle of w.  Conjugators come from one breadth-first walk of
+the Schreier graph, :func:`conjugator_to_section`.  The lattice is a sum of
+permutation modules, so by Shapiro's lemma that walk closes exactly on finite
+subgroups; the S_n copies and the Frobenius copies are two named cases.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import reduce
 
 from .core import CoeffVector, Element, GroupDescriptor
 from .errors import (
@@ -89,31 +90,47 @@ def order(x: Element) -> OrderResult:
     return OrderResult(x.perm.order())
 
 
-def conjugator_to_section(theta: Element) -> Element:
-    """A pure-lattice alpha with alpha * section(w) * alpha^{-1} == theta,
-    where w is the permutation part of theta.
+def conjugator_to_section(theta: Element, *others: Element, root: int = 1) -> Element:
+    """A pure-lattice alpha with alpha * section(w) * alpha^{-1} == x for
+    each given x = v * section(w), that is alpha[w(c)] == alpha[c] + v[w(c)]
+    on every edge c -> w(c) of the Schreier graph of the permutations.
 
-    Along each cycle (c_0, c_1, ...) of w, fixed strands included, the
-    conjugation condition telescopes to partial sums of theta's rows,
-    anchored at alpha[c_0] = 0.  The walk closes only when the last partial
-    sum plus the anchor's row, the whole cycle sum, vanishes: that is the
-    finite-order criterion of :func:`order`, so an element of infinite order
-    raises InfiniteOrderError here.
+    A breadth-first walk sets alpha = 0 at one anchor per orbit, ``root``
+    first, then the least unreached strand; tree edges build alpha and every
+    other edge checks it.  The lattice is a sum of permutation modules, so by
+    Shapiro's lemma the walk closes exactly when the elements generate a
+    finite subgroup (for one element, the criterion of :func:`order`);
+    otherwise it raises InfiniteOrderError.
     """
-    theta.group.require_orientable("a conjugator to the section")
-    coeffs = theta.coeffs.rows
-    rows: list[tuple[int, ...]] = [()] * theta.group.n
-    for cycle in theta.perm.cycles(include_fixed=True):
-        acc = (0,) * theta.group.handle_count
-        rows[cycle[0] - 1] = acc
-        for c in cycle[1:]:
-            acc = tuple([a + b for a, b in zip(acc, coeffs[c - 1])])
-            rows[c - 1] = acc
-        if any([a + b for a, b in zip(acc, coeffs[cycle[0] - 1])]):
-            raise InfiniteOrderError("only finite-order elements are conjugate to a section")
-    alpha = Element.from_coeffs(theta.group, rows)
-    check(Element.section(theta.group, theta.perm).conjugated_by(alpha) == theta,
-          "the conjugator must carry the section to the element")
+    group = theta.group
+    group.require_orientable("a conjugator to the section")
+    elements = (theta, *others)
+    if any([x.group != group for x in others]):
+        raise GroupMismatchError("the elements must live in the same group")
+    n = group.n
+    if not 1 <= root <= n:
+        raise ValueError(f"root strand {root} out of range 1..{n}")
+    edges = [(x.perm.images, x.coeffs.rows) for x in elements]
+    rows: list[tuple[int, ...] | None] = [None] * n
+    for anchor in (root, *range(1, n + 1)):
+        if rows[anchor - 1] is not None:
+            continue
+        rows[anchor - 1] = (0,) * group.handle_count
+        queue = [anchor]
+        for c in queue:  # the queue grows while it is read: breadth first
+            here = rows[c - 1]
+            for images, coeffs in edges:
+                d = images[c - 1]
+                there = tuple([a + b for a, b in zip(here, coeffs[d - 1])])
+                if rows[d - 1] is None:
+                    rows[d - 1] = there
+                    queue.append(d)
+                elif rows[d - 1] != there:
+                    raise InfiniteOrderError("only finite-order elements are conjugate to a section")
+    alpha = Element.from_coeffs(group, rows)
+    for x in elements:
+        check(Element.section(group, x.perm).conjugated_by(alpha) == x,
+              "the conjugator must carry the section to the element")
     return alpha
 
 
@@ -166,17 +183,10 @@ def conjugacy_test(e1: Element, e2: Element) -> Element | None:
 
 def symmetric_copy_conjugator(group: GroupDescriptor, images: list[Element]) -> Element:
     """Given involutions alpha_1..alpha_{n-1} over the adjacent transpositions,
-    return a pure-lattice x with x * section(t_i) * x^{-1} == alpha_i for
-    every i.
-
-    An involution over t_i is zero off strands i and i+1 and carries
-    opposite coefficients there, so x * section(t_i) * x^{-1} == alpha_i
-    exactly when x_{i+1} - x_i == alpha_i[i+1] in every handle.  These n-1
-    conditions are independent, so the images always satisfy the
-    symmetric-group relations and one x serves them all: the conjugator to
-    the section of the Coxeter element alpha_1 * ... * alpha_{n-1}, which
-    lies over the n-cycle t_1 ... t_{n-1} = (1 2 ... n) and is unique once
-    x_1 = 0.
+    the pure-lattice x with x_1 = 0 and x * section(t_i) * x^{-1} == alpha_i
+    for every i.  Once the images are checked to form an S_n copy, this is the
+    walk of :func:`conjugator_to_section` over the identity and the images;
+    the identity covers n = 1, and S_n is finite, so the walk always closes.
     """
     group.require_orientable("symmetric-group copies")
     n = group.n
@@ -190,12 +200,7 @@ def symmetric_copy_conjugator(group: GroupDescriptor, images: list[Element]) -> 
             raise NotAnSnEmbeddingError(f"image {i} does not project to the transposition ({i},{i + 1})")
         if alpha * alpha != identity:
             raise NotAnSnEmbeddingError(f"image {i} is not an involution")
-    x = conjugator_to_section(reduce(operator.mul, images, identity))
-    for i in range(1, n):
-        sect = Element.section(group, Permutation.transposition(n, i))
-        check(sect.conjugated_by(x) == images[i - 1],
-              f"the Coxeter-element conjugator must carry section(t_{i}) to image {i}")
-    return x
+    return conjugator_to_section(identity, *images)
 
 
 @dataclass(frozen=True)
@@ -270,25 +275,10 @@ def frobenius_embed(emb: FrobeniusEmbedding) -> tuple[Element, Element]:
 
 
 def frobenius_conjugator(emb: FrobeniusEmbedding) -> Element:
-    """A pure-lattice a with a * section(w_i) * a^{-1} == v_i for both
-    Frobenius generator images; per block the coordinates are the partial
-    sums (a1, a1+a2, a1+a2+a3, a1+..+a4, 0)."""
-    g2 = 2 * emb.genus
-    rows = []
-    for i in range(5):
-        row = []
-        for r in range(g2):
-            block = emb.blocks[r]
-            row.append(sum(block[: i + 1]) if i < 4 else 0)
-        rows.append(tuple(row))
-    group = emb.group
-    a = Element(group, CoeffVector(tuple(rows)), Permutation.identity(5))
-    v1, v2 = frobenius_embed(emb)
-    check(Element.section(group, emb.five_cycle).conjugated_by(a) == v1,
-          "the conjugator must carry the 5-cycle section to v1")
-    check(Element.section(group, emb.double_transposition).conjugated_by(a) == v2,
-          "the conjugator must carry the involution section to v2")
-    return a
+    """The pure-lattice a with a[5] = 0 carrying both sections to the
+    :func:`frobenius_embed` images: the walk of :func:`conjugator_to_section`
+    anchored at strand 5.  Per block a is (a1, a1+a2, a1+a2+a3, a1+..+a4, 0)."""
+    return conjugator_to_section(*frobenius_embed(emb), root=5)
 
 
 def _is_prime(p: int) -> bool:

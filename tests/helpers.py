@@ -97,6 +97,17 @@ def integer_span_coords(basis: list[CoeffVector], target: CoeffVector) -> tuple[
     return tuple(int(v) for v in sol)
 
 
+def matrix_column(matrix: IntMatrix, j: int) -> tuple[int, ...]:
+    """Column j (0-based) of an integer matrix."""
+    return tuple(row[j] for row in matrix.rows)
+
+
+def matrix_apply(matrix: IntMatrix, vec: tuple[int, ...]) -> tuple[int, ...]:
+    """The matrix-vector product, row by row."""
+    assert len(vec) == matrix.ncols
+    return tuple(sum(a * b for a, b in zip(row, vec)) for row in matrix.rows)
+
+
 def cofactor_det(rows: list[list[int]]) -> int:
     m = len(rows)
     if m == 0:

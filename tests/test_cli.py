@@ -158,6 +158,22 @@ def test_subgroup_conjugator_bad_image_exits_2(capsys):
     assert code == 2 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "surface, images",
+    [
+        (["--surface", "nonorientable", "--genus", "1"], "[]"),
+        (["--surface", "nonorientable", "--genus", "1"],
+         '[{"n":2,"g":1,"perm":[2,1],"torsion_bits":[0,0],"coeffs":[[],[]]}]'),
+        (["--surface", "sphere"], "[]"),
+        (["--surface", "sphere"], "[{}]"),
+    ],
+)
+def test_subgroup_conjugator_outside_orientable_model_exits_2(capsys, surface, images):
+    code, out, err = run(capsys, "subgroup-conjugator", *surface, "--n", "2", "--images", images)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and err.startswith("surfbraid: ")
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as info:
         main(["normalize"])  # missing --n and word

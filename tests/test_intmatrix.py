@@ -48,7 +48,6 @@ def test_product_and_power():
     assert a**0 == IntMatrix.identity(2)
     assert (a - a) == IntMatrix.from_rows([[0, 0], [0, 0]])
     assert a.trace() == 2
-    assert a.apply((3, 4)) == (7, 4)
 
 
 def test_sparse_product_against_triple_loop_oracle():

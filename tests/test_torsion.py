@@ -208,6 +208,72 @@ def test_conjugator_to_section_raises_exactly_on_infinite_order():
                     conjugator_to_section(x)
 
 
+def _frobenius_sections(group, p):
+    w1 = Permutation.from_cycles(p, tuple(range(1, p + 1)))
+    w2 = multiplication_permutation(p, default_multiplier(p))
+    return Element.section(group, w1), Element.section(group, w2)
+
+
+def test_one_walk_conjugates_any_finite_generating_set():
+    # conjugated Frobenius copies beyond n = 5: the walk closes on the pair
+    rng = random.Random(167)
+    for p in (5, 7, 11, 13):
+        for g in (1, 2):
+            group = GroupDescriptor.orientable(p, g)
+            for _ in range(3):
+                c = random_element(rng, group)
+                v1, v2 = [s.conjugated_by(c) for s in _frobenius_sections(group, p)]
+                alpha = conjugator_to_section(v1, v2)
+                assert alpha.perm.is_identity()
+                for x in (v1, v2):
+                    assert Element.section(group, x.perm).conjugated_by(alpha) == x
+
+
+def test_one_walk_rejects_infinite_generating_sets():
+    rng = random.Random(173)
+    for p in (5, 7):
+        group = GroupDescriptor.torus(p)
+        for _ in range(5):
+            c = random_element(rng, group)
+            v1, v2 = [s.conjugated_by(c) for s in _frobenius_sections(group, p)]
+            i, r = rng.randint(1, p), rng.randint(1, 2)
+            perturbed = Element(group, v2.coeffs + CoeffVector.basis(p, 2, i, r), v2.perm)
+            with pytest.raises(InfiniteOrderError):
+                conjugator_to_section(v1, perturbed)
+            # each element of finite order, but no common conjugator: strand 1
+            # lies on a 2-cycle or longer of w2, so the pair is infinite
+            shifted = c * Element(group, CoeffVector.basis(p, 2, 1, r), Permutation.identity(p))
+            v2_other = _frobenius_sections(group, p)[1].conjugated_by(shifted)
+            assert order(v1).is_finite and order(v2_other).is_finite
+            with pytest.raises(InfiniteOrderError):
+                conjugator_to_section(v1, v2_other)
+
+
+def test_one_walk_anchors_at_root_then_least_unreached_strand():
+    group = GroupDescriptor.orientable(5, 2)
+    rng = random.Random(179)
+    zero = (0,) * 4
+    for root in range(1, 6):
+        for _ in range(5):
+            lattice = Element(group, random_element(rng, group).coeffs, Permutation.identity(5))
+            x = psi(group, (1, 2), (3, 4, 5)).conjugated_by(lattice)
+            alpha = conjugator_to_section(x, root=root)
+            assert alpha.coeffs.rows[root - 1] == zero
+            other = 3 if root <= 2 else 1
+            assert alpha.coeffs.rows[other - 1] == zero
+            assert Element.section(group, x.perm).conjugated_by(alpha) == x
+    for root in (0, 6, -1):
+        with pytest.raises(ValueError):
+            conjugator_to_section(Element.identity(group), root=root)
+
+
+def test_one_walk_rejects_mixed_groups():
+    with pytest.raises(GroupMismatchError):
+        conjugator_to_section(Element.identity(T2), Element.identity(T3))
+    with pytest.raises(GroupMismatchError):
+        conjugator_to_section(Element.identity(T3), Element.identity(T3), Element.identity(T2))
+
+
 def test_conjugacy_randomized_round_trip():
     rng = random.Random(127)
     group = GroupDescriptor.orientable(4, 2)
@@ -294,6 +360,13 @@ def test_symmetric_copy_conjugator_is_the_coxeter_element_conjugator(monkeypatch
     assert calls <= 5 * (n - 1)
 
 
+def test_symmetric_copy_one_strand():
+    # no images: the identity alone leads the walk
+    for g in (1, 2):
+        group = GroupDescriptor.orientable(1, g)
+        assert symmetric_copy_conjugator(group, []).is_identity()
+
+
 def test_symmetric_copy_rejections():
     with pytest.raises(NotAnSnEmbeddingError):
         symmetric_copy_conjugator(T3, [Element.identity(T3), Element.identity(T3)])
@@ -346,6 +419,16 @@ def test_frobenius_conjugator_examples():
         v1, v2 = frobenius_embed(emb)
         assert Element.section(emb.group, emb.five_cycle).conjugated_by(conj) == v1
         assert Element.section(emb.group, emb.double_transposition).conjugated_by(conj) == v2
+
+
+def test_frobenius_conjugator_is_the_walk_anchored_at_strand_5():
+    rng = random.Random(181)
+    for g in (1, 2):
+        for _ in range(10):
+            emb = FrobeniusEmbedding(
+                g, tuple(tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(2 * g))
+            )
+            assert frobenius_conjugator(emb) == conjugator_to_section(*frobenius_embed(emb), root=5)
 
 
 def test_any_two_frobenius_copies_are_conjugate():
