@@ -13,6 +13,12 @@ in that fixed order.  A lattice vector lies in L exactly when its
 handle-1 entries are pairwise congruent modulo n and every other handle
 entry is divisible by n; this characterisation is validated against a
 brute-force span oracle in the test suite.
+
+A descriptor holds the group and the generator only.  The basis, the
+generating set, the centre and the holonomy matrix are read through one
+coordinate codec, the row encoder of ``coeffs_from_coords`` and its inverse
+``lattice_coords``.  The holonomy matrix is derived from the generator's
+conjugation action on L, with a check that every column lies in L.
 """
 
 from __future__ import annotations
@@ -74,12 +80,11 @@ class TorsionScanReport:
 
 @dataclass(frozen=True)
 class BieberbachDescriptor:
-    """Generators and lattice data of the cyclic-holonomy Bieberbach subgroup."""
+    """The cyclic-holonomy Bieberbach subgroup, held as its ambient group and
+    its distinguished generator; the lattice data is read through the codec."""
 
     group: GroupDescriptor
     generator: Element
-    x_generators: tuple[Element, ...]
-    lattice_basis: tuple[Element, ...]
 
     @property
     def n(self) -> int:
@@ -103,71 +108,83 @@ class BieberbachDescriptor:
             out.append(out[-1] * self.generator)
         return tuple(out)
 
-    def holonomy_matrix(self) -> IntMatrix:
-        """Matrix of conjugation by the distinguished generator on L, in the
-        fixed lattice basis; block diagonal with one n-by-n block per handle.
+    def _basis_coeffs(self) -> list[CoeffVector]:
+        """Lattice parts of the fixed basis of L: vector k has coordinates e_k."""
+        dim, zero = self.dimension, CoeffVector.zero(self.n, 2 * self.genus)
+        return [self._encode((0,) * k + (1,) + (0,) * (dim - 1 - k), zero) for k in range(dim)]
 
-        Handle 1 (basis u, a[2,1]^n, ..., a[n,1]^n): u is invariant,
-        a[i,1]^n moves to a[i+1,1]^n, and a[n,1]^n lands on
-        a[1,1]^n = u^n * (a[2,1]^n ... a[n,1]^n)^{-1}, giving a last column
-        (n, -1, ..., -1).  Handles r >= 2 get the plain cyclic-shift
-        companion block of x^n - 1.
-        """
+    @cached_property
+    def lattice_basis(self) -> tuple[Element, ...]:
+        """The fixed basis of L, as pure-lattice elements."""
+        identity = Permutation.identity(self.n)
+        return tuple([Element(self.group, v, identity) for v in self._basis_coeffs()])
+
+    @cached_property
+    def x_generators(self) -> tuple[Element, ...]:
+        """The generating set: the generator, then a[i,r]^n for r = 1..2g and
+        i = 1..n.  All but a[1,1]^n, with coordinates (n, -1, ..., -1, 0, ...),
+        are basis vectors; u takes its place in the basis."""
         n = self.n
-        block1 = [[0] * n for _ in range(n)]
-        block1[0][0] = 1
-        for j in range(2, n):  # column j holds the image of a[j,1]^n
-            block1[j][j - 1] = 1
-        block1[0][n - 1] = n
-        for i in range(1, n):
-            block1[i][n - 1] = -1
-        shift = [[0] * n for _ in range(n)]
-        shift[0][n - 1] = 1
-        for j in range(1, n):
-            shift[j][j - 1] = 1
-        blocks = [IntMatrix.from_rows(block1)]
-        blocks += [IntMatrix.from_rows(shift)] * (2 * self.genus - 1)
-        return IntMatrix.block_diag(*blocks)
+        first = self._lattice_element((n,) + (-1,) * (n - 1) + (0,) * (self.dimension - n))
+        return (self.generator, first) + self.lattice_basis[1:]
+
+    def holonomy_matrix(self) -> IntMatrix:
+        """Matrix of conjugation by the generator on L, in the fixed basis.
+
+        Conjugating a pure-lattice element by v * section(w) moves its row i
+        to row w(i), so column k holds the coordinates of basis vector k with
+        its rows moved by the generator's permutation.  Every column is
+        checked to lie in L, which fails only if encoder and decoder disagree."""
+        w = self.generator.perm
+        columns = [self.lattice_coords(v.permuted(w)) for v in self._basis_coeffs()]
+        check(None not in columns, "conjugation by the generator must preserve the lattice")
+        return IntMatrix(tuple(list(zip(*columns))))
 
     def lattice_coords(self, vec: CoeffVector) -> tuple[int, ...] | None:
         """Coordinates of a lattice vector in the fixed basis, or None if the
-        vector lies outside L."""
-        rows = vec.rows
+        vector lies outside L; the inverse of :meth:`coeffs_from_coords`."""
+        n, rows = self.n, vec.rows
         lam = rows[0][0]
-        coords = [lam]
         scaled = [row[0] - lam for row in rows[1:]]
         scaled += [row[r] for r in range(1, 2 * self.genus) for row in rows]
-        for v in scaled:
-            q, rem = divmod(v, self.n)
-            if rem:
-                return None
-            coords.append(q)
-        return tuple(coords)
+        if any([v % n for v in scaled]):
+            return None
+        return tuple([lam] + [v // n for v in scaled])
 
-    def coeffs_from_coords(self, coords: tuple[int, ...]) -> CoeffVector:
-        """The lattice vector with the given coordinates in the fixed basis."""
-        return self.element_from_coords(0, coords).coeffs
-
-    def element_from_coords(self, j: int, coords: tuple[int, ...]) -> Element:
-        """The element theta * generator**j, where theta is the lattice vector
-        with the given coordinates and j the holonomy residue.
-
-        theta is pure lattice, so the product adds theta's rows to those of
-        generator**j and keeps its permutation.  The rows are built in one
-        pass: strand i of theta holds lam + n*coords[i] (lam alone for i = 0)
-        in handle 1 and n*coords[r*n + i] in handle r + 1.  The result goes
-        through the validating Element constructor."""
+    def _encode(self, coords: tuple[int, ...], base: CoeffVector) -> CoeffVector:
+        """base plus the lattice vector theta with the given coordinates, in
+        one pass over the rows: strand i of theta holds lam + n*coords[i]
+        (lam alone for i = 0) in handle 1 and n*coords[r*n + i] in handle
+        r + 1, where lam = coords[0]."""
         n, g = self.n, self.genus
         if len(coords) != 2 * n * g:
             raise ValueError(f"need {2 * n * g} coordinates, got {len(coords)}")
-        gj = self.powers[j]
         lam = coords[0]
-        rows = gj.coeffs.rows
-        return Element(self.group, CoeffVector(tuple([
+        return CoeffVector(tuple([
             tuple([lam + row[0] + (n * coords[i] if i else 0)]
                   + [n * coords[r * n + i] + row[r] for r in range(1, 2 * g)])
-            for i, row in enumerate(rows)
-        ])), gj.perm)
+            for i, row in enumerate(base.rows)
+        ]))
+
+    def coeffs_from_coords(self, coords: tuple[int, ...]) -> CoeffVector:
+        """The lattice vector with the given coordinates in the fixed basis."""
+        return self._encode(coords, CoeffVector.zero(self.n, 2 * self.genus))
+
+    def _lattice_element(self, coords: tuple[int, ...]) -> Element:
+        """The pure-lattice element with the given coordinates."""
+        return Element(self.group, self.coeffs_from_coords(coords), Permutation.identity(self.n))
+
+    def element_from_coords(self, j: int, coords: tuple[int, ...]) -> Element:
+        """The element theta * generator**j, where theta is the lattice vector
+        with the given coordinates and j, in 0..n-1, the holonomy residue.
+
+        theta is pure lattice, so the product adds theta's rows to those of
+        generator**j and keeps its permutation.  The result goes through the
+        validating Element constructor."""
+        if not 0 <= j < self.n:
+            raise ValueError(f"holonomy residue must lie in 0..{self.n - 1}, got {j}")
+        gj = self.powers[j]
+        return Element(self.group, self._encode(coords, gj.coeffs), gj.perm)
 
     def membership(self, x: Element) -> GnMembership:
         """Decide membership and, if so, express x as lattice part times the
@@ -183,13 +200,13 @@ class BieberbachDescriptor:
         return GnMembership(True, j, coords)
 
     def centre(self) -> tuple[Element, ...]:
-        """Basis of the centre: u and the full-orbit n-th powers per handle
-        r >= 2; rank 2g.  Commutation with every generator is verified."""
-        n, g = self.n, self.genus
-        group = self.group
-        basis = [product_over_strands(group, 1, 1)]
-        for r in range(2, 2 * g + 1):
-            basis.append(product_over_strands(group, r, n))
+        """Basis of the centre, rank 2g: u, and for each handle r >= 2 the sum
+        of its basis vectors, the full-orbit product a[1,r]^n ... a[n,r]^n.
+        Commutation with every generator is verified."""
+        n, dim = self.n, self.dimension
+        basis = [self.lattice_basis[0]]
+        for r in range(1, 2 * self.genus):
+            basis.append(self._lattice_element(tuple([int(i // n == r) for i in range(dim)])))
         for z in basis:
             for gen in self.x_generators:
                 check(z * gen == gen * z, "centre element must commute with every generator")
@@ -221,38 +238,18 @@ class BieberbachDescriptor:
         return TorsionScanReport(n, g, bound, scanned, tuple(hits), tuple(mismatches))
 
 
-def product_over_strands(group: GroupDescriptor, r: int, exponent: int) -> Element:
-    """The pure-lattice element a[1,r]^e a[2,r]^e ... a[n,r]^e."""
-    rows = [
-        tuple([exponent if col == r else 0 for col in range(1, group.handle_count + 1)])
-        for _ in range(group.n)
-    ]
-    return Element.from_coeffs(group, rows)
-
-
 def make_bieberbach(n: int, genus: int) -> BieberbachDescriptor:
     """Construct the descriptor for given strand count (>= 2) and genus (>= 1).
 
-    The generating set is {a[1,1] * c} together with all a[i,r]^n, where c
-    is the section of the cycle sending each strand i to i + 1; the defining
-    identity (a[1,1] * c)^n == a[1,1] a[2,1] ... a[n,1] is checked here.
+    The generator is a[1,1] * c, c the section of the cycle sending each
+    strand i to i + 1.  The defining identity (a[1,1] * c)^n == u, the
+    lattice element with coordinates e_0, is checked here.
     """
     if n < 2:
         raise ValueError(f"strand count must be >= 2, got {n}")
     group = GroupDescriptor.orientable(n, genus)
     alpha = Element.section(group, Permutation.from_cycles(n, tuple(range(1, n + 1))))
-    generator = Element.strand_generator(group, 1, 1) * alpha
-    x_gens = [generator]
-    basis = [product_over_strands(group, 1, 1)]
-    for r in range(1, 2 * genus + 1):
-        for i in range(1, n + 1):
-            power_gen = Element(
-                group,
-                CoeffVector.basis(n, 2 * genus, i, r).scaled(n),
-                Permutation.identity(n),
-            )
-            x_gens.append(power_gen)
-            if r >= 2 or i >= 2:  # a[1,1]^n is not a basis vector: u takes its place
-                basis.append(power_gen)
-    check(generator**n == basis[0], "generator power identity must hold")
-    return BieberbachDescriptor(group, generator, tuple(x_gens), tuple(basis))
+    desc = BieberbachDescriptor(group, Element.strand_generator(group, 1, 1) * alpha)
+    u = desc._lattice_element((1,) + (0,) * (desc.dimension - 1))
+    check(desc.generator**n == u, "generator power identity must hold")
+    return desc

@@ -183,13 +183,9 @@ class CoeffVector:
     def permuted(self, w: Permutation) -> CoeffVector:
         """Strand action: the row at strand i moves to strand w(i); handles are fixed."""
         rows: list[tuple[int, ...] | None] = [None] * self.n
-        for i in range(1, self.n + 1):
-            rows[w(i) - 1] = self.rows[i - 1]
+        for row, image in zip(self.rows, w.images):
+            rows[image - 1] = row
         return CoeffVector(tuple(rows))
-
-    def handle_sums(self) -> tuple[int, ...]:
-        """Coordinate sum over strands, one integer per handle index."""
-        return tuple([sum(column) for column in zip(*self.rows)])
 
 
 @dataclass(frozen=True)

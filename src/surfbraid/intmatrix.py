@@ -38,19 +38,6 @@ class IntMatrix:
     def identity(cls, m: int) -> IntMatrix:
         return cls(tuple([tuple([1 if i == j else 0 for j in range(m)]) for i in range(m)]))
 
-    @classmethod
-    def block_diag(cls, *blocks: IntMatrix) -> IntMatrix:
-        size = sum(b.nrows for b in blocks)
-        rows = [[0] * size for _ in range(size)]
-        offset = 0
-        for b in blocks:
-            b.require_square()
-            for i, row in enumerate(b.rows):
-                for j, v in enumerate(row):
-                    rows[offset + i][offset + j] = v
-            offset += b.nrows
-        return cls.from_rows(rows)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)

@@ -121,12 +121,6 @@ class IntPoly:
             raise ValueError("division is not exact")
         return quo
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"

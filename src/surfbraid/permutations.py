@@ -122,10 +122,8 @@ class Permutation:
             out.append(tuple(cycle))
         return tuple(out)
 
-    def cycles(self, include_fixed: bool = False) -> tuple[tuple[int, ...], ...]:
-        """Disjoint cycles, each starting at its least element, sorted by that element."""
-        if include_fixed:
-            return self.orbits
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """The nontrivial cycles of :attr:`orbits`: fixed points left out."""
         return tuple([c for c in self.orbits if len(c) > 1])
 
     def cycle_type(self) -> tuple[int, ...]:

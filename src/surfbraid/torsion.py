@@ -148,12 +148,12 @@ def conjugating_permutation(p: Permutation, q: Permutation) -> Permutation | Non
         return None
     n = p.n
     q_cycle_len = [0] * (n + 1)
-    for cycle in q.cycles(include_fixed=True):
+    for cycle in q.orbits:
         for v in cycle:
             q_cycle_len[v] = len(cycle)
     images = [0] * (n + 1)
     used = [False] * (n + 1)
-    for cycle in p.cycles(include_fixed=True):
+    for cycle in p.orbits:
         w = next(v for v in range(1, n + 1) if not used[v] and q_cycle_len[v] == len(cycle))
         for c in cycle:
             images[c] = w

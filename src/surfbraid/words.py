@@ -205,16 +205,6 @@ def full_twist_word(group: GroupDescriptor) -> BraidWord:
     return sigma_word(range(1, group.n)) ** group.n
 
 
-def other_handles_word(group: GroupDescriptor, j: int, r: int) -> BraidWord:
-    """a[j,1] ... a[j,r-1] a[j,r+1]^-1 ... a[j,2g]^-1, a word builder only."""
-    handles = group.handle_count
-    if not (1 <= j <= group.n and 1 <= r <= handles):
-        raise GeneratorIndexError(f"index ({j},{r}) out of range for n={group.n}, handles={handles}")
-    letters = [Letter(HANDLE, j, s) for s in range(1, r)]
-    letters += [Letter(HANDLE, j, s, -1) for s in range(r + 1, handles + 1)]
-    return BraidWord(tuple(letters))
-
-
 @dataclass(frozen=True)
 class RelationReport:
     """Result of checking every defining relation instance for one group."""

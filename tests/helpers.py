@@ -1,7 +1,8 @@
 """Shared test oracles, kept independent of the code paths they check:
 brute-force multiplication, rational linear algebra on flattened vectors,
-cofactor determinants, triple-loop matrix products, Smith normal form, and
-principal-minor sums.
+cofactor determinants, triple-loop matrix products, Smith normal form,
+principal-minor sums, and the Bieberbach lattice basis and holonomy blocks
+written out by hand.
 """
 
 from __future__ import annotations
@@ -49,6 +50,66 @@ def order_by_repeated_mul(x: Element, cap: int) -> int | None:
             return k
         acc = acc * x
     return None
+
+
+def handle_sums(vec: CoeffVector) -> tuple[int, ...]:
+    """Coordinate sum over strands, one integer per handle index."""
+    return tuple(sum(column) for column in zip(*vec.rows))
+
+
+def product_over_strands(group: GroupDescriptor, r: int, exponent: int) -> Element:
+    """The pure-lattice element a[1,r]^e a[2,r]^e ... a[n,r]^e."""
+    rows = [[exponent if col == r else 0 for col in range(1, group.handle_count + 1)]
+            for _ in range(group.n)]
+    return Element.from_coeffs(group, rows)
+
+
+def reference_lattice_basis(n: int, g: int) -> list[Element]:
+    """The Bieberbach lattice basis in the order of the module docstring:
+    u = a[1,1] ... a[n,1], then a[i,1]^n for i >= 2, then a[j,r]^n for
+    r = 2..2g and j = 1..n, built without the coordinate codec."""
+    group = GroupDescriptor.orientable(n, g)
+    basis = [product_over_strands(group, 1, 1)]
+    for r in range(1, 2 * g + 1):
+        for i in range(1 if r > 1 else 2, n + 1):
+            basis.append(Element(group, CoeffVector.basis(n, 2 * g, i, r).scaled(n),
+                                 Permutation.identity(n)))
+    return basis
+
+
+def block_diag(*blocks: IntMatrix) -> IntMatrix:
+    """The block-diagonal matrix with the given square blocks."""
+    size = sum(b.nrows for b in blocks)
+    rows = [[0] * size for _ in range(size)]
+    offset = 0
+    for b in blocks:
+        assert b.nrows == b.ncols
+        for i, row in enumerate(b.rows):
+            rows[offset + i][offset:offset + b.nrows] = row
+        offset += b.nrows
+    return IntMatrix.from_rows(rows)
+
+
+def reference_holonomy_matrix(n: int, g: int) -> IntMatrix:
+    """Conjugation by a[1,1] * s_1 ... s_{n-1} on the reference lattice
+    basis, by hand: one n-by-n block per handle.  Handle 1 (u, a[2,1]^n, ...,
+    a[n,1]^n): u is invariant, a[i,1]^n moves to a[i+1,1]^n, and a[n,1]^n
+    lands on a[1,1]^n = u^n * (a[2,1]^n ... a[n,1]^n)^{-1}, giving a last
+    column (n, -1, ..., -1).  Handles r >= 2 get the cyclic-shift companion
+    block of x^n - 1."""
+    block1 = [[0] * n for _ in range(n)]
+    block1[0][0] = 1
+    for j in range(2, n):  # column j holds the image of a[j,1]^n
+        block1[j][j - 1] = 1
+    block1[0][n - 1] = n
+    for i in range(1, n):
+        block1[i][n - 1] = -1
+    shift = [[0] * n for _ in range(n)]
+    shift[0][n - 1] = 1
+    for j in range(1, n):
+        shift[j][j - 1] = 1
+    blocks = [IntMatrix.from_rows(block1)] + [IntMatrix.from_rows(shift)] * (2 * g - 1)
+    return block_diag(*blocks)
 
 
 def flatten(vec: CoeffVector) -> tuple[int, ...]:

@@ -1,18 +1,28 @@
+import dataclasses
 import functools
 import itertools
 import random
 
 import pytest
 
-from surfbraid.bieberbach import GnMembership, make_bieberbach, product_over_strands
+from surfbraid.bieberbach import BieberbachDescriptor, GnMembership, make_bieberbach
 from surfbraid.core import CoeffVector, Element
-from surfbraid.errors import DomainError
+from surfbraid.errors import DomainError, VerificationError
 from surfbraid.intmatrix import IntMatrix
 from surfbraid.permutations import Permutation
 from surfbraid.torsion import order
 from surfbraid.words import normalize_text
 
-from helpers import integer_span_coords, matrix_apply, matrix_column
+from helpers import (
+    integer_span_coords,
+    matrix_apply,
+    matrix_column,
+    product_over_strands,
+    reference_holonomy_matrix,
+    reference_lattice_basis,
+)
+
+GRID = [(n, g) for n in range(2, 7) for g in range(1, 4)]
 
 
 def test_sizes_and_generator_identity():
@@ -47,6 +57,62 @@ def test_conjugation_by_generator_cycles_strands():
                 gen_image = Element.strand_generator(desc.group, i, r).conjugated_by(desc.generator)
                 expected = Element.strand_generator(desc.group, i % n + 1, r)
                 assert gen_image == expected
+
+
+def test_descriptor_holds_the_group_and_the_generator_only():
+    assert [f.name for f in dataclasses.fields(BieberbachDescriptor)] == ["group", "generator"]
+    desc = make_bieberbach(32, 4)
+    # the basis and the generating set are derived on first use, not built
+    assert "lattice_basis" not in vars(desc) and "x_generators" not in vars(desc)
+
+
+def test_lattice_basis_matches_the_docstring_basis():
+    # the reference writes u and the n-th powers out row by row, without the codec
+    for n, g in GRID:
+        assert make_bieberbach(n, g).lattice_basis == tuple(reference_lattice_basis(n, g))
+
+
+def test_x_generators_and_centre_match_hand_built_elements():
+    for n, g in GRID:
+        desc = make_bieberbach(n, g)
+        powers = [
+            Element(desc.group, CoeffVector.basis(n, 2 * g, i, r).scaled(n), Permutation.identity(n))
+            for r in range(1, 2 * g + 1)
+            for i in range(1, n + 1)
+        ]
+        assert desc.x_generators == (desc.generator, *powers)
+        centre = [product_over_strands(desc.group, 1, 1)]
+        centre += [product_over_strands(desc.group, r, n) for r in range(2, 2 * g + 1)]
+        assert desc.centre() == tuple(centre)
+
+
+def test_holonomy_matrix_matches_the_hand_built_blocks():
+    for n, g in GRID:
+        assert make_bieberbach(n, g).holonomy_matrix() == reference_holonomy_matrix(n, g)
+
+
+def test_holonomy_matrix_checks_every_column(monkeypatch):
+    # A decoder that disagrees with the encoder (here: one that forgets the
+    # coset of u) must fail the column check, not build a matrix.
+    decode = BieberbachDescriptor.lattice_coords
+
+    def strict(self, vec):
+        if any(v % self.n for row in vec.rows for v in row):
+            return None
+        return decode(self, vec)
+
+    monkeypatch.setattr(BieberbachDescriptor, "lattice_coords", strict)
+    with pytest.raises(VerificationError):
+        make_bieberbach(3, 1).holonomy_matrix()
+
+
+def test_element_from_coords_rejects_an_out_of_range_residue():
+    desc = make_bieberbach(3, 1)
+    for j in (-1, 3):
+        with pytest.raises(ValueError, match="holonomy residue"):
+            desc.element_from_coords(j, (0,) * 6)
+    with pytest.raises(ValueError, match="coordinates"):
+        desc.element_from_coords(0, (0,) * 5)
 
 
 def test_membership_examples():

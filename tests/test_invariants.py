@@ -21,7 +21,7 @@ from surfbraid.invariants import (
     orientability,
 )
 
-from helpers import char_poly_by_cofactors, sum_principal_minors
+from helpers import block_diag, char_poly_by_cofactors, sum_principal_minors
 
 
 def holonomy_rep(n, g):
@@ -125,7 +125,7 @@ def test_anosov():
         for g in (1, 2):
             assert anosov_check(holonomy_rep(n, g))
     assert not anosov_check(CyclicRep(companion_x3_minus_one(), 3))
-    doubled = IntMatrix.block_diag(companion_x3_minus_one(), companion_x3_minus_one())
+    doubled = block_diag(companion_x3_minus_one(), companion_x3_minus_one())
     assert anosov_check(CyclicRep(doubled, 3))
 
 
@@ -176,7 +176,7 @@ def test_trace_char_poly_and_det_match_oracles_on_holonomy_sweep():
 
 
 def test_trace_char_poly_and_det_match_oracles_off_holonomy():
-    odd = IntMatrix.block_diag(companion_x3_minus_one(), diag(1), diag(-1))
+    odd = block_diag(companion_x3_minus_one(), diag(1), diag(-1))
     for rep in [
         CyclicRep(diag(-1, 1), 2),
         CyclicRep(companion_x3_minus_one(), 3),
@@ -268,7 +268,7 @@ def test_infinite_order_matrix_is_rejected_within_dimension_products(monkeypatch
     cases = [
         IntMatrix.from_rows([[1, 1], [0, 1]]),  # unipotent: cyclotomic char poly, infinite order
         IntMatrix.from_rows([[2, 1], [1, 1]]),  # hyperbolic: char poly not cyclotomic
-        IntMatrix.block_diag(IntMatrix.from_rows([[0, -1], [1, 0]]), IntMatrix.from_rows([[1, 1], [0, 1]])),
+        block_diag(IntMatrix.from_rows([[0, -1], [1, 0]]), IntMatrix.from_rows([[1, 1], [0, 1]])),
     ]
     for matrix in cases:
         calls = 0

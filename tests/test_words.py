@@ -14,7 +14,6 @@ from surfbraid.words import (
     full_twist_word,
     normalize,
     normalize_text,
-    other_handles_word,
     parse,
     sigma_word,
     t_word,
@@ -181,15 +180,6 @@ def test_classical_word_spellings():
     assert full_twist_word(g3).text() == "s1 s2 s1 s2 s1 s2"
     with pytest.raises(GeneratorIndexError):
         t_word(g3, 2, 2)
-
-
-def test_other_handles_word():
-    group = GroupDescriptor.orientable(2, 2)
-    assert other_handles_word(group, 1, 1).text() == "a[1,2]^-1 a[1,3]^-1 a[1,4]^-1"
-    assert other_handles_word(group, 2, 4).text() == "a[2,1] a[2,2] a[2,3]"
-    assert other_handles_word(group, 1, 2).text() == "a[1,1] a[1,3]^-1 a[1,4]^-1"
-    # quotient image is computable, no identity asserted
-    normalize(group, other_handles_word(group, 1, 1))
 
 
 def test_artin_relation_lands_on_long_transposition():
