@@ -17,13 +17,15 @@ brute-force span oracle in the test suite.
 A descriptor holds the group and the generator only.  The basis, the
 generating set, the centre and the holonomy matrix are read through one
 coordinate codec, the row encoder of ``coeffs_from_coords`` and its inverse
-``lattice_coords``.  The holonomy matrix is derived from the generator's
-conjugation action on L, with a check that every column lies in L.
+``lattice_coords``; the torsion scan reads the same encoder strand by
+strand.  The holonomy matrix is derived from the generator's conjugation
+action on L, with a check that every column lies in L.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -76,6 +78,18 @@ class TorsionScanReport:
             "obstruction_mismatches": list(self.obstruction_mismatches),
             "passed": self.passed,
         }
+
+
+def _strand_row(n: int, lam: int, i: int, strand: tuple[int, ...],
+                base_row: tuple[int, ...]) -> tuple[int, ...]:
+    """Row i of base plus the lattice vector theta with coordinates coords,
+    where lam = coords[0] and strand = coords[i::n] holds the coordinates
+    that reach strand i: lam + n*coords[i] (lam alone for i = 0) in handle 1
+    and n*coords[r*n + i] in handle r + 1.  The one place the layout of the
+    Bieberbach coordinate codec is written."""
+    row = [n * c + b for c, b in zip(strand, base_row)]
+    row[0] += lam - (0 if i else n * strand[0])  # strand 0's handle-1 coordinate is lam itself
+    return tuple(row)
 
 
 @dataclass(frozen=True)
@@ -152,19 +166,14 @@ class BieberbachDescriptor:
         return tuple([lam] + [v // n for v in scaled])
 
     def _encode(self, coords: tuple[int, ...], base: CoeffVector) -> CoeffVector:
-        """base plus the lattice vector theta with the given coordinates, in
-        one pass over the rows: strand i of theta holds lam + n*coords[i]
-        (lam alone for i = 0) in handle 1 and n*coords[r*n + i] in handle
-        r + 1, where lam = coords[0]."""
+        """base plus the lattice vector theta with the given coordinates, one
+        :func:`_strand_row` per strand."""
         n, g = self.n, self.genus
         if len(coords) != 2 * n * g:
             raise ValueError(f"need {2 * n * g} coordinates, got {len(coords)}")
         lam = coords[0]
-        return CoeffVector(tuple([
-            tuple([lam + row[0] + (n * coords[i] if i else 0)]
-                  + [n * coords[r * n + i] + row[r] for r in range(1, 2 * g)])
-            for i, row in enumerate(base.rows)
-        ]))
+        return CoeffVector(tuple([_strand_row(n, lam, i, coords[i::n], row)
+                                  for i, row in enumerate(base.rows)]))
 
     def coeffs_from_coords(self, coords: tuple[int, ...]) -> CoeffVector:
         """The lattice vector with the given coordinates in the fixed basis."""
@@ -213,29 +222,49 @@ class BieberbachDescriptor:
         return tuple(basis)
 
     def torsion_scan(self, bound: int) -> TorsionScanReport:
-        """Check every element with lattice coordinates in [-bound, bound] and
-        every holonomy residue: all must have infinite order except the
-        identity, and any finite order forces the handle-1 counting
-        obstruction n*(sum of handle-1 coordinates) + j to vanish."""
+        """Check every element theta * generator**j with lattice coordinates
+        in [-bound, bound] and every holonomy residue j: all must have
+        infinite order except the identity, and any finite order forces the
+        handle-1 counting obstruction n*(sum of handle-1 coordinates) + j to
+        vanish.
+
+        For fixed lam = coords[0] and j, row i of the element depends only on
+        strand i's coordinates coords[i::n], so each strand gets one table of
+        :func:`_strand_row` rows and the box is walked as the product of the
+        tables.  Every element passes the validating Element constructor and
+        one :func:`~surfbraid.torsion.order` call; only finite ones are
+        decoded with :meth:`lattice_coords` for the two checks.  Hits and
+        mismatches are reported in (coords, j) order, and the number of
+        elements scanned is checked against (2*bound + 1)**(2ng) * n."""
         if bound < 0:
             raise DomainError(f"scan bound must be >= 0, got {bound}")
-        n, g = self.n, self.genus
-        dim = 2 * n * g
+        n, g, group = self.n, self.genus, self.group
+        box = range(-bound, bound + 1)
+        free = [box] * (2 * g - 1)
         hits: list[dict[str, Any]] = []
         mismatches: list[dict[str, Any]] = []
         scanned = 0
-        for coords in itertools.product(range(-bound, bound + 1), repeat=dim):
-            handle1 = n * sum(coords[:n])
-            for j in range(n):
-                scanned += 1
-                elt = self.element_from_coords(j, coords)
-                finite = order(elt).is_finite
-                obstruction = handle1 + j
-                if finite and obstruction != 0:
-                    mismatches.append({"coords": list(coords), "j": j, "obstruction": obstruction})
-                if finite and not elt.is_identity():
-                    hits.append({"coords": list(coords), "j": j})
-        return TorsionScanReport(n, g, bound, scanned, tuple(hits), tuple(mismatches))
+        for j, gj in enumerate(self.powers):
+            perm = gj.perm
+            for lam in box:
+                tables = [[_strand_row(n, lam, i, strand, row)
+                           for strand in itertools.product((lam,) if i == 0 else box, *free)]
+                          for i, row in enumerate(gj.coeffs.rows)]
+                for rows in itertools.product(*tables):
+                    scanned += 1
+                    elt = Element(group, CoeffVector(rows), perm)
+                    if order(elt).is_finite:
+                        coords = self.lattice_coords(elt.coeffs - gj.coeffs)
+                        check(coords is not None, "a scanned element must decode to lattice coordinates")
+                        obstruction = n * sum(coords[:n]) + j
+                        if obstruction != 0:
+                            mismatches.append({"coords": list(coords), "j": j, "obstruction": obstruction})
+                        if not elt.is_identity():
+                            hits.append({"coords": list(coords), "j": j})
+        check(scanned == len(box) ** (2 * n * g) * n, "the scan must cover every element of the box")
+        in_box_order = operator.itemgetter("coords", "j")
+        return TorsionScanReport(n, g, bound, scanned, tuple(sorted(hits, key=in_box_order)),
+                                 tuple(sorted(mismatches, key=in_box_order)))
 
 
 def make_bieberbach(n: int, genus: int) -> BieberbachDescriptor:

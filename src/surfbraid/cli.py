@@ -220,7 +220,7 @@ def _cmd_bieberbach(args: argparse.Namespace) -> int:
                 "dimension": desc.dimension,
                 "holonomy_order": desc.n,
                 "generator": desc.generator.to_json_obj(),
-                "num_generators": len(desc.x_generators),
+                "num_generators": desc.dimension + 1,  # the generator and 2ng lattice generators
                 "centre_rank": 2 * desc.genus,
             },
         )

@@ -151,15 +151,6 @@ class CoeffVector:
         return cls(((0,) * handles,) * n)
 
     @classmethod
-    def basis(cls, n: int, handles: int, i: int, r: int) -> CoeffVector:
-        """The vector with a single 1 at strand i, handle r."""
-        if not (1 <= i <= n and 1 <= r <= handles):
-            raise ValueError(f"basis index ({i},{r}) out of range")
-        rows = [(0,) * handles] * n
-        rows[i - 1] = (0,) * (r - 1) + (1,) + (0,) * (handles - r)
-        return cls(tuple(rows))
-
-    @classmethod
     def from_rows(cls, rows) -> CoeffVector:
         return cls(tuple([tuple([int(v) for v in row]) for row in rows]))
 
@@ -176,9 +167,6 @@ class CoeffVector:
 
     def __neg__(self) -> CoeffVector:
         return CoeffVector(tuple([tuple([-v for v in row]) for row in self.rows]))
-
-    def scaled(self, k: int) -> CoeffVector:
-        return CoeffVector(tuple([tuple([k * v for v in row]) for row in self.rows]))
 
     def permuted(self, w: Permutation) -> CoeffVector:
         """Strand action: the row at strand i moves to strand w(i); handles are fixed."""

@@ -39,6 +39,9 @@ class OrderResult:
         return self.value is not None
 
 
+_INFINITE = OrderResult(None)  # frozen, so one shared instance serves every call
+
+
 def cycle_sums(x: Element) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The cycle-sum map S_w of x = v * section(w): for each cycle C of w,
     fixed strands included, the pair (C, S_C) where S_C sums the rows of v
@@ -47,10 +50,12 @@ def cycle_sums(x: Element) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     every cycle of w, so the sums are conjugation invariant.
 
     The cycles are w's cached :attr:`~surfbraid.permutations.Permutation.orbits`,
-    and each S_C is summed column by column straight from the rows of v."""
+    and each S_C is summed column by column straight from the rows of v; a
+    fixed strand c, the 1-cycle (c,), gets its own row."""
     rows = x.coeffs.rows
     return [
-        (cycle, tuple([sum(column) for column in zip(*[rows[c - 1] for c in cycle])]))
+        (cycle, rows[cycle[0] - 1] if len(cycle) == 1
+         else tuple([sum(column) for column in zip(*[rows[c - 1] for c in cycle])]))
         for cycle in x.perm.orbits
     ]
 
@@ -86,7 +91,7 @@ def order(x: Element) -> OrderResult:
     then the order equals the order of the permutation part."""
     x.group.require_orientable("element order")
     if any([any(sums) for _, sums in cycle_sums(x)]):
-        return OrderResult(None)
+        return _INFINITE
     return OrderResult(x.perm.order())
 
 

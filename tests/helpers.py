@@ -1,8 +1,9 @@
 """Shared test oracles, kept independent of the code paths they check:
 brute-force multiplication, rational linear algebra on flattened vectors,
 cofactor determinants, triple-loop matrix products, Smith normal form,
-principal-minor sums, and the Bieberbach lattice basis and holonomy blocks
-written out by hand.
+principal-minor sums, the Bieberbach lattice basis and holonomy blocks
+written out by hand, column-sum cycle sums and the coordinate-by-coordinate
+torsion scan.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 import random
 from fractions import Fraction
 
+from surfbraid import bieberbach
+from surfbraid.bieberbach import BieberbachDescriptor, TorsionScanReport
 from surfbraid.core import CoeffVector, Element, GroupDescriptor
 from surfbraid.intmatrix import IntMatrix
 from surfbraid.intpoly import IntPoly
@@ -52,6 +55,20 @@ def order_by_repeated_mul(x: Element, cap: int) -> int | None:
     return None
 
 
+def basis_vector(n: int, handles: int, i: int, r: int) -> CoeffVector:
+    """The vector with a single 1 at strand i, handle r."""
+    if not (1 <= i <= n and 1 <= r <= handles):
+        raise ValueError(f"basis index ({i},{r}) out of range")
+    rows = [(0,) * handles] * n
+    rows[i - 1] = (0,) * (r - 1) + (1,) + (0,) * (handles - r)
+    return CoeffVector(tuple(rows))
+
+
+def scaled(vec: CoeffVector, k: int) -> CoeffVector:
+    """k times vec, entry by entry."""
+    return CoeffVector(tuple(tuple(k * v for v in row) for row in vec.rows))
+
+
 def handle_sums(vec: CoeffVector) -> tuple[int, ...]:
     """Coordinate sum over strands, one integer per handle index."""
     return tuple(sum(column) for column in zip(*vec.rows))
@@ -72,9 +89,52 @@ def reference_lattice_basis(n: int, g: int) -> list[Element]:
     basis = [product_over_strands(group, 1, 1)]
     for r in range(1, 2 * g + 1):
         for i in range(1 if r > 1 else 2, n + 1):
-            basis.append(Element(group, CoeffVector.basis(n, 2 * g, i, r).scaled(n),
+            basis.append(Element(group, scaled(basis_vector(n, 2 * g, i, r), n),
                                  Permutation.identity(n)))
     return basis
+
+
+def reference_cycle_sums(x: Element) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """For each orbit of x's permutation, fixed points included, least strand
+    first and orbits by least strand: the orbit and the column sums of the
+    rows of x over it, added entry by entry."""
+    images, rows = x.perm.images, x.coeffs.rows
+    seen: set[int] = set()
+    out = []
+    for start in range(1, len(images) + 1):
+        if start in seen:
+            continue
+        orbit = [start]
+        while images[orbit[-1] - 1] != start:
+            orbit.append(images[orbit[-1] - 1])
+        seen.update(orbit)
+        sums = [0] * len(rows[0])
+        for c in orbit:
+            for r, v in enumerate(rows[c - 1]):
+                sums[r] += v
+        out.append((tuple(orbit), tuple(sums)))
+    return out
+
+
+def reference_torsion_scan(desc: BieberbachDescriptor, bound: int) -> TorsionScanReport:
+    """The coordinate-by-coordinate scan: every coordinate tuple of the box
+    from itertools.product, in lexicographic order, and every residue j, each
+    element built with ``element_from_coords`` and checked with
+    ``bieberbach.order`` (looked up at call time, so a patch applies)."""
+    n, g = desc.n, desc.genus
+    hits, mismatches, scanned = [], [], 0
+    for coords in itertools.product(range(-bound, bound + 1), repeat=2 * n * g):
+        handle1 = n * sum(coords[:n])
+        for j in range(n):
+            scanned += 1
+            elt = desc.element_from_coords(j, coords)
+            if bieberbach.order(elt).is_finite:
+                obstruction = handle1 + j
+                if obstruction != 0:
+                    mismatches.append({"coords": list(coords), "j": j, "obstruction": obstruction})
+                if not elt.is_identity():
+                    hits.append({"coords": list(coords), "j": j})
+    return TorsionScanReport(n, g, bound, scanned, tuple(hits), tuple(mismatches))
 
 
 def block_diag(*blocks: IntMatrix) -> IntMatrix:

@@ -27,7 +27,14 @@ from surfbraid.torsion import (
 )
 from surfbraid.words import check_relations
 
-from helpers import handle_sums, power_by_repeated_mul, product_over_strands, sum_principal_minors
+from helpers import (
+    basis_vector,
+    handle_sums,
+    power_by_repeated_mul,
+    product_over_strands,
+    scaled,
+    sum_principal_minors,
+)
 
 
 def criterion(number, description):
@@ -110,8 +117,8 @@ def test_criterion_4_subgroup_conjugators():
                 value = rng.randint(-5, 5)
                 vec = (
                     vec
-                    + CoeffVector.basis(n, 2 * g, i, r).scaled(value)
-                    + CoeffVector.basis(n, 2 * g, i + 1, r).scaled(-value)
+                    + scaled(basis_vector(n, 2 * g, i, r), value)
+                    + scaled(basis_vector(n, 2 * g, i + 1, r), -value)
                 )
             images.append(Element(group, vec, Permutation.transposition(n, i)))
         x = symmetric_copy_conjugator(group, images)

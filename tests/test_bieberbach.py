@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -5,21 +6,25 @@ import random
 
 import pytest
 
+from surfbraid import bieberbach
 from surfbraid.bieberbach import BieberbachDescriptor, GnMembership, make_bieberbach
 from surfbraid.core import CoeffVector, Element
 from surfbraid.errors import DomainError, VerificationError
 from surfbraid.intmatrix import IntMatrix
 from surfbraid.permutations import Permutation
-from surfbraid.torsion import order
+from surfbraid.torsion import OrderResult, order
 from surfbraid.words import normalize_text
 
 from helpers import (
+    basis_vector,
     integer_span_coords,
     matrix_apply,
     matrix_column,
     product_over_strands,
     reference_holonomy_matrix,
     reference_lattice_basis,
+    reference_torsion_scan,
+    scaled,
 )
 
 GRID = [(n, g) for n in range(2, 7) for g in range(1, 4)]
@@ -76,7 +81,7 @@ def test_x_generators_and_centre_match_hand_built_elements():
     for n, g in GRID:
         desc = make_bieberbach(n, g)
         powers = [
-            Element(desc.group, CoeffVector.basis(n, 2 * g, i, r).scaled(n), Permutation.identity(n))
+            Element(desc.group, scaled(basis_vector(n, 2 * g, i, r), n), Permutation.identity(n))
             for r in range(1, 2 * g + 1)
             for i in range(1, n + 1)
         ]
@@ -382,3 +387,72 @@ def test_torsion_scan_walks_one_orbit_decomposition_per_residue(monkeypatch):
         report = desc.torsion_scan(1)
         assert report.passed and report.scanned == 3 ** (2 * n * g) * n
         assert len(walks) <= n
+
+
+SCAN_CASES = [(2, 1, 0), (2, 1, 1), (3, 1, 1), (2, 2, 1)]
+
+
+def _record_order(monkeypatch, seen, finite=None):
+    """Wrap bieberbach.order: count each checked (perm images, rows) pair in
+    seen[0], and, if given, call the elements picked by ``finite`` finite."""
+    real = bieberbach.order
+
+    def recorded(x):
+        seen[0][(x.perm.images, x.coeffs.rows)] += 1
+        if finite is not None and finite(x):
+            return OrderResult(1)
+        return real(x)
+
+    monkeypatch.setattr(bieberbach, "order", recorded)
+
+
+def test_torsion_scan_matches_the_coordinate_scan(monkeypatch):
+    # The strand tables walk the same box as the coordinate-by-coordinate
+    # scan: the same report, and the same elements handed to order.
+    seen = [None]
+    _record_order(monkeypatch, seen)
+    for n, g, b in SCAN_CASES:
+        desc = make_bieberbach(n, g)
+        seen[0] = ours = collections.Counter()
+        report = desc.torsion_scan(b)
+        seen[0] = theirs = collections.Counter()
+        assert report == reference_torsion_scan(desc, b)
+        assert ours == theirs and sum(ours.values()) == report.scanned == (2 * b + 1) ** (2 * n * g) * n
+
+
+def test_torsion_scan_reports_finite_elements_in_coordinate_order(monkeypatch):
+    # With a chosen subset called finite, the lazily decoded coordinates and
+    # the sort reproduce the coordinate-lexicographic report entry for entry.
+    def chosen(x):
+        return x.is_identity() or (sum(map(sum, x.coeffs.rows)) + 3 * x.perm.images[0]) % 7 == 0
+
+    seen = [collections.Counter()]
+    _record_order(monkeypatch, seen, chosen)
+    for n, g, b in SCAN_CASES:
+        desc = make_bieberbach(n, g)
+        report, reference = desc.torsion_scan(b), reference_torsion_scan(desc, b)
+        assert report.torsion_hits == reference.torsion_hits
+        assert report.obstruction_mismatches == reference.obstruction_mismatches
+        if b:
+            assert report.torsion_hits and report.obstruction_mismatches
+
+
+def test_torsion_scan_validates_and_checks_every_element(monkeypatch):
+    calls = collections.Counter()
+    real_order, real_validate = bieberbach.order, Element.__post_init__
+
+    def counted_order(x):
+        calls["order"] += 1
+        return real_order(x)
+
+    def counted_validate(self):
+        calls["validate"] += 1
+        real_validate(self)
+
+    monkeypatch.setattr(bieberbach, "order", counted_order)
+    monkeypatch.setattr(Element, "__post_init__", counted_validate)
+    for n, g, b in SCAN_CASES:
+        desc = make_bieberbach(n, g)
+        calls.clear()
+        report = desc.torsion_scan(b)
+        assert calls["order"] >= report.scanned and calls["validate"] >= report.scanned

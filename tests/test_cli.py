@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from surfbraid.bieberbach import make_bieberbach
 from surfbraid.cli import main
 
 
@@ -104,6 +106,12 @@ def test_bieberbach_commands(capsys):
     assert centre["rank"] == 2
     scan = run_json(capsys, "bieberbach", "torsion-scan", "--n", "2", "--genus", "1", "--bound", "1")
     assert scan["passed"] is True and scan["scanned"] == 162
+
+
+def test_bieberbach_info_counts_the_generating_set(capsys):
+    for n, g in [(2, 1), (3, 2), (5, 3)]:
+        info = run_json(capsys, "bieberbach", "info", "--n", str(n), "--genus", str(g))
+        assert info["num_generators"] == len(make_bieberbach(n, g).x_generators)
 
 
 def test_invariants_command(capsys):
@@ -327,3 +335,26 @@ def test_broken_selftest_exits_3_under_python_O():
     res = run_optimized(code)
     assert res.returncode == 3
     assert "not ok 3 - cycle power formula" in res.stdout
+
+
+def test_torsion_scan_checks_run_under_python_O():
+    # The scan's checks are explicit branches, not asserts: under -O an order
+    # that calls every element finite still yields hits and mismatches, and
+    # the unpatched scan prints the README output.
+    golden = json.loads((Path(__file__).resolve().parent / "data" / "readme_outputs.json").read_text())
+    command = "surfbraid bieberbach torsion-scan --n 2 --genus 1 --bound 1"
+    expected = next(entry["stdout"] for entry in golden if entry["command"] == command)
+    code = (
+        "import json\n"
+        "from surfbraid import bieberbach, cli, torsion\n"
+        f"cli.main({command.split()[1:]!r})\n"
+        "bieberbach.order = lambda x: torsion.OrderResult(1)  # every element called finite\n"
+        "report = bieberbach.make_bieberbach(2, 1).torsion_scan(1)\n"
+        "print(json.dumps([report.scanned, len(report.torsion_hits), len(report.obstruction_mismatches)]))\n"
+    )
+    res = run_optimized(code)
+    assert res.returncode == 0, res.stderr
+    box = list(itertools.product(range(-1, 2), repeat=4))
+    # every element but the identity is a hit; a mismatch has 2*(c1 + c2) + j != 0
+    mismatches = sum(1 for c in box for j in (0, 1) if 2 * (c[0] + c[1]) + j != 0)
+    assert res.stdout == expected + json.dumps([2 * len(box), 2 * len(box) - 1, mismatches]) + "\n"

@@ -15,6 +15,7 @@ from surfbraid.errors import (
 )
 from surfbraid.permutations import Permutation
 from surfbraid.torsion import (
+    OrderResult,
     FrobeniusEmbedding,
     conjugacy_test,
     conjugating_permutation,
@@ -31,11 +32,14 @@ from surfbraid.torsion import (
 )
 
 from helpers import (
+    basis_vector,
+    reference_cycle_sums,
     handle_sums,
     order_by_repeated_mul,
     power_by_repeated_mul,
     random_element,
     random_permutation,
+    scaled,
 )
 
 T2 = GroupDescriptor.torus(2)
@@ -238,12 +242,12 @@ def test_one_walk_rejects_infinite_generating_sets():
             c = random_element(rng, group)
             v1, v2 = [s.conjugated_by(c) for s in _frobenius_sections(group, p)]
             i, r = rng.randint(1, p), rng.randint(1, 2)
-            perturbed = Element(group, v2.coeffs + CoeffVector.basis(p, 2, i, r), v2.perm)
+            perturbed = Element(group, v2.coeffs + basis_vector(p, 2, i, r), v2.perm)
             with pytest.raises(InfiniteOrderError):
                 conjugator_to_section(v1, perturbed)
             # each element of finite order, but no common conjugator: strand 1
             # lies on a 2-cycle or longer of w2, so the pair is infinite
-            shifted = c * Element(group, CoeffVector.basis(p, 2, 1, r), Permutation.identity(p))
+            shifted = c * Element(group, basis_vector(p, 2, 1, r), Permutation.identity(p))
             v2_other = _frobenius_sections(group, p)[1].conjugated_by(shifted)
             assert order(v1).is_finite and order(v2_other).is_finite
             with pytest.raises(InfiniteOrderError):
@@ -302,7 +306,7 @@ def test_symmetric_copy_two_strands():
 def test_symmetric_copy_three_strands_block_one():
     # involutions with parameters a1 = 2, a2 = -1 in handle 1
     def involution(i, value):
-        vec = CoeffVector.basis(3, 2, i, 1).scaled(value) + CoeffVector.basis(3, 2, i + 1, 1).scaled(-value)
+        vec = scaled(basis_vector(3, 2, i, 1), value) + scaled(basis_vector(3, 2, i + 1, 1), -value)
         return Element(T3, vec, Permutation.transposition(3, i))
 
     images = [involution(1, 2), involution(2, -1)]
@@ -323,8 +327,8 @@ def test_symmetric_copy_randomized():
                     value = rng.randint(-4, 4)
                     vec = (
                         vec
-                        + CoeffVector.basis(n, group.handle_count, i, r).scaled(value)
-                        + CoeffVector.basis(n, group.handle_count, i + 1, r).scaled(-value)
+                        + scaled(basis_vector(n, group.handle_count, i, r), value)
+                        + scaled(basis_vector(n, group.handle_count, i + 1, r), -value)
                     )
                 images.append(Element(group, vec, Permutation.transposition(n, i)))
             x = symmetric_copy_conjugator(group, images)
@@ -467,7 +471,7 @@ def test_frobenius_torsion_pure_section_case():
 
 def test_frobenius_torsion_with_lifts():
     group = GroupDescriptor.torus(5)
-    lift = CoeffVector.basis(5, 2, 1, 1)
+    lift = basis_vector(5, 2, 1, 1)
     v = frobenius_torsion_element(group, 5, 4, lift1=lift)
     assert order(v).value == 5
     assert handle_sums(v.coeffs) == (0, 0)
@@ -563,4 +567,55 @@ def test_order_is_finite_exactly_when_every_cycle_sum_vanishes():
                 assert order(x).is_finite == vanishing
                 # every permutation of at most 5 strands has order dividing 60
                 assert order(x).value == order_by_repeated_mul(x, 60)
+    assert seen == {True, False}
+
+
+def _with_fixed_strands(rng, n, fixed):
+    """A random permutation of 1..n fixing at least the strands in ``fixed``."""
+    moved = [i for i in range(1, n + 1) if i not in fixed]
+    shuffled = moved[:]
+    rng.shuffle(shuffled)
+    images = list(range(1, n + 1))
+    for i, v in zip(moved, shuffled):
+        images[i - 1] = v
+    return Permutation(tuple(images))
+
+
+def test_cycle_sums_match_column_sums_with_and_without_fixed_strands():
+    # A fixed strand's cycle sum is its own row; every other cycle sums its
+    # rows column by column.  Both paths are checked against the reference.
+    rng = random.Random(331)
+    kinds = set()
+    for n in range(1, 9):
+        for g in (1, 2):
+            group = GroupDescriptor.orientable(n, g)
+            for trial in range(24):
+                x = random_element(rng, group)
+                if trial % 3:
+                    fixed = set(rng.sample(range(1, n + 1), rng.randint(0, n)))
+                    x = Element(group, x.coeffs, _with_fixed_strands(rng, n, fixed))
+                lengths = {len(c) for c in x.perm.orbits}
+                kinds.add((1 in lengths, max(lengths) > 1))
+                assert cycle_sums(x) == reference_cycle_sums(x)
+    assert kinds == {(True, False), (True, True), (False, True)}
+
+
+def test_order_value_follows_the_column_sums():
+    rng = random.Random(337)
+    seen = set()
+    for n in range(1, 9):
+        group = GroupDescriptor.orientable(n, 1)
+        for trial in range(20):
+            x = random_element(rng, group, bound=1)
+            if trial % 4 == 1:  # a conjugate of a section has finite order
+                x = Element.section(group, x.perm).conjugated_by(_pure_lattice(rng, group))
+            elif trial % 4 == 2:  # a pure-lattice element: every strand is fixed
+                x = _pure_lattice(rng, group)
+            finite = not any([any(sums) for _, sums in reference_cycle_sums(x)])
+            seen.add(finite)
+            result = order(x)
+            assert result == OrderResult(x.perm.order() if finite else None)
+            if finite:
+                # the order of a permutation of at most 8 strands divides 840
+                assert result.value == order_by_repeated_mul(x, 840)
     assert seen == {True, False}
