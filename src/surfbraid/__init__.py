@@ -46,6 +46,7 @@ from .torsion import (
     cycle_power_coeffs,
     frobenius_conjugator,
     frobenius_embed,
+    frobenius_pair,
     frobenius_torsion_element,
     order,
     symmetric_copy_conjugator,
@@ -87,6 +88,7 @@ __all__ = [
     "finite_normal_subgroup",
     "frobenius_conjugator",
     "frobenius_embed",
+    "frobenius_pair",
     "frobenius_torsion_element",
     "invariant_report",
     "kahler_check",

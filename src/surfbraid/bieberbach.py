@@ -16,10 +16,11 @@ brute-force span oracle in the test suite.
 
 A descriptor holds the group and the generator only.  The basis, the
 generating set, the centre and the holonomy matrix are read through one
-coordinate codec, the row encoder of ``coeffs_from_coords`` and its inverse
-``lattice_coords``; the torsion scan reads the same encoder strand by
-strand.  The holonomy matrix is derived from the generator's conjugation
-action on L, with a check that every column lies in L.
+coordinate codec: one encoder, ``coeffs_from_coords``, and one decoder,
+``lattice_coords``.  The encoder writes each strand's row with
+``_strand_row``, which the torsion scan also reads strand by strand.  The
+holonomy matrix is derived from the generator's conjugation action on L,
+with a check that every column lies in L.
 """
 
 from __future__ import annotations
@@ -124,8 +125,8 @@ class BieberbachDescriptor:
 
     def _basis_coeffs(self) -> list[CoeffVector]:
         """Lattice parts of the fixed basis of L: vector k has coordinates e_k."""
-        dim, zero = self.dimension, CoeffVector.zero(self.n, 2 * self.genus)
-        return [self._encode((0,) * k + (1,) + (0,) * (dim - 1 - k), zero) for k in range(dim)]
+        dim = self.dimension
+        return [self.coeffs_from_coords((0,) * k + (1,) + (0,) * (dim - 1 - k)) for k in range(dim)]
 
     @cached_property
     def lattice_basis(self) -> tuple[Element, ...]:
@@ -165,35 +166,18 @@ class BieberbachDescriptor:
             return None
         return tuple([lam] + [v // n for v in scaled])
 
-    def _encode(self, coords: tuple[int, ...], base: CoeffVector) -> CoeffVector:
-        """base plus the lattice vector theta with the given coordinates, one
-        :func:`_strand_row` per strand."""
+    def coeffs_from_coords(self, coords: tuple[int, ...]) -> CoeffVector:
+        """The lattice vector with the given coordinates in the fixed basis,
+        one :func:`_strand_row` per strand."""
         n, g = self.n, self.genus
         if len(coords) != 2 * n * g:
             raise ValueError(f"need {2 * n * g} coordinates, got {len(coords)}")
-        lam = coords[0]
-        return CoeffVector(tuple([_strand_row(n, lam, i, coords[i::n], row)
-                                  for i, row in enumerate(base.rows)]))
-
-    def coeffs_from_coords(self, coords: tuple[int, ...]) -> CoeffVector:
-        """The lattice vector with the given coordinates in the fixed basis."""
-        return self._encode(coords, CoeffVector.zero(self.n, 2 * self.genus))
+        zero = (0,) * (2 * g)
+        return CoeffVector(tuple([_strand_row(n, coords[0], i, coords[i::n], zero) for i in range(n)]))
 
     def _lattice_element(self, coords: tuple[int, ...]) -> Element:
         """The pure-lattice element with the given coordinates."""
         return Element(self.group, self.coeffs_from_coords(coords), Permutation.identity(self.n))
-
-    def element_from_coords(self, j: int, coords: tuple[int, ...]) -> Element:
-        """The element theta * generator**j, where theta is the lattice vector
-        with the given coordinates and j, in 0..n-1, the holonomy residue.
-
-        theta is pure lattice, so the product adds theta's rows to those of
-        generator**j and keeps its permutation.  The result goes through the
-        validating Element constructor."""
-        if not 0 <= j < self.n:
-            raise ValueError(f"holonomy residue must lie in 0..{self.n - 1}, got {j}")
-        gj = self.powers[j]
-        return Element(self.group, self._encode(coords, gj.coeffs), gj.perm)
 
     def membership(self, x: Element) -> GnMembership:
         """Decide membership and, if so, express x as lattice part times the

@@ -150,10 +150,6 @@ class CoeffVector:
     def zero(cls, n: int, handles: int) -> CoeffVector:
         return cls(((0,) * handles,) * n)
 
-    @classmethod
-    def from_rows(cls, rows) -> CoeffVector:
-        return cls(tuple([tuple([int(v) for v in row]) for row in rows]))
-
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.rows for v in row)
 
@@ -245,10 +241,6 @@ class Element:
         rows = [(0,) * handles] * n
         rows[i - 1] = tuple(row)
         return cls._build(group, CoeffVector(tuple(rows)), Permutation.identity(n))
-
-    @classmethod
-    def from_coeffs(cls, group: GroupDescriptor, rows) -> Element:
-        return cls._build(group, CoeffVector.from_rows(rows), Permutation.identity(group.n))
 
     def __mul__(self, other: Element) -> Element:
         if self.group != other.group:

@@ -31,10 +31,6 @@ class IntMatrix:
                 raise ValueError("ragged rows")
 
     @classmethod
-    def from_rows(cls, rows) -> IntMatrix:
-        return cls(tuple([tuple([int(v) for v in row]) for row in rows]))
-
-    @classmethod
     def identity(cls, m: int) -> IntMatrix:
         return cls(tuple([tuple([1 if i == j else 0 for j in range(m)]) for i in range(m)]))
 

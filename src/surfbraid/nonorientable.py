@@ -174,13 +174,9 @@ def finite_normal_subgroup(group: GroupDescriptor) -> FiniteNormalWitness:
     the projective plane this is the entire kernel); normality is verified
     by conjugating every generator by every group generator.
     """
-    if group.kind == core.SPHERE:
-        if group.n < 3:
-            raise UnsupportedSurfaceError(
-                f"sphere structure is only available for n >= 3, got n={group.n}"
-            )
+    if group.kind == core.SPHERE:  # kernel_structure checks n >= 3 and names the full twist
         return FiniteNormalWitness(
-            (full_twist_word(group).text(),),
+            kernel_structure(group).torsion_generator_words,
             2,
             False,
             "order-2 full twist class; centrality recorded, not recomputed",

@@ -7,7 +7,8 @@ Detection and the power formula read the cycle-sum map S_w of
 zero over every cycle of w.  Conjugators come from one breadth-first walk of
 the Schreier graph, :func:`conjugator_to_section`.  The lattice is a sum of
 permutation modules, so by Shapiro's lemma that walk closes exactly on finite
-subgroups; the S_n copies and the Frobenius copies are two named cases.
+subgroups.  The S_n copies and the Frobenius copies, the sections of
+:func:`frobenius_pair` conjugated by a partial-sum alpha, are two named cases.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def conjugator_to_section(theta: Element, *others: Element, root: int = 1) -> El
                     queue.append(d)
                 elif rows[d - 1] != there:
                     raise InfiniteOrderError("only finite-order elements are conjugate to a section")
-    alpha = Element.from_coeffs(group, rows)
+    alpha = Element(group, CoeffVector(tuple(rows)), Permutation.identity(n))
     for x in elements:
         check(Element.section(group, x.perm).conjugated_by(alpha) == x,
               "the conjugator must carry the section to the element")
@@ -210,79 +211,50 @@ def symmetric_copy_conjugator(group: GroupDescriptor, images: list[Element]) -> 
 
 @dataclass(frozen=True)
 class FrobeniusEmbedding:
-    """Parameters of an embedded order-10 Frobenius group over five strands.
-
-    For each handle block r the lattice part of the order-5 generator image
-    is (a1, a2, a3, a4, -a1-a2-a3-a4) and the order-2 generator image is
-    forced to (x, y, -y, -x, 0) with x = -a2-a3-a4 and y = -a3.
+    """Parameters of an embedded order-10 Frobenius group over five strands:
+    per handle block r, the pure-lattice alpha has rows a1, a1+a2, a1+a2+a3,
+    a1+..+a4 and 0.  Conjugating the sections by alpha yields the lattice
+    part (a1, a2, a3, a4, -a1-a2-a3-a4) over the 5-cycle and (x, y, -y, -x, 0)
+    with x = -a2-a3-a4 and y = -a3 over (1 4)(2 3).
     """
 
     genus: int
     blocks: tuple[tuple[int, int, int, int], ...]
-
-    N_STRANDS = 5
 
     def __post_init__(self):
         if self.genus < 1:
             raise ValueError(f"genus must be >= 1, got {self.genus}")
         if len(self.blocks) != 2 * self.genus:
             raise ValueError(f"need {2 * self.genus} parameter blocks, got {len(self.blocks)}")
-        if any(len(b) != 4 for b in self.blocks):
-            raise ValueError("each parameter block has exactly four integers")
+        if any([len(b) != 4 or any([type(v) is not int for v in b]) for b in self.blocks]):
+            raise ValueError("each parameter block has exactly four integers")  # never coerced
 
     @classmethod
     def zero(cls, genus: int) -> FrobeniusEmbedding:
         return cls(genus, ((0, 0, 0, 0),) * (2 * genus))
 
-    @classmethod
-    def single_block(cls, genus: int, r: int, params: tuple[int, int, int, int]) -> FrobeniusEmbedding:
-        if not 1 <= r <= 2 * genus:
-            raise ValueError(f"handle index {r} out of range 1..{2 * genus}")
-        blocks = [(0, 0, 0, 0)] * (2 * genus)
-        blocks[r - 1] = tuple([int(v) for v in params])
-        return cls(genus, tuple(blocks))
-
     @property
     def group(self) -> GroupDescriptor:
-        return GroupDescriptor.orientable(self.N_STRANDS, self.genus)
-
-    @property
-    def five_cycle(self) -> Permutation:
-        return Permutation.from_cycles(self.N_STRANDS, (1, 2, 3, 4, 5))
-
-    @property
-    def double_transposition(self) -> Permutation:
-        return Permutation.from_cycles(self.N_STRANDS, (1, 4), (2, 3))
+        return GroupDescriptor.orientable(5, self.genus)
 
 
 def frobenius_embed(emb: FrobeniusEmbedding) -> tuple[Element, Element]:
-    """Images (v1, v2) of the order-5 and order-2 generators: v1**5 == 1,
-    v2**2 == 1 and v2 * v1 * v2^{-1} == v1**4."""
-    g2 = 2 * emb.genus
-    rows1 = []
-    rows2 = []
-    for i in range(5):
-        row1 = []
-        row2 = []
-        for r in range(g2):
-            a1, a2, a3, a4 = emb.blocks[r]
-            col1 = (a1, a2, a3, a4, -a1 - a2 - a3 - a4)
-            x, y = -a2 - a3 - a4, -a3
-            col2 = (x, y, -y, -x, 0)
-            row1.append(col1[i])
-            row2.append(col2[i])
-        rows1.append(tuple(row1))
-        rows2.append(tuple(row2))
+    """Images (v1, v2) of the order-5 and order-2 generators: the sections of
+    the 5-cycle and of (1 4)(2 3), :func:`frobenius_pair` at p = 5, conjugated
+    by the partial-sum alpha of :class:`FrobeniusEmbedding`.  As conjugates of
+    sections, v1**5 == 1, v2**2 == 1 and v2 * v1 * v2^{-1} == v1**4."""
     group = emb.group
-    v1 = Element(group, CoeffVector(tuple(rows1)), emb.five_cycle)
-    v2 = Element(group, CoeffVector(tuple(rows2)), emb.double_transposition)
+    rows = [tuple([sum(block[:i]) for block in emb.blocks]) for i in range(1, 5)]
+    alpha = Element(group, CoeffVector(tuple(rows + [(0,) * len(emb.blocks)])), Permutation.identity(5))
+    v1, v2 = [Element.section(group, w).conjugated_by(alpha) for w in frobenius_pair(5)]
     return v1, v2
 
 
 def frobenius_conjugator(emb: FrobeniusEmbedding) -> Element:
     """The pure-lattice a with a[5] = 0 carrying both sections to the
     :func:`frobenius_embed` images: the walk of :func:`conjugator_to_section`
-    anchored at strand 5.  Per block a is (a1, a1+a2, a1+a2+a3, a1+..+a4, 0)."""
+    anchored at strand 5, which finds the partial-sum alpha again from the
+    images alone."""
     return conjugator_to_section(*frobenius_embed(emb), root=5)
 
 
@@ -323,6 +295,24 @@ def multiplication_permutation(p: int, l: int) -> Permutation:
     return Permutation(tuple(images))
 
 
+def frobenius_pair(p: int, l: int | None = None) -> tuple[Permutation, Permutation]:
+    """The generators of the Frobenius group of order p(p-1)/2: the p-cycle
+    w1 = (1,2,...,p) and the multiplication-by-l permutation w2, where l has
+    multiplicative order (p-1)/2 modulo p (by default :func:`default_multiplier`).
+    Checked: w2 * w1 * w2^{-1} == w1**l.  At p = 5 the default l = 4 gives the
+    5-cycle and (1 4)(2 3)."""
+    if not _is_prime(p) or p < 5:
+        raise BadPrimeError(f"p must be an odd prime >= 5, got {p}")
+    if l is None:
+        l = default_multiplier(p)
+    if not 2 <= l <= p - 1 or _multiplicative_order(l, p) != (p - 1) // 2:
+        raise BadMultiplierError(f"{l} does not have multiplicative order {(p - 1) // 2} mod {p}")
+    w1 = Permutation.from_cycles(p, tuple(range(1, p + 1)))
+    w2 = multiplication_permutation(p, l)
+    check(w2 * w1 * w2.inverse() == w1**l, "w2 must conjugate the p-cycle to its l-th power")
+    return w1, w2
+
+
 def frobenius_torsion_element(
     group: GroupDescriptor,
     p: int,
@@ -331,8 +321,7 @@ def frobenius_torsion_element(
     lift2: CoeffVector | None = None,
 ) -> Element:
     """An order-p element in any subgroup projecting onto the Frobenius group
-    generated by the p-cycle w1 = (1,2,...,p) and the multiplication-by-l
-    permutation w2, where l has multiplicative order (p-1)/2.
+    generated by the pair (w1, w2) of :func:`frobenius_pair`.
 
     Given arbitrary lattice lifts v_i = lift_i * section(w_i), the
     commutator [v2, v1] = v2 * v1 * v2^{-1} * v1^{-1} lies over
@@ -341,22 +330,14 @@ def frobenius_torsion_element(
     order exactly p.  This is why no such subgroup is torsion free.
     """
     group.require_orientable("Frobenius torsion construction")
-    if not _is_prime(p) or p < 5:
-        raise BadPrimeError(f"p must be an odd prime >= 5, got {p}")
+    w1, w2 = frobenius_pair(p, l)
     if group.n != p:
         raise GroupMismatchError(f"group has {group.n} strands, need n = p = {p}")
-    if l is None:
-        l = default_multiplier(p)
-    if not 2 <= l <= p - 1 or _multiplicative_order(l, p) != (p - 1) // 2:
-        raise BadMultiplierError(f"{l} does not have multiplicative order {(p - 1) // 2} mod {p}")
     handles = group.handle_count
     if lift1 is None:
         lift1 = CoeffVector.zero(p, handles)
     if lift2 is None:
         lift2 = CoeffVector.zero(p, handles)
-    w1 = Permutation.from_cycles(p, tuple(range(1, p + 1)))
-    w2 = multiplication_permutation(p, l)
-    check(w2 * w1 * w2.inverse() == w1**l, "w2 must conjugate the p-cycle to its l-th power")
     v1 = Element(group, lift1, w1)
     v2 = Element(group, lift2, w2)
     v = v2 * v1 * v2.inverse() * v1.inverse()

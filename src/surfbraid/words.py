@@ -172,10 +172,6 @@ def normalize(group: GroupDescriptor, word: BraidWord) -> Element:
     return Element._trusted(group, coeffs, Permutation._trusted(tuple(w)))
 
 
-def normalize_text(group: GroupDescriptor, text: str) -> Element:
-    return normalize(group, parse(group, text))
-
-
 def sigma_word(indices: Iterable[int], exp: int = 1) -> BraidWord:
     return BraidWord(tuple(Letter(SIGMA, i, 0, exp) for i in indices))
 

@@ -3,7 +3,9 @@ brute-force multiplication, rational linear algebra on flattened vectors,
 cofactor determinants, triple-loop matrix products, Smith normal form,
 principal-minor sums, the Bieberbach lattice basis and holonomy blocks
 written out by hand, column-sum cycle sums and the coordinate-by-coordinate
-torsion scan.
+torsion scan.  Plus the constructors only tests need: matrices, lattice
+elements and Frobenius blocks from nested lists, words from text, and
+Bieberbach elements from coordinates.  None of them coerces an entry.
 """
 
 from __future__ import annotations
@@ -19,6 +21,39 @@ from surfbraid.core import CoeffVector, Element, GroupDescriptor
 from surfbraid.intmatrix import IntMatrix
 from surfbraid.intpoly import IntPoly
 from surfbraid.permutations import Permutation
+from surfbraid.torsion import FrobeniusEmbedding
+from surfbraid.words import normalize, parse
+
+
+def int_matrix(rows) -> IntMatrix:
+    """The integer matrix with the given rows, entries taken as they are."""
+    return IntMatrix(tuple([tuple(row) for row in rows]))
+
+
+def lattice_element(group: GroupDescriptor, rows) -> Element:
+    """The pure-lattice element with the given coefficient rows, entries
+    taken as they are; the Element constructor validates the shape."""
+    return Element(group, CoeffVector(tuple([tuple(row) for row in rows])), Permutation.identity(group.n))
+
+
+def single_block(genus: int, r: int, params: tuple[int, int, int, int]) -> FrobeniusEmbedding:
+    """The Frobenius embedding whose only nonzero parameter block is block r."""
+    blocks = [(0, 0, 0, 0)] * (2 * genus)
+    blocks[r - 1] = tuple(params)
+    return FrobeniusEmbedding(genus, tuple(blocks))
+
+
+def normalize_text(group: GroupDescriptor, text: str) -> Element:
+    """The normal form of a braid word given as text."""
+    return normalize(group, parse(group, text))
+
+
+def element_from_coords(desc: BieberbachDescriptor, j: int, coords: tuple[int, ...]) -> Element:
+    """theta * generator**j, theta the lattice vector with the given
+    coordinates: theta's rows added to those of generator**j, through the
+    validating Element constructor."""
+    gj = desc.powers[j]
+    return Element(desc.group, desc.coeffs_from_coords(coords) + gj.coeffs, gj.perm)
 
 
 def random_element(rng: random.Random, group: GroupDescriptor, bound: int = 3) -> Element:
@@ -78,7 +113,7 @@ def product_over_strands(group: GroupDescriptor, r: int, exponent: int) -> Eleme
     """The pure-lattice element a[1,r]^e a[2,r]^e ... a[n,r]^e."""
     rows = [[exponent if col == r else 0 for col in range(1, group.handle_count + 1)]
             for _ in range(group.n)]
-    return Element.from_coeffs(group, rows)
+    return lattice_element(group, rows)
 
 
 def reference_lattice_basis(n: int, g: int) -> list[Element]:
@@ -119,7 +154,7 @@ def reference_cycle_sums(x: Element) -> list[tuple[tuple[int, ...], tuple[int, .
 def reference_torsion_scan(desc: BieberbachDescriptor, bound: int) -> TorsionScanReport:
     """The coordinate-by-coordinate scan: every coordinate tuple of the box
     from itertools.product, in lexicographic order, and every residue j, each
-    element built with ``element_from_coords`` and checked with
+    element built with :func:`element_from_coords` and checked with
     ``bieberbach.order`` (looked up at call time, so a patch applies)."""
     n, g = desc.n, desc.genus
     hits, mismatches, scanned = [], [], 0
@@ -127,7 +162,7 @@ def reference_torsion_scan(desc: BieberbachDescriptor, bound: int) -> TorsionSca
         handle1 = n * sum(coords[:n])
         for j in range(n):
             scanned += 1
-            elt = desc.element_from_coords(j, coords)
+            elt = element_from_coords(desc, j, coords)
             if bieberbach.order(elt).is_finite:
                 obstruction = handle1 + j
                 if obstruction != 0:
@@ -147,7 +182,7 @@ def block_diag(*blocks: IntMatrix) -> IntMatrix:
         for i, row in enumerate(b.rows):
             rows[offset + i][offset:offset + b.nrows] = row
         offset += b.nrows
-    return IntMatrix.from_rows(rows)
+    return int_matrix(rows)
 
 
 def reference_holonomy_matrix(n: int, g: int) -> IntMatrix:
@@ -168,7 +203,7 @@ def reference_holonomy_matrix(n: int, g: int) -> IntMatrix:
     shift[0][n - 1] = 1
     for j in range(1, n):
         shift[j][j - 1] = 1
-    blocks = [IntMatrix.from_rows(block1)] + [IntMatrix.from_rows(shift)] * (2 * g - 1)
+    blocks = [int_matrix(block1)] + [int_matrix(shift)] * (2 * g - 1)
     return block_diag(*blocks)
 
 
@@ -282,7 +317,7 @@ def matmul_by_triple_loop(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         for j in range(b.ncols):
             for k in range(a.ncols):
                 rows[i][j] += a.rows[i][k] * b.rows[k][j]
-    return IntMatrix.from_rows(rows)
+    return int_matrix(rows)
 
 
 def sum_principal_minors(matrix: IntMatrix, k: int) -> int:

@@ -125,6 +125,8 @@ def test_criterion_4_subgroup_conjugators():
         for i in range(1, n):
             section = Element.section(group, Permutation.transposition(n, i))
             assert section.conjugated_by(x) == images[i - 1]
+    five_cycle = Permutation.from_cycles(5, (1, 2, 3, 4, 5))
+    double_transposition = Permutation.from_cycles(5, (1, 4), (2, 3))
     for _ in range(200):
         g = rng.randint(1, 2)
         emb = FrobeniusEmbedding(
@@ -132,8 +134,8 @@ def test_criterion_4_subgroup_conjugators():
         )
         conj = frobenius_conjugator(emb)
         v1, v2 = frobenius_embed(emb)
-        assert Element.section(emb.group, emb.five_cycle).conjugated_by(conj) == v1
-        assert Element.section(emb.group, emb.double_transposition).conjugated_by(conj) == v2
+        assert Element.section(emb.group, five_cycle).conjugated_by(conj) == v1
+        assert Element.section(emb.group, double_transposition).conjugated_by(conj) == v2
 
 
 @criterion(5, "Bieberbach structure: power identity, char poly, det, centre (n <= 6, g <= 3)")

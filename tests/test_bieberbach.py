@@ -13,13 +13,15 @@ from surfbraid.errors import DomainError, VerificationError
 from surfbraid.intmatrix import IntMatrix
 from surfbraid.permutations import Permutation
 from surfbraid.torsion import OrderResult, order
-from surfbraid.words import normalize_text
 
 from helpers import (
     basis_vector,
+    element_from_coords,
+    int_matrix,
     integer_span_coords,
     matrix_apply,
     matrix_column,
+    normalize_text,
     product_over_strands,
     reference_holonomy_matrix,
     reference_lattice_basis,
@@ -111,13 +113,11 @@ def test_holonomy_matrix_checks_every_column(monkeypatch):
         make_bieberbach(3, 1).holonomy_matrix()
 
 
-def test_element_from_coords_rejects_an_out_of_range_residue():
+def test_coeffs_from_coords_rejects_a_wrong_coordinate_count():
     desc = make_bieberbach(3, 1)
-    for j in (-1, 3):
-        with pytest.raises(ValueError, match="holonomy residue"):
-            desc.element_from_coords(j, (0,) * 6)
-    with pytest.raises(ValueError, match="coordinates"):
-        desc.element_from_coords(0, (0,) * 5)
+    for count in (5, 7):
+        with pytest.raises(ValueError, match="need 6 coordinates"):
+            desc.coeffs_from_coords((0,) * count)
 
 
 def test_membership_examples():
@@ -146,7 +146,7 @@ def test_membership_reconstruction_round_trip():
         for _ in range(40):
             coords = tuple(rng.randint(-4, 4) for _ in range(dim))
             j = rng.randint(0, n - 1)
-            x = desc.element_from_coords(j, coords)
+            x = element_from_coords(desc, j, coords)
             result = desc.membership(x)
             assert result.in_group and result.j == j and result.coords == coords
 
@@ -174,12 +174,12 @@ def test_lattice_characterisation_against_span_oracle():
 
 def test_holonomy_matrix_two_strands_frozen():
     matrix = make_bieberbach(2, 1).holonomy_matrix()
-    assert matrix == IntMatrix.from_rows([[1, 2, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    assert matrix == int_matrix([[1, 2, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 
 
 def test_holonomy_matrix_three_strands_block_pattern():
     matrix = make_bieberbach(3, 1).holonomy_matrix()
-    assert matrix == IntMatrix.from_rows(
+    assert matrix == int_matrix(
         [
             [1, 0, 3, 0, 0, 0],
             [0, 0, -1, 0, 0, 0],
@@ -258,7 +258,7 @@ def test_centre_exhaustive_small():
     commuting = set()
     for coords in itertools.product(range(-2, 3), repeat=4):
         for j in range(2):
-            x = desc.element_from_coords(j, coords)
+            x = element_from_coords(desc, j, coords)
             if all(x * gen == gen * x for gen in desc.x_generators):
                 assert j == 0
                 commuting.add(coords)
@@ -285,7 +285,7 @@ def test_centre_no_extra_commuting_elements_sampled():
             )
             if in_span:
                 continue
-            x = desc.element_from_coords(j, coords)
+            x = element_from_coords(desc, j, coords)
             assert not all(x * gen == gen * x for gen in desc.x_generators)
 
 
@@ -317,7 +317,7 @@ def test_random_subgroup_members_are_torsion_free():
         for _ in range(200):
             coords = tuple(rng.randint(-3, 3) for _ in range(dim))
             j = rng.randint(0, n - 1)
-            x = desc.element_from_coords(j, coords)
+            x = element_from_coords(desc, j, coords)
             if x.is_identity():
                 continue
             assert not order(x).is_finite
@@ -336,7 +336,7 @@ def test_scan_and_membership_raise_no_power_after_construction(monkeypatch):
     assert report.passed and report.scanned == 3**6 * 3
     for j in range(3):
         coords = (1, -1, 0, 2, 0, -3)
-        x = desc.element_from_coords(j, coords)
+        x = element_from_coords(desc, j, coords)
         assert desc.membership(x) == GnMembership(True, j, coords)
     # the lattice part of generator**1 over another permutation: not a member
     for w in (Permutation.transposition(3, 1), Permutation.from_cycles(3, (1, 2, 3)).inverse()):
@@ -364,7 +364,7 @@ def test_scanned_elements_are_built_without_a_product(monkeypatch):
         report = desc.torsion_scan(1)
         assert report.passed and report.scanned == 3 ** (2 * n * g) * n
         for j, coords, x in expected:
-            assert desc.element_from_coords(j, coords) == x
+            assert element_from_coords(desc, j, coords) == x
         monkeypatch.undo()
 
 

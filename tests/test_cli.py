@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +84,95 @@ def test_frobenius_commands(capsys):
     torsion = run_json(capsys, "frobenius", "torsion", "--p", "5", "--l", "4")
     assert torsion["order"] == 5
     assert run_json(capsys, "frobenius", "torsion", "--p", "7")["order"] == 7
+
+
+# Recorded stdout of the Frobenius commands, zero and nonzero blocks at each
+# genus and the default and an explicit multiplier at each prime: the copies
+# built by conjugating the sections of the pair, their conjugators and the
+# torsion elements stay byte-identical.
+FROBENIUS_STDOUT = [
+    ('frobenius embed --genus 1',
+     '{"v1": {"n": 5, "g": 1, "perm": [2, 3, 4, 5, 1], "coeffs": [[0, 0], [0, 0], [0, 0], '
+     '[0, 0], [0, 0]]}, "v2": {"n": 5, "g": 1, "perm": [4, 3, 2, 1, 5], "coeffs": [[0, '
+     '0], [0, 0], [0, 0], [0, 0], [0, 0]]}}'),
+    ("frobenius embed --genus 1 --blocks '[[-3,1,0,2],[5,-1,2,-2]]'",
+     '{"v1": {"n": 5, "g": 1, "perm": [2, 3, 4, 5, 1], "coeffs": [[-3, 5], [1, -1], [0, '
+     '2], [2, -2], [0, -4]]}, "v2": {"n": 5, "g": 1, "perm": [4, 3, 2, 1, 5], "coeffs": '
+     '[[-3, 1], [0, -2], [0, 2], [3, -1], [0, 0]]}}'),
+    ('frobenius embed --genus 2',
+     '{"v1": {"n": 5, "g": 2, "perm": [2, 3, 4, 5, 1], "coeffs": [[0, 0, 0, 0], [0, 0, 0, '
+     '0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}, "v2": {"n": 5, "g": 2, "perm": [4, '
+     '3, 2, 1, 5], "coeffs": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, '
+     '0, 0, 0]]}}'),
+    ("frobenius embed --genus 2 --blocks '[[1,2,3,4],[-1,-2,-3,-4],[7,0,-7,1],[2,2,2,2]]'",
+     '{"v1": {"n": 5, "g": 2, "perm": [2, 3, 4, 5, 1], "coeffs": [[1, -1, 7, 2], [2, -2, '
+     '0, 2], [3, -3, -7, 2], [4, -4, 1, 2], [-10, 10, -1, -8]]}, "v2": {"n": 5, "g": 2, '
+     '"perm": [4, 3, 2, 1, 5], "coeffs": [[-9, 9, 6, -6], [-3, 3, 7, -2], [3, -3, -7, 2], '
+     '[9, -9, -6, 6], [0, 0, 0, 0]]}}'),
+    ('frobenius embed --genus 3',
+     '{"v1": {"n": 5, "g": 3, "perm": [2, 3, 4, 5, 1], "coeffs": [[0, 0, 0, 0, 0, 0], [0, '
+     '0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]}, "v2": '
+     '{"n": 5, "g": 3, "perm": [4, 3, 2, 1, 5], "coeffs": [[0, 0, 0, 0, 0, 0], [0, 0, 0, '
+     '0, 0, 0], [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]}}'),
+    ("frobenius embed --genus 3 --blocks '[[1,2,3,4],[0,0,0,0],[5,6,7,8],[-1,0,1,0],[9,-9,9,-9],[0,0,0,1]]'",
+     '{"v1": {"n": 5, "g": 3, "perm": [2, 3, 4, 5, 1], "coeffs": [[1, 0, 5, -1, 9, 0], '
+     '[2, 0, 6, 0, -9, 0], [3, 0, 7, 1, 9, 0], [4, 0, 8, 0, -9, 1], [-10, 0, -26, 0, 0, '
+     '-1]]}, "v2": {"n": 5, "g": 3, "perm": [4, 3, 2, 1, 5], "coeffs": [[-9, 0, -21, -1, '
+     '9, -1], [-3, 0, -7, -1, -9, 0], [3, 0, 7, 1, 9, 0], [9, 0, 21, 1, -9, 1], [0, 0, 0, '
+     '0, 0, 0]]}}'),
+    ('frobenius conjugator --genus 1',
+     '{"n": 5, "g": 1, "perm": [1, 2, 3, 4, 5], "coeffs": [[0, 0], [0, 0], [0, 0], [0, '
+     '0], [0, 0]]}'),
+    ("frobenius conjugator --genus 1 --blocks '[[-3,1,0,2],[5,-1,2,-2]]'",
+     '{"n": 5, "g": 1, "perm": [1, 2, 3, 4, 5], "coeffs": [[-3, 5], [-2, 4], [-2, 6], [0, '
+     '4], [0, 0]]}'),
+    ('frobenius conjugator --genus 2',
+     '{"n": 5, "g": 2, "perm": [1, 2, 3, 4, 5], "coeffs": [[0, 0, 0, 0], [0, 0, 0, 0], '
+     '[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}'),
+    ("frobenius conjugator --genus 2 --blocks '[[1,2,3,4],[-1,-2,-3,-4],[7,0,-7,1],[2,2,2,2]]'",
+     '{"n": 5, "g": 2, "perm": [1, 2, 3, 4, 5], "coeffs": [[1, -1, 7, 2], [3, -3, 7, 4], '
+     '[6, -6, 0, 6], [10, -10, 1, 8], [0, 0, 0, 0]]}'),
+    ('frobenius conjugator --genus 3',
+     '{"n": 5, "g": 3, "perm": [1, 2, 3, 4, 5], "coeffs": [[0, 0, 0, 0, 0, 0], [0, 0, 0, '
+     '0, 0, 0], [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]}'),
+    ("frobenius conjugator --genus 3 --blocks '[[1,2,3,4],[0,0,0,0],[5,6,7,8],[-1,0,1,0],[9,-9,9,-9],[0,0,0,1]]'",
+     '{"n": 5, "g": 3, "perm": [1, 2, 3, 4, 5], "coeffs": [[1, 0, 5, -1, 9, 0], [3, 0, '
+     '11, -1, 0, 0], [6, 0, 18, 0, 9, 0], [10, 0, 26, 0, 0, 1], [0, 0, 0, 0, 0, 0]]}'),
+    ('frobenius torsion --p 5',
+     '{"element": {"n": 5, "g": 1, "perm": [4, 5, 1, 2, 3], "coeffs": [[0, 0], [0, 0], '
+     '[0, 0], [0, 0], [0, 0]]}, "order": 5}'),
+    ('frobenius torsion --p 5 --l 4',
+     '{"element": {"n": 5, "g": 1, "perm": [4, 5, 1, 2, 3], "coeffs": [[0, 0], [0, 0], '
+     '[0, 0], [0, 0], [0, 0]]}, "order": 5}'),
+    ('frobenius torsion --p 7',
+     '{"element": {"n": 7, "g": 1, "perm": [2, 3, 4, 5, 6, 7, 1], "coeffs": [[0, 0], [0, '
+     '0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]}, "order": 7}'),
+    ('frobenius torsion --p 7 --l 4',
+     '{"element": {"n": 7, "g": 1, "perm": [4, 5, 6, 7, 1, 2, 3], "coeffs": [[0, 0], [0, '
+     '0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]}, "order": 7}'),
+    ('frobenius torsion --p 11',
+     '{"element": {"n": 11, "g": 1, "perm": [3, 4, 5, 6, 7, 8, 9, 10, 11, 1, 2], '
+     '"coeffs": [[0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], '
+     '[0, 0], [0, 0]]}, "order": 11}'),
+    ('frobenius torsion --p 11 --l 5',
+     '{"element": {"n": 11, "g": 1, "perm": [5, 6, 7, 8, 9, 10, 11, 1, 2, 3, 4], '
+     '"coeffs": [[0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], '
+     '[0, 0], [0, 0]]}, "order": 11}'),
+    ('frobenius torsion --p 13',
+     '{"element": {"n": 13, "g": 1, "perm": [4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 1, 2, 3], '
+     '"coeffs": [[0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], '
+     '[0, 0], [0, 0], [0, 0], [0, 0]]}, "order": 13}'),
+    ('frobenius torsion --p 13 --l 10',
+     '{"element": {"n": 13, "g": 1, "perm": [10, 11, 12, 13, 1, 2, 3, 4, 5, 6, 7, 8, 9], '
+     '"coeffs": [[0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], '
+     '[0, 0], [0, 0], [0, 0], [0, 0]]}, "order": 13}'),
+]
+
+
+def test_frobenius_commands_print_their_recorded_output(capsys):
+    for command, stdout in FROBENIUS_STDOUT:
+        code, out, err = run(capsys, *shlex.split(command))
+        assert (code, out, err) == (0, stdout + "\n", ""), command
 
 
 def test_bieberbach_commands(capsys):
@@ -261,6 +351,13 @@ GOOD = '{"n":2,"g":1,"perm":[1,2],"coeffs":[[1,0],[0,0]]}'
         ["frobenius", "embed", "--blocks", "7"],
         ["frobenius", "torsion", "--lift1", '[[1,0],[0,0],[0,0],[0,0],["1",0]]'],
         ["frobenius", "torsion", "--lift1", "[[1,0],[0,0],[0,0],[0,0],[0]]"],
+        ["frobenius", "torsion", "--p", "7", "--lift1", "[[1,2]]"],
+        ["frobenius", "torsion", "--lift2", "[[1,0],[0,0],[0,0],[0,0],[0,0,0]]"],
+        # no element arithmetic on the sphere, and no sphere kernel below n = 3
+        ["normalize", "--surface", "sphere", "--n", "3", "s1"],
+        ["normalize", "--surface", "sphere", "--n", "3", "a[1,1]"],
+        ["normalize", "--surface", "sphere", "--n", "3", ""],
+        ["verdict", "--surface", "sphere", "--n", "2"],
     ],
 )
 def test_non_integer_or_ragged_input_exits_2(capsys, argv):

@@ -13,7 +13,7 @@ from surfbraid.core import (
 from surfbraid.errors import GroupMismatchError, UnsupportedSurfaceError
 from surfbraid.permutations import Permutation
 
-from helpers import basis_vector, random_element, random_permutation, scaled
+from helpers import basis_vector, normalize_text, random_element, random_permutation, scaled
 
 T2 = GroupDescriptor.torus(2)
 T3 = GroupDescriptor.torus(3)
@@ -181,8 +181,6 @@ def test_json_round_trip():
 
 
 def test_word_text_round_trips_through_normalize():
-    from surfbraid.words import normalize_text
-
     rng = random.Random(53)
     for _ in range(20):
         x = random_element(rng, GroupDescriptor.orientable(4, 2))

@@ -8,17 +8,18 @@ from surfbraid.intpoly import IntPoly
 from helpers import (
     char_poly_by_cofactors,
     cofactor_det,
+    int_matrix,
     matmul_by_triple_loop,
     smith_invariant_factors,
 )
 
 
 def random_matrix(rng, m, bound=4):
-    return IntMatrix.from_rows([[rng.randint(-bound, bound) for _ in range(m)] for _ in range(m)])
+    return int_matrix([[rng.randint(-bound, bound) for _ in range(m)] for _ in range(m)])
 
 
 def sparse_random_matrix(rng, nrows, ncols, density=0.3, bound=5):
-    return IntMatrix.from_rows(
+    return int_matrix(
         [
             [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(ncols)]
             for _ in range(nrows)
@@ -31,22 +32,22 @@ def companion_of_x_pow_minus_one(n):
     rows[0][n - 1] = 1
     for j in range(1, n):
         rows[j][j - 1] = 1
-    return IntMatrix.from_rows(rows)
+    return int_matrix(rows)
 
 
 def test_shape_validation():
     with pytest.raises(ValueError):
         IntMatrix(((1, 2), (3,)))
     with pytest.raises(ValueError):
-        IntMatrix.from_rows([[1, 2]]).det()
+        int_matrix([[1, 2]]).det()
 
 
 def test_product_and_power():
-    a = IntMatrix.from_rows([[1, 1], [0, 1]])
-    assert a * a == IntMatrix.from_rows([[1, 2], [0, 1]])
-    assert a**5 == IntMatrix.from_rows([[1, 5], [0, 1]])
+    a = int_matrix([[1, 1], [0, 1]])
+    assert a * a == int_matrix([[1, 2], [0, 1]])
+    assert a**5 == int_matrix([[1, 5], [0, 1]])
     assert a**0 == IntMatrix.identity(2)
-    assert (a - a) == IntMatrix.from_rows([[0, 0], [0, 0]])
+    assert (a - a) == int_matrix([[0, 0], [0, 0]])
     assert a.trace() == 2
 
 
@@ -58,13 +59,13 @@ def test_sparse_product_against_triple_loop_oracle():
         b = sparse_random_matrix(rng, q, r, density=rng.choice([0.0, 0.15, 0.4, 1.0]))
         assert a * b == matmul_by_triple_loop(a, b)
     with pytest.raises(ValueError):
-        IntMatrix.from_rows([[1, 2]]) * IntMatrix.from_rows([[1, 2]])
+        int_matrix([[1, 2]]) * int_matrix([[1, 2]])
 
 
 def test_sparse_product_keeps_big_integers_exact():
     big = 10**30
-    a = IntMatrix.from_rows([[big, 0], [0, -big]])
-    b = IntMatrix.from_rows([[big + 1, 3], [0, big]])
+    a = int_matrix([[big, 0], [0, -big]])
+    b = int_matrix([[big + 1, 3], [0, big]])
     assert a * b == matmul_by_triple_loop(a, b)
     assert (a * b).rows[0][0] == big * (big + 1)
 
@@ -75,15 +76,15 @@ def test_det_against_cofactor_oracle():
         for _ in range(20):
             a = random_matrix(rng, m)
             assert a.det() == cofactor_det([list(r) for r in a.rows])
-    singular = IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 5]])
+    singular = int_matrix([[1, 2, 3], [2, 4, 6], [0, 1, 5]])
     assert singular.det() == 0
 
 
 def test_rank():
     assert IntMatrix.identity(4).rank() == 4
-    assert IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 5]]).rank() == 2
-    assert IntMatrix.from_rows([[0, 0], [0, 0]]).rank() == 0
-    assert IntMatrix.from_rows([[1, 2, 3], [0, 1, 1]]).rank() == 2
+    assert int_matrix([[1, 2, 3], [2, 4, 6], [0, 1, 5]]).rank() == 2
+    assert int_matrix([[0, 0], [0, 0]]).rank() == 0
+    assert int_matrix([[1, 2, 3], [0, 1, 1]]).rank() == 2
 
 
 def test_rank_against_smith_oracle():

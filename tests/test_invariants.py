@@ -21,7 +21,7 @@ from surfbraid.invariants import (
     orientability,
 )
 
-from helpers import block_diag, char_poly_by_cofactors, sum_principal_minors
+from helpers import block_diag, char_poly_by_cofactors, int_matrix, sum_principal_minors
 
 
 def holonomy_rep(n, g):
@@ -30,16 +30,16 @@ def holonomy_rep(n, g):
 
 def diag(*entries):
     m = len(entries)
-    return IntMatrix.from_rows([[entries[i] if i == j else 0 for j in range(m)] for i in range(m)])
+    return int_matrix([[entries[i] if i == j else 0 for j in range(m)] for i in range(m)])
 
 
 def companion_x3_minus_one():
-    return IntMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    return int_matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 
 
 def test_cyclic_rep_validation():
     with pytest.raises(ValueError):
-        CyclicRep(IntMatrix.from_rows([[1, 1], [0, 1]]), 2)  # infinite order
+        CyclicRep(int_matrix([[1, 1], [0, 1]]), 2)  # infinite order
     with pytest.raises(ValueError):
         CyclicRep(IntMatrix.identity(2), 0)
     rep = CyclicRep(diag(-1, -1), 2)
@@ -266,9 +266,9 @@ def test_infinite_order_matrix_is_rejected_within_dimension_products(monkeypatch
 
     monkeypatch.setattr(IntMatrix, "__mul__", counting_mul)
     cases = [
-        IntMatrix.from_rows([[1, 1], [0, 1]]),  # unipotent: cyclotomic char poly, infinite order
-        IntMatrix.from_rows([[2, 1], [1, 1]]),  # hyperbolic: char poly not cyclotomic
-        block_diag(IntMatrix.from_rows([[0, -1], [1, 0]]), IntMatrix.from_rows([[1, 1], [0, 1]])),
+        int_matrix([[1, 1], [0, 1]]),  # unipotent: cyclotomic char poly, infinite order
+        int_matrix([[2, 1], [1, 1]]),  # hyperbolic: char poly not cyclotomic
+        block_diag(int_matrix([[0, -1], [1, 0]]), int_matrix([[1, 1], [0, 1]])),
     ]
     for matrix in cases:
         calls = 0
@@ -277,7 +277,7 @@ def test_infinite_order_matrix_is_rejected_within_dimension_products(monkeypatch
         assert calls <= matrix.nrows + 2
     # finite order above the dimension: the bound is the exact order, 6 here
     calls = 0
-    rep = CyclicRep(IntMatrix.from_rows([[1, -1], [1, 0]]), 6 * 10**4)
+    rep = CyclicRep(int_matrix([[1, -1], [1, 0]]), 6 * 10**4)
     assert len(rep.power_traces) == 6 and calls <= 6
     with pytest.raises(ValueError):  # order 6 does not divide 10^5
-        CyclicRep(IntMatrix.from_rows([[1, -1], [1, 0]]), 10**5)
+        CyclicRep(int_matrix([[1, -1], [1, 0]]), 10**5)

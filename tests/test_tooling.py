@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -29,6 +30,24 @@ def test_hot_modules_build_no_tuple_from_a_generator():
                     and len(node.args) == 1 and isinstance(node.args[0], ast.GeneratorExp)):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"tuple(<generator>) in a hot module: {found}"
+
+
+def test_every_library_function_is_used_by_the_library():
+    # A def that only tests call is a second construction path kept for
+    # them; it belongs in tests/helpers.py.  Each non-dunder def name must
+    # occur in src/surfbraid/ more often than it is defined (an __all__
+    # entry counts).
+    texts = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    defined: dict[str, int] = {}
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    node.name.startswith("__") and node.name.endswith("__")):
+                defined[node.name] = defined.get(node.name, 0) + 1
+    library = "\n".join(texts)
+    unused = sorted(name for name, count in defined.items()
+                    if len(re.findall(rf"\b{name}\b", library)) <= count)
+    assert not unused, f"library functions that nothing in the library uses: {unused}"
 
 
 README = SRC.parent.parent / "README.md"

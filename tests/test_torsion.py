@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from surfbraid import torsion
 from surfbraid.core import CoeffVector, Element, GroupDescriptor
 from surfbraid.errors import (
     BadMultiplierError,
@@ -12,6 +13,7 @@ from surfbraid.errors import (
     NotAnSnEmbeddingError,
     NotDivisibleError,
     NotSingleCycleError,
+    VerificationError,
 )
 from surfbraid.permutations import Permutation
 from surfbraid.torsion import (
@@ -25,6 +27,7 @@ from surfbraid.torsion import (
     default_multiplier,
     frobenius_conjugator,
     frobenius_embed,
+    frobenius_pair,
     frobenius_torsion_element,
     multiplication_permutation,
     order,
@@ -35,15 +38,19 @@ from helpers import (
     basis_vector,
     reference_cycle_sums,
     handle_sums,
+    lattice_element,
     order_by_repeated_mul,
     power_by_repeated_mul,
     random_element,
     random_permutation,
     scaled,
+    single_block,
 )
 
 T2 = GroupDescriptor.torus(2)
 T3 = GroupDescriptor.torus(3)
+FIVE_CYCLE = Permutation.from_cycles(5, (1, 2, 3, 4, 5))
+DOUBLE_TRANSPOSITION = Permutation.from_cycles(5, (1, 4), (2, 3))
 
 
 def a(group, i, r):
@@ -346,7 +353,7 @@ def test_symmetric_copy_conjugator_is_one_schreier_graph_walk(monkeypatch):
     n = 12
     group = GroupDescriptor.orientable(n, 2)
     rows = [[0] * 4] + [[rng.randint(-5, 5) for _ in range(4)] for _ in range(n - 1)]
-    expected = Element.from_coeffs(group, rows)
+    expected = lattice_element(group, rows)
     images = [
         Element.section(group, Permutation.transposition(n, i)).conjugated_by(expected)
         for i in range(1, n)
@@ -386,16 +393,59 @@ def test_symmetric_copy_rejections():
 def test_frobenius_embed_zero_gives_sections():
     emb = FrobeniusEmbedding.zero(1)
     v1, v2 = frobenius_embed(emb)
-    assert v1 == Element.section(emb.group, emb.five_cycle)
-    assert v2 == Element.section(emb.group, emb.double_transposition)
+    assert v1 == Element.section(emb.group, FIVE_CYCLE)
+    assert v2 == Element.section(emb.group, DOUBLE_TRANSPOSITION)
 
 
 def test_frobenius_embed_forced_coefficients():
-    emb = FrobeniusEmbedding.single_block(1, 1, (1, 2, 3, 4))
+    emb = single_block(1, 1, (1, 2, 3, 4))
     v1, v2 = frobenius_embed(emb)
     assert [row[0] for row in v1.coeffs.rows] == [1, 2, 3, 4, -10]
     # x = -(2+3+4) = -9 and y = -3
     assert [row[0] for row in v2.coeffs.rows] == [-9, -3, 3, 9, 0]
+
+
+def _partial_sum_alpha(emb):
+    """The pure-lattice element whose row i holds a1 + ... + ai of each block
+    (i = 1..4) and whose row 5 is zero, summed entry by entry."""
+    rows = [[0] * len(emb.blocks) for _ in range(5)]
+    for r, block in enumerate(emb.blocks):
+        total = 0
+        for i in range(4):
+            total += block[i]
+            rows[i][r] = total
+    return lattice_element(emb.group, rows)
+
+
+def test_frobenius_embed_is_the_pair_conjugated_by_the_partial_sums():
+    rng = random.Random(191)
+    w1, w2 = frobenius_pair(5)
+    for g in (1, 2, 3):
+        for _ in range(40):
+            emb = FrobeniusEmbedding(
+                g, tuple(tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(2 * g))
+            )
+            alpha = _partial_sum_alpha(emb)
+            v1, v2 = frobenius_embed(emb)
+            assert v1 == Element.section(emb.group, w1).conjugated_by(alpha)
+            assert v2 == Element.section(emb.group, w2).conjugated_by(alpha)
+            assert frobenius_conjugator(emb) == alpha
+            for r, (a1, a2, a3, a4) in enumerate(emb.blocks):  # the lift formulas of the docstring
+                assert [row[r] for row in v1.coeffs.rows] == [a1, a2, a3, a4, -a1 - a2 - a3 - a4]
+                x, y = -a2 - a3 - a4, -a3
+                assert [row[r] for row in v2.coeffs.rows] == [x, y, -y, -x, 0]
+
+
+def test_frobenius_blocks_are_rejected_not_coerced():
+    for bad in (1.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="four integers"):
+            FrobeniusEmbedding(1, ((bad, 2, 3, 4), (0, 0, 0, 0)))
+    with pytest.raises(ValueError, match="four integers"):
+        FrobeniusEmbedding(1, ((1, 2, 3, 4), (0, 0, 0)))
+    # the coercing nested-list constructors are gone from the library
+    with pytest.raises(AttributeError):
+        Element.from_coeffs(T2, [[1.7, "3"], [True, 0]])
+    assert not hasattr(CoeffVector, "from_rows")
 
 
 def test_frobenius_relations_hold():
@@ -413,7 +463,7 @@ def test_frobenius_relations_hold():
 
 def test_frobenius_conjugator_examples():
     assert frobenius_conjugator(FrobeniusEmbedding.zero(2)).is_identity()
-    emb = FrobeniusEmbedding.single_block(1, 1, (1, 0, 0, 0))
+    emb = single_block(1, 1, (1, 0, 0, 0))
     conj = frobenius_conjugator(emb)
     assert [row[0] for row in conj.coeffs.rows] == [1, 1, 1, 1, 0]
     rng = random.Random(139)
@@ -423,8 +473,8 @@ def test_frobenius_conjugator_examples():
         )
         conj = frobenius_conjugator(emb)
         v1, v2 = frobenius_embed(emb)
-        assert Element.section(emb.group, emb.five_cycle).conjugated_by(conj) == v1
-        assert Element.section(emb.group, emb.double_transposition).conjugated_by(conj) == v2
+        assert Element.section(emb.group, FIVE_CYCLE).conjugated_by(conj) == v1
+        assert Element.section(emb.group, DOUBLE_TRANSPOSITION).conjugated_by(conj) == v2
 
 
 def test_frobenius_conjugator_is_the_walk_anchored_at_strand_5():
@@ -451,6 +501,27 @@ def test_any_two_frobenius_copies_are_conjugate():
         c = frobenius_conjugator(embs[1]) * frobenius_conjugator(embs[0]).inverse()
         assert v1a.conjugated_by(c) == v1b
         assert v2a.conjugated_by(c) == v2b
+
+
+def test_frobenius_pair(monkeypatch):
+    assert frobenius_pair(5) == (FIVE_CYCLE, DOUBLE_TRANSPOSITION)
+    assert frobenius_pair(5, 4) == frobenius_pair(5)
+    for p, ls in [(7, (2, 4)), (11, (3, 4, 5, 9)), (13, (4, 10))]:
+        for l in (None, *ls):
+            w1, w2 = frobenius_pair(p, l)
+            assert w1 == Permutation.from_cycles(p, tuple(range(1, p + 1)))
+            assert w2 == multiplication_permutation(p, default_multiplier(p) if l is None else l)
+            assert w2 * w1 * w2.inverse() == w1 ** (default_multiplier(p) if l is None else l)
+    for p in (-5, 0, 1, 2, 3, 4, 9, 15, 25):
+        with pytest.raises(BadPrimeError):
+            frobenius_pair(p)
+    for p, l in [(5, 1), (5, 2), (5, 5), (5, 0), (7, 6), (7, 3), (13, 3)]:
+        with pytest.raises(BadMultiplierError):
+            frobenius_pair(p, l)
+    # the conjugation check runs: a w2 that does not normalize w1 is caught
+    monkeypatch.setattr(torsion, "multiplication_permutation", lambda p, l: Permutation.transposition(p, 1))
+    with pytest.raises(VerificationError):
+        frobenius_pair(7)
 
 
 def test_multiplication_permutation():

@@ -13,11 +13,12 @@ from surfbraid.words import (
     check_relations,
     full_twist_word,
     normalize,
-    normalize_text,
     parse,
     sigma_word,
     t_word,
 )
+
+from helpers import normalize_text
 
 
 T2 = GroupDescriptor.torus(2)
