@@ -36,6 +36,7 @@ from .nonorientable import (
     crystallographic_verdict,
     finite_normal_subgroup,
     kernel_structure,
+    normalize_word,
 )
 from .permutations import Permutation
 from .torsion import (
@@ -95,6 +96,7 @@ __all__ = [
     "kernel_structure",
     "make_bieberbach",
     "normalize",
+    "normalize_word",
     "order",
     "orientability",
     "parse",

@@ -14,12 +14,11 @@ import json
 import sys
 from typing import Any
 
-from . import nonorientable, torsion, words
+from . import torsion, words
 from .bieberbach import make_bieberbach
 from .core import CoeffVector, Element, GroupDescriptor, json_int_rows, verify_crystallographic
 from .errors import DomainError, VerificationError
 from .invariants import CyclicRep, invariant_report
-from .nonorientable import MixedElement
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -79,13 +78,9 @@ def _element_from_obj(group: GroupDescriptor, obj: Any) -> Element:
     if not isinstance(obj, dict):
         raise DomainError("bad element encoding: expected a JSON object")
     try:
-        if group.is_orientable:
-            return Element.from_json_obj(group, obj)
-        if group.kind == "nonorientable":
-            return MixedElement.from_json_obj(group, obj)
+        return Element.from_json_obj(group, obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"bad element encoding: {exc}") from exc
-    raise DomainError("the sphere model has no element arithmetic")
 
 
 def _load_coeffs(text: str | None) -> CoeffVector | None:
@@ -111,11 +106,8 @@ def _element_out(args: argparse.Namespace, element: Element) -> None:
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
     group = _group_from_args(args)
-    word = words.parse(group, args.word)
-    if group.kind == "nonorientable":
-        _element_out(args, nonorientable.normalize_word(group, word))
-    else:  # the sphere raises in words.normalize, which has no handle generators there
-        _element_out(args, words.normalize(group, word))
+    # the sphere raises in words.normalize, which has no handle generators there
+    _element_out(args, words.normalize(group, words.parse(group, args.word)))
     return EXIT_OK
 
 

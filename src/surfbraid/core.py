@@ -14,8 +14,9 @@ kernels:
   ``a[i,1], ..., a[i,2g]``;
 * non-orientable genus g: Z_2^n + Z^{n(g-1)}, row i holding the Z_2 torsion
   bit of strand i in column 1 (kept reduced mod 2) and its g-1 free
-  coordinates in columns 2..g.  :class:`surfbraid.nonorientable.MixedElement`
-  is the bits/free view of such an element.
+  coordinates in columns 2..g.  :attr:`Element.bits` and :attr:`Element.free`
+  read the two parts, :func:`rows_from_parts` joins them, and the JSON
+  encoding carries them as ``torsion_bits`` and ``coeffs``.
 
 The handle letters act through :meth:`GroupDescriptor.letter_images`.
 Conjugating a strand generator ``a[j,r]`` by an element with permutation
@@ -99,6 +100,10 @@ class GroupDescriptor:
         if self.kind != ORIENTABLE:
             raise UnsupportedSurfaceError(f"{what} requires an orientable surface, got {self.kind}")
 
+    def require_nonorientable(self, what: str) -> None:
+        if self.kind != NONORIENTABLE:
+            raise UnsupportedSurfaceError(f"{what} requires a non-orientable surface, got {self.kind}")
+
     def letter_images(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Coefficient row of each handle letter, indexed by r - 1, as sparse
         (column, value) pairs with 0-based columns: ``a[j,r]^e`` adds e times
@@ -172,13 +177,26 @@ class CoeffVector:
         return CoeffVector(tuple(rows))
 
 
+def rows_from_parts(bits, free) -> CoeffVector:
+    """The non-orientable coefficient rows: strand j's torsion bit, then its free coordinates."""
+    if len(bits) != len(free):
+        raise ValueError("component sizes do not match the group")
+    return CoeffVector(tuple([(b,) + tuple(f) for b, f in zip(bits, free)]))
+
+
+def _require_elements(group: GroupDescriptor) -> None:
+    """The one sphere check of the constructor and the JSON loader."""
+    if group.kind == SPHERE:
+        raise UnsupportedSurfaceError("the sphere model has no element arithmetic")
+
+
 @dataclass(frozen=True)
 class Element:
     """Normal form ``coeffs * section(perm)`` of a quotient-group element.
 
     The public constructor and class methods validate their input; the
-    results of arithmetic are built by :meth:`_trusted`, which keeps the
-    operand's class and reduces non-orientable torsion bits mod 2.
+    results of arithmetic are built by :meth:`_trusted`, which reduces
+    non-orientable torsion bits mod 2.
     """
 
     group: GroupDescriptor
@@ -187,7 +205,7 @@ class Element:
 
     def __post_init__(self):
         group, rows = self.group, self.coeffs.rows
-        self._require_model(group)
+        _require_elements(group)
         n, handles = group.n, group.handle_count
         if len(rows) != n or len(self.perm.images) != n:
             raise ValueError("coefficient/permutation size does not match the group")
@@ -196,25 +214,13 @@ class Element:
         if group.kind == NONORIENTABLE and any([row[0] not in (0, 1) for row in rows]):
             raise ValueError("torsion bits must be 0 or 1")
 
-    @classmethod
-    def _require_model(cls, group: GroupDescriptor) -> None:
-        if group.kind == SPHERE:
-            raise UnsupportedSurfaceError("the sphere model has no element arithmetic")
-
-    @classmethod
-    def _build(cls, group: GroupDescriptor, coeffs: CoeffVector, perm: Permutation) -> Element:
-        """Validating constructor from parts, for any subclass whatever its __init__."""
-        x = object.__new__(cls)
-        Element.__init__(x, group, coeffs, perm)
-        return x
-
-    @classmethod
-    def _trusted(cls, group: GroupDescriptor, coeffs: CoeffVector, perm: Permutation) -> Element:
+    @staticmethod
+    def _trusted(group: GroupDescriptor, coeffs: CoeffVector, perm: Permutation) -> Element:
         """Constructor for parts computed from valid operands: no validation,
         torsion bits reduced mod 2 on a non-orientable surface."""
         if group.kind == NONORIENTABLE:
             coeffs = CoeffVector(tuple([(row[0] % 2,) + row[1:] for row in coeffs.rows]))
-        x = object.__new__(cls)
+        x = object.__new__(Element)
         object.__setattr__(x, "group", group)
         object.__setattr__(x, "coeffs", coeffs)
         object.__setattr__(x, "perm", perm)
@@ -227,7 +233,7 @@ class Element:
     @classmethod
     def section(cls, group: GroupDescriptor, w: Permutation) -> Element:
         """The canonical section of a permutation: trivial lattice part."""
-        return cls._build(group, CoeffVector.zero(group.n, group.handle_count), w)
+        return cls(group, CoeffVector.zero(group.n, group.handle_count), w)
 
     @classmethod
     def strand_generator(cls, group: GroupDescriptor, i: int, r: int) -> Element:
@@ -240,7 +246,7 @@ class Element:
             row[col] = v
         rows = [(0,) * handles] * n
         rows[i - 1] = tuple(row)
-        return cls._build(group, CoeffVector(tuple(rows)), Permutation.identity(n))
+        return cls(group, CoeffVector(tuple(rows)), Permutation.identity(n))
 
     def __mul__(self, other: Element) -> Element:
         if self.group != other.group:
@@ -269,25 +275,41 @@ class Element:
     def is_identity(self) -> bool:
         return self.coeffs.is_zero() and self.perm.is_identity()
 
+    @property
+    def bits(self) -> tuple[int, ...]:
+        """The Z_2 torsion bit of each strand (non-orientable surfaces only)."""
+        self.group.require_nonorientable("torsion bits")
+        return tuple([row[0] for row in self.coeffs.rows])
+
+    @property
+    def free(self) -> tuple[tuple[int, ...], ...]:
+        """The g-1 free coordinates of each strand (non-orientable surfaces only)."""
+        self.group.require_nonorientable("free coordinates")
+        return tuple([row[1:] for row in self.coeffs.rows])
+
     def to_json_obj(self) -> dict[str, Any]:
-        return {
-            "n": self.group.n,
-            "g": self.group.genus,
-            "perm": list(self.perm.images),
-            "coeffs": [list(row) for row in self.coeffs.rows],
-        }
+        """The JSON encoding; non-orientable rows split into ``torsion_bits`` and ``coeffs``."""
+        obj: dict[str, Any] = {"n": self.group.n, "g": self.group.genus, "perm": list(self.perm.images)}
+        if self.group.kind == NONORIENTABLE:
+            obj["torsion_bits"] = list(self.bits)
+            obj["coeffs"] = [list(row) for row in self.free]
+        else:
+            obj["coeffs"] = [list(row) for row in self.coeffs.rows]
+        return obj
 
     @classmethod
     def from_json_obj(cls, group: GroupDescriptor, obj: dict[str, Any]) -> Element:
+        _require_elements(group)  # before the header, whose genus the sphere lacks
         n, g = obj.get("n"), obj.get("g")
         if type(n) is not int or type(g) is not int or (n, g) != (group.n, group.genus):
             raise ValueError(f"element encodes (n={n}, g={g}), expected "
                              f"(n={group.n}, g={group.genus})")
-        return cls._build(group, cls._coeffs_from_json(obj), Permutation(json_ints(obj["perm"], "perm")))
-
-    @staticmethod
-    def _coeffs_from_json(obj: dict[str, Any]) -> CoeffVector:
-        return CoeffVector(json_int_rows(obj["coeffs"], "coeffs"))
+        if group.kind == NONORIENTABLE:
+            coeffs = rows_from_parts(json_ints(obj["torsion_bits"], "torsion_bits"),
+                                     json_int_rows(obj["coeffs"], "coeffs"))
+        else:
+            coeffs = CoeffVector(json_int_rows(obj["coeffs"], "coeffs"))
+        return cls(group, coeffs, Permutation(json_ints(obj["perm"], "perm")))
 
     def as_word_text(self) -> str:
         """A braid word in the generator grammar that normalizes back to this element."""

@@ -6,8 +6,8 @@ Every invariant is derived from one vector of power traces tr(M^k), computed
 once per CyclicRep: Newton's identities turn the traces of M^j into the
 coefficients of det(I + t M^j), which give the characteristic polynomial
 (j = 1), the determinant and the Betti numbers (all j).  Factoring that
-polynomial into cyclotomic polynomials gives the eigenvalue multiplicities
-behind the Anosov and Kaehler criteria.
+polynomial into cyclotomic polynomials gives the multiplicities that decide
+the Anosov and Kaehler criteria.
 """
 
 from __future__ import annotations
@@ -159,21 +159,6 @@ def betti_numbers(rep: CyclicRep) -> tuple[int, ...]:
     return tuple(betti)
 
 
-def eigenvalue_multiplicities(rep: CyclicRep) -> dict[int, int]:
-    """Multiplicity of each eigenvalue zeta_N^k of the generator, k = 0..N-1.
-
-    The generator has finite order, so its characteristic polynomial is a
-    product of cyclotomic polynomials with indices dividing N, and the
-    eigenvalue zeta_N^k appears as often as the cyclotomic factor of index
-    N/gcd(N,k).
-    """
-    mults = rep.cyclotomic
-    n = rep.order
-    out = {k: mults.get(n // math.gcd(n, k), 0) for k in range(n)}
-    check(sum(out.values()) == rep.dimension, "eigenvalue multiplicities must sum to the dimension")
-    return out
-
-
 def anosov_check(rep: CyclicRep) -> bool:
     """Multiplicity criterion for Anosov diffeomorphisms on the flat manifold:
     every rationally irreducible summand (cyclotomic factor of the
@@ -182,24 +167,17 @@ def anosov_check(rep: CyclicRep) -> bool:
 
 
 def kahler_check(rep: CyclicRep) -> bool:
-    """Even-multiplicity criterion for a Kaehler structure on the flat manifold.
+    """Even-multiplicity criterion for a Kaehler structure on the flat manifold:
+    every real-irreducible summand must have even multiplicity.
 
-    True iff the dimension is even and every real-irreducible summand has
-    even multiplicity.  For a cyclic group of order N the real-irreducible
-    multiplicities are m_0, m_{N/2} (N even), and m_k for the conjugate
-    pairs {k, N-k}, where m_k counts the eigenvalue zeta_N^k.
+    For a cyclic group of order N the eigenvalue zeta_N^k occurs as often as
+    the cyclotomic factor of index N/gcd(N, k), so the real-irreducible
+    multiplicities (m_0, m_{N/2} for N even, and m_k for each conjugate pair
+    {k, N-k}) are the cyclotomic multiplicities plus zeros.  An even
+    dimension follows, since dim = sum of phi(d) * mult_d and phi(d) is even
+    for d >= 3.
     """
-    if rep.dimension % 2 != 0:
-        return False
-    m = eigenvalue_multiplicities(rep)
-    n = rep.order
-    real_mults = [m[0]]
-    if n % 2 == 0:
-        real_mults.append(m[n // 2])
-    for k in range(1, (n + 1) // 2):
-        check(m[k] == m[n - k], f"conjugate eigenvalues zeta^{k} and zeta^{n - k} must pair up")
-        real_mults.append(m[k])
-    return all(mult % 2 == 0 for mult in real_mults)
+    return all(mult % 2 == 0 for mult in rep.cyclotomic.values())
 
 
 def invariant_report(rep: CyclicRep) -> dict[str, Any]:

@@ -12,11 +12,11 @@ a[j,1], ..., a[j,g-1]); the last generator a[j,g] maps to torsion bit 1
 with free part (-1, ..., -1).  This change of basis is validated against
 a Smith-normal-form oracle in the test suite.
 
-The arithmetic is the orientable one: a :class:`surfbraid.core.Element`
-whose coefficient row per strand holds the torsion bit in column 1 and the
-free coordinates after it, driven by the letter images of
-:meth:`surfbraid.core.GroupDescriptor.letter_images`.  :class:`MixedElement`
-is its bits/free view.
+The arithmetic, the row layout and the JSON encoding are those of
+:class:`surfbraid.core.Element`: its coefficient row per strand holds the
+torsion bit in column 1 and the free coordinates after it, driven by the
+letter images of :meth:`surfbraid.core.GroupDescriptor.letter_images`.
+:func:`MixedElement` builds such an element from its bits and free parts.
 
 For the sphere (n >= 3) the kernel is Z_2 + Z^{n(n-3)/2} with the full
 twist generating the torsion summand; no strand action on that basis is
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from . import core
-from .core import CoeffVector, Element, GroupDescriptor, Verdict, json_int_rows, json_ints
+from .core import Element, GroupDescriptor, Verdict, rows_from_parts
 from .errors import UnsupportedSurfaceError, check
 from .permutations import Permutation
 from .words import BraidWord, full_twist_word, normalize
@@ -92,62 +92,21 @@ def kernel_structure(group: GroupDescriptor) -> AbelianInvariants:
     )
 
 
-class MixedElement(Element):
-    """The bits/free view of an :class:`Element` over a non-orientable surface.
-
-    bits[j-1] is the Z_2 coordinate of strand j (column 1 of its coefficient
-    row), free[j-1] its g-1 free coordinates (columns 2..g).  Arithmetic,
-    identity, sections and strand generators are Element's, and products
-    and inverses stay MixedElements; only the constructor, the two views
-    and the ``torsion_bits`` JSON are added here.
-    """
-
-    def __init__(self, group: GroupDescriptor, bits, free, perm: Permutation):
-        super().__init__(group, _rows_from_parts(bits, free), perm)
-
-    @classmethod
-    def _require_model(cls, group: GroupDescriptor) -> None:
-        if group.kind != core.NONORIENTABLE:
-            raise UnsupportedSurfaceError("MixedElement arithmetic is the non-orientable model")
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple([row[0] for row in self.coeffs.rows])
-
-    @property
-    def free(self) -> tuple[tuple[int, ...], ...]:
-        return tuple([row[1:] for row in self.coeffs.rows])
-
-    def to_json_obj(self) -> dict[str, Any]:
-        return {
-            "n": self.group.n,
-            "g": self.group.genus,
-            "perm": list(self.perm.images),
-            "torsion_bits": list(self.bits),
-            "coeffs": [list(row) for row in self.free],
-        }
-
-    @staticmethod
-    def _coeffs_from_json(obj: dict[str, Any]) -> CoeffVector:
-        return _rows_from_parts(json_ints(obj["torsion_bits"], "torsion_bits"),
-                                json_int_rows(obj["coeffs"], "coeffs"))
+def MixedElement(group: GroupDescriptor, bits, free, perm: Permutation) -> Element:
+    """The :class:`Element` over a non-orientable surface with the given
+    torsion bits (one per strand) and free coordinates (g-1 per strand)."""
+    group.require_nonorientable("MixedElement")
+    return Element(group, rows_from_parts(bits, free), perm)
 
 
-def _rows_from_parts(bits, free) -> CoeffVector:
-    if len(bits) != len(free):
-        raise ValueError("component sizes do not match the group")
-    return CoeffVector(tuple([(b,) + tuple(f) for b, f in zip(bits, free)]))
-
-
-def normalize_word(group: GroupDescriptor, word: BraidWord) -> MixedElement:
+def normalize_word(group: GroupDescriptor, word: BraidWord) -> Element:
     """The normal form of a word over a non-orientable surface: the one
-    left fold of :func:`surfbraid.words.normalize`, seen as a MixedElement."""
-    MixedElement._require_model(group)
-    x = normalize(group, word)
-    return MixedElement._trusted(group, x.coeffs, x.perm)
+    left fold of :func:`surfbraid.words.normalize`."""
+    group.require_nonorientable("normalize_word")
+    return normalize(group, word)
 
 
-def torsion_subgroup_elements(group: GroupDescriptor) -> list[MixedElement]:
+def torsion_subgroup_elements(group: GroupDescriptor) -> list[Element]:
     """Generators of the torsion subgroup T: one bit per strand, no free part."""
     return [
         MixedElement(
@@ -160,7 +119,7 @@ def torsion_subgroup_elements(group: GroupDescriptor) -> list[MixedElement]:
     ]
 
 
-def _in_torsion_subgroup(x: MixedElement) -> bool:
+def _in_torsion_subgroup(x: Element) -> bool:
     return x.perm.is_identity() and all(v == 0 for row in x.free for v in row)
 
 
@@ -185,9 +144,9 @@ def finite_normal_subgroup(group: GroupDescriptor) -> FiniteNormalWitness:
         raise UnsupportedSurfaceError("orientable quotients have no finite normal subgroup witness")
     n, g = group.n, group.genus
     torsion_gens = torsion_subgroup_elements(group)
-    conjugators = [MixedElement.section(group, Permutation.transposition(n, i)) for i in range(1, n)]
+    conjugators = [Element.section(group, Permutation.transposition(n, i)) for i in range(1, n)]
     conjugators += [
-        MixedElement.strand_generator(group, j, r)
+        Element.strand_generator(group, j, r)
         for j in range(1, n + 1)
         for r in range(1, g + 1)
     ]

@@ -121,9 +121,9 @@ def _suite_nonorientable() -> None:
     rng = random.Random(505)
     for n, g in [(2, 2), (3, 3), (3, 1)]:
         group = GroupDescriptor.nonorientable(n, g)
-        e = nonorientable.MixedElement.identity(group)
+        e = Element.identity(group)
         for i in range(1, n):
-            s = nonorientable.MixedElement.section(group, Permutation.transposition(n, i))
+            s = Element.section(group, Permutation.transposition(n, i))
             check(s * s == e, "sections of transpositions must be involutions")
         for _ in range(20):
             xs = []

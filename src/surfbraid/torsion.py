@@ -13,6 +13,7 @@ subgroups.  The S_n copies and the Frobenius copies, the sections of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import CoeffVector, Element, GroupDescriptor
@@ -258,17 +259,6 @@ def frobenius_conjugator(emb: FrobeniusEmbedding) -> Element:
     return conjugator_to_section(*frobenius_embed(emb), root=5)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _multiplicative_order(l: int, p: int) -> int:
     acc, k = l % p, 1
     while acc != 1:
@@ -279,13 +269,17 @@ def _multiplicative_order(l: int, p: int) -> int:
     return k
 
 
+def _require_frobenius_prime(p: int) -> None:
+    """The one prime check of the Frobenius constructions, by trial division."""
+    if p < 5 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise BadPrimeError(f"p must be an odd prime >= 5, got {p}")
+
+
 def default_multiplier(p: int) -> int:
-    """Smallest unit of multiplicative order (p-1)/2 modulo p."""
-    target = (p - 1) // 2
-    for l in range(2, p):
-        if _multiplicative_order(l, p) == target:
-            return l
-    raise BadPrimeError(f"no unit of order {(p - 1) // 2} modulo {p}")
+    """Smallest unit of multiplicative order (p-1)/2 modulo an odd prime p >= 5;
+    one exists because the units modulo a prime form a cyclic group."""
+    _require_frobenius_prime(p)
+    return next(l for l in range(2, p) if _multiplicative_order(l, p) == (p - 1) // 2)
 
 
 def multiplication_permutation(p: int, l: int) -> Permutation:
@@ -301,8 +295,7 @@ def frobenius_pair(p: int, l: int | None = None) -> tuple[Permutation, Permutati
     multiplicative order (p-1)/2 modulo p (by default :func:`default_multiplier`).
     Checked: w2 * w1 * w2^{-1} == w1**l.  At p = 5 the default l = 4 gives the
     5-cycle and (1 4)(2 3)."""
-    if not _is_prime(p) or p < 5:
-        raise BadPrimeError(f"p must be an odd prime >= 5, got {p}")
+    _require_frobenius_prime(p)
     if l is None:
         l = default_multiplier(p)
     if not 2 <= l <= p - 1 or _multiplicative_order(l, p) != (p - 1) // 2:

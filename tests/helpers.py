@@ -2,8 +2,8 @@
 brute-force multiplication, rational linear algebra on flattened vectors,
 cofactor determinants, triple-loop matrix products, Smith normal form,
 principal-minor sums, the Bieberbach lattice basis and holonomy blocks
-written out by hand, column-sum cycle sums and the coordinate-by-coordinate
-torsion scan.  Plus the constructors only tests need: matrices, lattice
+written out by hand, column-sum cycle sums, the coordinate-by-coordinate
+torsion scan and the eigenvalue-pairing Kaehler criterion.  Plus the constructors only tests need: matrices, lattice
 elements and Frobenius blocks from nested lists, words from text, and
 Bieberbach elements from coordinates.  None of them coerces an entry.
 """
@@ -318,6 +318,32 @@ def matmul_by_triple_loop(a: IntMatrix, b: IntMatrix) -> IntMatrix:
             for k in range(a.ncols):
                 rows[i][j] += a.rows[i][k] * b.rows[k][j]
     return int_matrix(rows)
+
+
+def eigenvalue_multiplicities(rep) -> dict[int, int]:
+    """Multiplicity of each eigenvalue zeta_N^k of a CyclicRep's generator,
+    k = 0..N-1: as often as the cyclotomic factor of index N/gcd(N, k)."""
+    mults, n = rep.cyclotomic, rep.order
+    out = {k: mults.get(n // math.gcd(n, k), 0) for k in range(n)}
+    assert sum(out.values()) == rep.dimension
+    return out
+
+
+def reference_kahler_check(rep) -> bool:
+    """The eigenvalue-pairing Kaehler criterion: an even dimension, and even
+    multiplicities m_0, m_{N/2} (N even) and m_k for each conjugate pair
+    {k, N-k}, m_k counting the eigenvalue zeta_N^k."""
+    if rep.dimension % 2 != 0:
+        return False
+    m = eigenvalue_multiplicities(rep)
+    n = rep.order
+    real_mults = [m[0]]
+    if n % 2 == 0:
+        real_mults.append(m[n // 2])
+    for k in range(1, (n + 1) // 2):
+        assert m[k] == m[n - k]
+        real_mults.append(m[k])
+    return all(mult % 2 == 0 for mult in real_mults)
 
 
 def sum_principal_minors(matrix: IntMatrix, k: int) -> int:

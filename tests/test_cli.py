@@ -331,7 +331,30 @@ def test_nonorientable_text_format_prints_indented_json(capsys):
     assert code == 0 and out.startswith("{\n") and '"torsion_bits": [\n' in out
 
 
+ELEMENT_GRID = Path(__file__).resolve().parent / "data" / "cli_element_grid.json"
+
+
+def test_element_commands_print_their_recorded_output(capsys):
+    # Recorded stdout and exit code of non-orientable mul, inv, pow +-k and
+    # normalize at (n, g) = (2,1), (2,2), (3,3) in JSON and text, orientable
+    # mul, inv and pow, the verdict for each surface kind, and malformed
+    # torsion bits; the element layout and its JSON must not drift.
+    for entry in json.loads(ELEMENT_GRID.read_text()):
+        code, out, _ = run(capsys, *entry["argv"])
+        assert (code, out) == (entry["code"], entry["stdout"]), entry["argv"]
+
+
 GOOD = '{"n":2,"g":1,"perm":[1,2],"coeffs":[[1,0],[0,0]]}'
+SPHERE = ["--surface", "sphere", "--n", "3"]
+SPHERE_ELEMENT = '{"n":3,"g":1,"perm":[1,2,3],"coeffs":[[0],[0],[0]]}'
+SPHERE_ELEMENT_INPUTS = [
+    ["mul", *SPHERE, SPHERE_ELEMENT, SPHERE_ELEMENT],
+    ["inv", *SPHERE, SPHERE_ELEMENT],
+    ["pow", *SPHERE, SPHERE_ELEMENT, "2"],
+    ["order", *SPHERE, SPHERE_ELEMENT],
+    ["conjugacy", *SPHERE, SPHERE_ELEMENT, SPHERE_ELEMENT],
+    ["subgroup-conjugator", *SPHERE, "--images", f"[{SPHERE_ELEMENT},{SPHERE_ELEMENT}]"],
+]
 
 
 @pytest.mark.parametrize(
@@ -358,12 +381,21 @@ GOOD = '{"n":2,"g":1,"perm":[1,2],"coeffs":[[1,0],[0,0]]}'
         ["normalize", "--surface", "sphere", "--n", "3", "a[1,1]"],
         ["normalize", "--surface", "sphere", "--n", "3", ""],
         ["verdict", "--surface", "sphere", "--n", "2"],
+        *SPHERE_ELEMENT_INPUTS,
     ],
 )
 def test_non_integer_or_ragged_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "Traceback" not in err and err.startswith("surfbraid: ")
+
+
+def test_sphere_element_inputs_name_the_sphere(capsys):
+    # The sphere is refused before the element's (n, g) header is compared
+    # with the group's, whose genus is None.
+    for argv in SPHERE_ELEMENT_INPUTS:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "sphere" in err and "encodes" not in err, argv
 
 
 @pytest.mark.parametrize("word", ["s\u0661", "s1^\u0662", "a[\u0661,1]", "s1\u00a0s2"])

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,13 +17,20 @@ from surfbraid.invariants import (
     _elementary_symmetric_from_traces,
     anosov_check,
     betti_numbers,
-    eigenvalue_multiplicities,
     invariant_report,
     kahler_check,
     orientability,
 )
 
-from helpers import block_diag, char_poly_by_cofactors, int_matrix, sum_principal_minors
+from helpers import (
+    block_diag,
+    char_poly_by_cofactors,
+    eigenvalue_multiplicities,
+    int_matrix,
+    random_permutation,
+    reference_kahler_check,
+    sum_principal_minors,
+)
 
 
 def holonomy_rep(n, g):
@@ -137,6 +146,27 @@ def test_kahler():
     assert kahler_check(CyclicRep(diag(-1, -1), 2))  # sign representation twice
     assert not kahler_check(CyclicRep(diag(1, -1), 2))  # both real summands once
     assert kahler_check(CyclicRep(IntMatrix.identity(2), 1))
+
+
+def test_kahler_check_matches_the_pairing_reference():
+    # Holonomy reps, permutation matrices at their order and at multiples of
+    # it, and block sums of the companions of Phi_3, Phi_4 and Phi_6 with
+    # the signs +-1, each with odd and even multiplicities.
+    reps = [holonomy_rep(n, g) for n in range(2, 9) for g in (1, 2, 3)]
+    rng = random.Random(223)
+    for _ in range(40):
+        size = rng.randint(1, 6)
+        w = random_permutation(rng, size)
+        matrix = int_matrix([[1 if w(j) == i else 0 for j in range(1, size + 1)] for i in range(1, size + 1)])
+        reps += [CyclicRep(matrix, k * w.order()) for k in (1, 2, 3)]
+    blocks = {3: int_matrix([[0, -1], [1, -1]]), 4: int_matrix([[0, -1], [1, 0]]),
+              6: int_matrix([[0, -1], [1, 1]]), 1: diag(1), 2: diag(-1)}
+    for _ in range(40):
+        chosen = [d for d in blocks for _ in range(rng.randint(0, 2))] or [1]
+        reps.append(CyclicRep(block_diag(*[blocks[d] for d in chosen]), math.lcm(*chosen)))
+    verdicts = [kahler_check(rep) for rep in reps]
+    assert verdicts == [reference_kahler_check(rep) for rep in reps]
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_char_poly_of_holonomy():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from surfbraid.core import GroupDescriptor, verify_crystallographic
+from surfbraid.core import Element, GroupDescriptor, verify_crystallographic
 from surfbraid.errors import GeneratorIndexError, UnsupportedSurfaceError
 from surfbraid.nonorientable import (
     MixedElement,
@@ -75,9 +75,9 @@ def test_basis_change_kernel_and_surjectivity():
         group = GroupDescriptor.nonorientable(1, g)
 
         def image(exponents):
-            acc = MixedElement.identity(group)
+            acc = Element.identity(group)
             for r, e in enumerate(exponents, start=1):
-                acc = acc * MixedElement.strand_generator(group, 1, r) ** e
+                acc = acc * Element.strand_generator(group, 1, r) ** e
             return acc
 
         kernel = [
@@ -103,9 +103,9 @@ def test_basis_change_kernel_and_surjectivity():
 def test_sections_are_involutions():
     for n, g in [(2, 1), (3, 2), (4, 3)]:
         group = GroupDescriptor.nonorientable(n, g)
-        e = MixedElement.identity(group)
+        e = Element.identity(group)
         for i in range(1, n):
-            s = MixedElement.section(group, Permutation.transposition(n, i))
+            s = Element.section(group, Permutation.transposition(n, i))
             assert s * s == e
 
 
@@ -120,15 +120,15 @@ def test_per_strand_relation_holds_identically():
     for n, g in [(1, 1), (2, 2), (2, 3)]:
         group = GroupDescriptor.nonorientable(n, g)
         for j in range(1, n + 1):
-            acc = MixedElement.identity(group)
+            acc = Element.identity(group)
             for r in range(1, g + 1):
-                acc = acc * MixedElement.strand_generator(group, j, r) ** 2
+                acc = acc * Element.strand_generator(group, j, r) ** 2
             assert acc.is_identity()
 
 
 def test_conjugation_moves_torsion_bits_between_strands():
     group = GroupDescriptor.nonorientable(2, 2)
-    s = MixedElement.section(group, Permutation.transposition(2, 1))
+    s = Element.section(group, Permutation.transposition(2, 1))
     bit1, bit2 = torsion_subgroup_elements(group)
     assert s * bit1 * s.inverse() == bit2
 
@@ -138,13 +138,13 @@ def test_presentation_relations_in_mixed_model():
     # sections, involutivity, kernel commutativity, strand relabelling
     for n, g in [(3, 1), (3, 2), (4, 3)]:
         group = GroupDescriptor.nonorientable(n, g)
-        e = MixedElement.identity(group)
+        e = Element.identity(group)
         sections = {
-            i: MixedElement.section(group, Permutation.transposition(n, i))
+            i: Element.section(group, Permutation.transposition(n, i))
             for i in range(1, n)
         }
         gens = {
-            (j, r): MixedElement.strand_generator(group, j, r)
+            (j, r): Element.strand_generator(group, j, r)
             for j in range(1, n + 1)
             for r in range(1, g + 1)
         }
@@ -169,7 +169,7 @@ def test_group_axioms_randomized():
     rng = random.Random(179)
     for n, g in [(2, 1), (3, 2), (5, 3)]:
         group = GroupDescriptor.nonorientable(n, g)
-        e = MixedElement.identity(group)
+        e = Element.identity(group)
         for _ in range(40):
             x, y, z = (random_mixed(rng, group) for _ in range(3))
             assert (x * y) * z == x * (y * z)
@@ -185,7 +185,7 @@ def test_strand_relabelling_is_equivariant():
     for _ in range(30):
         x = random_mixed(rng, group)
         w = random_permutation(rng, 4)
-        s = MixedElement.section(group, w)
+        s = Element.section(group, w)
         assert (s * x * s.inverse()).perm == w * x.perm * w.inverse()
     # pure-kernel case: bits and free rows move exactly by the permutation
     for _ in range(30):
@@ -193,7 +193,7 @@ def test_strand_relabelling_is_equivariant():
         free = tuple(tuple(rng.randint(-2, 2) for _ in range(1)) for _ in range(4))
         x = MixedElement(group, bits, free, Permutation.identity(4))
         w = random_permutation(rng, 4)
-        s = MixedElement.section(group, w)
+        s = Element.section(group, w)
         conj = s * x * s.inverse()
         for j in range(1, 5):
             assert conj.bits[w(j) - 1] == bits[j - 1]
@@ -204,18 +204,18 @@ def test_normalize_word_matches_letter_products():
     rng = random.Random(191)
     group = GroupDescriptor.nonorientable(3, 2)
     gens = {
-        (j, r): MixedElement.strand_generator(group, j, r)
+        (j, r): Element.strand_generator(group, j, r)
         for j in range(1, 4)
         for r in range(1, 3)
     }
     for _ in range(30):
         text_parts = []
-        acc = MixedElement.identity(group)
+        acc = Element.identity(group)
         for _ in range(rng.randint(0, 20)):
             if rng.random() < 0.5:
                 i = rng.randint(1, 2)
                 text_parts.append(f"s{i}")
-                acc = acc * MixedElement.section(group, Permutation.transposition(3, i))
+                acc = acc * Element.section(group, Permutation.transposition(3, i))
             else:
                 j, r = rng.randint(1, 3), rng.randint(1, 2)
                 e = rng.choice([-2, -1, 1, 2])
@@ -293,7 +293,18 @@ def test_mixed_json_round_trip():
         "torsion_bits": [1, 0],
         "coeffs": [[3], [-2]],
     }
-    assert MixedElement.from_json_obj(group, json.loads(json.dumps(obj))) == x
+    assert Element.from_json_obj(group, json.loads(json.dumps(obj))) == x
+    rng = random.Random(211)
+    for n in range(1, 5):
+        for g in (1, 2, 3):
+            group = GroupDescriptor.nonorientable(n, g)
+            for _ in range(10):
+                x = random_mixed(rng, group)
+                obj = json.loads(json.dumps(x.to_json_obj()))
+                assert list(obj) == ["n", "g", "perm", "torsion_bits", "coeffs"]
+                assert obj["torsion_bits"] == list(x.bits)
+                assert obj["coeffs"] == [list(f) for f in x.free]
+                assert Element.from_json_obj(group, obj) == x
 
 
 def test_mixed_element_validation():
@@ -303,7 +314,20 @@ def test_mixed_element_validation():
     with pytest.raises(ValueError):
         MixedElement(group, (1, 0), ((0, 0), (0, 0)), Permutation.identity(2))
     with pytest.raises(UnsupportedSurfaceError):
-        MixedElement.identity(GroupDescriptor.torus(2))
+        MixedElement(GroupDescriptor.torus(2), (0, 0), ((), ()), Permutation.identity(2))
+
+
+def test_nonorientable_constructors_and_views_reject_other_surfaces():
+    for group in (GroupDescriptor.torus(2), GroupDescriptor.sphere(3)):
+        with pytest.raises(UnsupportedSurfaceError):
+            MixedElement(group, (0, 0), ((), ()), Permutation.identity(2))
+        with pytest.raises(UnsupportedSurfaceError):
+            normalize_word(group, parse(group, "s1"))
+    x = Element.identity(GroupDescriptor.torus(2))
+    with pytest.raises(UnsupportedSurfaceError):
+        x.bits
+    with pytest.raises(UnsupportedSurfaceError):
+        x.free
 
 
 def test_orientable_only_torsion_functions_reject_nonorientable_elements():
@@ -326,8 +350,8 @@ def test_products_and_inverses_stay_mixed_views():
     group = GroupDescriptor.nonorientable(4, 3)
     for _ in range(20):
         x, y = random_mixed(rng, group), random_mixed(rng, group)
-        for z in (x * y, x.inverse(), x**-3, MixedElement.identity(group)):
-            assert type(z) is MixedElement
+        for z in (x * y, x.inverse(), x**-3, Element.identity(group)):
+            assert type(z) is Element
             assert all(b in (0, 1) for b in z.bits)
             assert z.coeffs.rows == tuple((b,) + f for b, f in zip(z.bits, z.free))
 

@@ -50,6 +50,22 @@ def test_every_library_function_is_used_by_the_library():
     assert not unused, f"library functions that nothing in the library uses: {unused}"
 
 
+def test_element_is_the_only_element_class():
+    # One element class serves every surface: no library class subclasses
+    # Element, and only core knows the non-orientable JSON layout.
+    subclasses, layouts = [], []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(base, "id", getattr(base, "attr", None)) == "Element" for base in node.bases):
+                subclasses.append(f"{path.name}:{node.name}")
+        if "torsion_bits" in text and path.name != "core.py":
+            layouts.append(path.name)
+    assert not subclasses, f"subclasses of Element: {subclasses}"
+    assert not layouts, f"modules other than core.py naming torsion_bits: {layouts}"
+
+
 README = SRC.parent.parent / "README.md"
 README_GOLDEN = Path(__file__).resolve().parent / "data" / "readme_outputs.json"
 

@@ -532,6 +532,13 @@ def test_multiplication_permutation():
     assert default_multiplier(7) == 2
 
 
+def test_default_multiplier_rejects_what_is_not_an_odd_prime_from_5():
+    # the prime check runs before the unit search, which assumes a prime modulus
+    for p in (1, 3, 4, 9, 2, 0, -5):
+        with pytest.raises(BadPrimeError, match="odd prime >= 5"):
+            default_multiplier(p)
+
+
 def test_frobenius_torsion_pure_section_case():
     group = GroupDescriptor.torus(5)
     v = frobenius_torsion_element(group, 5, 4)
