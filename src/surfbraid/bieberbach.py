@@ -19,8 +19,8 @@ generating set, the centre and the holonomy matrix are read through one
 coordinate codec: one encoder, ``coeffs_from_coords``, and one decoder,
 ``lattice_coords``.  The encoder writes each strand's row with
 ``_strand_row``, which the torsion scan also reads strand by strand.  The
-holonomy matrix is derived from the generator's conjugation action on L,
-with a check that every column lies in L.
+holonomy matrix is read from the generator's action on coordinates, with
+the columns that involve lam decoded and checked to lie in L.
 """
 
 from __future__ import annotations
@@ -123,16 +123,15 @@ class BieberbachDescriptor:
             out.append(out[-1] * self.generator)
         return tuple(out)
 
-    def _basis_coeffs(self) -> list[CoeffVector]:
-        """Lattice parts of the fixed basis of L: vector k has coordinates e_k."""
-        dim = self.dimension
-        return [self.coeffs_from_coords((0,) * k + (1,) + (0,) * (dim - 1 - k)) for k in range(dim)]
+    def _basis_vector(self, k: int) -> CoeffVector:
+        """Lattice part of basis vector k of L, the vector with coordinates e_k."""
+        return self.coeffs_from_coords((0,) * k + (1,) + (0,) * (self.dimension - 1 - k))
 
     @cached_property
     def lattice_basis(self) -> tuple[Element, ...]:
         """The fixed basis of L, as pure-lattice elements."""
         identity = Permutation.identity(self.n)
-        return tuple([Element(self.group, v, identity) for v in self._basis_coeffs()])
+        return tuple([Element(self.group, self._basis_vector(k), identity) for k in range(self.dimension)])
 
     @cached_property
     def x_generators(self) -> tuple[Element, ...]:
@@ -146,12 +145,17 @@ class BieberbachDescriptor:
     def holonomy_matrix(self) -> IntMatrix:
         """Matrix of conjugation by the generator on L, in the fixed basis.
 
-        Conjugating a pure-lattice element by v * section(w) moves its row i
-        to row w(i), so column k holds the coordinates of basis vector k with
-        its rows moved by the generator's permutation.  Every column is
-        checked to lie in L, which fails only if encoder and decoder disagree."""
-        w = self.generator.perm
-        columns = [self.lattice_coords(v.permuted(w)) for v in self._basis_coeffs()]
+        Conjugation by v * section(w) moves row i to row w(i), so it moves strand
+        i's coordinates coords[i::n] (:func:`_strand_row`, strands from 0) to
+        strand w(i): column r*n + i is the unit vector at r*n + w(i).  Where
+        handle 1 meets strand 0, whose coordinate lam reaches every strand, the
+        column is decoded from the moved basis vector and checked to lie in L."""
+        n, dim, w = self.n, self.dimension, self.generator.perm
+        columns = []
+        for k in range(dim):
+            target = k - k % n + w(k % n + 1) - 1
+            columns.append((0,) * target + (1,) + (0,) * (dim - 1 - target) if k and target
+                           else self.lattice_coords(self._basis_vector(k).permuted(w)))
         check(None not in columns, "conjugation by the generator must preserve the lattice")
         return IntMatrix(tuple(list(zip(*columns))))
 

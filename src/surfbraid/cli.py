@@ -79,6 +79,8 @@ def _element_from_obj(group: GroupDescriptor, obj: Any) -> Element:
         raise DomainError("bad element encoding: expected a JSON object")
     try:
         return Element.from_json_obj(group, obj)
+    except DomainError:  # the sphere's refusal, not a fault of the encoding
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"bad element encoding: {exc}") from exc
 

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, neg, sub
 from typing import Any
 
 from .errors import GroupMismatchError, UnsupportedSurfaceError, check
 from .permutations import Permutation
-from .powers import power
 
 ORIENTABLE = "orientable"
 SPHERE = "sphere"
@@ -159,15 +160,13 @@ class CoeffVector:
         return all(v == 0 for row in self.rows for v in row)
 
     def __add__(self, other: CoeffVector) -> CoeffVector:
-        return CoeffVector(
-            tuple([tuple([a + b for a, b in zip(ra, rb)]) for ra, rb in zip(self.rows, other.rows)])
-        )
+        return _rowwise(add, self, other)
 
     def __sub__(self, other: CoeffVector) -> CoeffVector:
-        return self + (-other)
+        return _rowwise(sub, self, other)
 
     def __neg__(self) -> CoeffVector:
-        return CoeffVector(tuple([tuple([-v for v in row]) for row in self.rows]))
+        return _rowwise(neg, self)
 
     def permuted(self, w: Permutation) -> CoeffVector:
         """Strand action: the row at strand i moves to strand w(i); handles are fixed."""
@@ -175,6 +174,11 @@ class CoeffVector:
         for row, image in zip(self.rows, w.images):
             rows[image - 1] = row
         return CoeffVector(tuple(rows))
+
+
+def _rowwise(op, *vectors: CoeffVector) -> CoeffVector:
+    """The row kernel of the arithmetic: one ``map(op, *rows)`` pass per row of the operands."""
+    return CoeffVector(tuple([tuple(list(row)) for row in map(map, repeat(op), *[v.rows for v in vectors])]))
 
 
 def rows_from_parts(bits, free) -> CoeffVector:
@@ -211,6 +215,8 @@ class Element:
             raise ValueError("coefficient/permutation size does not match the group")
         if any([len(row) != handles for row in rows]):
             raise ValueError(f"every coefficient row must have {handles} entries")
+        if any([type(v) is not int for row in rows for v in row]):  # floats and bools are never coerced
+            raise ValueError("coefficients must be integers")
         if group.kind == NONORIENTABLE and any([row[0] not in (0, 1) for row in rows]):
             raise ValueError("torsion bits must be 0 or 1")
 
@@ -262,11 +268,27 @@ class Element:
         return self._trusted(self.group, (-self.coeffs).permuted(w_inv), w_inv)
 
     def __pow__(self, k: int) -> Element:
+        """x**k in closed form, with no product: for x = v * section(w) and k >= 0,
+        x**k = (v + w.v + ... + w^(k-1).v) * section(w**k).  On a cycle
+        C = (c_0, ..., c_{m-1}) of w, strand c_i gets (k // m) * S_C (the cycle sum of
+        :func:`surfbraid.torsion.cycle_sums`) plus the k mod m rows of C ending at c_i,
+        a window slid once round C; w**k sends c_i to c_{(i+k) mod m}."""
         if k < 0:
-            return self.inverse() ** (-k)
-        n = self.group.n
-        one = self._trusted(self.group, CoeffVector.zero(n, self.group.handle_count), Permutation.identity(n))
-        return power(self, k, one)
+            return self.inverse() ** -k
+        rows, n = self.coeffs.rows, self.group.n
+        out, images = [()] * n, [0] * n
+        for cycle in self.perm.orbits:
+            m = len(cycle)
+            q, r = divmod(k, m)
+            ring = [rows[c - 1] for c in cycle]
+            window = [q * s for s in map(sum, zip(*ring))]
+            for row in ring[m - r:]:  # the r rows ending at c_{m-1}
+                window = list(map(add, window, row))
+            for i, c in enumerate(cycle):
+                if r:  # slide to the r rows ending at c_i
+                    window = list(map(sub, map(add, window, ring[i]), ring[i - r]))
+                out[c - 1], images[c - 1] = tuple(window), cycle[(i + k) % m]
+        return self._trusted(self.group, CoeffVector(tuple(out)), Permutation._trusted(tuple(images)))
 
     def conjugated_by(self, by: Element) -> Element:
         """Return by * self * by^{-1}."""

@@ -1,8 +1,9 @@
 """Square-and-multiply, the one exponentiation loop of the package.
 
-Permutations, group elements, integer matrices and integer polynomials all
-raise to non-negative powers through :func:`power`.  The module imports
-nothing, so every layer can use it without importing a layer above itself.
+Permutations, integer matrices and integer polynomials raise to non-negative
+powers through :func:`power`; group elements use the closed form of
+:meth:`surfbraid.core.Element.__pow__` instead.  The module imports nothing,
+so every layer can use it without importing a layer above itself.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ TAP-style line per suite.
 from __future__ import annotations
 
 import random
+from functools import reduce
 from typing import Callable, TextIO
 
 from . import nonorientable, torsion, words
@@ -52,7 +53,7 @@ def _suite_power_formula() -> None:
     rng = random.Random(202)
     for n, g in [(3, 1), (5, 2)]:
         group = GroupDescriptor.orientable(n, g)
-        for _ in range(40):
+        for i in range(40):
             m = rng.randint(2, n)
             cycle = tuple(rng.sample(range(1, n + 1), m))
             perm = Permutation.from_cycles(n, cycle)
@@ -63,6 +64,9 @@ def _suite_power_formula() -> None:
             z = Element(group, CoeffVector(rows), perm)
             k = m * rng.randint(1, 4)
             check(torsion.cycle_power_coeffs(z, k) == (z**k).coeffs, f"cycle power formula fails at k={k}")
+            if i % 4 == 0:  # plain repeated products, a path independent of __pow__
+                product = reduce(Element.__mul__, [z] * k, Element.identity(group))
+                check(z**k == product and z**-k == product.inverse(), f"z**k is not the k-fold product at k={k}")
 
 
 def _suite_conjugacy() -> None:

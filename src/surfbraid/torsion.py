@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 from .core import CoeffVector, Element, GroupDescriptor
 from .errors import (
@@ -55,11 +56,7 @@ def cycle_sums(x: Element) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     and each S_C is summed column by column straight from the rows of v; a
     fixed strand c, the 1-cycle (c,), gets its own row."""
     rows = x.coeffs.rows
-    return [
-        (cycle, rows[cycle[0] - 1] if len(cycle) == 1
-         else tuple([sum(column) for column in zip(*[rows[c - 1] for c in cycle])]))
-        for cycle in x.perm.orbits
-    ]
+    return [(cycle, tuple(list(map(sum, zip(*[rows[c - 1] for c in cycle]))))) for cycle in x.perm.orbits]
 
 
 def cycle_power_coeffs(z: Element, k: int) -> CoeffVector:
@@ -89,11 +86,13 @@ def cycle_power_coeffs(z: Element, k: int) -> CoeffVector:
 
 
 def order(x: Element) -> OrderResult:
-    """Order of x: finite iff every cycle sum of :func:`cycle_sums` vanishes;
-    then the order equals the order of the permutation part."""
+    """Order of x: finite iff every cycle sum of :func:`cycle_sums` vanishes (read
+    up to the first nonzero one); then it is the order of the permutation part."""
     x.group.require_orientable("element order")
-    if any([any(sums) for _, sums in cycle_sums(x)]):
-        return _INFINITE
+    rows = x.coeffs.rows
+    for cycle in x.perm.orbits:
+        if any(rows[cycle[0] - 1] if len(cycle) == 1 else map(sum, zip(*[rows[c - 1] for c in cycle]))):
+            return _INFINITE
     return OrderResult(x.perm.order())
 
 
@@ -128,7 +127,7 @@ def conjugator_to_section(theta: Element, *others: Element, root: int = 1) -> El
             here = rows[c - 1]
             for images, coeffs in edges:
                 d = images[c - 1]
-                there = tuple([a + b for a, b in zip(here, coeffs[d - 1])])
+                there = tuple(list(map(add, here, coeffs[d - 1])))
                 if rows[d - 1] is None:
                     rows[d - 1] = there
                     queue.append(d)
@@ -260,12 +259,11 @@ def frobenius_conjugator(emb: FrobeniusEmbedding) -> Element:
 
 
 def _multiplicative_order(l: int, p: int) -> int:
+    """Order of l modulo p; callers pass a prime p and 2 <= l <= p - 1, a unit."""
     acc, k = l % p, 1
     while acc != 1:
         acc = (acc * l) % p
         k += 1
-        if k > p:
-            raise ArithmeticError("unit has no multiplicative order; modulus not prime?")
     return k
 
 
@@ -295,9 +293,10 @@ def frobenius_pair(p: int, l: int | None = None) -> tuple[Permutation, Permutati
     multiplicative order (p-1)/2 modulo p (by default :func:`default_multiplier`).
     Checked: w2 * w1 * w2^{-1} == w1**l.  At p = 5 the default l = 4 gives the
     5-cycle and (1 4)(2 3)."""
-    _require_frobenius_prime(p)
     if l is None:
-        l = default_multiplier(p)
+        l = default_multiplier(p)  # which runs the prime check
+    else:
+        _require_frobenius_prime(p)
     if not 2 <= l <= p - 1 or _multiplicative_order(l, p) != (p - 1) // 2:
         raise BadMultiplierError(f"{l} does not have multiplicative order {(p - 1) // 2} mod {p}")
     w1 = Permutation.from_cycles(p, tuple(range(1, p + 1)))

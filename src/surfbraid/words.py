@@ -7,10 +7,11 @@ integer written in ASCII digits)::
     term := gen ('^' signed-int)?
     gen  := 's' int | 'a[' int ',' int ']'
 
-The empty string is the identity word.  Rewriting is a single left fold:
-the quotient presentation has an abelian kernel and a splitting, so a
-running normal form absorbs one letter at a time and no confluence
-machinery is needed.
+The empty string is the identity word.  Parsing reads one whole term,
+exponent included, per match of one regular expression.  Rewriting is a
+single left fold: the quotient presentation has an abelian kernel and a
+splitting, so a running normal form absorbs one letter at a time and no
+confluence machinery is needed.
 """
 
 from __future__ import annotations
@@ -57,11 +58,7 @@ class BraidWord:
         return BraidWord(self.letters + other.letters)
 
     def inverse_word(self) -> BraidWord:
-        return BraidWord(
-            tuple(
-                Letter(l.kind, l.i, l.r, -l.exp) for l in reversed(self.letters)
-            )
-        )
+        return BraidWord(tuple([Letter(l.kind, l.i, l.r, -l.exp) for l in reversed(self.letters)]))
 
     def __pow__(self, k: int) -> BraidWord:
         if k < 0:
@@ -93,50 +90,41 @@ def check_letter(group: GroupDescriptor, letter: Letter) -> None:
             )
 
 
-_TOKEN = re.compile(
+# One match per term: a separator, a generator with its exponent (or a
+# caret that starts no exponent), or the first character of anything else.
+_TERM = re.compile(
     r"""\s*(?:
         (?P<sep>\*)
-      | s(?P<si>\d+)
-      | a\[\s*(?P<aj>\d+)\s*,\s*(?P<ar>\d+)\s*\]
+      | (?:s(?P<si>\d+) | a\[\s*(?P<aj>\d+)\s*,\s*(?P<ar>\d+)\s*\])
+        (?:\^(?P<exp>[+-]?\d+) | (?P<caret>\^))?
       | (?P<bad>\S)
     )""",
     re.VERBOSE | re.ASCII,
 )
-_EXP = re.compile(r"\^(?P<exp>[+-]?\d+)", re.ASCII)
 # The longest start of a generator, to name the character that breaks one.
 _GEN_PREFIX = re.compile(r"s\d*|a(?:\[\s*(?:\d+\s*(?:,\s*(?:\d+\s*)?)?)?)?", re.ASCII)
 
 
 def parse(group: GroupDescriptor, text: str) -> BraidWord:
-    """Parse a braid word string, validating all generator indices against the group."""
+    """Parse a braid word string, validating all generator indices against the group.
+    Every non-blank character starts a term, so the matches tile the text."""
     letters: list[Letter] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:  # only trailing whitespace remains
-            break
-        if m.group("bad"):
+    for m in _TERM.finditer(text):
+        sep, si, aj, ar, exp, caret, bad = m.groups()
+        if sep:
+            continue
+        if bad:
             prefix = _GEN_PREFIX.match(text, m.start("bad"))
             pos = prefix.end() if prefix else m.start("bad")
             if pos == len(text):
                 raise WordSyntaxError("unexpected end of word", pos)
             raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        pos = m.end()
-        if m.group("sep"):
-            continue
-        if m.group("si") is not None:
-            letter = Letter(SIGMA, int(m.group("si")))
-        else:
-            letter = Letter(HANDLE, int(m.group("aj")), int(m.group("ar")))
-        e = _EXP.match(text, pos)
-        if e:
-            pos = e.end()
-            exp = int(e.group("exp"))
-            if exp == 0:
-                raise WordSyntaxError("exponent 0 is not allowed", e.start("exp"))
-            letter = Letter(letter.kind, letter.i, letter.r, exp)
-        elif pos < len(text) and text[pos] == "^":
-            raise WordSyntaxError("malformed exponent", pos)
+        if caret:
+            raise WordSyntaxError("malformed exponent", m.start("caret"))
+        e = 1 if exp is None else int(exp)
+        if e == 0:
+            raise WordSyntaxError("exponent 0 is not allowed", m.start("exp"))
+        letter = Letter(SIGMA, int(si), 0, e) if si is not None else Letter(HANDLE, int(aj), int(ar), e)
         check_letter(group, letter)
         letters.append(letter)
     return BraidWord(tuple(letters))
@@ -173,7 +161,7 @@ def normalize(group: GroupDescriptor, word: BraidWord) -> Element:
 
 
 def sigma_word(indices: Iterable[int], exp: int = 1) -> BraidWord:
-    return BraidWord(tuple(Letter(SIGMA, i, 0, exp) for i in indices))
+    return BraidWord(tuple([Letter(SIGMA, i, 0, exp) for i in indices]))
 
 
 def t_word(group: GroupDescriptor, i: int, j: int) -> BraidWord:

@@ -98,6 +98,12 @@ def test_holonomy_matrix_matches_the_hand_built_blocks():
         assert make_bieberbach(n, g).holonomy_matrix() == reference_holonomy_matrix(n, g)
 
 
+def test_holonomy_matrix_matches_the_hand_built_blocks_up_to_eight_strands():
+    for n in range(2, 9):
+        for g in range(1, 5):
+            assert make_bieberbach(n, g).holonomy_matrix() == reference_holonomy_matrix(n, g), (n, g)
+
+
 def test_holonomy_matrix_checks_every_column(monkeypatch):
     # A decoder that disagrees with the encoder (here: one that forgets the
     # coset of u) must fail the column check, not build a matrix.

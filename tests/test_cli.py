@@ -398,6 +398,13 @@ def test_sphere_element_inputs_name_the_sphere(capsys):
         assert code == 2 and out == "" and "sphere" in err and "encodes" not in err, argv
 
 
+def test_sphere_element_inputs_print_the_sphere_message_unwrapped(capsys):
+    # The sphere's own DomainError passes through unchanged: no encoding is
+    # at fault, so no "bad element encoding" prefix.
+    for argv in (["inv", *SPHERE, "{}"], ["inv", *SPHERE, SPHERE_ELEMENT], ["order", *SPHERE, SPHERE_ELEMENT]):
+        assert run(capsys, *argv) == (2, "", "surfbraid: the sphere model has no element arithmetic\n"), argv
+
+
 @pytest.mark.parametrize("word", ["s\u0661", "s1^\u0662", "a[\u0661,1]", "s1\u00a0s2"])
 def test_non_ascii_digits_and_spaces_in_words_exit_2(capsys, word):
     # The word grammar is ASCII: an Arabic-Indic digit is not coerced to

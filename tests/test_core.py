@@ -13,7 +13,14 @@ from surfbraid.core import (
 from surfbraid.errors import GroupMismatchError, UnsupportedSurfaceError
 from surfbraid.permutations import Permutation
 
-from helpers import basis_vector, normalize_text, random_element, random_permutation, scaled
+from helpers import (
+    basis_vector,
+    normalize_text,
+    power_by_repeated_mul,
+    random_element,
+    random_permutation,
+    scaled,
+)
 
 T2 = GroupDescriptor.torus(2)
 T3 = GroupDescriptor.torus(3)
@@ -130,6 +137,56 @@ def test_power_examples():
     ladder = Permutation.transposition(3, 1) * Permutation.transposition(3, 2)
     y = a(T3, 1, 1) * Element.section(T3, ladder)
     assert y**3 == a(T3, 1, 1) * a(T3, 2, 1) * a(T3, 3, 1)
+
+
+def _power_cases():
+    # Orientable and non-orientable groups with n <= 8, a random permutation
+    # and one with fixed strands (a random subset of strands forms one
+    # cycle) each, entries up to 3 and up to 10**12, and two elements at n = 32.
+    rng = random.Random(37)
+    groups = [GroupDescriptor.orientable(n, g) for n, g in [(1, 1), (2, 1), (3, 2), (5, 1), (8, 2)]]
+    groups += [GroupDescriptor.nonorientable(n, g) for n, g in [(1, 1), (2, 2), (4, 3), (7, 1), (8, 2)]]
+    cases = []
+    for group in groups:
+        n, handles = group.n, group.handle_count
+        for bound in (3, 10**12):
+            one_cycle = Permutation.from_cycles(n, tuple(rng.sample(range(1, n + 1), rng.randint(1, n))))
+            for perm in (random_permutation(rng, n), one_cycle):
+                rows = [[rng.randint(-bound, bound) for _ in range(handles)] for _ in range(n)]
+                if not group.is_orientable:
+                    for row in rows:
+                        row[0] %= 2  # the torsion bit
+                cases.append(Element(group, CoeffVector(tuple([tuple(row) for row in rows])), perm))
+    return cases + [random_element(rng, GroupDescriptor.orientable(32, 4)) for _ in range(2)]
+
+
+def test_power_is_repeated_multiplication():
+    for x in _power_cases():
+        inverse = x.inverse()
+        for k in range(-40, 41):
+            expected = power_by_repeated_mul(x, k) if k >= 0 else power_by_repeated_mul(inverse, -k)
+            assert x**k == expected, (x, k)
+
+
+def test_power_adds_exponents():
+    rng = random.Random(41)
+    for x in _power_cases():
+        for _ in range(10):
+            a, b = rng.randint(-40, 40), rng.randint(-40, 40)
+            assert x**a * x**b == x ** (a + b), (x, a, b)
+
+
+def test_power_makes_no_product(monkeypatch):
+    # Powers are read off the cycles of the permutation part in closed
+    # form, not multiplied out.
+    cases = _power_cases()
+    expected = [[x**k for k in (-7, -1, 0, 1, 2, 13, 40)] for x in cases]
+
+    def refuse(self, other):
+        raise AssertionError("Element.__pow__ called Element.__mul__")
+
+    monkeypatch.setattr(Element, "__mul__", refuse)
+    assert [[x**k for k in (-7, -1, 0, 1, 2, 13, 40)] for x in cases] == expected
 
 
 def test_group_axioms_randomized():
@@ -249,3 +306,11 @@ def test_element_validates_every_row():
     with pytest.raises(ValueError):  # the torsion bit in column 1 must be reduced
         Element(klein, CoeffVector(((0, 5), (2, 0))), Permutation.identity(2))
     assert Element(klein, CoeffVector(((1, 5), (0, 0))), Permutation.identity(2)).coeffs.rows[0] == (1, 5)
+
+
+def test_element_rejects_entries_that_are_not_ints():
+    klein = GroupDescriptor.nonorientable(2, 2)
+    for group, bad in [(T2, 0.5), (T2, 1.0), (T2, True), (T2, "1"), (klein, 1.0), (klein, False)]:
+        for rows in [((bad, 0), (0, 0)), ((0, 0), (0, bad))]:
+            with pytest.raises(ValueError, match="integers"):
+                Element(group, CoeffVector(rows), Permutation.identity(2))

@@ -436,6 +436,30 @@ def test_frobenius_embed_is_the_pair_conjugated_by_the_partial_sums():
                 assert [row[r] for row in v2.coeffs.rows] == [x, y, -y, -x, 0]
 
 
+def test_order_of_float_coefficients_is_refused_not_computed():
+    # Coefficients 0.5 and -0.5 sum to zero over the 2-cycle; a float
+    # entry is rejected by the constructor, so no order is computed.
+    with pytest.raises(ValueError, match="integers"):
+        order(Element(T2, CoeffVector(((0.5, 0), (-0.5, 0))), Permutation((2, 1))))
+
+
+def test_order_stops_at_the_first_nonzero_cycle_sum():
+    # The first cycle (1 2) has a nonzero sum, so the rows of the later
+    # cycles are never read.
+    read = []
+
+    class RecordingRows(tuple):
+        def __getitem__(self, i):
+            read.append(i)
+            return super().__getitem__(i)
+
+    rows = RecordingRows(((1, 0),) + ((0, 0),) * 5)
+    x = Element(GroupDescriptor.torus(6), CoeffVector(rows), Permutation.from_cycles(6, (1, 2), (3, 4), (5, 6)))
+    read.clear()
+    assert order(x) == OrderResult(None)
+    assert sorted(read) == [0, 1]
+
+
 def test_frobenius_blocks_are_rejected_not_coerced():
     for bad in (1.5, 2.0, True, "3", None):
         with pytest.raises(ValueError, match="four integers"):

@@ -56,6 +56,92 @@ def test_parse_syntax_errors():
         parse(T2, "s1^0")
 
 
+# (word, message, position) of every malformed word below, as the parser
+# reported them before it matched one whole term per regular-expression
+# match; the torus on two strands takes every index used here.
+MALFORMED = [
+    ("s1 q2", "unexpected character 'q'", 3),
+    ("a[1", "unexpected end of word", 3),
+    ("s1^x", "malformed exponent", 2),
+    ("s1^0", "exponent 0 is not allowed", 3),
+    ("s", "unexpected end of word", 1),
+    ("a", "unexpected end of word", 1),
+    ("a[", "unexpected end of word", 2),
+    ("a[1,", "unexpected end of word", 4),
+    ("a[1,1", "unexpected end of word", 5),
+    ("a[1,1]^", "malformed exponent", 6),
+    ("s1^", "malformed exponent", 2),
+    ("s1^-", "malformed exponent", 2),
+    ("s1^+", "malformed exponent", 2),
+    ("s1^^2", "malformed exponent", 2),
+    ("^2", "unexpected character '^'", 0),
+    ("s1 ^2", "unexpected character '^'", 3),
+    ("s1^2^3", "unexpected character '^'", 4),
+    ("s\u0661", "unexpected character '\u0661'", 1),
+    ("a[\u0661,1]", "unexpected character '\u0661'", 2),
+    ("a[1,\u0661]", "unexpected character '\u0661'", 4),
+    ("a[1;1]", "unexpected character ';'", 3),
+    ("b1", "unexpected character 'b'", 0),
+    ("S1", "unexpected character 'S'", 0),
+    ("s-1", "unexpected character '-'", 1),
+    ("a[-1,1]", "unexpected character '-'", 2),
+    ("a[1,1]x", "unexpected character 'x'", 6),
+    ("s1,", "unexpected character ','", 2),
+    ("[1,1]", "unexpected character '['", 0),
+    ("a 1", "unexpected character ' '", 1),
+    ("a(1,1)", "unexpected character '('", 1),
+    ("s1^2.5", "unexpected character '.'", 4),
+    ("s1^ 2", "malformed exponent", 2),
+    ("s 1", "unexpected character ' '", 1),
+    ("a[1 1]", "unexpected character '1'", 4),
+    ("a[1,1]]", "unexpected character ']'", 6),
+    ("s1\u00a0s1", "unexpected character '\\xa0'", 2),
+    ("s1^00", "exponent 0 is not allowed", 3),
+    ("a[1,1]^-0", "exponent 0 is not allowed", 7),
+    ("s1^+0", "exponent 0 is not allowed", 3),
+    ("\ts1 \n q", "unexpected character 'q'", 6),
+    ("s1 a[1,2]^3 z", "unexpected character 'z'", 12),
+    ("s1^\u0661", "malformed exponent", 2),
+    ("a[ 1 , 2 ]^-0", "exponent 0 is not allowed", 11),
+    ("s1*^2", "unexpected character '^'", 3),
+    ("a[1,2]^3^", "unexpected character '^'", 8),
+    ("s1 * * a[2,", "unexpected end of word", 11),
+    ("a [1,1]", "unexpected character ' '", 1),
+    ("s1s1x", "unexpected character 'x'", 4),
+]
+
+
+def test_parse_pins_every_syntax_error_message_and_position():
+    assert len(MALFORMED) >= 30
+    for word, message, position in MALFORMED:
+        with pytest.raises(WordSyntaxError) as info:
+            parse(T2, word)
+        assert (str(info.value), info.value.position) == (f"{message} (at position {position})", position), word
+
+
+def test_parse_checks_the_exponent_before_the_index():
+    # The syntax of a whole term is checked before its indices.
+    for word, message in [("s9^x", "malformed exponent"), ("a[9,1]^0", "exponent 0 is not allowed")]:
+        with pytest.raises(WordSyntaxError, match=message):
+            parse(T2, word)
+    with pytest.raises(GeneratorIndexError):
+        parse(T2, "a[1,1]^2 a[1,9]^-3")
+
+
+def test_parse_builds_one_letter_per_term(monkeypatch):
+    built = []
+    init = Letter.__post_init__
+
+    def counting(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(Letter, "__post_init__", counting)
+    word = parse(T2, "s1^-1 a[2,1]^3 * s1 a[1,2]")
+    assert built == list(word.letters) == [Letter("s", 1, 0, -1), Letter("a", 2, 1, 3),
+                                           Letter("s", 1), Letter("a", 1, 2)]
+
+
 def test_parse_rejects_handle_letters_on_sphere():
     sphere = GroupDescriptor.sphere(3)
     assert len(parse(sphere, "s1 s2").letters) == 2
