@@ -56,9 +56,9 @@ def test_parse_syntax_errors():
         parse(T2, "s1^0")
 
 
-# (word, message, position) of every malformed word below, as the parser
-# reported them before it matched one whole term per regular-expression
-# match; the torus on two strands takes every index used here.
+# Malformed words with their WordSyntaxError message and position on the
+# torus with two strands; the literals pin both, so a rewrite of the parser
+# cannot move them.
 MALFORMED = [
     ("s1 q2", "unexpected character 'q'", 3),
     ("a[1", "unexpected end of word", 3),
@@ -108,6 +108,10 @@ MALFORMED = [
     ("s1 * * a[2,", "unexpected end of word", 11),
     ("a [1,1]", "unexpected character ' '", 1),
     ("s1s1x", "unexpected character 'x'", 4),
+    # the syntax of a whole term is checked before its indices
+    ("s9^x", "malformed exponent", 2),
+    ("a[9,1]^0", "exponent 0 is not allowed", 7),
+    ("a[1,9]^^", "malformed exponent", 6),
 ]
 
 
@@ -117,15 +121,6 @@ def test_parse_pins_every_syntax_error_message_and_position():
         with pytest.raises(WordSyntaxError) as info:
             parse(T2, word)
         assert (str(info.value), info.value.position) == (f"{message} (at position {position})", position), word
-
-
-def test_parse_checks_the_exponent_before_the_index():
-    # The syntax of a whole term is checked before its indices.
-    for word, message in [("s9^x", "malformed exponent"), ("a[9,1]^0", "exponent 0 is not allowed")]:
-        with pytest.raises(WordSyntaxError, match=message):
-            parse(T2, word)
-    with pytest.raises(GeneratorIndexError):
-        parse(T2, "a[1,1]^2 a[1,9]^-3")
 
 
 def test_parse_builds_one_letter_per_term(monkeypatch):
