@@ -33,7 +33,6 @@ from .nonorientable import (
     AbelianInvariants,
     FiniteNormalWitness,
     MixedElement,
-    crystallographic_verdict,
     finite_normal_subgroup,
     kernel_structure,
     normalize_word,
@@ -44,7 +43,6 @@ from .torsion import (
     OrderResult,
     conjugacy_test,
     conjugator_to_section,
-    cycle_power_coeffs,
     frobenius_conjugator,
     frobenius_embed,
     frobenius_pair,
@@ -82,8 +80,6 @@ __all__ = [
     "check_relations",
     "conjugacy_test",
     "conjugator_to_section",
-    "crystallographic_verdict",
-    "cycle_power_coeffs",
     "cyclotomic",
     "cyclotomic_multiplicities",
     "finite_normal_subgroup",

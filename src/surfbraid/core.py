@@ -51,6 +51,8 @@ class GroupDescriptor:
     def __post_init__(self):
         if self.kind not in (ORIENTABLE, SPHERE, NONORIENTABLE):
             raise ValueError(f"unknown surface kind {self.kind!r}")
+        if type(self.n) is not int or (self.genus is not None and type(self.genus) is not int):
+            raise ValueError(f"strand count and genus must be integers, got n={self.n!r}, genus={self.genus!r}")
         if self.n < 1:
             raise ValueError(f"strand count must be >= 1, got {self.n}")
         if self.kind == SPHERE:
@@ -376,14 +378,17 @@ def verify_crystallographic(group: GroupDescriptor) -> Verdict:
     Orientable surfaces give a crystallographic group of dimension 2ng with
     holonomy S_n, witnessed by the strand action being faithful: each
     adjacent transposition moves a lattice basis vector.  The sphere and
-    non-orientable surfaces are delegated to
-    :func:`surfbraid.nonorientable.crystallographic_verdict`, which exhibits
-    a nontrivial finite normal subgroup.
+    non-orientable surfaces give False, witnessed by the nontrivial finite
+    normal subgroup of :func:`surfbraid.nonorientable.finite_normal_subgroup`.
     """
     if group.kind != ORIENTABLE:
-        from . import nonorientable
+        from .nonorientable import finite_normal_subgroup
 
-        return nonorientable.crystallographic_verdict(group)
+        witness = finite_normal_subgroup(group).to_json_obj()
+        witness["kind"] = "finite_normal_subgroup"
+        witness["justification"] = ("a crystallographic group has no nontrivial finite normal subgroup; "
+                                    "the listed torsion classes generate one")
+        return Verdict(is_crystallographic=False, dimension=None, holonomy_order=None, witness=witness)
 
     n = group.n
     moves = []

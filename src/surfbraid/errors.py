@@ -32,14 +32,6 @@ class GeneratorIndexError(DomainError):
     """A generator index in a braid word is out of range."""
 
 
-class NotSingleCycleError(DomainError):
-    """The permutation part is not a single cycle (with fixed points allowed)."""
-
-
-class NotDivisibleError(DomainError):
-    """The exponent is not a multiple of the cycle length."""
-
-
 class InfiniteOrderError(DomainError):
     """The element has infinite order where finite order is required."""
 

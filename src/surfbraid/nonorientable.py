@@ -20,7 +20,9 @@ letter images of :meth:`surfbraid.core.GroupDescriptor.letter_images`.
 
 For the sphere (n >= 3) the kernel is Z_2 + Z^{n(n-3)/2} with the full
 twist generating the torsion summand; no strand action on that basis is
-available here, so only the structure and the verdict are exposed.
+available here, so only the structure and the finite normal subgroup are
+exposed.  :func:`surfbraid.core.verify_crystallographic` turns the finite
+normal subgroup of either surface into its verdict.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from . import core
-from .core import Element, GroupDescriptor, Verdict, rows_from_parts
+from .core import Element, GroupDescriptor, rows_from_parts
 from .errors import UnsupportedSurfaceError, check
 from .permutations import Permutation
 from .words import BraidWord, full_twist_word, normalize
@@ -159,25 +161,4 @@ def finite_normal_subgroup(group: GroupDescriptor) -> FiniteNormalWitness:
         2**n,
         True,
         note,
-    )
-
-
-def crystallographic_verdict(group: GroupDescriptor) -> Verdict:
-    """False with a finite-normal-subgroup witness for the sphere and
-    non-orientable surfaces; true (delegating to the orientable check)
-    otherwise."""
-    if group.kind == core.ORIENTABLE:
-        return core.verify_crystallographic(group)
-    witness = finite_normal_subgroup(group)
-    obj = witness.to_json_obj()
-    obj["kind"] = "finite_normal_subgroup"
-    obj["justification"] = (
-        "a crystallographic group has no nontrivial finite normal subgroup; "
-        "the listed torsion classes generate one"
-    )
-    return Verdict(
-        is_crystallographic=False,
-        dimension=None,
-        holonomy_order=None,
-        witness=obj,
     )

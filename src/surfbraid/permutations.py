@@ -37,6 +37,8 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
+        if any([type(v) is not int for v in self.images]):  # floats and bools are never coerced
+            raise ValueError(f"permutation images must be integers, got {self.images}")
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
 
@@ -67,10 +69,14 @@ class Permutation:
     @classmethod
     def from_cycles(cls, n: int, *cycles: tuple[int, ...]) -> Permutation:
         """Build a permutation from disjoint cycles; (c0, c1, ...) sends c0 to c1."""
+        if type(n) is not int:
+            raise ValueError(f"degree must be an integer, got {n!r}")
         images = list(range(1, n + 1))
         seen: set[int] = set()
         for cycle in cycles:
             for v in cycle:
+                if type(v) is not int:
+                    raise ValueError(f"cycle entry {v!r} is not an integer")
                 if not 1 <= v <= n:
                     raise ValueError(f"cycle entry {v} out of range 1..{n}")
                 if v in seen:

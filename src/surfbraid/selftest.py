@@ -63,7 +63,12 @@ def _suite_power_formula() -> None:
             )
             z = Element(group, CoeffVector(rows), perm)
             k = m * rng.randint(1, 4)
-            check(torsion.cycle_power_coeffs(z, k) == (z**k).coeffs, f"cycle power formula fails at k={k}")
+            expected = [()] * n  # the paper's formula: every strand of C gets (k/|C|) * S_C
+            for orbit, sums in torsion.cycle_sums(z):
+                for c in orbit:
+                    expected[c - 1] = tuple([(k // len(orbit)) * s for s in sums])
+            check(z**k == Element(group, CoeffVector(tuple(expected)), Permutation.identity(n)),
+                  f"cycle power formula fails at k={k}")
             if i % 4 == 0:  # plain repeated products, a path independent of __pow__
                 product = reduce(Element.__mul__, [z] * k, Element.identity(group))
                 check(z**k == product and z**-k == product.inverse(), f"z**k is not the k-fold product at k={k}")
@@ -142,9 +147,9 @@ def _suite_nonorientable() -> None:
             x, y, z = xs
             check((x * y) * z == x * (y * z), "mixed multiplication must be associative")
             check(x * x.inverse() == e, "x * x^-1 must be the identity")
-        check(not nonorientable.crystallographic_verdict(group).is_crystallographic,
+        check(not verify_crystallographic(group).is_crystallographic,
               "non-orientable quotients are not crystallographic")
-    check(not nonorientable.crystallographic_verdict(GroupDescriptor.sphere(4)).is_crystallographic,
+    check(not verify_crystallographic(GroupDescriptor.sphere(4)).is_crystallographic,
           "the sphere quotient is not crystallographic")
     check(verify_crystallographic(GroupDescriptor.orientable(3, 2)).is_crystallographic,
           "orientable quotients are crystallographic")

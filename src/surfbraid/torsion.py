@@ -1,14 +1,17 @@
-"""Finite-order elements and finite subgroups: detection, the closed power
-formula, one constructive conjugator, and the order-p element living over a
-Frobenius permutation group.
+"""Finite-order elements and finite subgroups: detection, conjugacy, one
+constructive conjugator, and the order-p element living over a Frobenius
+permutation group.
 
-Detection and the power formula read the cycle-sum map S_w of
-:func:`cycle_sums`: v * section(w) has finite order iff the rows of v sum to
-zero over every cycle of w.  Conjugators come from one breadth-first walk of
-the Schreier graph, :func:`conjugator_to_section`.  The lattice is a sum of
-permutation modules, so by Shapiro's lemma that walk closes exactly on finite
-subgroups.  The S_n copies and the Frobenius copies, the sections of
-:func:`frobenius_pair` conjugated by a partial-sum alpha, are two named cases.
+Detection reads the cycle-sum map S_w of :func:`cycle_sums`: v * section(w)
+has finite order iff the rows of v sum to zero over every cycle of w; the
+closed power formula read from the same sums is
+:meth:`surfbraid.core.Element.__pow__`.  Conjugators come from one
+breadth-first walk of the Schreier graph, :func:`conjugator_to_section`.  The
+lattice is a sum of permutation modules, so by Shapiro's lemma that walk
+closes exactly on finite subgroups.  A conjugacy witness between two
+finite-order elements is one walk over the cycles of the second; the S_n
+copies and the Frobenius copies, the sections of :func:`frobenius_pair`
+conjugated by a partial-sum alpha, are two more named cases.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ from .errors import (
     GroupMismatchError,
     InfiniteOrderError,
     NotAnSnEmbeddingError,
-    NotDivisibleError,
-    NotSingleCycleError,
     check,
 )
 from .permutations import Permutation
@@ -57,32 +58,6 @@ def cycle_sums(x: Element) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     fixed strand c, the 1-cycle (c,), gets its own row."""
     rows = x.coeffs.rows
     return [(cycle, tuple(list(map(sum, zip(*[rows[c - 1] for c in cycle]))))) for cycle in x.perm.orbits]
-
-
-def cycle_power_coeffs(z: Element, k: int) -> CoeffVector:
-    """Closed form for the lattice part of z**k when the permutation part is a
-    single m-cycle (fixed points allowed) and m divides k.
-
-    Every strand of a cycle C gets (k/|C|) * S_C from :func:`cycle_sums`, so
-    a fixed strand, a 1-cycle, gets k times its own row.  The cycle sums are
-    invariant under moving the section across the lattice part, so the
-    formula applies directly to normal-form coefficients.
-    """
-    z.group.require_orientable("the cycle power formula")
-    cycles = z.perm.cycles()
-    if len(cycles) != 1:
-        raise NotSingleCycleError(
-            f"permutation part has {len(cycles)} nontrivial cycles, need exactly 1"
-        )
-    m = len(cycles[0])
-    if k % m != 0:
-        raise NotDivisibleError(f"cycle length {m} does not divide exponent {k}")
-    rows: list[tuple[int, ...]] = [()] * z.group.n
-    for cycle, sums in cycle_sums(z):
-        row = tuple([(k // len(cycle)) * s for s in sums])
-        for c in cycle:
-            rows[c - 1] = row
-    return CoeffVector(tuple(rows))
 
 
 def order(x: Element) -> OrderResult:
@@ -133,9 +108,10 @@ def conjugator_to_section(theta: Element, *others: Element, root: int = 1) -> El
                     queue.append(d)
                 elif rows[d - 1] != there:
                     raise InfiniteOrderError("only finite-order elements are conjugate to a section")
-    alpha = Element(group, CoeffVector(tuple(rows)), Permutation.identity(n))
+    alpha = Element._trusted(group, CoeffVector(tuple(rows)), Permutation.identity(n))
+    zero = CoeffVector.zero(n, group.handle_count)
     for x in elements:
-        check(Element.section(group, x.perm).conjugated_by(alpha) == x,
+        check(Element._trusted(group, zero, x.perm).conjugated_by(alpha) == x,
               "the conjugator must carry the section to the element")
     return alpha
 
@@ -171,18 +147,24 @@ def conjugating_permutation(p: Permutation, q: Permutation) -> Permutation | Non
 def conjugacy_test(e1: Element, e2: Element) -> Element | None:
     """Decide conjugacy of two finite-order elements; conjugate iff their
     permutation parts share a cycle type.  Returns a verified conjugator c
-    with c * e1 * c^{-1} == e2, or None.  Each element is carried to its
-    section first, which raises InfiniteOrderError for an element of
-    infinite order whatever the cycle types."""
-    if e1.group != e2.group:
+    with c * e1 * c^{-1} == e2, or None; an element of infinite order raises
+    InfiniteOrderError whatever the cycle types.
+
+    For e_i = v_i * section(w_i), c = alpha * section(xi) with xi from
+    :func:`conjugating_permutation` conjugates e1 to
+    (alpha - w2(alpha) + xi(v1)) * section(w2), so alpha is the one walk of
+    :func:`conjugator_to_section` over (v2 - xi(v1)) * section(w2)."""
+    group = e1.group
+    if group != e2.group:
         raise GroupMismatchError("conjugacy test requires elements of the same group")
-    e1.group.require_orientable("conjugacy")
-    alpha1 = conjugator_to_section(e1)
-    alpha2 = conjugator_to_section(e2)
+    group.require_orientable("conjugacy")
+    if not (order(e1).is_finite and order(e2).is_finite):
+        raise InfiniteOrderError("only finite-order elements are conjugate to a section")
     xi = conjugating_permutation(e1.perm, e2.perm)
     if xi is None:
         return None
-    c = alpha2 * Element.section(e1.group, xi) * alpha1.inverse()
+    alpha = conjugator_to_section(Element._trusted(group, e2.coeffs - e1.coeffs.permuted(xi), e2.perm))
+    c = Element._trusted(group, alpha.coeffs, xi)
     check(e1.conjugated_by(c) == e2, "the conjugacy witness must conjugate the first element to the second")
     return c
 

@@ -3,9 +3,11 @@ brute-force multiplication, rational linear algebra on flattened vectors,
 cofactor determinants, triple-loop matrix products, Smith normal form,
 principal-minor sums, the Bieberbach lattice basis and holonomy blocks
 written out by hand, column-sum cycle sums, the coordinate-by-coordinate
-torsion scan and the eigenvalue-pairing Kaehler criterion.  Plus the constructors only tests need: matrices, lattice
-elements and Frobenius blocks from nested lists, words from text, and
-Bieberbach elements from coordinates.  None of them coerces an entry.
+torsion scan, the eigenvalue-pairing Kaehler criterion and the conjugacy
+witness composed from two section conjugators.  Plus the constructors
+only tests need: matrices, lattice elements and Frobenius blocks from
+nested lists, words from text, and Bieberbach elements from coordinates.
+None of them coerces an entry.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from surfbraid.core import CoeffVector, Element, GroupDescriptor
 from surfbraid.intmatrix import IntMatrix
 from surfbraid.intpoly import IntPoly
 from surfbraid.permutations import Permutation
-from surfbraid.torsion import FrobeniusEmbedding
+from surfbraid.torsion import FrobeniusEmbedding, conjugating_permutation, conjugator_to_section
 from surfbraid.words import normalize, parse
 
 
@@ -88,6 +90,20 @@ def order_by_repeated_mul(x: Element, cap: int) -> int | None:
             return k
         acc = acc * x
     return None
+
+
+def reference_conjugacy_witness(e1: Element, e2: Element) -> Element | None:
+    """The conjugacy witness composed from two walks: alpha2 * section(xi) *
+    alpha1^{-1}, where alpha_i carries section(w_i) to e_i and xi is the
+    least permutation with xi * w1 * xi^{-1} == w2; None when the cycle
+    types differ.  Each walk raises InfiniteOrderError for an element of
+    infinite order, e1 first."""
+    alpha1 = conjugator_to_section(e1)
+    alpha2 = conjugator_to_section(e2)
+    xi = conjugating_permutation(e1.perm, e2.perm)
+    if xi is None:
+        return None
+    return alpha2 * Element.section(e1.group, xi) * alpha1.inverse()
 
 
 def basis_vector(n: int, handles: int, i: int, r: int) -> CoeffVector:

@@ -39,6 +39,10 @@ def test_sizes_and_generator_identity():
     assert desc.generator**2 == product_over_strands(desc.group, 1, 1)
     with pytest.raises(ValueError):
         make_bieberbach(1, 1)
+    # True == 1 as a number: a bool genus must not pass for genus 1
+    for n, genus in [(2, True), (2, 1.0), (2.0, 1)]:
+        with pytest.raises(ValueError, match="integers"):
+            make_bieberbach(n, genus)
 
 
 def test_generator_is_sigma_ladder_lift():

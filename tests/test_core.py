@@ -41,6 +41,13 @@ def test_descriptor_validation():
         GroupDescriptor.orientable(2, 0)
     with pytest.raises(ValueError):
         GroupDescriptor("klein", 2, 1)
+    for n, genus in [(3, 1.5), (3, 1.0), (3, True), (3.0, 1), (True, 1)]:
+        with pytest.raises(ValueError, match="integers"):
+            GroupDescriptor.orientable(n, genus)
+    with pytest.raises(ValueError, match="integers"):
+        GroupDescriptor.nonorientable(2, 2.0)
+    with pytest.raises(ValueError, match="integers"):
+        GroupDescriptor.sphere(4.0)
     assert GroupDescriptor.sphere(3).genus is None
     assert GroupDescriptor.torus(4).lattice_rank == 8
     assert GroupDescriptor.nonorientable(2, 3).handle_count == 3

@@ -17,6 +17,10 @@ def test_identity_and_validation():
     for images in [(1, 1, 3), (1, 1), (0, 1), (2, 3)]:
         with pytest.raises(ValueError):
             Permutation(images)
+    # images equal to 1..n as numbers but not ints are rejected, never coerced
+    for images in [(2.0, 1.0), (2, True), (True,), ("1",)]:
+        with pytest.raises(ValueError, match="integers"):
+            Permutation(images)
 
 
 def test_transposition():
@@ -31,6 +35,11 @@ def test_from_cycles():
     assert [p(i) for i in range(1, 6)] == [4, 3, 2, 1, 5]
     with pytest.raises(ValueError):
         Permutation.from_cycles(3, (1, 2), (2, 3))
+    # True passes the range check as 1 and would land in the images as
+    # JSON true, which no element encoding reads back
+    for n, cycle in [(2, (True, 2)), (2, (1.0, 2)), (2.0, (1, 2)), (True, (1,))]:
+        with pytest.raises(ValueError, match="integer"):
+            Permutation.from_cycles(n, cycle)
 
 
 def test_composition_applies_right_factor_first():

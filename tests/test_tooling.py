@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import re
 import shlex
@@ -102,3 +103,30 @@ def test_readme_commands_print_their_recorded_output(capsys):
         code = main(shlex.split(entry["command"], comments=True)[1:])
         out = capsys.readouterr().out
         assert (code, out) == (0, entry["stdout"]), entry["command"]
+
+
+def test_readme_names_resolve_in_the_package():
+    # Every backticked `module.name` or `Class.name` that README.md gives for
+    # a surfbraid module or exported class must exist, so the README cannot
+    # name a deleted function.
+    import surfbraid
+
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    classes = {name for name in surfbraid.__all__ if isinstance(getattr(surfbraid, name), type)}
+    prose = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.S | re.M)
+    named, missing = [], []
+    for span in re.findall(r"`([^`]+)`", prose):
+        for owner, attr in re.findall(r"\b([A-Za-z_]\w*)\.([A-Za-z_]\w*)", span):
+            if owner in modules:
+                target = importlib.import_module(f"surfbraid.{owner}")
+            elif owner in classes:
+                target = getattr(surfbraid, owner)
+            elif owner == "surfbraid":
+                target = surfbraid
+            else:
+                continue
+            named.append(f"{owner}.{attr}")
+            if not hasattr(target, attr):
+                missing.append(f"{owner}.{attr}")
+    assert "torsion.cycle_sums" in named and "Element.bits" in named
+    assert not missing, f"README names that the package does not define: {missing}"

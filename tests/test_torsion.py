@@ -11,8 +11,6 @@ from surfbraid.errors import (
     GroupMismatchError,
     InfiniteOrderError,
     NotAnSnEmbeddingError,
-    NotDivisibleError,
-    NotSingleCycleError,
     VerificationError,
 )
 from surfbraid.permutations import Permutation
@@ -22,7 +20,6 @@ from surfbraid.torsion import (
     conjugacy_test,
     conjugating_permutation,
     conjugator_to_section,
-    cycle_power_coeffs,
     cycle_sums,
     default_multiplier,
     frobenius_conjugator,
@@ -43,6 +40,7 @@ from helpers import (
     power_by_repeated_mul,
     random_element,
     random_permutation,
+    reference_conjugacy_witness,
     scaled,
     single_block,
 )
@@ -63,26 +61,15 @@ def psi(group, *cycles):
 
 def test_cycle_power_examples():
     z = a(T2, 1, 1) * psi(T2, (1, 2))
-    t = cycle_power_coeffs(z, 2)
+    t = (z**2).coeffs
     assert t == CoeffVector(((1, 0), (1, 0)))
     assert t == power_by_repeated_mul(z, 2).coeffs
 
     z2 = psi(T3, (1, 2, 3))
-    assert cycle_power_coeffs(z2, 3).is_zero()
+    assert (z2**3).coeffs.is_zero()
 
     z3 = a(T2, 1, 1) * a(T2, 2, 1).inverse() * psi(T2, (1, 2))
-    assert cycle_power_coeffs(z3, 2).is_zero()
-
-
-def test_cycle_power_errors():
-    with pytest.raises(NotSingleCycleError):
-        cycle_power_coeffs(Element.identity(T2), 2)
-    four = GroupDescriptor.torus(4)
-    two_cycles = Element.section(four, Permutation.from_cycles(4, (1, 2), (3, 4)))
-    with pytest.raises(NotSingleCycleError):
-        cycle_power_coeffs(two_cycles, 2)
-    with pytest.raises(NotDivisibleError):
-        cycle_power_coeffs(psi(T3, (1, 2, 3)), 2)
+    assert (z3**2).coeffs.is_zero()
 
 
 def test_cycle_power_matches_repeated_mul_randomized():
@@ -97,7 +84,7 @@ def test_cycle_power_matches_repeated_mul_randomized():
             )
             z = Element(group, CoeffVector(rows), Permutation.from_cycles(n, cycle))
             k = m * rng.randint(1, 24 // m if m <= 24 else 1)
-            assert cycle_power_coeffs(z, k) == power_by_repeated_mul(z, k).coeffs
+            assert z**k == power_by_repeated_mul(z, k)
 
 
 def test_order_examples():
@@ -296,6 +283,61 @@ def test_conjugacy_randomized_round_trip():
         e2 = base.conjugated_by(random_element(rng, group))
         c = conjugacy_test(e1, e2)
         assert c is not None and e1.conjugated_by(c) == e2
+
+
+def test_conjugacy_witness_is_the_composed_witness_of_two_walks():
+    # One walk over the cycles of the second element gives the witness that
+    # two section conjugators composed as alpha2 * section(xi) * alpha1^{-1}
+    # give, and None on the same pairs.
+    rng = random.Random(181)
+    conjugate = 0
+    for n in range(1, 9):
+        for g in (1, 2, 3):
+            group = GroupDescriptor.orientable(n, g)
+            for _ in range(30):
+                w1 = random_permutation(rng, n)
+                w2 = w1 if rng.random() < 0.8 else random_permutation(rng, n)
+                e1 = Element.section(group, w1).conjugated_by(random_element(rng, group))
+                e2 = Element.section(group, w2).conjugated_by(random_element(rng, group))
+                c = conjugacy_test(e1, e2)
+                assert c == reference_conjugacy_witness(e1, e2)
+                if c is not None:
+                    conjugate += 1
+                    assert e1.conjugated_by(c) == e2
+                else:
+                    assert w1.cycle_type() != w2.cycle_type()
+    assert conjugate >= 500
+    group = GroupDescriptor.orientable(32, 4)
+    for _ in range(3):
+        base = Element.section(group, random_permutation(rng, 32))
+        e1, e2 = [base.conjugated_by(random_element(rng, group, bound=50)) for _ in range(2)]
+        assert conjugacy_test(e1, e2) == reference_conjugacy_witness(e1, e2)
+
+
+def test_conjugacy_test_is_one_walk_and_at_most_four_products(monkeypatch):
+    rng = random.Random(191)
+    group = GroupDescriptor.orientable(8, 2)
+    base = Element.section(group, Permutation.from_cycles(8, (1, 2, 3), (4, 5), (6, 7)))
+    e1, e2 = [base.conjugated_by(random_element(rng, group)) for _ in range(2)]
+    products = walks = 0
+    original_mul, original_walk = Element.__mul__, torsion.conjugator_to_section
+
+    def counting_mul(self, other):
+        nonlocal products
+        products += 1
+        return original_mul(self, other)
+
+    def counting_walk(*args, **kwargs):
+        nonlocal walks
+        walks += 1
+        return original_walk(*args, **kwargs)
+
+    monkeypatch.setattr(Element, "__mul__", counting_mul)
+    monkeypatch.setattr(torsion, "conjugator_to_section", counting_walk)
+    c = conjugacy_test(e1, e2)
+    monkeypatch.undo()
+    assert e1.conjugated_by(c) == e2
+    assert walks == 1 and products <= 4
 
 
 def test_symmetric_copy_trivial_images():
