@@ -4,10 +4,10 @@ The quotient of the braid group of a closed surface by the commutator
 subgroup of its pure braid group is, for orientable surfaces, a
 crystallographic group: a rank-2ng lattice extended by the symmetric
 group acting by strand relabelling.  This package computes in that group
-in exact normal form, classifies finite-order elements and their
-conjugacy, constructs the cyclic-holonomy torsion-free subgroup with its
-flat-manifold invariants, and certifies that the sphere and
-non-orientable quotients are not crystallographic.
+in exact normal form, detects finite-order elements, decides the
+conjugacy of any two elements, constructs the cyclic-holonomy
+torsion-free subgroup with its flat-manifold invariants, and certifies
+that the sphere and non-orientable quotients are not crystallographic.
 """
 
 from .bieberbach import BieberbachDescriptor, GnMembership, TorsionScanReport, make_bieberbach

@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x")
     p.set_defaults(func=_cmd_order)
 
-    p = sub.add_parser("conjugacy", help="decide conjugacy of two finite-order elements")
+    p = sub.add_parser("conjugacy", help="decide conjugacy of two elements")
     _add_group_flags(p)
     p.add_argument("x")
     p.add_argument("y")

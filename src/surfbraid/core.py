@@ -215,8 +215,8 @@ class Element:
         n, handles = group.n, group.handle_count
         if len(rows) != n or len(self.perm.images) != n:
             raise ValueError("coefficient/permutation size does not match the group")
-        if any([len(row) != handles for row in rows]):
-            raise ValueError(f"every coefficient row must have {handles} entries")
+        if not isinstance(rows, tuple) or any([not isinstance(row, tuple) or len(row) != handles for row in rows]):
+            raise ValueError(f"every coefficient row must have {handles} entries (rows as a tuple of tuples)")
         if any([type(v) is not int for row in rows for v in row]):  # floats and bools are never coerced
             raise ValueError("coefficients must be integers")
         if group.kind == NONORIENTABLE and any([row[0] not in (0, 1) for row in rows]):

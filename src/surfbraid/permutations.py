@@ -37,8 +37,9 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        if any([type(v) is not int for v in self.images]):  # floats and bools are never coerced
-            raise ValueError(f"permutation images must be integers, got {self.images}")
+        # a list would compare unequal and not hash; floats and bools are never coerced
+        if not isinstance(self.images, tuple) or any([type(v) is not int for v in self.images]):
+            raise ValueError(f"permutation images must be a tuple of integers, got {self.images}")
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
 
@@ -131,10 +132,6 @@ class Permutation:
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """The nontrivial cycles of :attr:`orbits`: fixed points left out."""
         return tuple([c for c in self.orbits if len(c) > 1])
-
-    def cycle_type(self) -> tuple[int, ...]:
-        """Cycle lengths including fixed points, in decreasing order."""
-        return tuple(sorted([len(c) for c in self.orbits], reverse=True))
 
     def order(self) -> int:
         return reduce(math.lcm, [len(c) for c in self.orbits], 1)

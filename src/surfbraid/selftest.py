@@ -87,6 +87,11 @@ def _suite_conjugacy() -> None:
         theta = three.conjugated_by(c)
         check(torsion.order(theta).value == 3, "a conjugate of a 3-cycle section must have order 3")
         check(torsion.conjugacy_test(theta, three) is not None, "a conjugate must be found conjugate")
+    x = Element.strand_generator(group, 1, 1) * t1  # infinite order: its 2-cycle sums to (1, 0)
+    y = x.conjugated_by(_random_element(rng, group))
+    c = torsion.conjugacy_test(x, y)
+    check(c is not None and x.conjugated_by(c) == y, "an infinite-order conjugate must be found conjugate")
+    check(torsion.conjugacy_test(x, t1) is None, "equal cycle types with different cycle sums must not be conjugate")
 
 
 def _suite_bieberbach() -> None:

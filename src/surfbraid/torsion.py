@@ -1,6 +1,6 @@
-"""Finite-order elements and finite subgroups: detection, conjugacy, one
-constructive conjugator, and the order-p element living over a Frobenius
-permutation group.
+"""Finite-order elements and finite subgroups: detection, conjugacy of every
+element, one constructive conjugator, and the order-p element living over a
+Frobenius permutation group.
 
 Detection reads the cycle-sum map S_w of :func:`cycle_sums`: v * section(w)
 has finite order iff the rows of v sum to zero over every cycle of w; the
@@ -8,10 +8,11 @@ closed power formula read from the same sums is
 :meth:`surfbraid.core.Element.__pow__`.  Conjugators come from one
 breadth-first walk of the Schreier graph, :func:`conjugator_to_section`.  The
 lattice is a sum of permutation modules, so by Shapiro's lemma that walk
-closes exactly on finite subgroups.  A conjugacy witness between two
-finite-order elements is one walk over the cycles of the second; the S_n
-copies and the Frobenius copies, the sections of :func:`frobenius_pair`
-conjugated by a partial-sum alpha, are two more named cases.
+closes exactly on finite subgroups.  Two elements are conjugate iff their
+multisets of pairs (cycle length, S_C) agree, and the witness is one walk
+over the cycles of the second; the S_n copies and the Frobenius copies, the
+sections of :func:`frobenius_pair` conjugated by a partial-sum alpha, are
+two more named cases.
 """
 
 from __future__ import annotations
@@ -116,51 +117,46 @@ def conjugator_to_section(theta: Element, *others: Element, root: int = 1) -> El
     return alpha
 
 
-def conjugating_permutation(p: Permutation, q: Permutation) -> Permutation | None:
-    """Lexicographically least xi with xi * p * xi^{-1} == q, or None when the
-    cycle types differ.
+def conjugating_permutation(e1: Element, e2: Element) -> Permutation | None:
+    """Lexicographically least xi with xi * w1 * xi^{-1} == w2 that sends each
+    cycle C of w1 to a cycle of w2 with the same pair (len(C), S_C) of
+    :func:`cycle_sums`, for e_i = v_i * section(w_i) of one group; None when
+    the multisets of pairs differ.
 
-    Greedy: walk the p-cycles in order of their least strand i; for each
-    pick the smallest unused image v whose q-cycle has the same length,
-    then propagate xi(p^t(i)) = q^t(v) around the cycle.  Whole cycles are
-    consumed at once, so the greedy minimum is the global lexicographic
-    minimum.
-    """
-    if p.n != q.n or p.cycle_type() != q.cycle_type():
-        return None
-    n = p.n
-    q_cycle_len = [0] * (n + 1)
-    for cycle in q.orbits:
-        for v in cycle:
-            q_cycle_len[v] = len(cycle)
-    images = [0] * (n + 1)
-    used = [False] * (n + 1)
-    for cycle in p.orbits:
-        w = next(v for v in range(1, n + 1) if not used[v] and q_cycle_len[v] == len(cycle))
-        for c in cycle:
-            images[c] = w
-            used[w] = True
-            w = q(w)
-    return Permutation(tuple(images[1:]))
+    Greedy and O(n): each cycle of w1, in orbit order, takes the first unused
+    cycle of w2 with its pair, and the two are zipped, xi(w1^t(i)) = w2^t(v).
+    Whole cycles go at once and each starts at its least strand, so the
+    greedy minimum is the lexicographic minimum."""
+    buckets: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
+    for cycle, sums in reversed(cycle_sums(e2)):  # so that pop() takes the first in orbit order
+        buckets.setdefault((len(cycle), sums), []).append(cycle)
+    images = [0] * e1.group.n
+    for cycle, sums in cycle_sums(e1):
+        bucket = buckets.get((len(cycle), sums))
+        if not bucket:
+            return None
+        for c, d in zip(cycle, bucket.pop()):
+            images[c - 1] = d
+    return Permutation._trusted(tuple(images))
 
 
 def conjugacy_test(e1: Element, e2: Element) -> Element | None:
-    """Decide conjugacy of two finite-order elements; conjugate iff their
-    permutation parts share a cycle type.  Returns a verified conjugator c
-    with c * e1 * c^{-1} == e2, or None; an element of infinite order raises
-    InfiniteOrderError whatever the cycle types.
+    """Decide conjugacy of two elements of the orientable quotient: conjugate
+    iff their multisets of pairs (cycle length, S_C) of :func:`cycle_sums`
+    agree.  Returns a verified conjugator c with c * e1 * c^{-1} == e2, or
+    None.
 
     For e_i = v_i * section(w_i), c = alpha * section(xi) with xi from
     :func:`conjugating_permutation` conjugates e1 to
     (alpha - w2(alpha) + xi(v1)) * section(w2), so alpha is the one walk of
-    :func:`conjugator_to_section` over (v2 - xi(v1)) * section(w2)."""
+    :func:`conjugator_to_section` over (v2 - xi(v1)) * section(w2); xi
+    matches the cycle sums, so that element has finite order and the walk
+    closes."""
     group = e1.group
     if group != e2.group:
         raise GroupMismatchError("conjugacy test requires elements of the same group")
     group.require_orientable("conjugacy")
-    if not (order(e1).is_finite and order(e2).is_finite):
-        raise InfiniteOrderError("only finite-order elements are conjugate to a section")
-    xi = conjugating_permutation(e1.perm, e2.perm)
+    xi = conjugating_permutation(e1, e2)
     if xi is None:
         return None
     alpha = conjugator_to_section(Element._trusted(group, e2.coeffs - e1.coeffs.permuted(xi), e2.perm))

@@ -3,11 +3,12 @@ brute-force multiplication, rational linear algebra on flattened vectors,
 cofactor determinants, triple-loop matrix products, Smith normal form,
 principal-minor sums, the Bieberbach lattice basis and holonomy blocks
 written out by hand, column-sum cycle sums, the coordinate-by-coordinate
-torsion scan, the eigenvalue-pairing Kaehler criterion and the conjugacy
-witness composed from two section conjugators.  Plus the constructors
-only tests need: matrices, lattice elements and Frobenius blocks from
-nested lists, words from text, and Bieberbach elements from coordinates.
-None of them coerces an entry.
+torsion scan, the eigenvalue-pairing Kaehler criterion, the conjugacy
+witness composed from two section conjugators and the search over all of
+S_n for a conjugator's permutation part.  Plus the constructors only tests
+need: matrices, lattice elements and Frobenius blocks from nested lists,
+words from text, and Bieberbach elements from coordinates.  None of them
+coerces an entry.
 """
 
 from __future__ import annotations
@@ -17,14 +18,21 @@ import math
 import random
 from fractions import Fraction
 
+from hypothesis import settings
+
 from surfbraid import bieberbach
 from surfbraid.bieberbach import BieberbachDescriptor, TorsionScanReport
 from surfbraid.core import CoeffVector, Element, GroupDescriptor
+from surfbraid.errors import InfiniteOrderError
 from surfbraid.intmatrix import IntMatrix
 from surfbraid.intpoly import IntPoly
 from surfbraid.permutations import Permutation
 from surfbraid.torsion import FrobeniusEmbedding, conjugating_permutation, conjugator_to_section
 from surfbraid.words import normalize, parse
+
+# Property tests draw the same examples on every run and keep no example
+# database, so tier-1 is deterministic and no earlier failure is replayed.
+DERANDOMIZED = settings(derandomize=True, database=None, deadline=None)
 
 
 def int_matrix(rows) -> IntMatrix:
@@ -95,15 +103,40 @@ def order_by_repeated_mul(x: Element, cap: int) -> int | None:
 def reference_conjugacy_witness(e1: Element, e2: Element) -> Element | None:
     """The conjugacy witness composed from two walks: alpha2 * section(xi) *
     alpha1^{-1}, where alpha_i carries section(w_i) to e_i and xi is the
-    least permutation with xi * w1 * xi^{-1} == w2; None when the cycle
-    types differ.  Each walk raises InfiniteOrderError for an element of
-    infinite order, e1 first."""
+    least permutation with xi * w1 * xi^{-1} == w2 (every cycle sum of a
+    finite-order element vanishes, so that is :func:`conjugating_permutation`);
+    None when the cycle types differ.  Each walk raises InfiniteOrderError
+    for an element of infinite order, e1 first."""
     alpha1 = conjugator_to_section(e1)
     alpha2 = conjugator_to_section(e2)
-    xi = conjugating_permutation(e1.perm, e2.perm)
+    xi = conjugating_permutation(e1, e2)
     if xi is None:
         return None
     return alpha2 * Element.section(e1.group, xi) * alpha1.inverse()
+
+
+def brute_force_conjugating_permutations(e1: Element, e2: Element) -> list[Permutation]:
+    """Every xi of S_n, in lexicographic order, that is the permutation part
+    of a conjugator carrying e1 = v1 * section(w1) to e2 = v2 * section(w2):
+    xi * w1 * xi^{-1} == w2, and the walk of :func:`conjugator_to_section`
+    closes over (v2 - xi(v1)) * section(w2)."""
+    group, w1, w2 = e1.group, e1.perm, e2.perm
+    found = []
+    for images in itertools.permutations(range(1, group.n + 1)):
+        xi = Permutation(images)
+        if xi * w1 * xi.inverse() != w2:
+            continue
+        try:
+            conjugator_to_section(Element(group, e2.coeffs - e1.coeffs.permuted(xi), w2))
+        except InfiniteOrderError:
+            continue
+        found.append(xi)
+    return found
+
+
+def cycle_type(p: Permutation) -> tuple[int, ...]:
+    """Cycle lengths including fixed points, in decreasing order."""
+    return tuple(sorted([len(c) for c in p.orbits], reverse=True))
 
 
 def basis_vector(n: int, handles: int, i: int, r: int) -> CoeffVector:

@@ -27,6 +27,8 @@ from surfbraid.words import check_relations
 
 from helpers import (
     basis_vector,
+    brute_force_conjugating_permutations,
+    cycle_type,
     handle_sums,
     power_by_repeated_mul,
     product_over_strands,
@@ -76,7 +78,8 @@ def test_criterion_2_power_formula():
                 assert z**k == power_by_repeated_mul(z, k)
 
 
-@criterion(3, "conjugacy of all finite-order elements with coefficients in {-1,0,1} (n=3, g=1)")
+@criterion(3, "conjugacy of all finite-order elements (n=3, g=1) and of all elements (n=2, g=1), "
+              "coefficients in {-1,0,1}")
 def test_criterion_3_conjugacy_classification():
     group = GroupDescriptor.torus(3)
     finite = []
@@ -91,14 +94,35 @@ def test_criterion_3_conjugacy_classification():
     # transpositions, 49 over each of the 2 three-cycles
     assert len(finite) == 1 + 3 * 9 + 2 * 49 == 126
     for e1 in finite:
-        type1 = e1.perm.cycle_type()
+        type1 = cycle_type(e1.perm)
         for e2 in finite:
             witness = conjugacy_test(e1, e2)
-            if type1 == e2.perm.cycle_type():
+            if type1 == cycle_type(e2.perm):
                 assert witness is not None
                 assert e1.conjugated_by(witness) == e2
             else:
                 assert witness is None
+    # every element, infinite order included, against the search over S_2
+    group = GroupDescriptor.torus(2)
+    everything = [Element(group, CoeffVector((flat[0:2], flat[2:4])), Permutation(images))
+                  for images in ((1, 2), (2, 1)) for flat in itertools.product((-1, 0, 1), repeat=4)]
+    assert len(everything) == 2 * 3**4 == 162
+    conjugate = 0
+    for e1 in everything:
+        for e2 in everything:
+            witness = conjugacy_test(e1, e2)
+            brute = brute_force_conjugating_permutations(e1, e2)
+            if brute:
+                conjugate += 1
+                assert witness is not None and witness.perm == brute[0]
+                assert e1.conjugated_by(witness) == e2
+            else:
+                assert witness is None
+    # counting argument: over the identity, pairs of equal row multisets
+    # (9 with equal rows, 36 with two different rows, each class squared);
+    # over the transposition, pairs with equal row sums (1, 2, 3, 2, 1 ways
+    # to reach each sum per handle, so 19 per handle)
+    assert conjugate == 9 * 1 + 36 * 2**2 + 19**2 == 514
 
 
 @criterion(4, "symmetric-copy and Frobenius conjugators verify (200 random each)")

@@ -68,6 +68,12 @@ def test_order_and_conjugacy(capsys):
     zero = json.dumps({"n": 2, "g": 1, "perm": [1, 2], "coeffs": [[0, 0], [0, 0]]})
     result = run_json(capsys, "conjugacy", "--n", "2", finite, zero)
     assert result == {"conjugate": False, "witness": None}
+    # infinite order is decided too, by the 2-cycle sum: (1, 0) against (1, 0) and (2, 0)
+    other = json.dumps({"n": 2, "g": 1, "perm": [2, 1], "coeffs": [[2, 0], [-1, 0]]})
+    result = run_json(capsys, "conjugacy", "--n", "2", x, other)
+    assert result["conjugate"] is True and result["witness"] is not None
+    apart = json.dumps({"n": 2, "g": 1, "perm": [2, 1], "coeffs": [[2, 0], [0, 0]]})
+    assert run_json(capsys, "conjugacy", "--n", "2", x, apart) == {"conjugate": False, "witness": None}
 
 
 def test_subgroup_conjugator(capsys):

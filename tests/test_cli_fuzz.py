@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from surfbraid.cli import main
 
-FUZZ = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+from helpers import DERANDOMIZED
+
+FUZZ = settings(DERANDOMIZED, max_examples=60)
 
 # Word text: the grammar's own characters, non-ASCII digits and spaces, and
 # anything else.

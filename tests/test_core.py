@@ -295,7 +295,7 @@ def test_verify_crystallographic_single_strand():
     assert verdict.is_crystallographic and verdict.dimension == 4 and verdict.holonomy_order == 1
 
 
-def test_verify_crystallographic_delegates():
+def test_verify_crystallographic_is_false_for_sphere_and_nonorientable():
     assert not verify_crystallographic(GroupDescriptor.sphere(3)).is_crystallographic
     assert not verify_crystallographic(GroupDescriptor.nonorientable(2, 2)).is_crystallographic
 
@@ -309,6 +309,11 @@ def test_element_validates_every_row():
         Element(T2, CoeffVector(((1, 0), (1,))), Permutation.identity(2))
     with pytest.raises(ValueError):
         Element(T2, CoeffVector(((1, 0), (1, 0, 0))), Permutation.identity(2))
+    # lists where tuples are meant would compare unequal and not hash
+    with pytest.raises(ValueError, match="tuple"):
+        Element(T2, CoeffVector([(1, 0), (0, 0)]), Permutation.identity(2))
+    with pytest.raises(ValueError, match="tuple"):
+        Element(T2, CoeffVector(([1, 0], [0, 0])), Permutation.identity(2))
     klein = GroupDescriptor.nonorientable(2, 2)
     with pytest.raises(ValueError):  # the torsion bit in column 1 must be reduced
         Element(klein, CoeffVector(((0, 5), (2, 0))), Permutation.identity(2))

@@ -1,7 +1,8 @@
-import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from surfbraid import torsion
 from surfbraid.core import CoeffVector, Element, GroupDescriptor
@@ -32,7 +33,10 @@ from surfbraid.torsion import (
 )
 
 from helpers import (
+    DERANDOMIZED,
     basis_vector,
+    brute_force_conjugating_permutations,
+    cycle_type,
     reference_cycle_sums,
     handle_sums,
     lattice_element,
@@ -146,20 +150,19 @@ def test_conjugator_to_section_examples():
 
 
 def test_conjugating_permutation_is_lex_least():
+    # over elements: the least xi of S_n whose conjugator walk closes
     rng = random.Random(113)
     for n in range(2, 6):
-        for _ in range(25):
-            p, q = random_permutation(rng, n), random_permutation(rng, n)
-            result = conjugating_permutation(p, q)
-            brute = [
-                xi
-                for xi in map(Permutation, itertools.permutations(range(1, n + 1)))
-                if xi * p * xi.inverse() == q
-            ]
-            if not brute:
-                assert result is None
-            else:
-                assert result == min(brute, key=lambda x: x.images)
+        group = GroupDescriptor.torus(n)
+        for i in range(25):
+            e1 = random_element(rng, group, bound=1)
+            if i % 3 == 0:
+                e2 = random_element(rng, group, bound=1)
+            else:  # a conjugate, its lattice part kept small so that cycle labels repeat
+                e2 = e1.conjugated_by(random_element(rng, group, bound=i % 3 - 1))
+            result = conjugating_permutation(e1, e2)
+            brute = brute_force_conjugating_permutations(e1, e2)
+            assert result == (brute[0] if brute else None)
 
 
 def test_conjugacy_examples():
@@ -176,21 +179,33 @@ def test_conjugacy_examples():
     c = conjugacy_test(e1, e2)
     assert c is not None and e1.conjugated_by(c) == e2
 
-    with pytest.raises(InfiniteOrderError):
-        conjugacy_test(a(T2, 1, 1) * psi(T2, (1, 2)), e2)
+    # infinite order, decided by the 2-cycle sum: (1, 0) is neither (0, 0) nor (2, 0),
+    # and (2, 0) + (-1, 0) is (1, 0)
+    infinite = a(T2, 1, 1) * psi(T2, (1, 2))
+    assert conjugacy_test(infinite, e2) is None
+    assert conjugacy_test(infinite, a(T2, 1, 1) ** 2 * psi(T2, (1, 2))) is None
+    other = a(T2, 1, 1) ** 2 * a(T2, 2, 1).inverse() * psi(T2, (1, 2))
+    c = conjugacy_test(infinite, other)
+    assert c is not None and infinite.conjugated_by(c) == other
     with pytest.raises(GroupMismatchError):
         conjugacy_test(Element.identity(T2), Element.identity(T3))
 
 
-def test_conjugacy_rejects_infinite_order_whatever_the_cycle_types():
+def test_conjugacy_decides_infinite_order_whatever_the_cycle_types():
     three = psi(T3, (1, 2, 3))
     infinite_transposition = a(T3, 1, 1) * psi(T3, (1, 2))
     infinite_fixed_strand = a(T3, 3, 2) * psi(T3, (1, 2))
+    rng = random.Random(139)
     for x in (infinite_transposition, infinite_fixed_strand):
-        assert x.perm.cycle_type() != three.perm.cycle_type()
+        assert cycle_type(x.perm) != cycle_type(three.perm)
         for pair in ((x, three), (three, x), (x, Element.identity(T3))):
-            with pytest.raises(InfiniteOrderError):
-                conjugacy_test(*pair)
+            assert conjugacy_test(*pair) is None
+        for _ in range(10):
+            y = x.conjugated_by(random_element(rng, T3))
+            c = conjugacy_test(x, y)
+            assert c is not None and x.conjugated_by(c) == y
+    # one cycle type, different cycle sums on the fixed strand
+    assert conjugacy_test(infinite_transposition, infinite_fixed_strand) is None
 
 
 def test_conjugator_to_section_raises_exactly_on_infinite_order():
@@ -305,7 +320,7 @@ def test_conjugacy_witness_is_the_composed_witness_of_two_walks():
                     conjugate += 1
                     assert e1.conjugated_by(c) == e2
                 else:
-                    assert w1.cycle_type() != w2.cycle_type()
+                    assert cycle_type(w1) != cycle_type(w2)
     assert conjugate >= 500
     group = GroupDescriptor.orientable(32, 4)
     for _ in range(3):
@@ -338,6 +353,73 @@ def test_conjugacy_test_is_one_walk_and_at_most_four_products(monkeypatch):
     monkeypatch.undo()
     assert e1.conjugated_by(c) == e2
     assert walks == 1 and products <= 4
+
+
+@st.composite
+def elements(draw, group, bound=2):
+    rows = draw(st.lists(st.tuples(*[st.integers(-bound, bound)] * group.handle_count),
+                         min_size=group.n, max_size=group.n))
+    images = draw(st.permutations(range(1, group.n + 1)))
+    return Element(group, CoeffVector(tuple(rows)), Permutation(tuple(images)))
+
+
+def groups(max_n):
+    return st.builds(GroupDescriptor.orientable, st.integers(1, max_n), st.integers(1, 2))
+
+
+def cycle_labels(x):
+    return sorted([(len(cycle), sums) for cycle, sums in cycle_sums(x)])
+
+
+@DERANDOMIZED
+@given(st.data())
+def test_every_conjugate_gets_a_checked_witness(data):
+    # infinite order included: the labels (length, S_C) survive conjugation
+    group = data.draw(groups(max_n=6))
+    x, c = data.draw(elements(group)), data.draw(elements(group))
+    y = x.conjugated_by(c)
+    assert cycle_labels(x) == cycle_labels(y)
+    witness = conjugacy_test(x, y)
+    assert witness is not None and x.conjugated_by(witness) == y
+
+
+@DERANDOMIZED
+@given(st.data())
+def test_conjugacy_agrees_with_the_search_over_s_n(data):
+    group = data.draw(groups(max_n=4))
+    x = data.draw(elements(group, bound=1))
+    y = data.draw(elements(group, bound=1) | elements(group, bound=1).map(x.conjugated_by))
+    brute = brute_force_conjugating_permutations(x, y)
+    witness = conjugacy_test(x, y)
+    if not brute:
+        assert witness is None and cycle_labels(x) != cycle_labels(y)
+    else:
+        assert witness is not None and witness.perm == brute[0] and x.conjugated_by(witness) == y
+
+
+@DERANDOMIZED
+@given(st.data())
+def test_matching_cycles_with_different_sums_makes_the_walk_raise(data):
+    # two m-cycles of x with different sums, their images under xi swapped
+    m, extra = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+    n = 2 * m + extra
+    group = GroupDescriptor.orientable(n, data.draw(st.integers(1, 2)))
+    relabel = Permutation(tuple(data.draw(st.permutations(range(1, n + 1)))))
+    cycle1, cycle2 = [tuple([relabel(i) for i in range(k + 1, k + m + 1)]) for k in (0, m)]
+    w = Permutation.from_cycles(n, cycle1, cycle2)
+    rows = [list(row) for row in data.draw(elements(group)).coeffs.rows]
+    if sum([rows[c - 1][0] for c in cycle1]) == sum([rows[c - 1][0] for c in cycle2]):
+        rows[cycle1[0] - 1][0] += 1
+    x = Element(group, CoeffVector(tuple([tuple(row) for row in rows])), w)
+    y = x.conjugated_by(data.draw(elements(group)))
+    xi = conjugating_permutation(x, y)
+    images = list(xi.images)
+    for c1, c2 in zip(cycle1, cycle2):
+        images[c1 - 1], images[c2 - 1] = xi(c2), xi(c1)
+    swapped = Permutation(tuple(images))
+    assert swapped * x.perm * swapped.inverse() == y.perm
+    with pytest.raises(InfiniteOrderError):
+        conjugator_to_section(Element(group, y.coeffs - x.coeffs.permuted(swapped), y.perm))
 
 
 def test_symmetric_copy_trivial_images():
