@@ -14,12 +14,10 @@ import json
 import sys
 from typing import Any
 
-from . import torsion, words
-from .bieberbach import make_bieberbach
+# Only core and errors, which nearly every command needs, load here; each
+# _cmd_* imports the rest of what it runs when it starts.
 from .core import CoeffVector, Element, GroupDescriptor, json_int_rows, verify_crystallographic
 from .errors import DomainError, VerificationError
-from .invariants import CyclicRep, invariant_report
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -107,6 +105,8 @@ def _element_out(args: argparse.Namespace, element: Element) -> None:
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
+    from . import words
+
     group = _group_from_args(args)
     # the sphere raises in words.normalize, which has no handle generators there
     _element_out(args, words.normalize(group, words.parse(group, args.word)))
@@ -134,6 +134,8 @@ def _cmd_pow(args: argparse.Namespace) -> int:
 
 
 def _cmd_order(args: argparse.Namespace) -> int:
+    from . import torsion
+
     group = _group_from_args(args)
     result = torsion.order(_load_element(group, args.x))
     _emit(
@@ -145,6 +147,8 @@ def _cmd_order(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjugacy(args: argparse.Namespace) -> int:
+    from . import torsion
+
     group = _group_from_args(args)
     witness = torsion.conjugacy_test(_load_element(group, args.x), _load_element(group, args.y))
     _emit(
@@ -156,6 +160,8 @@ def _cmd_conjugacy(args: argparse.Namespace) -> int:
 
 
 def _cmd_subgroup_conjugator(args: argparse.Namespace) -> int:
+    from . import torsion
+
     group = _group_from_args(args)
     arr = _load_json(args.images, "image list")
     if not isinstance(arr, list):
@@ -165,24 +171,10 @@ def _cmd_subgroup_conjugator(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _frobenius_embedding(args: argparse.Namespace) -> torsion.FrobeniusEmbedding:
-    if args.blocks is None:
-        return torsion.FrobeniusEmbedding.zero(args.genus)
-    arr = _load_json(args.blocks, "parameter blocks")
-    try:
-        blocks = json_int_rows(arr, "parameter blocks")
-        return torsion.FrobeniusEmbedding(args.genus, blocks)
-    except ValueError as exc:
-        raise DomainError(f"bad parameter blocks: {exc}") from exc
-
-
 def _cmd_frobenius(args: argparse.Namespace) -> int:
-    if args.action == "embed":
-        v1, v2 = torsion.frobenius_embed(_frobenius_embedding(args))
-        _emit(args, {"v1": v1.to_json_obj(), "v2": v2.to_json_obj()})
-    elif args.action == "conjugator":
-        _element_out(args, torsion.frobenius_conjugator(_frobenius_embedding(args)))
-    else:  # torsion
+    from . import torsion
+
+    if args.action == "torsion":
         group = GroupDescriptor.orientable(args.p, args.genus)
         v = torsion.frobenius_torsion_element(
             group,
@@ -193,10 +185,26 @@ def _cmd_frobenius(args: argparse.Namespace) -> int:
         )
         result = torsion.order(v)
         _emit(args, {"element": v.to_json_obj(), "order": result.value})
+        return EXIT_OK
+    if args.blocks is None:
+        embedding = torsion.FrobeniusEmbedding.zero(args.genus)
+    else:
+        arr = _load_json(args.blocks, "parameter blocks")
+        try:
+            embedding = torsion.FrobeniusEmbedding(args.genus, json_int_rows(arr, "parameter blocks"))
+        except ValueError as exc:
+            raise DomainError(f"bad parameter blocks: {exc}") from exc
+    if args.action == "embed":
+        v1, v2 = torsion.frobenius_embed(embedding)
+        _emit(args, {"v1": v1.to_json_obj(), "v2": v2.to_json_obj()})
+    else:  # conjugator
+        _element_out(args, torsion.frobenius_conjugator(embedding))
     return EXIT_OK
 
 
 def _cmd_bieberbach(args: argparse.Namespace) -> int:
+    from .bieberbach import make_bieberbach
+
     desc = make_bieberbach(args.n, args.genus)
     if args.action == "info":
         _emit(
@@ -227,6 +235,9 @@ def _cmd_bieberbach(args: argparse.Namespace) -> int:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
+    from .bieberbach import make_bieberbach
+    from .invariants import CyclicRep, invariant_report
+
     desc = make_bieberbach(args.n, args.genus)
     rep = CyclicRep(desc.holonomy_matrix(), desc.n)
     _emit(args, invariant_report(rep))
@@ -240,6 +251,8 @@ def _cmd_verdict(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from .selftest import run_selftest
+
     return EXIT_OK if run_selftest(sys.stdout) else EXIT_SELFTEST
 
 

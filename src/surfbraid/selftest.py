@@ -164,7 +164,7 @@ SUITES: list[tuple[str, Callable[[], None]]] = [
     ("group axioms hold on random elements", _suite_group_axioms),
     ("presentation relations normalize to equal elements", _suite_relations),
     ("cycle power formula matches repeated multiplication", _suite_power_formula),
-    ("conjugacy classified by cycle type", _suite_conjugacy),
+    ("conjugacy decided by cycle lengths and cycle sums", _suite_conjugacy),
     ("bieberbach holonomy matrices and centre", _suite_bieberbach),
     ("flat manifold invariants", _suite_invariants),
     ("frobenius embeddings and torsion", _suite_frobenius),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import CoeffVector, Element, GroupDescriptor
 from .errors import GeneratorIndexError, WordSyntaxError
@@ -28,20 +28,31 @@ SIGMA = "s"
 HANDLE = "a"
 
 
-@dataclass(frozen=True)
-class Letter:
-    """One signed generator: kind 's' uses index i; kind 'a' uses (i, r)."""
-
+class _LetterFields(NamedTuple):
     kind: str
     i: int
     r: int = 0
     exp: int = 1
 
-    def __post_init__(self):
-        if self.kind not in (SIGMA, HANDLE):
-            raise ValueError(f"unknown letter kind {self.kind!r}")
-        if self.exp == 0:
+
+class Letter(_LetterFields):
+    """One signed generator: kind 's' uses index i; kind 'a' uses (i, r).
+
+    A tuple, so :func:`parse`, which has already checked the kind and the
+    exponent, builds it with ``tuple.__new__`` and skips these checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, i: int, r: int = 0, exp: int = 1) -> Letter:
+        if kind not in (SIGMA, HANDLE):
+            raise ValueError(f"unknown letter kind {kind!r}")
+        if exp == 0:
             raise ValueError("letter exponent must be nonzero")
+        return tuple.__new__(cls, (kind, i, r, exp))
+
+    # The inherited _make skips __new__; through it _replace would too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def text(self) -> str:
         base = f"s{self.i}" if self.kind == SIGMA else f"a[{self.i},{self.r}]"
@@ -72,22 +83,17 @@ class BraidWord:
         return self.text()
 
 
-def check_letter(group: GroupDescriptor, letter: Letter) -> None:
-    if letter.kind == SIGMA:
-        if not 1 <= letter.i <= group.n - 1:
-            raise GeneratorIndexError(
-                f"s{letter.i}: index {letter.i} out of range 1..{group.n - 1}"
-            )
+def check_letter(group: GroupDescriptor, kind: str, i: int, r: int) -> None:
+    """Check the indices of the letter s_i (kind 's') or a[i,r] (kind 'a') against the group."""
+    if kind == SIGMA:
+        if not 1 <= i <= group.n - 1:
+            raise GeneratorIndexError(f"s{i}: index {i} out of range 1..{group.n - 1}")
     else:
         handles = group.handle_count  # raises UnsupportedSurfaceError on the sphere
-        if not 1 <= letter.i <= group.n:
-            raise GeneratorIndexError(
-                f"a[{letter.i},{letter.r}]: strand {letter.i} out of range 1..{group.n}"
-            )
-        if not 1 <= letter.r <= handles:
-            raise GeneratorIndexError(
-                f"a[{letter.i},{letter.r}]: handle {letter.r} out of range 1..{handles}"
-            )
+        if not 1 <= i <= group.n:
+            raise GeneratorIndexError(f"a[{i},{r}]: strand {i} out of range 1..{group.n}")
+        if not 1 <= r <= handles:
+            raise GeneratorIndexError(f"a[{i},{r}]: handle {r} out of range 1..{handles}")
 
 
 # One match per term: a separator, a generator with its exponent (or a
@@ -124,9 +130,9 @@ def parse(group: GroupDescriptor, text: str) -> BraidWord:
         e = 1 if exp is None else int(exp)
         if e == 0:
             raise WordSyntaxError("exponent 0 is not allowed", m.start("exp"))
-        letter = Letter(SIGMA, int(si), 0, e) if si is not None else Letter(HANDLE, int(aj), int(ar), e)
-        check_letter(group, letter)
-        letters.append(letter)
+        kind, i, r = (SIGMA, int(si), 0) if si is not None else (HANDLE, int(aj), int(ar))
+        check_letter(group, kind, i, r)
+        letters.append(tuple.__new__(Letter, (kind, i, r, e)))  # kind and exponent checked above
     return BraidWord(tuple(letters))
 
 
@@ -146,16 +152,15 @@ def normalize(group: GroupDescriptor, word: BraidWord) -> Element:
     images = group.letter_images()
     rows = [[0] * handles for _ in range(n)]
     w = list(range(1, n + 1))
-    for letter in word.letters:
-        check_letter(group, letter)
-        if letter.kind == SIGMA:
-            if letter.exp % 2:
-                i = letter.i
+    for kind, i, r, e in word.letters:
+        check_letter(group, kind, i, r)
+        if kind == SIGMA:
+            if e % 2:
                 w[i - 1], w[i] = w[i], w[i - 1]
         else:
-            row = rows[w[letter.i - 1] - 1]
-            for col, v in images[letter.r - 1]:
-                row[col] += v * letter.exp
+            row = rows[w[i - 1] - 1]
+            for col, v in images[r - 1]:
+                row[col] += v * e
     coeffs = CoeffVector(tuple([tuple(r) for r in rows]))
     return Element._trusted(group, coeffs, Permutation._trusted(tuple(w)))
 

@@ -1,9 +1,14 @@
 import ast
 import importlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "surfbraid"
 
@@ -130,3 +135,66 @@ def test_readme_names_resolve_in_the_package():
                 missing.append(f"{owner}.{attr}")
     assert "torsion.cycle_sums" in named and "Element.bits" in named
     assert not missing, f"README names that the package does not define: {missing}"
+
+
+# The surfbraid.* modules a fresh process has run after `import surfbraid`
+# (argv None) or after cli.main(argv): each command runs what it uses.  A
+# module the package registered but nothing has read yet is still of
+# LazyLoader's module subclass; a run module is a plain ModuleType.
+FOOTPRINT_PROBE = """
+import contextlib, io, json, sys, types
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import surfbraid
+    code = 0
+else:
+    from surfbraid import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+mods = {m: mod for m, mod in sys.modules.items() if m.startswith("surfbraid.")}
+print(json.dumps([code, sorted(mods), sorted(m for m, mod in mods.items() if type(mod) is types.ModuleType)]))
+"""
+# The submodules that define public names: always in sys.modules.
+_PUBLIC = {"bieberbach", "core", "errors", "intmatrix", "intpoly", "invariants", "nonorientable",
+           "permutations", "torsion", "words"}
+_X = '{"n":2,"g":1,"perm":[2,1],"coeffs":[[1,0],[0,0]]}'
+_ELEMENT = {"cli", "core", "errors", "permutations", "powers"}
+_BIEBERBACH = _ELEMENT | {"torsion", "bieberbach", "intmatrix", "intpoly"}
+FOOTPRINTS = [
+    (None, set()),
+    (["mul", "--n", "2", _X, _X], _ELEMENT),
+    (["order", "--n", "2", _X], _ELEMENT | {"torsion"}),
+    (["normalize", "--n", "2", "s1 a[1,1] s1"], _ELEMENT | {"words"}),
+    (["verdict", "--surface", "nonorientable", "--n", "2", "--genus", "2"],
+     _ELEMENT | {"words", "nonorientable"}),
+    (["bieberbach", "info", "--n", "3", "--genus", "1"], _BIEBERBACH),
+    (["invariants", "--n", "2", "--genus", "1"], _BIEBERBACH | {"invariants"}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", FOOTPRINTS,
+                         ids=[argv[0] if argv else "import" for argv, _ in FOOTPRINTS])
+def test_each_entry_point_loads_only_the_modules_it_runs(argv, expected):
+    res = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE, json.dumps(argv)], capture_output=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)), text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    code, present, ran = json.loads(res.stdout)
+    assert code == 0 and set(ran) == {f"surfbraid.{name}" for name in expected}
+    assert set(present) == {f"surfbraid.{name}" for name in expected | _PUBLIC}
+
+
+def test_package_names_resolve_on_first_use():
+    import surfbraid
+
+    for name in surfbraid.__all__:
+        if name == "__version__":
+            continue
+        value = getattr(surfbraid, name)
+        module = value.__module__
+        assert module.startswith("surfbraid.") and getattr(sys.modules[module], name) is value, name
+    assert set(surfbraid.__all__) <= set(dir(surfbraid))
+    namespace = {}
+    exec("from surfbraid import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(surfbraid.__all__)
+    with pytest.raises(AttributeError, match="^module 'surfbraid' has no attribute 'no_such_name'$"):
+        surfbraid.no_such_name

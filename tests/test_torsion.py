@@ -422,6 +422,36 @@ def test_matching_cycles_with_different_sums_makes_the_walk_raise(data):
         conjugator_to_section(Element(group, y.coeffs - x.coeffs.permuted(swapped), y.perm))
 
 
+def test_a_mutated_partial_sum_never_yields_a_witness(monkeypatch):
+    # The walk builds alpha from partial sums made with torsion.add.  One sum
+    # off by one, at any call of the walk, must make the walk or the final
+    # check fail; conjugacy_test must never return the wrong conjugator.
+    group = GroupDescriptor.orientable(4, 1)
+    finite = psi(group, (1, 2, 3)).conjugated_by(a(group, 2, 1) * a(group, 4, 2).inverse())
+    infinite = a(group, 1, 1) * a(group, 3, 2) ** 2 * a(group, 4, 1) * psi(group, (1, 2, 3))
+    conjugators = (a(group, 1, 2), a(group, 3, 1) ** 2 * psi(group, (1, 4)),
+                   a(group, 2, 2) * psi(group, (2, 4, 3)))
+    pairs = [(x, x.conjugated_by(c)) for x in (finite, infinite) for c in conjugators]
+    true_add, calls, mutated = torsion.add, 0, 0
+
+    def add(u, v):
+        nonlocal calls
+        calls += 1
+        return true_add(u, v) + (calls == mutated)
+
+    monkeypatch.setattr(torsion, "add", add)
+    for x, y in pairs:
+        calls, mutated = 0, 0
+        assert x.conjugated_by(conjugacy_test(x, y)) == y
+        reached = calls
+        assert reached >= group.n * group.handle_count  # one sum per strand and coordinate
+        for mutated in range(1, reached + 1):
+            calls = 0
+            with pytest.raises((InfiniteOrderError, VerificationError)):
+                conjugacy_test(x, y)
+            assert calls >= mutated
+
+
 def test_symmetric_copy_trivial_images():
     images = [Element.section(T3, Permutation.transposition(3, i)) for i in (1, 2)]
     assert symmetric_copy_conjugator(T3, images).is_identity()

@@ -123,18 +123,27 @@ def test_parse_pins_every_syntax_error_message_and_position():
         assert (str(info.value), info.value.position) == (f"{message} (at position {position})", position), word
 
 
-def test_parse_builds_one_letter_per_term(monkeypatch):
-    built = []
-    init = Letter.__post_init__
-
-    def counting(self):
-        built.append(self)
-        init(self)
-
-    monkeypatch.setattr(Letter, "__post_init__", counting)
+def test_parse_builds_one_letter_per_term():
     word = parse(T2, "s1^-1 a[2,1]^3 * s1 a[1,2]")
-    assert built == list(word.letters) == [Letter("s", 1, 0, -1), Letter("a", 2, 1, 3),
-                                           Letter("s", 1), Letter("a", 1, 2)]
+    assert list(word.letters) == [Letter("s", 1, 0, -1), Letter("a", 2, 1, 3),
+                                  Letter("s", 1), Letter("a", 1, 2)]
+    assert all(type(letter) is Letter for letter in word.letters)
+
+
+def test_letter_checks_its_kind_and_exponent():
+    assert repr(Letter("a", 2, 1, 3)) == "Letter(kind='a', i=2, r=1, exp=3)"
+    assert Letter("s", 1) == ("s", 1, 0, 1)  # a tuple of its fields
+    with pytest.raises(ValueError, match="^unknown letter kind 'b'$"):
+        Letter("b", 1)
+    with pytest.raises(ValueError, match="^letter exponent must be nonzero$"):
+        Letter("s", 1, 0, 0)
+    # the namedtuple constructors run the same checks
+    assert Letter("s", 1)._replace(exp=-2) == Letter("s", 1, 0, -2)
+    assert type(Letter._make(("a", 2, 1, 3))) is Letter
+    with pytest.raises(ValueError, match="^letter exponent must be nonzero$"):
+        Letter("s", 1)._replace(exp=0)
+    with pytest.raises(ValueError, match="^unknown letter kind 'q'$"):
+        Letter._make(("q", 1, 0, 1))
 
 
 def test_parse_rejects_handle_letters_on_sphere():
