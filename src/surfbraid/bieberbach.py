@@ -27,24 +27,25 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
 from .core import CoeffVector, Element, GroupDescriptor
-from .errors import DomainError, GroupMismatchError, check
+from .errors import DomainError, Frozen, GroupMismatchError, check
 from .intmatrix import IntMatrix
 from .permutations import Permutation
 from .torsion import order
 
 
-@dataclass(frozen=True)
-class GnMembership:
+class GnMembership(Frozen):
     """Membership result: holonomy residue j and exact lattice coordinates."""
 
-    in_group: bool
-    j: int | None = None
-    coords: tuple[int, ...] | None = None
+    __slots__ = _fields = ("in_group", "j", "coords")
+
+    def __init__(self, in_group: bool, j: int | None = None, coords: tuple[int, ...] | None = None):
+        object.__setattr__(self, "in_group", in_group)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "coords", coords)
 
     def to_json_obj(self) -> dict[str, Any]:
         return {
@@ -54,16 +55,19 @@ class GnMembership:
         }
 
 
-@dataclass(frozen=True)
-class TorsionScanReport:
+class TorsionScanReport(Frozen):
     """Exhaustive torsion scan over bounded lattice coordinates and all residues."""
 
-    n: int
-    genus: int
-    bound: int
-    scanned: int
-    torsion_hits: tuple[dict[str, Any], ...]
-    obstruction_mismatches: tuple[dict[str, Any], ...]
+    __slots__ = _fields = ("n", "genus", "bound", "scanned", "torsion_hits", "obstruction_mismatches")
+
+    def __init__(self, n: int, genus: int, bound: int, scanned: int, torsion_hits: tuple[dict[str, Any], ...],
+                 obstruction_mismatches: tuple[dict[str, Any], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "scanned", scanned)
+        object.__setattr__(self, "torsion_hits", torsion_hits)
+        object.__setattr__(self, "obstruction_mismatches", obstruction_mismatches)
 
     @property
     def passed(self) -> bool:
@@ -93,13 +97,16 @@ def _strand_row(n: int, lam: int, i: int, strand: tuple[int, ...],
     return tuple(row)
 
 
-@dataclass(frozen=True)
-class BieberbachDescriptor:
+class BieberbachDescriptor(Frozen):
     """The cyclic-holonomy Bieberbach subgroup, held as its ambient group and
     its distinguished generator; the lattice data is read through the codec."""
 
-    group: GroupDescriptor
-    generator: Element
+    __slots__ = ("group", "generator", "__dict__")  # the dict holds the cached properties
+    _fields = ("group", "generator")
+
+    def __init__(self, group: GroupDescriptor, generator: Element):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "generator", generator)
 
     @property
     def n(self) -> int:
@@ -157,7 +164,7 @@ class BieberbachDescriptor:
             columns.append((0,) * target + (1,) + (0,) * (dim - 1 - target) if k and target
                            else self.lattice_coords(self._basis_vector(k).permuted(w)))
         check(None not in columns, "conjugation by the generator must preserve the lattice")
-        return IntMatrix(tuple(list(zip(*columns))))
+        return IntMatrix._trusted(tuple(list(zip(*columns))))
 
     def lattice_coords(self, vec: CoeffVector) -> tuple[int, ...] | None:
         """Coordinates of a lattice vector in the fixed basis, or None if the

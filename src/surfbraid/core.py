@@ -27,12 +27,11 @@ part w yields ``a[w(j),r]`` (w applied per the composition convention of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, neg, sub
 from typing import Any
 
-from .errors import GroupMismatchError, UnsupportedSurfaceError, check
+from .errors import Frozen, GroupMismatchError, UnsupportedSurfaceError, check
 from .permutations import Permutation
 
 ORIENTABLE = "orientable"
@@ -40,13 +39,24 @@ SPHERE = "sphere"
 NONORIENTABLE = "nonorientable"
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(Frozen):
     """Surface kind plus strand count; selects the arithmetic model."""
 
-    kind: str
-    n: int
-    genus: int | None = None
+    __slots__ = _fields = ("kind", "n", "genus")
+
+    def __init__(self, kind: str, n: int, genus: int | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "genus", genus)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.n, self.genus) == (other.kind, other.n, other.genus)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.n, self.genus))
 
     def __post_init__(self):
         if self.kind not in (ORIENTABLE, SPHERE, NONORIENTABLE):
@@ -139,8 +149,7 @@ def json_int_rows(obj: Any, what: str) -> tuple[tuple[int, ...], ...]:
     return tuple([json_ints(row, what) for row in obj])
 
 
-@dataclass(frozen=True)
-class CoeffVector:
+class CoeffVector(Frozen):
     """Exponent matrix of the lattice part: rows[i-1][r-1] is the exponent of a[i,r].
 
     Tuples are built from lists, not generators: tuple() of a generator is
@@ -148,7 +157,18 @@ class CoeffVector:
     per-size tuple free lists (see :class:`surfbraid.intmatrix.IntMatrix`).
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
 
     @property
     def n(self) -> int:
@@ -196,8 +216,7 @@ def _require_elements(group: GroupDescriptor) -> None:
         raise UnsupportedSurfaceError("the sphere model has no element arithmetic")
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Frozen):
     """Normal form ``coeffs * section(perm)`` of a quotient-group element.
 
     The public constructor and class methods validate their input; the
@@ -205,9 +224,21 @@ class Element:
     non-orientable torsion bits mod 2.
     """
 
-    group: GroupDescriptor
-    coeffs: CoeffVector
-    perm: Permutation
+    __slots__ = _fields = ("group", "coeffs", "perm")
+
+    def __init__(self, group: GroupDescriptor, coeffs: CoeffVector, perm: Permutation):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "perm", perm)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.group, self.coeffs, self.perm) == (other.group, other.coeffs, other.perm)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.coeffs, self.perm))
 
     def __post_init__(self):
         group, rows = self.group, self.coeffs.rows
@@ -354,14 +385,17 @@ class Element:
         return word if word else "<identity>"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """Outcome of the crystallographic test, with a machine-checkable witness."""
 
-    is_crystallographic: bool
-    dimension: int | None
-    holonomy_order: int | None
-    witness: dict[str, Any]
+    __slots__ = _fields = ("is_crystallographic", "dimension", "holonomy_order", "witness")
+
+    def __init__(self, is_crystallographic: bool, dimension: int | None, holonomy_order: int | None,
+                 witness: dict[str, Any]):
+        object.__setattr__(self, "is_crystallographic", is_crystallographic)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "holonomy_order", holonomy_order)
+        object.__setattr__(self, "witness", witness)
 
     def to_json_obj(self) -> dict[str, Any]:
         return {

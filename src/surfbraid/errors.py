@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types, and the base of the immutable value classes, shared
+across the package.
 
 Everything raised on bad mathematical input derives from DomainError so
 the command line front end can map it to a single exit code.  A failed
@@ -62,3 +63,53 @@ def check(condition: bool, message: str) -> None:
     """Raise VerificationError with ``message`` unless ``condition`` holds."""
     if not condition:
         raise VerificationError(message)
+
+
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass declares its fields in ``__slots__`` (plus ``__dict__`` where
+    a ``functools.cached_property`` caches into the instance) and names the
+    ones that make up its value, in order, in ``_fields``.  It writes its own
+    ``__init__``, which stores the fields with ``object.__setattr__`` and then
+    calls the class's ``__post_init__`` check, if it has one.  This base
+    gives what the ``_fields`` determine: ``Cls(field=value, ...)`` as the
+    repr, equality between instances of the same class only, the hash of
+    the field tuple, assignment and deletion that raise AttributeError, and
+    pickling and copying that restore the fields without assigning them.
+    The classes that arithmetic builds in inner loops override ``__eq__``
+    and ``__hash__`` with the same comparison written out.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> dict:
+        state = {name: getattr(self, name) for name in self.__slots__ if name != "__dict__"}
+        state.update(getattr(self, "__dict__", ()))  # what a cached_property stored
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)

@@ -5,16 +5,19 @@ polynomial.  No floating point anywhere; verdict-grade arithmetic only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import check
+from .errors import Frozen, check
 from .intpoly import IntPoly
 from .powers import power
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Frozen):
     """A dense integer matrix as a tuple of row tuples.
+
+    The public constructor checks that the rows are tuples of equal length
+    holding integers only: floats, booleans and strings are rejected, never
+    coerced.  Results of arithmetic are built by :meth:`_trusted`, which
+    skips that check.
 
     Rows are built with tuple() of a list, not of a generator: from a list
     the tuple is allocated at its exact size, from a generator it is
@@ -22,17 +25,39 @@ class IntMatrix:
     fill CPython's per-size tuple free lists (megabytes of resident memory).
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
 
     def __post_init__(self):
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(r) != width for r in self.rows):
-                raise ValueError("ragged rows")
+        rows = self.rows
+        if not isinstance(rows, tuple) or any([not isinstance(r, tuple) for r in rows]):
+            raise ValueError(f"matrix rows must be a tuple of tuples, got {rows!r}")
+        if rows and any([len(r) != len(rows[0]) for r in rows]):
+            raise ValueError("ragged rows")
+        if any([type(v) is not int for r in rows for v in r]):
+            raise ValueError(f"matrix entries must be integers, got {rows!r}")
+
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> IntMatrix:
+        """Constructor for rows computed from valid operands: no validation."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
 
     @classmethod
     def identity(cls, m: int) -> IntMatrix:
-        return cls(tuple([tuple([1 if i == j else 0 for j in range(m)]) for i in range(m)]))
+        return cls._trusted(tuple([tuple([1 if i == j else 0 for j in range(m)]) for i in range(m)]))
 
     @property
     def nrows(self) -> int:
@@ -59,15 +84,15 @@ class IntMatrix:
                 if a:
                     acc = [x + a * y for x, y in zip(acc, other_row)]
             out.append(tuple(acc))
-        return IntMatrix(tuple(out))
+        return IntMatrix._trusted(tuple(out))
 
     def __add__(self, other: IntMatrix) -> IntMatrix:
-        return IntMatrix(
+        return IntMatrix._trusted(
             tuple([tuple([a + b for a, b in zip(ra, rb)]) for ra, rb in zip(self.rows, other.rows)])
         )
 
     def __sub__(self, other: IntMatrix) -> IntMatrix:
-        return IntMatrix(
+        return IntMatrix._trusted(
             tuple([tuple([a - b for a, b in zip(ra, rb)]) for ra, rb in zip(self.rows, other.rows)])
         )
 
@@ -132,7 +157,7 @@ class IntMatrix:
         return rank
 
     def scaled(self, k: int) -> IntMatrix:
-        return IntMatrix(tuple([tuple([k * v for v in row]) for row in self.rows]))
+        return IntMatrix._trusted(tuple([tuple([k * v for v in row]) for row in self.rows]))
 
     def char_poly(self) -> IntPoly:
         """Monic characteristic polynomial det(xI - M), exactly.

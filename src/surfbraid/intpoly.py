@@ -7,47 +7,73 @@ trailing zeros trimmed; the zero polynomial is the empty tuple.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import zip_longest
 
-from .errors import NotProductOfCyclotomicsError
+from .errors import Frozen, NotProductOfCyclotomicsError
 from .powers import power
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(Frozen):
     """A polynomial over the integers.
 
     >>> IntPoly.of(-1, 0, 1).degree
     2
     >>> IntPoly.of(-1, 0, 1) == IntPoly.x_pow_minus_one(2)
     True
+
+    The public constructor and :meth:`of` accept integer coefficients only:
+    floats, booleans and strings are rejected, never coerced.  Results of
+    arithmetic are built by :meth:`_trusted`, which skips that check.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
+        if not isinstance(self.coeffs, tuple) or any([type(c) is not int for c in self.coeffs]):
+            raise ValueError(f"polynomial coefficients must be a tuple of integers, got {self.coeffs!r}")
         if self.coeffs and self.coeffs[-1] == 0:
             raise ValueError("trailing zero coefficient; use IntPoly.of to normalize")
 
     @classmethod
     def of(cls, *coeffs: int) -> IntPoly:
+        if any([type(c) is not int for c in coeffs]):
+            raise ValueError(f"polynomial coefficients must be integers, got {coeffs!r}")
+        return cls._trusted(coeffs)
+
+    @classmethod
+    def _trusted(cls, coeffs) -> IntPoly:
+        """Constructor for integer coefficients computed from valid operands:
+        trailing zeros trimmed, no validation."""
         end = len(coeffs)
         while end > 0 and coeffs[end - 1] == 0:
             end -= 1
-        return cls(tuple([int(c) for c in coeffs[:end]]))  # a list: see IntMatrix
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(coeffs[:end]))
+        return p
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @classmethod
     def zero(cls) -> IntPoly:
-        return cls(())
+        return cls._trusted(())
 
     @classmethod
     def one(cls) -> IntPoly:
-        return cls((1,))
+        return cls._trusted((1,))
 
     @classmethod
     def x(cls) -> IntPoly:
-        return cls((0, 1))
+        return cls._trusted((0, 1))
 
     @classmethod
     def x_pow_minus_one(cls, n: int) -> IntPoly:
@@ -67,24 +93,24 @@ class IntPoly:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __add__(self, other: IntPoly) -> IntPoly:
-        return IntPoly.of(*[x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
+        return IntPoly._trusted([x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __sub__(self, other: IntPoly) -> IntPoly:
         return self + (-other)
 
     def __neg__(self) -> IntPoly:
-        return IntPoly(tuple([-c for c in self.coeffs]))
+        return IntPoly._trusted([-c for c in self.coeffs])
 
     def __mul__(self, other: IntPoly | int) -> IntPoly:
         if isinstance(other, int):
-            return IntPoly.of(*[c * other for c in self.coeffs])
+            return IntPoly._trusted([c * other for c in self.coeffs])
         out = [0] * (len(self.coeffs) + len(other.coeffs))
         for i, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             for j, d in enumerate(other.coeffs):
                 out[i + j] += c * d
-        return IntPoly.of(*out)
+        return IntPoly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -113,7 +139,7 @@ class IntPoly:
             quo[shift] = q
             for j, d in enumerate(other.coeffs):
                 rem[shift + j] -= q * d
-        return IntPoly.of(*quo), IntPoly.of(*rem)
+        return IntPoly._trusted(quo), IntPoly._trusted(rem)
 
     def exact_div(self, other: IntPoly) -> IntPoly:
         quo, rem = divmod(self, other)

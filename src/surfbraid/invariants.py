@@ -13,16 +13,14 @@ the Anosov and Kaehler criteria.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any
 
-from .errors import NotProductOfCyclotomicsError, check
+from .errors import Frozen, NotProductOfCyclotomicsError, check
 from .intmatrix import IntMatrix
 from .intpoly import IntPoly, cyclotomic_multiplicities
 
 
-@dataclass(frozen=True)
-class CyclicRep:
+class CyclicRep(Frozen):
     """A generator matrix of finite order: matrix ** order == identity.
 
     Construction multiplies out the chain M, M^2, ... until it reaches the
@@ -36,14 +34,18 @@ class CyclicRep:
     ``power_traces`` = (tr M^0, ..., tr M^(p-1)), where
     p is the exact order of M, the characteristic polynomial det(xI - M)
     derived from them, and its cyclotomic factor multiplicities {d: mult}
-    (read-only), each index d checked to divide ``order``.
+    (read-only), each index d checked to divide ``order``.  Only the matrix
+    and the order make up the value: they alone are compared, hashed and
+    shown by repr.
     """
 
-    matrix: IntMatrix
-    order: int
-    power_traces: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    char_poly: IntPoly = field(init=False, repr=False, compare=False)
-    cyclotomic: dict[int, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("matrix", "order", "power_traces", "char_poly", "cyclotomic")
+    _fields = ("matrix", "order")
+
+    def __init__(self, matrix: IntMatrix, order: int):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "order", order)
+        self.__post_init__()
 
     def __post_init__(self):
         self.matrix.require_square()

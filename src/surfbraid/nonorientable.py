@@ -27,23 +27,24 @@ normal subgroup of either surface into its verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from . import core
 from .core import Element, GroupDescriptor, rows_from_parts
-from .errors import UnsupportedSurfaceError, check
+from .errors import Frozen, UnsupportedSurfaceError, check
 from .permutations import Permutation
 from .words import BraidWord, full_twist_word, normalize
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(Frozen):
     """Torsion orders, free rank, and named torsion generators of the kernel."""
 
-    torsion: tuple[int, ...]
-    free_rank: int
-    torsion_generator_words: tuple[str, ...]
+    __slots__ = _fields = ("torsion", "free_rank", "torsion_generator_words")
+
+    def __init__(self, torsion: tuple[int, ...], free_rank: int, torsion_generator_words: tuple[str, ...]):
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion_generator_words", torsion_generator_words)
 
     def to_json_obj(self) -> dict[str, Any]:
         return {
@@ -53,14 +54,17 @@ class AbelianInvariants:
         }
 
 
-@dataclass(frozen=True)
-class FiniteNormalWitness:
+class FiniteNormalWitness(Frozen):
     """A finite normal subgroup certifying that the quotient is not crystallographic."""
 
-    generator_words: tuple[str, ...]
-    subgroup_order: int
-    normality_verified: bool
-    note: str
+    __slots__ = _fields = ("generator_words", "subgroup_order", "normality_verified", "note")
+
+    def __init__(self, generator_words: tuple[str, ...], subgroup_order: int, normality_verified: bool,
+                 note: str):
+        object.__setattr__(self, "generator_words", generator_words)
+        object.__setattr__(self, "subgroup_order", subgroup_order)
+        object.__setattr__(self, "normality_verified", normality_verified)
+        object.__setattr__(self, "note", note)
 
     def to_json_obj(self) -> dict[str, Any]:
         return {

@@ -11,14 +11,13 @@ element relabels its strand by the *image* permutation of the conjugator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
+from .errors import Frozen
 from .powers import power
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A bijection of {1..n}; ``images[i-1]`` is the image of ``i``.
 
     >>> p = Permutation.from_cycles(3, (1, 2, 3))
@@ -34,7 +33,12 @@ class Permutation:
     the cache never goes stale.
     """
 
-    images: tuple[int, ...]
+    __slots__ = ("images", "__dict__")  # the dict holds the cached orbits
+    _fields = ("images",)
+
+    def __init__(self, images: tuple[int, ...]):
+        object.__setattr__(self, "images", images)
+        self.__post_init__()
 
     def __post_init__(self):
         # a list would compare unequal and not hash; floats and bools are never coerced
@@ -49,6 +53,14 @@ class Permutation:
         p = object.__new__(cls)
         object.__setattr__(p, "images", images)
         return p
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images == other.images
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
 
     @property
     def n(self) -> int:

@@ -18,13 +18,13 @@ two more named cases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add
 
 from .core import CoeffVector, Element, GroupDescriptor
 from .errors import (
     BadMultiplierError,
     BadPrimeError,
+    Frozen,
     GroupMismatchError,
     InfiniteOrderError,
     NotAnSnEmbeddingError,
@@ -33,11 +33,13 @@ from .errors import (
 from .permutations import Permutation
 
 
-@dataclass(frozen=True)
-class OrderResult:
+class OrderResult(Frozen):
     """Order of a group element: a positive integer or infinite (value None)."""
 
-    value: int | None
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int | None):
+        object.__setattr__(self, "value", value)
 
     @property
     def is_finite(self) -> bool:
@@ -187,8 +189,7 @@ def symmetric_copy_conjugator(group: GroupDescriptor, images: list[Element]) -> 
     return conjugator_to_section(identity, *images)
 
 
-@dataclass(frozen=True)
-class FrobeniusEmbedding:
+class FrobeniusEmbedding(Frozen):
     """Parameters of an embedded order-10 Frobenius group over five strands:
     per handle block r, the pure-lattice alpha has rows a1, a1+a2, a1+a2+a3,
     a1+..+a4 and 0.  Conjugating the sections by alpha yields the lattice
@@ -196,8 +197,12 @@ class FrobeniusEmbedding:
     with x = -a2-a3-a4 and y = -a3 over (1 4)(2 3).
     """
 
-    genus: int
-    blocks: tuple[tuple[int, int, int, int], ...]
+    __slots__ = _fields = ("genus", "blocks")
+
+    def __init__(self, genus: int, blocks: tuple[tuple[int, int, int, int], ...]):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "blocks", blocks)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.genus < 1:

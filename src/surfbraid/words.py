@@ -17,11 +17,10 @@ confluence machinery is needed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .core import CoeffVector, Element, GroupDescriptor
-from .errors import GeneratorIndexError, WordSyntaxError
+from .errors import Frozen, GeneratorIndexError, WordSyntaxError
 from .permutations import Permutation
 
 SIGMA = "s"
@@ -59,11 +58,13 @@ class Letter(_LetterFields):
         return base if self.exp == 1 else f"{base}^{self.exp}"
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Frozen):
     """A sequence of signed generator letters; the empty word is the identity."""
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = _fields = ("letters",)
+
+    def __init__(self, letters: tuple[Letter, ...] = ()):
+        object.__setattr__(self, "letters", letters)
 
     def __mul__(self, other: BraidWord) -> BraidWord:
         return BraidWord(self.letters + other.letters)
@@ -194,13 +195,15 @@ def full_twist_word(group: GroupDescriptor) -> BraidWord:
     return sigma_word(range(1, group.n)) ** group.n
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(Frozen):
     """Result of checking every defining relation instance for one group."""
 
-    group: GroupDescriptor
-    checked: int
-    failures: tuple[str, ...]
+    __slots__ = _fields = ("group", "checked", "failures")
+
+    def __init__(self, group: GroupDescriptor, checked: int, failures: tuple[str, ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:

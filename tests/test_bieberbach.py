@@ -1,6 +1,6 @@
 import collections
-import dataclasses
 import functools
+import inspect
 import itertools
 import random
 
@@ -71,7 +71,8 @@ def test_conjugation_by_generator_cycles_strands():
 
 
 def test_descriptor_holds_the_group_and_the_generator_only():
-    assert [f.name for f in dataclasses.fields(BieberbachDescriptor)] == ["group", "generator"]
+    assert BieberbachDescriptor._fields == ("group", "generator")
+    assert list(inspect.signature(BieberbachDescriptor).parameters) == ["group", "generator"]
     desc = make_bieberbach(32, 4)
     # the basis and the generating set are derived on first use, not built
     assert "lattice_basis" not in vars(desc) and "x_generators" not in vars(desc)

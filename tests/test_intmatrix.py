@@ -36,10 +36,34 @@ def companion_of_x_pow_minus_one(n):
 
 
 def test_shape_validation():
-    with pytest.raises(ValueError):
-        IntMatrix(((1, 2), (3,)))
+    for rows in (((1, 2), (3,)), [(1, 0), (0, 1)], ((1, 0), [0, 1]), ((1, 0), 1)):
+        with pytest.raises(ValueError):
+            IntMatrix(rows)
     with pytest.raises(ValueError):
         int_matrix([[1, 2]]).det()
+
+
+@pytest.mark.parametrize("rows", [((1.5, 0), (0, True)), ((1, 0), (0, 2.0)), ((False, 0), (0, 1)), (("1",),)])
+def test_entries_are_rejected_never_coerced(rows):
+    # bad input, not a failed internal check (VerificationError) further on
+    with pytest.raises(ValueError, match="integers"):
+        IntMatrix(rows).det()
+
+
+def test_arithmetic_builds_matrices_without_validation(monkeypatch):
+    rng = random.Random(31)
+    a, b = random_matrix(rng, 4), random_matrix(rng, 4)
+
+    def results():
+        return [a * b, a + b, a - b, a.scaled(3), a**3, IntMatrix.identity(4), a.char_poly()]
+
+    expected = results()
+
+    def refuse(self):
+        raise AssertionError("IntMatrix.__post_init__ ran on an arithmetic result")
+
+    monkeypatch.setattr(IntMatrix, "__post_init__", refuse)
+    assert results() == expected
 
 
 def test_product_and_power():

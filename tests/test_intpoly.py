@@ -12,6 +12,28 @@ def test_construction_and_degree():
     assert IntPoly.x_pow_minus_one(3).coeffs == (-1, 0, 0, 1)
     with pytest.raises(ValueError):
         IntPoly((1, 0))
+    with pytest.raises(ValueError, match="tuple of integers"):
+        IntPoly([-1, 0, 1])
+
+
+@pytest.mark.parametrize("coeffs", [(1.5, True, 2.9), (1, 2.0), (True,), (0, False, 1), ("1",)])
+def test_coefficients_are_rejected_never_coerced(coeffs):
+    with pytest.raises(ValueError, match="integers"):
+        IntPoly.of(*coeffs)
+    with pytest.raises(ValueError, match="integers"):
+        IntPoly(coeffs)
+
+
+def test_arithmetic_builds_polynomials_without_validation(monkeypatch):
+    p, q = IntPoly.of(1, 2), IntPoly.of(-1, 0, 1)
+    expected = [p + q, p - p, -q, p * q, 3 * p, q**3, divmod(q**3, IntPoly.of(2, 1)), q.exact_div(IntPoly.of(1, 1))]
+
+    def refuse(self):
+        raise AssertionError("IntPoly.__post_init__ ran on an arithmetic result")
+
+    monkeypatch.setattr(IntPoly, "__post_init__", refuse)
+    assert [p + q, p - p, -q, p * q, 3 * p, q**3, divmod(q**3, IntPoly.of(2, 1)), q.exact_div(IntPoly.of(1, 1))] == expected
+    assert IntPoly.of(2, 0, 0) == IntPoly.of(2) and (p - p).coeffs == ()
 
 
 def test_arithmetic():

@@ -140,7 +140,9 @@ def test_readme_names_resolve_in_the_package():
 # The surfbraid.* modules a fresh process has run after `import surfbraid`
 # (argv None) or after cli.main(argv): each command runs what it uses.  A
 # module the package registered but nothing has read yet is still of
-# LazyLoader's module subclass; a run module is a plain ModuleType.
+# LazyLoader's module subclass; a run module is a plain ModuleType.  No
+# entry point loads dataclasses or inspect (with the ast, dis and tokenize
+# that inspect imports): the value classes are plain classes.
 FOOTPRINT_PROBE = """
 import contextlib, io, json, sys, types
 argv = json.loads(sys.argv[1])
@@ -152,7 +154,8 @@ else:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
 mods = {m: mod for m, mod in sys.modules.items() if m.startswith("surfbraid.")}
-print(json.dumps([code, sorted(mods), sorted(m for m, mod in mods.items() if type(mod) is types.ModuleType)]))
+print(json.dumps([code, sorted(mods), sorted(m for m, mod in mods.items() if type(mod) is types.ModuleType),
+                  sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)]))
 """
 # The submodules that define public names: always in sys.modules.
 _PUBLIC = {"bieberbach", "core", "errors", "intmatrix", "intpoly", "invariants", "nonorientable",
@@ -169,6 +172,7 @@ FOOTPRINTS = [
      _ELEMENT | {"words", "nonorientable"}),
     (["bieberbach", "info", "--n", "3", "--genus", "1"], _BIEBERBACH),
     (["invariants", "--n", "2", "--genus", "1"], _BIEBERBACH | {"invariants"}),
+    (["selftest"], _PUBLIC | {"cli", "powers", "selftest"}),
 ]
 
 
@@ -178,9 +182,10 @@ def test_each_entry_point_loads_only_the_modules_it_runs(argv, expected):
     res = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE, json.dumps(argv)], capture_output=True,
                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), text=True, timeout=60)
     assert res.returncode == 0, res.stderr
-    code, present, ran = json.loads(res.stdout)
+    code, present, ran, heavy = json.loads(res.stdout)
     assert code == 0 and set(ran) == {f"surfbraid.{name}" for name in expected}
     assert set(present) == {f"surfbraid.{name}" for name in expected | _PUBLIC}
+    assert heavy == [], f"{heavy} loaded"
 
 
 def test_package_names_resolve_on_first_use():
