@@ -1,5 +1,6 @@
 """Exact integer matrices: products, powers, determinant, rank, characteristic
 polynomial.  No floating point anywhere; verdict-grade arithmetic only.
+Rank and determinant read one elimination, :meth:`IntMatrix._echelon`.
 """
 
 from __future__ import annotations
@@ -86,12 +87,18 @@ class IntMatrix(Frozen):
             out.append(tuple(acc))
         return IntMatrix._trusted(tuple(out))
 
+    def _require_same_shape(self, other: IntMatrix) -> None:
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(f"matrix shapes differ: {self.nrows}x{self.ncols} and {other.nrows}x{other.ncols}")
+
     def __add__(self, other: IntMatrix) -> IntMatrix:
+        self._require_same_shape(other)
         return IntMatrix._trusted(
             tuple([tuple([a + b for a, b in zip(ra, rb)]) for ra, rb in zip(self.rows, other.rows)])
         )
 
     def __sub__(self, other: IntMatrix) -> IntMatrix:
+        self._require_same_shape(other)
         return IntMatrix._trusted(
             tuple([tuple([a - b for a, b in zip(ra, rb)]) for ra, rb in zip(self.rows, other.rows)])
         )
@@ -107,57 +114,44 @@ class IntMatrix(Frozen):
         return sum(self.rows[i][i] for i in range(self.nrows))
 
     def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
+        """The sign of the echelon's row swaps times the product of its
+        diagonal; 0 when the rank is short."""
         self.require_square()
-        m = self.nrows
-        if m == 0:
-            return 1
-        a = [list(row) for row in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(m - 1):
-            if a[k][k] == 0:
-                pivot = next((i for i in range(k + 1, m) if a[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                a[k], a[pivot] = a[pivot], a[k]
-                sign = -sign
-            for i in range(k + 1, m):
-                for j in range(k + 1, m):
-                    num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                    q, r = divmod(num, prev)
-                    check(r == 0, "Bareiss division must be exact")
-                    a[i][j] = q
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[m - 1][m - 1]
+        rows, rank, sign = self._echelon()
+        return sign * math.prod([rows[i][i] for i in range(rank)]) if rank == self.nrows else 0
 
     def rank(self) -> int:
-        """Rank over the rationals by fraction-free integer elimination: each
-        row below the pivot becomes pivot * row - entry * pivot_row, divided
-        by the gcd of its entries to keep them small."""
-        a = [list(row) for row in self.rows]
-        rank = 0
-        for col in range(self.ncols):
-            pivot = next((i for i in range(rank, self.nrows) if a[i][col] != 0), None)
-            if pivot is None:
-                continue
-            a[rank], a[pivot] = a[pivot], a[rank]
-            pivot_row = a[rank]
-            p = pivot_row[col]
-            for i in range(rank + 1, self.nrows):
-                f = a[i][col]
-                if f:
-                    row = [p * v - f * w for v, w in zip(a[i], pivot_row)]
-                    g = math.gcd(*row)
-                    a[i] = [v // g for v in row] if g > 1 else row
-            rank += 1
-            if rank == self.nrows:
-                break
-        return rank
+        """Rank over the rationals: the pivot count of :meth:`_echelon`."""
+        return self._echelon()[1]
 
-    def scaled(self, k: int) -> IntMatrix:
-        return IntMatrix._trusted(tuple([tuple([k * v for v in row]) for row in self.rows]))
+    def _echelon(self) -> tuple[list[list[int]], int, int]:
+        """The one elimination behind :meth:`rank` and :meth:`det`: a row echelon
+        form by unimodular integer row operations only.  In each column, of the
+        rows below the pivots, the one with the least nonzero |entry| is taken
+        floor-quotient times from the others, Euclid-style, until it alone is
+        nonzero there; a swap, flipping the sign, makes it the next pivot row.
+        No division has to come out exact.  Returns the rows, the pivot count
+        and the sign."""
+        a = [list(row) for row in self.rows]
+        rank, sign = 0, 1
+        for col in range(self.ncols):
+            live = [i for i in range(rank, len(a)) if a[i][col]]
+            if not live:
+                continue
+            while len(live) > 1:
+                p = min(live, key=lambda i: abs(a[i][col]))
+                pivot_row = a[p]
+                pivot = pivot_row[col]
+                for i in live:
+                    if i != p:
+                        q = a[i][col] // pivot
+                        a[i] = [v - q * w for v, w in zip(a[i], pivot_row)]
+                live = [i for i in live if a[i][col]]
+            if live[0] != rank:
+                a[rank], a[live[0]] = a[live[0]], a[rank]
+                sign = -sign
+            rank += 1
+        return a, rank, sign
 
     def char_poly(self) -> IntPoly:
         """Monic characteristic polynomial det(xI - M), exactly.
@@ -177,8 +171,8 @@ class IntMatrix(Frozen):
             check(r == 0, "Faddeev-LeVerrier division must be exact")
             coeffs[m - k] = q
             if k < m:
-                shifted = aux + IntMatrix.identity(m).scaled(q)
-                aux = self * shifted
+                shifted = [row[:i] + (row[i] + q,) + row[i + 1:] for i, row in enumerate(aux.rows)]
+                aux = self * IntMatrix._trusted(tuple(shifted))
         return IntPoly.of(*coeffs)
 
     def to_json_obj(self) -> list[list[int]]:

@@ -21,7 +21,8 @@ from .intpoly import IntPoly, cyclotomic_multiplicities
 
 
 class CyclicRep(Frozen):
-    """A generator matrix of finite order: matrix ** order == identity.
+    """A generator matrix of finite order: matrix ** order == identity, the
+    order an ``int`` >= 1 (not a bool), checked before any product runs.
 
     Construction multiplies out the chain M, M^2, ... until it reaches the
     identity, which must happen at a power dividing ``order``; that is the
@@ -49,6 +50,8 @@ class CyclicRep(Frozen):
 
     def __post_init__(self):
         self.matrix.require_square()
+        if type(self.order) is not int:
+            raise ValueError(f"group order must be an integer, got {self.order!r}")
         if self.order < 1:
             raise ValueError(f"group order must be >= 1, got {self.order}")
         m = self.dimension

@@ -106,9 +106,9 @@ def _suite_bieberbach() -> None:
 def _suite_invariants() -> None:
     for n, g in [(2, 1), (3, 1), (4, 2)]:
         rep = CyclicRep(make_bieberbach(n, g).holonomy_matrix(), n)
-        # the trace-derived polynomial and determinant against Faddeev-LeVerrier and Bareiss
+        # the trace-derived polynomial and determinant against Faddeev-LeVerrier and the echelon kernel
         check(rep.char_poly == rep.matrix.char_poly(), "trace char poly must match Faddeev-LeVerrier")
-        check(rep.det == rep.matrix.det(), "trace determinant must match Bareiss")
+        check(rep.det == rep.matrix.det(), "trace determinant must match the echelon determinant")
         betti = betti_numbers(rep)
         check(betti[1] == 2 * g, "beta_1 must be 2g")
         check(sum((-1) ** i * b for i, b in enumerate(betti)) == 0, "the Euler characteristic must vanish")

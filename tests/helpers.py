@@ -1,14 +1,14 @@
 """Shared test oracles, kept independent of the code paths they check:
 brute-force multiplication, rational linear algebra on flattened vectors,
-cofactor determinants, triple-loop matrix products, Smith normal form,
-principal-minor sums, the Bieberbach lattice basis and holonomy blocks
-written out by hand, column-sum cycle sums, the coordinate-by-coordinate
-torsion scan, the eigenvalue-pairing Kaehler criterion, the conjugacy
-witness composed from two section conjugators and the search over all of
-S_n for a conjugator's permutation part.  Plus the constructors only tests
-need: matrices, lattice elements and Frobenius blocks from nested lists,
-words from text, and Bieberbach elements from coordinates.  None of them
-coerces an entry.
+cofactor determinants, the Bareiss determinant, the gcd-reduced rank
+elimination, triple-loop matrix products, Smith normal form, principal-minor
+sums, the Bieberbach lattice basis and holonomy blocks written out by hand,
+column-sum cycle sums, the coordinate-by-coordinate torsion scan, the
+eigenvalue-pairing Kaehler criterion, the conjugacy witness composed from
+two section conjugators and the search over all of S_n for a conjugator's
+permutation part.  Plus the constructors only tests need: matrices, lattice
+elements and Frobenius blocks from nested lists, words from text, and
+Bieberbach elements from coordinates.  None of them coerces an entry.
 """
 
 from __future__ import annotations
@@ -326,6 +326,57 @@ def cofactor_det(rows: list[list[int]]) -> int:
         minor = [[rows[i][jj] for jj in range(m) if jj != j] for i in range(1, m)]
         total += (-1) ** j * rows[0][j] * cofactor_det(minor)
     return total
+
+
+def bareiss_det(matrix: IntMatrix) -> int:
+    """Determinant by fraction-free (Bareiss) elimination, every division
+    checked to be exact."""
+    m = matrix.nrows
+    assert m == matrix.ncols
+    if m == 0:
+        return 1
+    a = [list(row) for row in matrix.rows]
+    sign = 1
+    prev = 1
+    for k in range(m - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, m) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, m):
+            for j in range(k + 1, m):
+                q, r = divmod(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
+                assert r == 0, "Bareiss division must be exact"
+                a[i][j] = q
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[m - 1][m - 1]
+
+
+def gcd_rank(matrix: IntMatrix) -> int:
+    """Rank by fraction-free elimination: each row below the pivot becomes
+    pivot * row - entry * pivot_row, divided by the gcd of its entries."""
+    a = [list(row) for row in matrix.rows]
+    rank = 0
+    for col in range(matrix.ncols):
+        pivot = next((i for i in range(rank, matrix.nrows) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        pivot_row = a[rank]
+        p = pivot_row[col]
+        for i in range(rank + 1, matrix.nrows):
+            f = a[i][col]
+            if f:
+                row = [p * v - f * w for v, w in zip(a[i], pivot_row)]
+                g = math.gcd(*row)
+                a[i] = [v // g for v in row] if g > 1 else row
+        rank += 1
+        if rank == matrix.nrows:
+            break
+    return rank
 
 
 def char_poly_by_cofactors(matrix: IntMatrix) -> IntPoly:

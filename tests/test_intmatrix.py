@@ -1,13 +1,19 @@
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfbraid.intmatrix import IntMatrix
 from surfbraid.intpoly import IntPoly
 
 from helpers import (
+    DERANDOMIZED,
+    bareiss_det,
     char_poly_by_cofactors,
     cofactor_det,
+    gcd_rank,
     int_matrix,
     matmul_by_triple_loop,
     smith_invariant_factors,
@@ -55,7 +61,7 @@ def test_arithmetic_builds_matrices_without_validation(monkeypatch):
     a, b = random_matrix(rng, 4), random_matrix(rng, 4)
 
     def results():
-        return [a * b, a + b, a - b, a.scaled(3), a**3, IntMatrix.identity(4), a.char_poly()]
+        return [a * b, a + b, a - b, a**3, IntMatrix.identity(4), a.char_poly()]
 
     expected = results()
 
@@ -64,6 +70,16 @@ def test_arithmetic_builds_matrices_without_validation(monkeypatch):
 
     monkeypatch.setattr(IntMatrix, "__post_init__", refuse)
     assert results() == expected
+
+
+@pytest.mark.parametrize("op", ["__add__", "__sub__"])
+def test_sum_and_difference_need_equal_shapes(op):
+    a = int_matrix([[1, 2], [3, 4]])
+    for b in (int_matrix([[1]]), int_matrix([[1, 2]]), int_matrix([[1], [2]]), IntMatrix(())):
+        with pytest.raises(ValueError, match="shapes differ"):
+            getattr(a, op)(b)
+        with pytest.raises(ValueError, match="shapes differ"):
+            getattr(b, op)(a)
 
 
 def test_product_and_power():
@@ -118,6 +134,35 @@ def test_rank_against_smith_oracle():
         p, q = rng.randint(1, 4), rng.randint(1, 4)
         a = sparse_random_matrix(rng, p, q, density=rng.choice([0.2, 0.5, 1.0]), bound=3)
         assert a.rank() == len(smith_invariant_factors([list(r) for r in a.rows]))
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square and rectangular matrices, 0x0 included, with entries up to
+    10**30; some all zero, some with a last row that is an integer
+    combination of the first two (singular or rank-deficient)."""
+    nrows = draw(st.integers(0, 5))
+    ncols = draw(st.one_of(st.just(nrows), st.integers(0, 5)))
+    entries = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30))
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    shape = draw(st.sampled_from(["any", "zero", "dependent"]))
+    if shape == "zero":
+        rows = [[0] * ncols for _ in range(nrows)]
+    elif shape == "dependent" and nrows >= 3:
+        c1, c2 = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[-1] = [c1 * x + c2 * y for x, y in zip(rows[0], rows[1])]
+    return int_matrix(rows)
+
+
+@settings(DERANDOMIZED, max_examples=400)
+@given(integer_matrices())
+def test_rank_and_det_match_the_reference_eliminations_and_sympy(a):
+    # rank and det read one echelon kernel; the Bareiss det and the gcd-reduced
+    # rank (tests/helpers.py) and sympy are three independent answers
+    oracle = sympy.Matrix(a.nrows, a.ncols, [v for row in a.rows for v in row])
+    assert a.rank() == gcd_rank(a) == oracle.rank()
+    if a.nrows == a.ncols:
+        assert a.det() == bareiss_det(a) == oracle.det()
 
 
 def test_char_poly_identity():

@@ -55,6 +55,17 @@ def test_cyclic_rep_validation():
     assert rep.dimension == 2
 
 
+@pytest.mark.parametrize("order", [True, 2.0, "2"])
+def test_cyclic_rep_order_must_be_an_int(order, monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("the power chain ran")
+
+    matrix = diag(-1)
+    monkeypatch.setattr(IntMatrix, "__mul__", refuse)
+    with pytest.raises(ValueError, match="group order must be an integer"):
+        CyclicRep(matrix, order)
+
+
 def test_orientability():
     for n in range(2, 7):
         for g in (1, 2):
@@ -200,9 +211,19 @@ def test_trace_char_poly_and_det_match_oracles_on_holonomy_sweep():
         for g in range(1, 4):
             rep = holonomy_rep(n, g)
             assert rep.char_poly == rep.matrix.char_poly()  # Faddeev-LeVerrier
-            assert rep.det == rep.matrix.det() == 1  # Bareiss
+            assert rep.det == rep.matrix.det() == 1  # the echelon kernel
             if rep.dimension <= 6:
                 assert rep.char_poly == char_poly_by_cofactors(rep.matrix)
+
+
+def test_echelon_det_and_rank_on_holonomy_sweep():
+    # det(H) and the beta_1 cross-check dim - rank(H - I) both read the echelon kernel
+    for n in range(2, 9):
+        for g in range(1, 5):
+            rep = holonomy_rep(n, g)
+            m = rep.dimension
+            assert rep.matrix.det() == rep.det == 1
+            assert m - (rep.matrix - IntMatrix.identity(m)).rank() == betti_numbers(rep)[1] == 2 * g
 
 
 def test_trace_char_poly_and_det_match_oracles_off_holonomy():

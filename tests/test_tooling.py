@@ -142,7 +142,8 @@ def test_readme_names_resolve_in_the_package():
 # module the package registered but nothing has read yet is still of
 # LazyLoader's module subclass; a run module is a plain ModuleType.  No
 # entry point loads dataclasses or inspect (with the ast, dis and tokenize
-# that inspect imports): the value classes are plain classes.
+# that inspect imports): the value classes are plain classes.  Nor does any
+# load sympy, which only tests use, as an oracle.
 FOOTPRINT_PROBE = """
 import contextlib, io, json, sys, types
 argv = json.loads(sys.argv[1])
@@ -155,7 +156,7 @@ else:
         code = cli.main(argv)
 mods = {m: mod for m, mod in sys.modules.items() if m.startswith("surfbraid.")}
 print(json.dumps([code, sorted(mods), sorted(m for m, mod in mods.items() if type(mod) is types.ModuleType),
-                  sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)]))
+                  sorted(m for m in ("dataclasses", "inspect", "sympy") if m in sys.modules)]))
 """
 # The submodules that define public names: always in sys.modules.
 _PUBLIC = {"bieberbach", "core", "errors", "intmatrix", "intpoly", "invariants", "nonorientable",
