@@ -30,7 +30,7 @@ import operator
 from functools import cached_property
 from typing import Any
 
-from .core import CoeffVector, Element, GroupDescriptor
+from .core import CoeffVector, Element, GroupDescriptor, _require_elements
 from .errors import DomainError, Frozen, GroupMismatchError, check
 from .intmatrix import IntMatrix
 from .permutations import Permutation
@@ -226,14 +226,19 @@ class BieberbachDescriptor(Frozen):
         For fixed lam = coords[0] and j, row i of the element depends only on
         strand i's coordinates coords[i::n], so each strand gets one table of
         :func:`_strand_row` rows and the box is walked as the product of the
-        tables.  Every element passes the validating Element constructor and
-        one :func:`~surfbraid.torsion.order` call; only finite ones are
-        decoded with :meth:`lattice_coords` for the two checks.  Hits and
-        mismatches are reported in (coords, j) order, and the number of
-        elements scanned is checked against (2*bound + 1)**(2ng) * n."""
+        tables.  Every table row passes the constructor's row check once, and
+        the table count and the residue's permutation its size check, so each
+        element, one checked row from each of the n tables, meets every
+        condition of the validating Element constructor and is built without a
+        second check.  Every element gets one :func:`~surfbraid.torsion.order`
+        call; only finite ones are decoded with :meth:`lattice_coords` for the
+        two checks.  Hits and mismatches are reported in (coords, j) order,
+        and the number of elements scanned is checked against
+        (2*bound + 1)**(2ng) * n."""
         if bound < 0:
             raise DomainError(f"scan bound must be >= 0, got {bound}")
         n, g, group = self.n, self.genus, self.group
+        _require_elements(group)
         box = range(-bound, bound + 1)
         free = [box] * (2 * g - 1)
         hits: list[dict[str, Any]] = []
@@ -242,12 +247,15 @@ class BieberbachDescriptor(Frozen):
         for j, gj in enumerate(self.powers):
             perm = gj.perm
             for lam in box:
-                tables = [[_strand_row(n, lam, i, strand, row)
-                           for strand in itertools.product((lam,) if i == 0 else box, *free)]
+                tables = [tuple([_strand_row(n, lam, i, strand, row)
+                                 for strand in itertools.product((lam,) if i == 0 else box, *free)])
                           for i, row in enumerate(gj.coeffs.rows)]
+                Element._check_sizes(group, len(tables), len(perm.images))
+                for table in tables:
+                    Element._check_rows(group, table)
                 for rows in itertools.product(*tables):
                     scanned += 1
-                    elt = Element(group, CoeffVector(rows), perm)
+                    elt = Element._trusted(group, CoeffVector(rows), perm)
                     if order(elt).is_finite:
                         coords = self.lattice_coords(elt.coeffs - gj.coeffs)
                         check(coords is not None, "a scanned element must decode to lattice coordinates")

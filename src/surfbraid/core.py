@@ -33,6 +33,7 @@ from typing import Any
 
 from .errors import Frozen, GroupMismatchError, UnsupportedSurfaceError, check
 from .permutations import Permutation
+from .powers import check_exponent
 
 ORIENTABLE = "orientable"
 SPHERE = "sphere"
@@ -243,9 +244,22 @@ class Element(Frozen):
     def __post_init__(self):
         group, rows = self.group, self.coeffs.rows
         _require_elements(group)
-        n, handles = group.n, group.handle_count
-        if len(rows) != n or len(self.perm.images) != n:
+        self._check_sizes(group, len(rows), len(self.perm.images))
+        self._check_rows(group, rows)
+
+    @staticmethod
+    def _check_sizes(group: GroupDescriptor, *sizes: int) -> None:
+        """The constructor's size condition: one row per strand and n permutation images."""
+        if any([size != group.n for size in sizes]):
             raise ValueError("coefficient/permutation size does not match the group")
+
+    @staticmethod
+    def _check_rows(group: GroupDescriptor, rows: tuple[tuple[int, ...], ...]) -> None:
+        """The constructor's row conditions, for any number of rows: a tuple of
+        tuples of ``handle_count`` exact ints, with every torsion bit 0 or 1 on
+        a non-orientable surface.  The torsion scan checks its strand-table
+        rows here once each, before any element is built from them."""
+        handles = group.handle_count
         if not isinstance(rows, tuple) or any([not isinstance(row, tuple) or len(row) != handles for row in rows]):
             raise ValueError(f"every coefficient row must have {handles} entries (rows as a tuple of tuples)")
         if any([type(v) is not int for row in rows for v in row]):  # floats and bools are never coerced
@@ -306,6 +320,7 @@ class Element(Frozen):
         C = (c_0, ..., c_{m-1}) of w, strand c_i gets (k // m) * S_C (the cycle sum of
         :func:`surfbraid.torsion.cycle_sums`) plus the k mod m rows of C ending at c_i,
         a window slid once round C; w**k sends c_i to c_{(i+k) mod m}."""
+        check_exponent(k)
         if k < 0:
             return self.inverse() ** -k
         rows, n = self.coeffs.rows, self.group.n

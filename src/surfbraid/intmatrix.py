@@ -105,8 +105,6 @@ class IntMatrix(Frozen):
 
     def __pow__(self, k: int) -> IntMatrix:
         self.require_square()
-        if k < 0:
-            raise ValueError("negative matrix powers are not supported")
         return power(self, k, IntMatrix.identity(self.nrows))
 
     def trace(self) -> int:

@@ -115,8 +115,6 @@ class IntPoly(Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> IntPoly:
-        if k < 0:
-            raise ValueError("negative polynomial powers are not defined")
         return power(self, k, IntPoly.one())
 
     def __divmod__(self, other: IntPoly) -> tuple[IntPoly, IntPoly]:

@@ -22,7 +22,8 @@ from .intpoly import IntPoly, cyclotomic_multiplicities
 
 class CyclicRep(Frozen):
     """A generator matrix of finite order: matrix ** order == identity, the
-    order an ``int`` >= 1 (not a bool), checked before any product runs.
+    matrix an :class:`IntMatrix` and the order an ``int`` >= 1 (not a bool),
+    both checked before any product runs.
 
     Construction multiplies out the chain M, M^2, ... until it reaches the
     identity, which must happen at a power dividing ``order``; that is the
@@ -49,6 +50,8 @@ class CyclicRep(Frozen):
         self.__post_init__()
 
     def __post_init__(self):
+        if not isinstance(self.matrix, IntMatrix):
+            raise ValueError(f"the generator must be an IntMatrix, got {type(self.matrix).__name__}")
         self.matrix.require_square()
         if type(self.order) is not int:
             raise ValueError(f"group order must be an integer, got {self.order!r}")

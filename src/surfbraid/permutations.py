@@ -114,9 +114,7 @@ class Permutation(Frozen):
         return Permutation._trusted(tuple(images))
 
     def __pow__(self, k: int) -> Permutation:
-        if k < 0:
-            return self.inverse() ** (-k)
-        return power(self, k, Permutation.identity(self.n))
+        return power(self, k, Permutation.identity(self.n), self.inverse)
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images, start=1))

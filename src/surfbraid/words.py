@@ -22,6 +22,7 @@ from typing import Iterable, NamedTuple
 from .core import CoeffVector, Element, GroupDescriptor
 from .errors import Frozen, GeneratorIndexError, WordSyntaxError
 from .permutations import Permutation
+from .powers import check_exponent
 
 SIGMA = "s"
 HANDLE = "a"
@@ -73,6 +74,7 @@ class BraidWord(Frozen):
         return BraidWord(tuple([Letter(l.kind, l.i, l.r, -l.exp) for l in reversed(self.letters)]))
 
     def __pow__(self, k: int) -> BraidWord:
+        check_exponent(k)
         if k < 0:
             return self.inverse_word() ** (-k)
         return BraidWord(self.letters * k)

@@ -449,21 +449,60 @@ def test_torsion_scan_reports_finite_elements_in_coordinate_order(monkeypatch):
 
 
 def test_torsion_scan_validates_and_checks_every_element(monkeypatch):
+    # The scan checks each strand-table row once with the constructor's row
+    # check and builds every element from checked rows: when `order` sees an
+    # element, each of its n rows is a row object that passed the check (held
+    # here, so no id is reused), and `order` runs exactly once per element.
+    checked: dict[int, tuple[int, ...]] = {}
     calls = collections.Counter()
-    real_order, real_validate = bieberbach.order, Element.__post_init__
+    real_order, real_check_rows = bieberbach.order, Element._check_rows
 
-    def counted_order(x):
+    def recorded_check_rows(group, rows):
+        real_check_rows(group, rows)
+        checked.update((id(row), row) for row in rows)
+
+    def checked_order(x):
         calls["order"] += 1
+        rows = x.coeffs.rows
+        if type(rows) is not tuple or len(rows) != x.group.n or len(x.perm.images) != x.group.n:
+            calls["bad size"] += 1
+        calls["unchecked rows"] += sum(1 for row in rows if checked.get(id(row)) is not row)
         return real_order(x)
 
-    def counted_validate(self):
-        calls["validate"] += 1
-        real_validate(self)
-
-    monkeypatch.setattr(bieberbach, "order", counted_order)
-    monkeypatch.setattr(Element, "__post_init__", counted_validate)
+    monkeypatch.setattr(Element, "_check_rows", staticmethod(recorded_check_rows))
+    monkeypatch.setattr(bieberbach, "order", checked_order)
     for n, g, b in SCAN_CASES:
         desc = make_bieberbach(n, g)
+        checked.clear()
         calls.clear()
         report = desc.torsion_scan(b)
-        assert calls["order"] >= report.scanned and calls["validate"] >= report.scanned
+        assert report.scanned == (2 * b + 1) ** (2 * n * g) * n
+        assert calls["order"] == report.scanned
+        assert calls["bad size"] == calls["unchecked rows"] == 0
+        assert report == reference_torsion_scan(desc, b)
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda row: (float(row[0]),) + row[1:], "coefficients must be integers"),
+    (lambda row: (True,) + row[1:], "coefficients must be integers"),
+    (lambda row: row[:-1], "every coefficient row must have 2 entries (rows as a tuple of tuples)"),
+], ids=["float", "bool", "short"])
+def test_torsion_scan_rejects_a_faulty_strand_row(monkeypatch, fault, message):
+    # One faulty row, the last of the last strand's first table, is rejected
+    # with the validating constructor's message before any element reaches
+    # `order`.
+    desc = make_bieberbach(2, 1)
+    real_strand_row = bieberbach._strand_row
+
+    def faulty_strand_row(n, lam, i, strand, base_row):
+        row = real_strand_row(n, lam, i, strand, base_row)
+        return fault(row) if (i, lam, strand) == (n - 1, -1, (1, 1)) else row
+
+    def no_order(x):
+        raise AssertionError("an element was checked before the faulty row was rejected")
+
+    monkeypatch.setattr(bieberbach, "_strand_row", faulty_strand_row)
+    monkeypatch.setattr(bieberbach, "order", no_order)
+    with pytest.raises(ValueError) as excinfo:
+        desc.torsion_scan(1)
+    assert str(excinfo.value) == message

@@ -500,3 +500,23 @@ def test_torsion_scan_checks_run_under_python_O():
     # every element but the identity is a hit; a mismatch has 2*(c1 + c2) + j != 0
     mismatches = sum(1 for c in box for j in (0, 1) if 2 * (c[0] + c[1]) + j != 0)
     assert res.stdout == expected + json.dumps([2 * len(box), 2 * len(box) - 1, mismatches]) + "\n"
+
+
+def test_torsion_scan_row_check_runs_under_python_O():
+    # The scan checks its strand-table rows with an explicit branch, not an
+    # assert: under -O a float entry from the row builder is still rejected,
+    # before any element reaches `order`.
+    code = (
+        "from surfbraid import bieberbach\n"
+        "desc = bieberbach.make_bieberbach(2, 1)\n"
+        "real_strand_row = bieberbach._strand_row\n"
+        "bieberbach._strand_row = lambda *args: (0.5,) + real_strand_row(*args)[1:]\n"
+        "bieberbach.order = None  # any element checked would raise TypeError\n"
+        "try:\n"
+        "    desc.torsion_scan(1)\n"
+        "except ValueError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    res = run_optimized(code)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "rejected: coefficients must be integers\n"

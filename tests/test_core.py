@@ -320,6 +320,13 @@ def test_element_validates_every_row():
     assert Element(klein, CoeffVector(((1, 5), (0, 0))), Permutation.identity(2)).coeffs.rows[0] == (1, 5)
 
 
+@pytest.mark.parametrize("k", [True, 2.0, "2"])
+def test_power_rejects_an_exponent_that_is_not_an_int(k):
+    x = a(T2, 1, 1) * Element.section(T2, Permutation((2, 1)))
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        x ** k
+
+
 def test_element_rejects_entries_that_are_not_ints():
     klein = GroupDescriptor.nonorientable(2, 2)
     for group, bad in [(T2, 0.5), (T2, 1.0), (T2, True), (T2, "1"), (klein, 1.0), (klein, False)]:

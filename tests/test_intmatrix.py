@@ -91,6 +91,14 @@ def test_product_and_power():
     assert a.trace() == 2
 
 
+@pytest.mark.parametrize("k", [True, 2.0, "2"])
+def test_power_rejects_an_exponent_that_is_not_an_int(k):
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        int_matrix([[1, 1], [0, 1]]) ** k
+    with pytest.raises(ValueError, match="negative powers of IntMatrix are not defined"):
+        int_matrix([[1, 1], [0, 1]]) ** -1
+
+
 def test_sparse_product_against_triple_loop_oracle():
     rng = random.Random(97)
     for _ in range(200):

@@ -24,6 +24,14 @@ def test_coefficients_are_rejected_never_coerced(coeffs):
         IntPoly(coeffs)
 
 
+@pytest.mark.parametrize("k", [True, 2.0, "2"])
+def test_power_rejects_an_exponent_that_is_not_an_int(k):
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        IntPoly.of(1, 1) ** k
+    with pytest.raises(ValueError, match="negative powers of IntPoly are not defined"):
+        IntPoly.of(1, 1) ** -1
+
+
 def test_arithmetic_builds_polynomials_without_validation(monkeypatch):
     p, q = IntPoly.of(1, 2), IntPoly.of(-1, 0, 1)
     expected = [p + q, p - p, -q, p * q, 3 * p, q**3, divmod(q**3, IntPoly.of(2, 1)), q.exact_div(IntPoly.of(1, 1))]

@@ -66,6 +66,12 @@ def test_cyclic_rep_order_must_be_an_int(order, monkeypatch):
         CyclicRep(matrix, order)
 
 
+@pytest.mark.parametrize("matrix", [((1,),), [[1]], IntPoly.of(1)])
+def test_cyclic_rep_matrix_must_be_an_int_matrix(matrix):
+    with pytest.raises(ValueError, match="must be an IntMatrix"):
+        CyclicRep(matrix, 1)
+
+
 def test_orientability():
     for n in range(2, 7):
         for g in (1, 2):

@@ -77,6 +77,12 @@ def test_inverse_and_power():
         assert (p ** p.order()).is_identity()
 
 
+@pytest.mark.parametrize("k", [True, 2.0, "2"])
+def test_power_rejects_an_exponent_that_is_not_an_int(k):
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        Permutation((2, 3, 1)) ** k
+
+
 def test_cycles_and_cycle_type():
     p = Permutation.from_cycles(6, (2, 5), (3, 6, 4))
     assert p.cycles() == ((2, 5), (3, 6, 4))

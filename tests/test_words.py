@@ -219,6 +219,12 @@ def test_normalize_is_monoid_homomorphism():
             assert normalize(group, w1 * w1.inverse_word()).is_identity()
 
 
+@pytest.mark.parametrize("k", [True, 2.0, "2"])
+def test_word_power_rejects_an_exponent_that_is_not_an_int(k):
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        BraidWord((Letter("s", 1, 0, 1),)) ** k
+
+
 def random_word(rng, n, g, max_len):
     letters = []
     for _ in range(rng.randint(0, max_len)):
