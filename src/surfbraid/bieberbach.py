@@ -235,6 +235,8 @@ class BieberbachDescriptor(Frozen):
         two checks.  Hits and mismatches are reported in (coords, j) order,
         and the number of elements scanned is checked against
         (2*bound + 1)**(2ng) * n."""
+        if type(bound) is not int:
+            raise DomainError(f"scan bound must be an integer, got {bound!r}")
         if bound < 0:
             raise DomainError(f"scan bound must be >= 0, got {bound}")
         n, g, group = self.n, self.genus, self.group

@@ -441,12 +441,12 @@ def verify_crystallographic(group: GroupDescriptor) -> Verdict:
 
     n = group.n
     moves = []
-    tau = list(range(1, n + 1))  # the identity's images; swapping entries i-1 and i gives t(i)
+    zero = (0,) * group.handle_count
     for i in range(1, n):
-        # Conjugation by section(tau) sends a[i,1] to a[tau(i),1] (the product rule).
-        tau[i - 1], tau[i] = tau[i], tau[i - 1]
-        check(tau[i - 1] == i + 1, f"transposition {i} must move a[{i},1]")
-        tau[i - 1], tau[i] = tau[i], tau[i - 1]
+        # Conjugation by section(t(i)) sends a[i,1] to a[i+1,1]: the product rule's strand action, run on its row.
+        a_i1 = CoeffVector((zero,) * (i - 1) + ((1,) + zero[1:],) + (zero,) * (n - i))
+        check(a_i1.permuted(Permutation.transposition(n, i)).rows[i] == a_i1.rows[i - 1],
+              f"transposition {i} must move a[{i},1]")
         moves.append({"transposition": i, "from": [i, 1], "to": [i + 1, 1]})
     return Verdict(
         is_crystallographic=True,

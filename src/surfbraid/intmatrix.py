@@ -1,14 +1,14 @@
-"""Exact integer matrices: products, powers, determinant, rank, characteristic
-polynomial.  No floating point anywhere; verdict-grade arithmetic only.
-Rank and determinant read one elimination, :meth:`IntMatrix._echelon`.
+"""Exact integer matrices: products, powers, determinant and rank.  No
+floating point anywhere; verdict-grade arithmetic only.  Rank and
+determinant read one elimination, :meth:`IntMatrix._echelon`, through which
+the selftest also checks the trace-derived characteristic polynomial.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import Frozen, check
-from .intpoly import IntPoly
+from .errors import Frozen
 from .powers import power
 
 
@@ -75,6 +75,8 @@ class IntMatrix(Frozen):
     def __mul__(self, other: IntMatrix) -> IntMatrix:
         """Sparse-row product: row i of the result accumulates a * row_k(other)
         over the nonzero entries a = self[i][k] only."""
+        if not isinstance(other, IntMatrix):
+            raise ValueError(f"a matrix multiplies only an IntMatrix, got {other!r}")
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
         zero = (0,) * other.ncols
@@ -150,28 +152,6 @@ class IntMatrix(Frozen):
                 sign = -sign
             rank += 1
         return a, rank, sign
-
-    def char_poly(self) -> IntPoly:
-        """Monic characteristic polynomial det(xI - M), exactly.
-
-        Faddeev-LeVerrier recurrence: every division by the step index is
-        exact over the integers, which is checked.  The invariants derive
-        the polynomial from power traces instead; this one cross-checks them.
-        """
-        self.require_square()
-        m = self.nrows
-        coeffs = [0] * (m + 1)
-        coeffs[m] = 1
-        aux = self
-        for k in range(1, m + 1):
-            t = aux.trace()
-            q, r = divmod(-t, k)
-            check(r == 0, "Faddeev-LeVerrier division must be exact")
-            coeffs[m - k] = q
-            if k < m:
-                shifted = [row[:i] + (row[i] + q,) + row[i + 1:] for i, row in enumerate(aux.rows)]
-                aux = self * IntMatrix._trusted(tuple(shifted))
-        return IntPoly.of(*coeffs)
 
     def to_json_obj(self) -> list[list[int]]:
         return [list(row) for row in self.rows]

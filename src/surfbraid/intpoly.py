@@ -102,8 +102,10 @@ class IntPoly(Frozen):
         return IntPoly._trusted([-c for c in self.coeffs])
 
     def __mul__(self, other: IntPoly | int) -> IntPoly:
-        if isinstance(other, int):
+        if type(other) is int:
             return IntPoly._trusted([c * other for c in self.coeffs])
+        if not isinstance(other, IntPoly):
+            raise ValueError(f"a polynomial multiplies only an IntPoly or an int, got {other!r}")
         out = [0] * (len(self.coeffs) + len(other.coeffs))
         for i, c in enumerate(self.coeffs):
             if c == 0:

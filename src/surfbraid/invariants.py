@@ -35,10 +35,11 @@ class CyclicRep(Frozen):
     or an L not dividing ``order``, rejects M after m + 1 products.  It keeps
     ``power_traces`` = (tr M^0, ..., tr M^(p-1)), where
     p is the exact order of M, the characteristic polynomial det(xI - M)
-    derived from them, and its cyclotomic factor multiplicities {d: mult}
-    (read-only), each index d checked to divide ``order``.  Only the matrix
-    and the order make up the value: they alone are compared, hashed and
-    shown by repr.
+    and its cyclotomic factor multiplicities {d: mult} (read-only), each
+    index d checked to divide ``order``.  The polynomial and its factors are
+    derived once: at the cut, or from the whole period of a chain that
+    closes sooner.  Only the matrix and the order make up the value: they
+    alone are compared, hashed and shown by repr.
     """
 
     __slots__ = ("matrix", "order", "power_traces", "char_poly", "cyclotomic")
@@ -62,19 +63,25 @@ class CyclicRep(Frozen):
         traces = [m]
         power = self.matrix
         limit = self.order
+        factored = None
         while power != identity and len(traces) < limit:
             traces.append(power.trace())
             if len(traces) == m + 1:
-                limit = _order_bound(traces, self.order)
+                try:
+                    factored = _factored_char_poly(traces, m)
+                    bound = math.lcm(*factored[1])
+                except NotProductOfCyclotomicsError:
+                    bound = 0
+                limit = bound if bound and self.order % bound == 0 else 0
             power = self.matrix * power
         if power != identity or self.order % len(traces) != 0:
             raise ValueError(f"matrix does not have order dividing {self.order}")
-        object.__setattr__(self, "power_traces", tuple(traces))
-        object.__setattr__(self, "char_poly", _char_poly(_coefficients(self, 1)))
-        mults = cyclotomic_multiplicities(self.char_poly)
+        char_poly, mults = factored or _factored_char_poly(traces, m)
         for d in mults:
             if self.order % d != 0:
                 raise ValueError(f"cyclotomic index {d} does not divide the group order {self.order}")
+        object.__setattr__(self, "power_traces", tuple(traces))
+        object.__setattr__(self, "char_poly", char_poly)
         object.__setattr__(self, "cyclotomic", mults)
 
     @property
@@ -109,31 +116,21 @@ def _elementary_symmetric_from_traces(traces: list[int], m: int) -> list[int]:
     return e
 
 
-def _char_poly(e: list[int]) -> IntPoly:
-    """det(xI - A) = sum_k (-1)^k e_k x^(m-k) from e_0..e_m of A's eigenvalues."""
-    m = len(e) - 1
-    return IntPoly.of(*[(-1) ** k * e[k] for k in range(m, -1, -1)])
+def _coefficients(traces: tuple[int, ...] | list[int], m: int, j: int) -> list[int]:
+    """e_0..e_m of the eigenvalues of M^j, from the power sums tr(M^(j*s)),
+    s = 1..m, read from traces = (tr M^0, tr M^1, ...) periodically: the list
+    is a whole period, or runs at least to tr M^m."""
+    p = len(traces)
+    return _elementary_symmetric_from_traces([traces[(j * s) % p] for s in range(1, m + 1)], m)
 
 
-def _order_bound(traces: list[int], order: int) -> int:
-    """The lcm L of the cyclotomic indices of the characteristic polynomial
-    whose power sums are traces[1:], when that polynomial is a product of
-    cyclotomics and L divides ``order``; otherwise 0."""
-    m = len(traces) - 1
-    try:
-        mults = cyclotomic_multiplicities(_char_poly(_elementary_symmetric_from_traces(traces[1:], m)))
-    except NotProductOfCyclotomicsError:
-        return 0
-    bound = math.lcm(*mults)
-    return bound if order % bound == 0 else 0
-
-
-def _coefficients(rep: CyclicRep, j: int) -> list[int]:
-    """e_0..e_m of the eigenvalues of M^j, from the periodic traces tr(M^(j*s))."""
-    period = rep.power_traces
-    p = len(period)
-    m = rep.dimension
-    return _elementary_symmetric_from_traces([period[(j * s) % p] for s in range(1, m + 1)], m)
+def _factored_char_poly(traces: list[int], m: int) -> tuple[IntPoly, dict[int, int]]:
+    """The one derivation of det(xI - M) = sum_k (-1)^k e_k x^(m-k), from the
+    traces as in :func:`_coefficients`, and its cyclotomic multiplicities;
+    raises NotProductOfCyclotomicsError when it is no product of cyclotomics."""
+    e = _coefficients(traces, m, 1)
+    poly = IntPoly.of(*[(-1) ** k * e[k] for k in range(m, -1, -1)])
+    return poly, cyclotomic_multiplicities(poly)
 
 
 def betti_numbers(rep: CyclicRep) -> tuple[int, ...]:
@@ -151,7 +148,7 @@ def betti_numbers(rep: CyclicRep) -> tuple[int, ...]:
     p = len(rep.power_traces)
     totals = [0] * (m + 1)
     for j in range(p):
-        for i, e_i in enumerate(_coefficients(rep, j)):
+        for i, e_i in enumerate(_coefficients(rep.power_traces, m, j)):
             totals[i] += e_i
     betti = []
     for i, total in enumerate(totals):

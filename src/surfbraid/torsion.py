@@ -205,8 +205,12 @@ class FrobeniusEmbedding(Frozen):
         self.__post_init__()
 
     def __post_init__(self):
+        if type(self.genus) is not int:
+            raise ValueError(f"genus must be an integer, got {self.genus!r}")
         if self.genus < 1:
             raise ValueError(f"genus must be >= 1, got {self.genus}")
+        if not isinstance(self.blocks, tuple) or any([not isinstance(b, tuple) for b in self.blocks]):
+            raise ValueError(f"parameter blocks must be a tuple of tuples, got {self.blocks!r}")
         if len(self.blocks) != 2 * self.genus:
             raise ValueError(f"need {2 * self.genus} parameter blocks, got {len(self.blocks)}")
         if any([len(b) != 4 or any([type(v) is not int for v in b]) for b in self.blocks]):

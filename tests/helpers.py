@@ -1,14 +1,15 @@
 """Shared test oracles, kept independent of the code paths they check:
 brute-force multiplication, rational linear algebra on flattened vectors,
 cofactor determinants, the Bareiss determinant, the gcd-reduced rank
-elimination, triple-loop matrix products, Smith normal form, principal-minor
-sums, the Bieberbach lattice basis and holonomy blocks written out by hand,
-column-sum cycle sums, the coordinate-by-coordinate torsion scan, the
-eigenvalue-pairing Kaehler criterion, the conjugacy witness composed from
-two section conjugators and the search over all of S_n for a conjugator's
-permutation part.  Plus the constructors only tests need: matrices, lattice
-elements and Frobenius blocks from nested lists, words from text, and
-Bieberbach elements from coordinates.  None of them coerces an entry.
+elimination, the Faddeev-LeVerrier characteristic polynomial, triple-loop
+matrix products, Smith normal form, principal-minor sums, the Bieberbach
+lattice basis and holonomy blocks written out by hand, column-sum cycle
+sums, the coordinate-by-coordinate torsion scan, the eigenvalue-pairing
+Kaehler criterion, the conjugacy witness composed from two section
+conjugators and the search over all of S_n for a conjugator's permutation
+part.  Plus the constructors only tests need: matrices, lattice elements
+and Frobenius blocks from nested lists, words from text, and Bieberbach
+elements from coordinates.  None of them coerces an entry.
 """
 
 from __future__ import annotations
@@ -407,6 +408,25 @@ def char_poly_by_cofactors(matrix: IntMatrix) -> IntPoly:
         for i in range(m)
     ]
     return det(rows)
+
+
+def faddeev_leverrier_char_poly(matrix: IntMatrix) -> IntPoly:
+    """det(xI - M) by the Faddeev-LeVerrier recurrence: c_(m-k) = -tr(M A_k)/k
+    with A_1 = I and A_(k+1) = M A_k + c_(m-k) I, every division by k checked
+    to be exact over the integers."""
+    m = matrix.nrows
+    assert m == matrix.ncols
+    coeffs = [0] * (m + 1)
+    coeffs[m] = 1
+    aux = matrix
+    for k in range(1, m + 1):
+        q, r = divmod(-aux.trace(), k)
+        assert r == 0, "Faddeev-LeVerrier division must be exact"
+        coeffs[m - k] = q
+        if k < m:
+            shifted = [row[:i] + (row[i] + q,) + row[i + 1:] for i, row in enumerate(aux.rows)]
+            aux = matrix * IntMatrix(tuple(shifted))
+    return IntPoly.of(*coeffs)
 
 
 def matmul_by_triple_loop(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -314,6 +314,18 @@ def test_torsion_scan_rejects_negative_bound():
     assert make_bieberbach(2, 1).torsion_scan(0).scanned == 2
 
 
+@pytest.mark.parametrize("bound", [True, 1.5, 1.0, "1", None])
+def test_torsion_scan_rejects_a_bound_that_is_not_an_int(monkeypatch, bound):
+    # a bool is not taken as 0 or 1, nor a float truncated; no row is built
+    def no_strand_row(*args):
+        raise AssertionError("a strand row was built before the bound was rejected")
+
+    desc = make_bieberbach(2, 1)
+    monkeypatch.setattr(bieberbach, "_strand_row", no_strand_row)
+    with pytest.raises(DomainError, match="scan bound must be an integer"):
+        desc.torsion_scan(bound)
+
+
 def test_generator_itself_has_infinite_order():
     desc = make_bieberbach(2, 1)
     assert not order(desc.generator).is_finite

@@ -479,6 +479,52 @@ def test_broken_selftest_exits_3_under_python_O():
     assert "not ok 3 - cycle power formula" in res.stdout
 
 
+# Two faults the selftest's characteristic-polynomial check must catch: a
+# trace-derived coefficient off by one, and an echelon whose row swaps no
+# longer flip the determinant's sign.
+CHAR_POLY_FAULTS = {
+    "trace_coefficient": (
+        "from surfbraid import intpoly, invariants\n"
+        "real = invariants._factored_char_poly\n"
+        "def perturbed(traces, m):\n"
+        "    poly, mults = real(traces, m)\n"
+        "    return intpoly.IntPoly.of(poly.coeffs[0], poly.coeffs[1] + 1, *poly.coeffs[2:]), mults\n"
+        "invariants._factored_char_poly = perturbed\n",
+        ["ok 5 - ", "not ok 6 - flat manifold invariants: the trace char poly must be det(xI - M) at x = 1"],
+    ),
+    "echelon_sign": (
+        "from surfbraid.intmatrix import IntMatrix\n"
+        "real = IntMatrix._echelon\n"
+        "IntMatrix._echelon = lambda self: real(self)[:2] + (1,)  # a swap keeps the sign\n",
+        ["not ok 5 - bieberbach holonomy matrices and centre: (x^n - 1)^2g must be det(xI - M) at x = ",
+         "not ok 6 - flat manifold invariants: the trace char poly must be det(xI - M) at x = "],
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+@pytest.mark.parametrize("fault", sorted(CHAR_POLY_FAULTS))
+def test_selftest_catches_a_faulty_char_poly_or_determinant(fault, flags):
+    patch, expected = CHAR_POLY_FAULTS[fault]
+    code = patch + "import sys\nfrom surfbraid import cli\nsys.exit(cli.main(['selftest']))\n"
+    res = subprocess.run([sys.executable, *flags, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 3, res.stderr
+    lines = res.stdout.splitlines()
+    assert all(any(line.startswith(prefix) for line in lines) for prefix in expected), res.stdout
+
+
+def test_verdict_runs_the_strand_action(capsys, monkeypatch):
+    # A strand action that moves nothing leaves the orientable verdict
+    # without its witness: an internal check fails, exit 4.
+    from surfbraid import core
+
+    monkeypatch.setattr(core.CoeffVector, "permuted", lambda self, w: self)
+    code, out, err = run(capsys, "verdict", "--surface", "orientable", "--n", "3", "--genus", "2")
+    assert (code, out) == (4, "")
+    assert err == "surfbraid: internal check failed: transposition 1 must move a[1,1]\n"
+
+
 def test_torsion_scan_checks_run_under_python_O():
     # The scan's checks are explicit branches, not asserts: under -O an order
     # that calls every element finite still yields hits and mismatches, and

@@ -261,17 +261,19 @@ def test_verify_crystallographic_orientable():
     assert big.dimension == 12 and big.holonomy_order == 6
 
 
-def test_verify_crystallographic_builds_no_coefficient_vector(monkeypatch):
-    # The product rule sends a[i,1] to a[tau(i),1]; the witness needs no
-    # vector, and no permutation either: one image list, swapped in place.
-    def refuse(*args):
-        raise AssertionError("a coefficient vector or permutation was built for the witness")
+def test_verify_crystallographic_runs_the_strand_action_per_generator(monkeypatch):
+    # The witness is checked by the product rule's own strand action: one
+    # `permuted` call per adjacent transposition t(i), on a[i,1]'s row.
+    seen = []
+    original = CoeffVector.permuted
 
-    monkeypatch.setattr(CoeffVector, "__init__", refuse)
-    monkeypatch.setattr(CoeffVector, "permuted", refuse)
-    monkeypatch.setattr(Permutation, "__post_init__", refuse)
-    monkeypatch.setattr(Permutation, "_trusted", refuse)
+    def recording(self, w):
+        seen.append((self.rows.index((1, 0, 0, 0)), w))
+        return original(self, w)
+
+    monkeypatch.setattr(CoeffVector, "permuted", recording)
     verdict = verify_crystallographic(GroupDescriptor.orientable(40, 2))
+    assert seen == [(i - 1, Permutation.transposition(40, i)) for i in range(1, 40)]
     assert verdict.witness["generator_moves"] == [
         {"transposition": i, "from": [i, 1], "to": [i + 1, 1]} for i in range(1, 40)
     ]

@@ -13,6 +13,7 @@ from helpers import (
     bareiss_det,
     char_poly_by_cofactors,
     cofactor_det,
+    faddeev_leverrier_char_poly,
     gcd_rank,
     int_matrix,
     matmul_by_triple_loop,
@@ -61,7 +62,7 @@ def test_arithmetic_builds_matrices_without_validation(monkeypatch):
     a, b = random_matrix(rng, 4), random_matrix(rng, 4)
 
     def results():
-        return [a * b, a + b, a - b, a**3, IntMatrix.identity(4), a.char_poly()]
+        return [a * b, a + b, a - b, a**3, IntMatrix.identity(4)]
 
     expected = results()
 
@@ -80,6 +81,13 @@ def test_sum_and_difference_need_equal_shapes(op):
             getattr(a, op)(b)
         with pytest.raises(ValueError, match="shapes differ"):
             getattr(b, op)(a)
+
+
+@pytest.mark.parametrize("other", [True, 2, 2.0, ((1,),)])
+def test_product_rejects_an_operand_that_is_not_a_matrix(other):
+    # bad input, not an AttributeError from deep inside the product
+    with pytest.raises(ValueError, match="multiplies only an IntMatrix"):
+        int_matrix([[1]]) * other
 
 
 def test_product_and_power():
@@ -173,13 +181,18 @@ def test_rank_and_det_match_the_reference_eliminations_and_sympy(a):
         assert a.det() == bareiss_det(a) == oracle.det()
 
 
+# The library derives the characteristic polynomial only from power traces
+# (surfbraid.invariants); tests/helpers.py keeps Faddeev-LeVerrier as a
+# reference, checked here against cofactor expansion and sympy.
+
+
 def test_char_poly_identity():
-    assert IntMatrix.identity(2).char_poly() == IntPoly.of(1, -2, 1)
+    assert faddeev_leverrier_char_poly(IntMatrix.identity(2)) == IntPoly.of(1, -2, 1)
 
 
 def test_char_poly_companion():
     for n in range(2, 7):
-        assert companion_of_x_pow_minus_one(n).char_poly() == IntPoly.x_pow_minus_one(n)
+        assert faddeev_leverrier_char_poly(companion_of_x_pow_minus_one(n)) == IntPoly.x_pow_minus_one(n)
 
 
 def test_char_poly_against_cofactor_oracle():
@@ -187,14 +200,36 @@ def test_char_poly_against_cofactor_oracle():
     for m in range(1, 6):
         for _ in range(12):
             a = random_matrix(rng, m)
-            assert a.char_poly() == char_poly_by_cofactors(a)
+            assert faddeev_leverrier_char_poly(a) == char_poly_by_cofactors(a)
 
 
 def test_char_poly_consistent_with_det():
     rng = random.Random(89)
     for m in range(1, 6):
         a = random_matrix(rng, m)
-        p = a.char_poly()
+        p = faddeev_leverrier_char_poly(a)
         # det(xI - M) at x = 0 is (-1)^m det(M)
         assert p.coeffs[0] == (-1) ** m * a.det()
         assert p.is_monic() and p.degree == m
+
+
+@st.composite
+def small_square_matrices(draw):
+    """Square matrices of size 0 to 4 with entries up to 50 in absolute value;
+    some with a last row that is an integer combination of the first two, so
+    singular."""
+    m = draw(st.integers(0, 4))
+    rows = [[draw(st.integers(-50, 50)) for _ in range(m)] for _ in range(m)]
+    if m >= 3 and draw(st.booleans()):
+        c1, c2 = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[-1] = [c1 * x + c2 * y for x, y in zip(rows[0], rows[1])]
+    return int_matrix(rows)
+
+
+@settings(DERANDOMIZED, max_examples=200)
+@given(small_square_matrices())
+def test_reference_char_polys_match_sympy(a):
+    x = sympy.Symbol("x")
+    oracle = sympy.Matrix(a.nrows, a.ncols, [v for row in a.rows for v in row]).charpoly(x).all_coeffs()
+    expected = IntPoly.of(*[int(c) for c in reversed(oracle)])
+    assert faddeev_leverrier_char_poly(a) == char_poly_by_cofactors(a) == expected

@@ -24,6 +24,25 @@ def test_coefficients_are_rejected_never_coerced(coeffs):
         IntPoly(coeffs)
 
 
+def test_scalar_product_takes_only_an_exact_int():
+    p = IntPoly.of(1, 1)
+    assert p * 3 == 3 * p == IntPoly.of(3, 3)
+    with pytest.raises(ValueError, match="multiplies only an IntPoly or an int, got True"):
+        p * True
+
+
+def test_bool_times_a_polynomial_is_rejected():
+    with pytest.raises(ValueError, match="multiplies only an IntPoly or an int, got True"):
+        True * IntPoly.of(1, 1)
+
+
+@pytest.mark.parametrize("other", [2.0, "2", None, (1, 1)])
+def test_product_rejects_an_operand_that_is_neither_a_polynomial_nor_an_int(other):
+    # bad input, not an AttributeError from the polynomial branch
+    with pytest.raises(ValueError, match="multiplies only an IntPoly or an int"):
+        IntPoly.of(1, 1) * other
+
+
 @pytest.mark.parametrize("k", [True, 2.0, "2"])
 def test_power_rejects_an_exponent_that_is_not_an_int(k):
     with pytest.raises(ValueError, match="exponent must be an integer"):

@@ -26,6 +26,7 @@ from helpers import (
     block_diag,
     char_poly_by_cofactors,
     eigenvalue_multiplicities,
+    faddeev_leverrier_char_poly,
     int_matrix,
     random_permutation,
     reference_kahler_check,
@@ -190,7 +191,7 @@ def test_char_poly_of_holonomy():
     for n in range(2, 9):
         for g in (1, 3):
             matrix = make_bieberbach(n, g).holonomy_matrix()
-            assert matrix.char_poly() == IntPoly.x_pow_minus_one(n) ** (2 * g)
+            assert faddeev_leverrier_char_poly(matrix) == IntPoly.x_pow_minus_one(n) ** (2 * g)
 
 
 def test_invariant_report_shape():
@@ -216,7 +217,7 @@ def test_trace_char_poly_and_det_match_oracles_on_holonomy_sweep():
     for n in range(2, 7):
         for g in range(1, 4):
             rep = holonomy_rep(n, g)
-            assert rep.char_poly == rep.matrix.char_poly()  # Faddeev-LeVerrier
+            assert rep.char_poly == faddeev_leverrier_char_poly(rep.matrix)
             assert rep.det == rep.matrix.det() == 1  # the echelon kernel
             if rep.dimension <= 6:
                 assert rep.char_poly == char_poly_by_cofactors(rep.matrix)
@@ -241,11 +242,11 @@ def test_trace_char_poly_and_det_match_oracles_off_holonomy():
         CyclicRep(IntMatrix.identity(2), 2),  # declared order a multiple of the exact order
         CyclicRep(odd, 6),  # dimension 5
     ]:
-        assert rep.char_poly == rep.matrix.char_poly() == char_poly_by_cofactors(rep.matrix)
+        assert rep.char_poly == faddeev_leverrier_char_poly(rep.matrix) == char_poly_by_cofactors(rep.matrix)
         assert rep.det == rep.matrix.det()
         assert orientability(rep) == (rep.matrix.det() == 1)
         report = invariant_report(rep)
-        assert report["char_poly"] == list(rep.matrix.char_poly().coeffs)
+        assert report["char_poly"] == list(char_poly_by_cofactors(rep.matrix).coeffs)
         assert report["det"] == rep.matrix.det()
     assert CyclicRep(diag(-1, 1), 2).det == -1
 
@@ -338,3 +339,24 @@ def test_infinite_order_matrix_is_rejected_within_dimension_products(monkeypatch
     assert len(rep.power_traces) == 6 and calls <= 6
     with pytest.raises(ValueError):  # order 6 does not divide 10^5
         CyclicRep(int_matrix([[1, -1], [1, 0]]), 10**5)
+
+
+def test_char_poly_and_its_factors_are_derived_once_per_rep(monkeypatch):
+    import surfbraid.invariants as invariants_module
+
+    calls = 0
+    original = invariants_module.cyclotomic_multiplicities
+
+    def counting(poly):
+        nonlocal calls
+        calls += 1
+        return original(poly)
+
+    monkeypatch.setattr(invariants_module, "cyclotomic_multiplicities", counting)
+    # a holonomy chain closes before dim + 1 products; the second chain is cut at dim + 1
+    cases = [(make_bieberbach(4, 2).holonomy_matrix(), 4, {1: 4, 2: 4, 4: 4}),
+             (int_matrix([[1, -1], [1, 0]]), 6 * 10**4, {6: 1})]
+    for matrix, order, factors in cases:
+        calls = 0
+        assert CyclicRep(matrix, order).cyclotomic == factors
+        assert calls == 1

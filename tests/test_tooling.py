@@ -163,7 +163,7 @@ _PUBLIC = {"bieberbach", "core", "errors", "intmatrix", "intpoly", "invariants",
            "permutations", "torsion", "words"}
 _X = '{"n":2,"g":1,"perm":[2,1],"coeffs":[[1,0],[0,0]]}'
 _ELEMENT = {"cli", "core", "errors", "permutations", "powers"}
-_BIEBERBACH = _ELEMENT | {"torsion", "bieberbach", "intmatrix", "intpoly"}
+_BIEBERBACH = _ELEMENT | {"torsion", "bieberbach", "intmatrix"}
 FOOTPRINTS = [
     (None, set()),
     (["mul", "--n", "2", _X, _X], _ELEMENT),
@@ -172,7 +172,7 @@ FOOTPRINTS = [
     (["verdict", "--surface", "nonorientable", "--n", "2", "--genus", "2"],
      _ELEMENT | {"words", "nonorientable"}),
     (["bieberbach", "info", "--n", "3", "--genus", "1"], _BIEBERBACH),
-    (["invariants", "--n", "2", "--genus", "1"], _BIEBERBACH | {"invariants"}),
+    (["invariants", "--n", "2", "--genus", "1"], _BIEBERBACH | {"intpoly", "invariants"}),
     (["selftest"], _PUBLIC | {"cli", "powers", "selftest"}),
 ]
 

@@ -620,6 +620,13 @@ def test_frobenius_blocks_are_rejected_not_coerced():
             FrobeniusEmbedding(1, ((bad, 2, 3, 4), (0, 0, 0, 0)))
     with pytest.raises(ValueError, match="four integers"):
         FrobeniusEmbedding(1, ((1, 2, 3, 4), (0, 0, 0)))
+    for genus in (1.0, True, "1", None):
+        with pytest.raises(ValueError, match="genus must be an integer"):
+            FrobeniusEmbedding(genus, ((1, 2, 3, 4), (0, 0, 0, 0)))
+    # lists would pass here and fail later, when the embedding is hashed
+    for blocks in ([(1, 2, 3, 4), (0, 0, 0, 0)], ([1, 2, 3, 4], (0, 0, 0, 0)), ((1, 2, 3, 4), None)):
+        with pytest.raises(ValueError, match="a tuple of tuples"):
+            FrobeniusEmbedding(1, blocks)
     # the coercing nested-list constructors are gone from the library
     with pytest.raises(AttributeError):
         Element.from_coeffs(T2, [[1.7, "3"], [True, 0]])
