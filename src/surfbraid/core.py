@@ -51,14 +51,6 @@ class GroupDescriptor(Frozen):
         object.__setattr__(self, "genus", genus)
         self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.n, self.genus) == (other.kind, other.n, other.genus)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.n, self.genus))
-
     def __post_init__(self):
         if self.kind not in (ORIENTABLE, SPHERE, NONORIENTABLE):
             raise ValueError(f"unknown surface kind {self.kind!r}")
@@ -163,14 +155,6 @@ class CoeffVector(Frozen):
     def __init__(self, rows: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "rows", rows)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rows,))
-
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -200,7 +184,10 @@ class CoeffVector(Frozen):
 
 
 def _rowwise(op, *vectors: CoeffVector) -> CoeffVector:
-    """The row kernel of the arithmetic: one ``map(op, *rows)`` pass per row of the operands."""
+    """The row kernel of the arithmetic: one ``map(op, *rows)`` pass per row of the operands.
+    The first operand is the CoeffVector whose method called, so only the last is checked."""
+    if not isinstance(vectors[-1], CoeffVector):
+        raise ValueError(f"a coefficient vector combines only with a CoeffVector, got {vectors[-1]!r}")
     return CoeffVector(tuple([tuple(list(row)) for row in map(map, repeat(op), *[v.rows for v in vectors])]))
 
 
@@ -232,14 +219,6 @@ class Element(Frozen):
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "perm", perm)
         self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.group, self.coeffs, self.perm) == (other.group, other.coeffs, other.perm)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.coeffs, self.perm))
 
     def __post_init__(self):
         group, rows = self.group, self.coeffs.rows
@@ -291,6 +270,8 @@ class Element(Frozen):
     @classmethod
     def strand_generator(cls, group: GroupDescriptor, i: int, r: int) -> Element:
         """The generator a[i,r]: its letter image on strand i."""
+        if type(i) is not int or type(r) is not int:
+            raise ValueError(f"generator indices must be integers, got ({i!r},{r!r})")
         n, handles = group.n, group.handle_count
         if not (1 <= i <= n and 1 <= r <= handles):
             raise ValueError(f"generator index ({i},{r}) out of range")
@@ -302,6 +283,8 @@ class Element(Frozen):
         return cls(group, CoeffVector(tuple(rows)), Permutation.identity(n))
 
     def __mul__(self, other: Element) -> Element:
+        if not isinstance(other, Element):
+            raise ValueError(f"an element multiplies only an Element, got {other!r}")
         if self.group != other.group:
             raise GroupMismatchError(f"operands live in different groups: {self.group} vs {other.group}")
         return self._trusted(

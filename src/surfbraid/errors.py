@@ -8,6 +8,8 @@ internal check raises VerificationError instead, which is not a DomainError.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 
 class DomainError(ValueError):
     """Base class for errors caused by invalid mathematical input."""
@@ -75,25 +77,26 @@ class Frozen:
     calls the class's ``__post_init__`` check, if it has one.  This base
     gives what the ``_fields`` determine: ``Cls(field=value, ...)`` as the
     repr, equality between instances of the same class only, the hash of
-    the field tuple, assignment and deletion that raise AttributeError, and
+    the key, assignment and deletion that raise AttributeError, and
     pickling and copying that restore the fields without assigning them.
-    The classes that arithmetic builds in inner loops override ``__eq__``
-    and ``__hash__`` with the same comparison written out.
+    The key is ``operator.attrgetter(*_fields)``, made once per class: the
+    field tuple, or the one field itself when there is only one.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls._fields)  # not a descriptor: self._key is the getter itself
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._key(self) == self._key(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])

@@ -55,14 +55,6 @@ class IntPoly(Frozen):
         object.__setattr__(p, "coeffs", tuple(coeffs[:end]))
         return p
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
     @classmethod
     def zero(cls) -> IntPoly:
         return cls._trusted(())

@@ -54,14 +54,6 @@ class Permutation(Frozen):
         object.__setattr__(p, "images", images)
         return p
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.images == other.images
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.images,))
-
     @property
     def n(self) -> int:
         return len(self.images)
@@ -73,6 +65,8 @@ class Permutation(Frozen):
     @classmethod
     def transposition(cls, n: int, i: int) -> Permutation:
         """The adjacent transposition t(i) swapping i and i+1."""
+        if type(n) is not int or type(i) is not int:
+            raise ValueError(f"degree and index must be integers, got n={n!r}, i={i!r}")
         if not 1 <= i <= n - 1:
             raise ValueError(f"transposition index {i} out of range 1..{n - 1}")
         images = list(range(1, n + 1))
@@ -84,6 +78,8 @@ class Permutation(Frozen):
         """Build a permutation from disjoint cycles; (c0, c1, ...) sends c0 to c1."""
         if type(n) is not int:
             raise ValueError(f"degree must be an integer, got {n!r}")
+        if any([not isinstance(cycle, tuple) for cycle in cycles]):
+            raise ValueError(f"each cycle must be a tuple of integers, got {cycles!r}")
         images = list(range(1, n + 1))
         seen: set[int] = set()
         for cycle in cycles:
@@ -103,6 +99,8 @@ class Permutation(Frozen):
         return self.images[i - 1]
 
     def __mul__(self, other: Permutation) -> Permutation:
+        if not isinstance(other, Permutation):
+            raise ValueError(f"a permutation composes only with a Permutation, got {other!r}")
         if self.n != other.n:
             raise ValueError("cannot compose permutations of different degree")
         return Permutation._trusted(tuple([self.images[j - 1] for j in other.images]))

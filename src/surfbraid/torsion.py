@@ -92,8 +92,8 @@ def conjugator_to_section(theta: Element, *others: Element, root: int = 1) -> El
     if any([x.group != group for x in others]):
         raise GroupMismatchError("the elements must live in the same group")
     n = group.n
-    if not 1 <= root <= n:
-        raise ValueError(f"root strand {root} out of range 1..{n}")
+    if type(root) is not int or not 1 <= root <= n:
+        raise ValueError(f"root strand {root!r} is not an integer in 1..{n}")
     edges = [(x.perm.images, x.coeffs.rows) for x in elements]
     rows: list[tuple[int, ...] | None] = [None] * n
     for anchor in (root, *range(1, n + 1)):
@@ -256,8 +256,8 @@ def _multiplicative_order(l: int, p: int) -> int:
 
 def _require_frobenius_prime(p: int) -> None:
     """The one prime check of the Frobenius constructions, by trial division."""
-    if p < 5 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
-        raise BadPrimeError(f"p must be an odd prime >= 5, got {p}")
+    if type(p) is not int or p < 5 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise BadPrimeError(f"p must be an odd prime >= 5, got {p!r}")
 
 
 def default_multiplier(p: int) -> int:
@@ -284,6 +284,8 @@ def frobenius_pair(p: int, l: int | None = None) -> tuple[Permutation, Permutati
         l = default_multiplier(p)  # which runs the prime check
     else:
         _require_frobenius_prime(p)
+    if type(l) is not int:
+        raise BadMultiplierError(f"the multiplier must be an integer, got {l!r}")
     if not 2 <= l <= p - 1 or _multiplicative_order(l, p) != (p - 1) // 2:
         raise BadMultiplierError(f"{l} does not have multiplicative order {(p - 1) // 2} mod {p}")
     w1 = Permutation.from_cycles(p, tuple(range(1, p + 1)))

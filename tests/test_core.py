@@ -329,6 +329,28 @@ def test_power_rejects_an_exponent_that_is_not_an_int(k):
         x ** k
 
 
+def test_strand_generator_indices_must_be_ints():
+    # True would pass the range check as 1 and give a[1,1]
+    for i, r in [(True, 1), (1, True), (1.0, 1), (1, 1.0), ("1", 1)]:
+        with pytest.raises(ValueError, match="generator indices must be integers"):
+            Element.strand_generator(T2, i, r)
+
+
+@pytest.mark.parametrize("operation, message", [
+    (lambda: a(T2, 1, 1) * 3, "an element multiplies only an Element"),
+    (lambda: a(T2, 1, 1) * Permutation.identity(2), "an element multiplies only an Element"),
+    (lambda: Permutation.identity(2) * 3, "a permutation composes only with a Permutation"),
+    (lambda: Permutation.identity(2) * a(T2, 1, 1), "a permutation composes only with a Permutation"),
+    (lambda: CoeffVector.zero(2, 2) + 3, "a coefficient vector combines only with a CoeffVector"),
+    (lambda: CoeffVector.zero(2, 2) - 3, "a coefficient vector combines only with a CoeffVector"),
+    (lambda: CoeffVector.zero(2, 2) + ((0, 0), (0, 0)), "a coefficient vector combines only with a CoeffVector"),
+], ids=["element*int", "element*permutation", "permutation*int", "permutation*element",
+        "coeffs+int", "coeffs-int", "coeffs+rows"])
+def test_foreign_operands_are_rejected(operation, message):
+    with pytest.raises(ValueError, match=message):
+        operation()
+
+
 def test_element_rejects_entries_that_are_not_ints():
     klein = GroupDescriptor.nonorientable(2, 2)
     for group, bad in [(T2, 0.5), (T2, 1.0), (T2, True), (T2, "1"), (klein, 1.0), (klein, False)]:

@@ -31,6 +31,10 @@ def test_transposition():
     assert [t(i) for i in (1, 2, 3, 4)] == [1, 3, 2, 4]
     with pytest.raises(ValueError):
         Permutation.transposition(4, 4)
+    # True would pass the range check as 1
+    for n, i in [(3, True), (3, 1.0), (3.0, 1), (True, 1)]:
+        with pytest.raises(ValueError, match="integers"):
+            Permutation.transposition(n, i)
 
 
 def test_from_cycles():
@@ -43,6 +47,10 @@ def test_from_cycles():
     for n, cycle in [(2, (True, 2)), (2, (1.0, 2)), (2.0, (1, 2)), (True, (1,))]:
         with pytest.raises(ValueError, match="integer"):
             Permutation.from_cycles(n, cycle)
+    # a bare entry, or a cycle as a list or a string, is not a cycle
+    for cycles in [(5,), ((1, 2), 3), ([1, 2],), ("12",)]:
+        with pytest.raises(ValueError, match="tuple of integers"):
+            Permutation.from_cycles(3, *cycles)
 
 
 def test_composition_applies_right_factor_first():

@@ -56,6 +56,26 @@ def test_every_library_function_is_used_by_the_library():
     assert not unused, f"library functions that nothing in the library uses: {unused}"
 
 
+def test_only_frozen_defines_equality_and_hash():
+    # Value equality is the rule every verdict reads, so it is written once:
+    # errors.Frozen derives it from each class's _fields.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ClassDef) or (path.name, node.name) == ("errors.py", "Frozen"):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [stmt.name]
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                found += [f"{path.name}:{node.name}.{name}" for name in names if name in ("__eq__", "__hash__")]
+    assert not found, f"classes other than Frozen defining __eq__ or __hash__: {found}"
+
+
 def test_element_is_the_only_element_class():
     # One element class serves every surface: no library class subclasses
     # Element, and only core knows the non-orientable JSON layout.

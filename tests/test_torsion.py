@@ -279,6 +279,9 @@ def test_one_walk_anchors_at_root_then_least_unreached_strand():
     for root in (0, 6, -1):
         with pytest.raises(ValueError):
             conjugator_to_section(Element.identity(group), root=root)
+    for root in (True, 1.0, "1"):  # True would anchor at strand 1
+        with pytest.raises(ValueError, match="root strand"):
+            conjugator_to_section(Element.identity(group), root=root)
 
 
 def test_one_walk_rejects_mixed_groups():
@@ -707,6 +710,20 @@ def test_frobenius_pair(monkeypatch):
     monkeypatch.setattr(torsion, "multiplication_permutation", lambda p, l: Permutation.transposition(p, 1))
     with pytest.raises(VerificationError):
         frobenius_pair(7)
+
+
+def test_frobenius_inputs_must_be_ints():
+    # checked before any arithmetic: math.isqrt, the unit search and Permutation never see them
+    for p in (5.0, True, "5", None):
+        with pytest.raises(BadPrimeError, match="odd prime >= 5"):
+            frobenius_pair(p)
+        with pytest.raises(BadPrimeError, match="odd prime >= 5"):
+            frobenius_pair(p, 4)
+    for l in (4.0, True, "4"):
+        with pytest.raises(BadMultiplierError, match="multiplier must be an integer"):
+            frobenius_pair(5, l)
+    with pytest.raises(BadMultiplierError, match="multiplier must be an integer"):
+        frobenius_torsion_element(GroupDescriptor.torus(5), 5, 4.0)
 
 
 def test_multiplication_permutation():

@@ -89,6 +89,36 @@ def test_value_semantics(build, fields, expected):
             setattr(clone, fields[0], getattr(x, fields[0]))
 
 
+# For each class, a value built unchecked or by arithmetic beside the same
+# value from the public constructor.
+X = Element(T2, CoeffVector(((1, 0), (0, -2))), Permutation((2, 1)))
+REBUILT = [
+    (lambda: GroupDescriptor("".join(["orient", "able"]), 2, 1), lambda: GroupDescriptor("orientable", 2, 1)),
+    (lambda: CoeffVector(((1, 0), (0, -2))) + CoeffVector.zero(2, 2), lambda: CoeffVector(((1, 0), (0, -2)))),
+    (lambda: Permutation._trusted((2, 1)), lambda: Permutation((2, 1))),
+    (lambda: Permutation((2, 1)) * Permutation.identity(2), lambda: Permutation((2, 1))),
+    (lambda: X * Element.identity(T2), lambda: X),
+    (lambda: Element._trusted(T2, CoeffVector(((1, 0), (0, -2))), Permutation._trusted((2, 1))), lambda: X),
+    (lambda: IntMatrix._trusted(((1, 2), (3, 4))), lambda: IntMatrix(((1, 2), (3, 4)))),
+    (lambda: IntMatrix(((1, 2), (3, 4))) * IntMatrix.identity(2), lambda: IntMatrix(((1, 2), (3, 4)))),
+    (lambda: IntPoly._trusted([-1, 0, 1, 0]), lambda: IntPoly((-1, 0, 1))),
+    (lambda: IntPoly.of(1, 1) * IntPoly.of(-1, 1), lambda: IntPoly((-1, 0, 1))),
+]
+
+
+@pytest.mark.parametrize("rebuild, build", REBUILT, ids=[
+    "GroupDescriptor-joined-kind", "CoeffVector-plus-zero", "Permutation-trusted", "Permutation-times-identity",
+    "Element-times-identity", "Element-trusted", "IntMatrix-trusted", "IntMatrix-times-identity",
+    "IntPoly-trusted", "IntPoly-product"])
+def test_rebuilt_values_equal_hash_and_look_up_like_constructed_ones(rebuild, build):
+    x, y = rebuild(), build()
+    assert x is not y and type(x) is type(y)
+    assert x == y and y == x and not x != y
+    assert hash(x) == hash(y)
+    assert {y: "found"}[x] == "found" and {x: "found"}[y] == "found"
+    assert x in {y} and y in {x}
+
+
 def test_instances_of_different_classes_never_compare_equal():
     values = [build() for build, _, _ in VALUES]
     for a, b in itertools.permutations(values, 2):
