@@ -185,9 +185,15 @@ class CoeffVector(Frozen):
 
 def _rowwise(op, *vectors: CoeffVector) -> CoeffVector:
     """The row kernel of the arithmetic: one ``map(op, *rows)`` pass per row of the operands.
-    The first operand is the CoeffVector whose method called, so only the last is checked."""
-    if not isinstance(vectors[-1], CoeffVector):
-        raise ValueError(f"a coefficient vector combines only with a CoeffVector, got {vectors[-1]!r}")
+    The first operand is the CoeffVector whose method called, so only the last is checked:
+    its type, and its shape (row count and every row length) against the first's, since
+    ``map`` would stop silently at the shorter row."""
+    first, last = vectors[0], vectors[-1]
+    if not isinstance(last, CoeffVector):
+        raise ValueError(f"a coefficient vector combines only with a CoeffVector, got {last!r}")
+    if first is not last and list(map(len, first.rows)) != list(map(len, last.rows)):
+        raise ValueError(f"coefficient vector shapes differ: row lengths {list(map(len, first.rows))} "
+                         f"and {list(map(len, last.rows))}")
     return CoeffVector(tuple([tuple(list(row)) for row in map(map, repeat(op), *[v.rows for v in vectors])]))
 
 

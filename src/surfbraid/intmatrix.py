@@ -7,6 +7,8 @@ the selftest also checks the trace-derived characteristic polynomial.
 from __future__ import annotations
 
 import math
+from itertools import compress
+from operator import add, getitem, sub
 
 from .errors import Frozen
 from .powers import power
@@ -50,7 +52,7 @@ class IntMatrix(Frozen):
 
     @classmethod
     def identity(cls, m: int) -> IntMatrix:
-        return cls._trusted(tuple([tuple([1 if i == j else 0 for j in range(m)]) for i in range(m)]))
+        return cls._trusted(tuple([(0,) * i + (1,) + (0,) * (m - 1 - i) for i in range(m)]))
 
     @property
     def nrows(self) -> int:
@@ -65,8 +67,14 @@ class IntMatrix(Frozen):
             raise ValueError(f"matrix is {self.nrows}x{self.ncols}, need square")
 
     def __mul__(self, other: IntMatrix) -> IntMatrix:
-        """Sparse-row product: row i of the result accumulates a * row_k(other)
-        over the nonzero entries a = self[i][k] only."""
+        """Sparse-row product: row i of the result sums a * row_k(other) over
+        the nonzero entries a = self[i][k] only, found by ``compress``.  The
+        sum starts from its first term, not from a zero row; a later term
+        with a = 1 or -1 is added or subtracted by one ``map``.  A first
+        term with a = 1 is row_k(other) itself, so a row of self whose one
+        nonzero entry is 1 (most rows of a permutation-like holonomy matrix)
+        makes its result row the very tuple row_k(other); a zero row gives
+        a zero row."""
         if not isinstance(other, IntMatrix):
             raise ValueError(f"a matrix multiplies only an IntMatrix, got {other!r}")
         if self.ncols != other.nrows:
@@ -74,11 +82,17 @@ class IntMatrix(Frozen):
         zero = (0,) * other.ncols
         out = []
         for row in self.rows:
-            acc = zero
-            for a, other_row in zip(row, other.rows):
-                if a:
+            acc = None
+            for a, other_row in zip(compress(row, row), compress(other.rows, row)):
+                if acc is None:
+                    acc = other_row if a == 1 else [a * y for y in other_row]
+                elif a == 1:
+                    acc = list(map(add, acc, other_row))
+                elif a == -1:
+                    acc = list(map(sub, acc, other_row))
+                else:
                     acc = [x + a * y for x, y in zip(acc, other_row)]
-            out.append(tuple(acc))
+            out.append(zero if acc is None else acc if type(acc) is tuple else tuple(acc))
         return IntMatrix._trusted(tuple(out))
 
     def _require_same_shape(self, other: IntMatrix) -> None:
@@ -103,7 +117,7 @@ class IntMatrix(Frozen):
 
     def trace(self) -> int:
         self.require_square()
-        return sum(self.rows[i][i] for i in range(self.nrows))
+        return sum(map(getitem, self.rows, range(self.nrows)))
 
     def det(self) -> int:
         """The sign of the echelon's row swaps times the product of its

@@ -113,25 +113,27 @@ class IntPoly(Frozen):
 
     def __divmod__(self, other: IntPoly) -> tuple[IntPoly, IntPoly]:
         """Exact Euclidean division over Z; the divisor's leading coefficient
-        must divide every leading coefficient encountered."""
+        must divide every leading coefficient encountered.  The shifts are
+        walked once from the top down, a zero remainder coefficient skips
+        its shift, and each step subtracts the divisor's nonzero terms only."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quo = [0] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        rem = list(self.coeffs)
+        top = other.degree
         lead = other.coeffs[-1]
-        while len(rem) >= len(other.coeffs) and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < len(other.coeffs):
-                break
-            q, r = divmod(rem[-1], lead)
+        terms = [(j, d) for j, d in enumerate(other.coeffs[:top]) if d]
+        quo = [0] * max(0, len(self.coeffs) - top)
+        rem = list(self.coeffs)
+        for shift in range(len(quo) - 1, -1, -1):
+            c = rem[shift + top]
+            if not c:
+                continue
+            q, r = divmod(c, lead)
             if r != 0:
-                raise ValueError(f"{rem[-1]} is not divisible by leading coefficient {lead}")
-            shift = len(rem) - len(other.coeffs)
+                raise ValueError(f"{c} is not divisible by leading coefficient {lead}")
             quo[shift] = q
-            for j, d in enumerate(other.coeffs):
+            for j, d in terms:
                 rem[shift + j] -= q * d
-        return IntPoly._trusted(quo), IntPoly._trusted(rem)
+        return IntPoly._trusted(quo), IntPoly._trusted(rem[:top])
 
     def exact_div(self, other: IntPoly) -> IntPoly:
         quo, rem = divmod(self, other)

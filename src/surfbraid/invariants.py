@@ -8,11 +8,20 @@ coefficients of det(I + t M^j), which give the characteristic polynomial
 (j = 1), the determinant and the Betti numbers (all j).  Factoring that
 polynomial into cyclotomic polynomials gives the multiplicities that decide
 the Anosov and Kaehler criteria.
+
+The work is sized to what the inputs need: the power chain runs on sparse
+row products (:meth:`IntMatrix.__mul__`), in which most rows of a
+permutation-like holonomy matrix reuse a row of the previous power as it
+is; each e_k of Newton's identities is one dot product; and the Betti
+average runs Newton once per distinct power-sum sequence, not once per
+group element.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from operator import mul
 from typing import Any
 
 from .errors import Frozen, NotProductOfCyclotomicsError, check
@@ -99,36 +108,39 @@ def orientability(rep: CyclicRep) -> bool:
     return rep.det == 1
 
 
-def _elementary_symmetric_from_traces(traces: list[int], m: int) -> list[int]:
+def _elementary_symmetric_from_traces(traces: tuple[int, ...] | list[int], m: int) -> list[int]:
     """Newton's identities: e_0..e_m from power sums p_1..p_m, exactly.
 
     e_k is the k-th elementary symmetric function of the eigenvalues, i.e.
     the coefficient of t^k in det(I + tA) when traces[s-1] = trace(A^s).
+    The signs of k*e_k = sum_s (-1)^(s-1) p_s e_(k-s) are folded into the
+    power sums once, reversed, so each e_k is one dot product of e_0..e_(k-1)
+    with the last k signed sums; every division by k is checked exact.
     """
-    e = [1] + [0] * m
+    if len(traces) < m:
+        raise ValueError(f"Newton's identities need {m} power sums, got {len(traces)}")
+    signed = [-p if s % 2 else p for s, p in enumerate(traces[:m])][::-1]
+    e = [1]
     for k in range(1, m + 1):
-        acc = 0
-        for s in range(1, k + 1):
-            acc += (-1) ** (s - 1) * e[k - s] * traces[s - 1]
-        q, r = divmod(acc, k)
+        q, r = divmod(sum(map(mul, e, signed[m - k:])), k)
         check(r == 0, f"Newton identity division must be exact (e_{k})")
-        e[k] = q
+        e.append(q)
     return e
 
 
-def _coefficients(traces: tuple[int, ...] | list[int], m: int, j: int) -> list[int]:
-    """e_0..e_m of the eigenvalues of M^j, from the power sums tr(M^(j*s)),
-    s = 1..m, read from traces = (tr M^0, tr M^1, ...) periodically: the list
-    is a whole period, or runs at least to tr M^m."""
+def _power_sums(traces: tuple[int, ...] | list[int], m: int, j: int) -> tuple[int, ...]:
+    """The power sums tr(M^(j*s)), s = 1..m, of the eigenvalues of M^j, read
+    from traces = (tr M^0, tr M^1, ...) periodically: the list is a whole
+    period, or runs at least to tr M^m."""
     p = len(traces)
-    return _elementary_symmetric_from_traces([traces[(j * s) % p] for s in range(1, m + 1)], m)
+    return tuple([traces[(j * s) % p] for s in range(1, m + 1)])
 
 
 def _factored_char_poly(traces: list[int], m: int) -> tuple[IntPoly, dict[int, int]]:
     """The one derivation of det(xI - M) = sum_k (-1)^k e_k x^(m-k), from the
-    traces as in :func:`_coefficients`, and its cyclotomic multiplicities;
+    traces as in :func:`_power_sums`, and its cyclotomic multiplicities;
     raises NotProductOfCyclotomicsError when it is no product of cyclotomics."""
-    e = _coefficients(traces, m, 1)
+    e = _elementary_symmetric_from_traces(_power_sums(traces, m, 1), m)
     poly = IntPoly.of(*[(-1) ** k * e[k] for k in range(m, -1, -1)])
     return poly, cyclotomic_multiplicities(poly)
 
@@ -141,15 +153,18 @@ def betti_numbers(rep: CyclicRep) -> tuple[int, ...]:
     over the group: beta_i = (1/p) * sum_j [t^i] det(I + t M^j), over the
     exact order p of M (a divisor of the declared order, which gives the
     same average).  The coefficients come from Newton's identities on the
-    cached power traces tr(M^u), which are periodic with period p.  The
-    first Betti number is cross-checked against dim - rank(M - I).
+    power sums of M^j, read from the cached power traces tr(M^u), which are
+    periodic with period p.  Newton runs once per distinct power-sum
+    sequence, weighted by how many j share it: equal inputs give equal
+    coefficients, and nothing else is assumed.  The first Betti number is
+    cross-checked against dim - rank(M - I).
     """
     m = rep.dimension
     p = len(rep.power_traces)
+    counts = Counter([_power_sums(rep.power_traces, m, j) for j in range(p)])
     totals = [0] * (m + 1)
-    for j in range(p):
-        for i, e_i in enumerate(_coefficients(rep.power_traces, m, j)):
-            totals[i] += e_i
+    for sums, count in counts.items():
+        totals = [t + count * e_i for t, e_i in zip(totals, _elementary_symmetric_from_traces(sums, m))]
     betti = []
     for i, total in enumerate(totals):
         q, r = divmod(total, p)

@@ -2,7 +2,9 @@
 brute-force multiplication, rational linear algebra on flattened vectors,
 cofactor determinants, the Bareiss determinant, the gcd-reduced rank
 elimination, the Faddeev-LeVerrier characteristic polynomial, triple-loop
-matrix products, Smith normal form, principal-minor sums, the Bieberbach
+matrix products and power traces, term-by-term Newton identities, Betti
+numbers with one Newton run per group element, Euclidean division by
+rescanning, Smith normal form, principal-minor sums, the Bieberbach
 lattice basis and holonomy blocks written out by hand, column-sum cycle
 sums, the coordinate-by-coordinate torsion scan, the eigenvalue-pairing
 Kaehler criterion, the conjugacy witness composed from two section
@@ -438,6 +440,71 @@ def matmul_by_triple_loop(a: IntMatrix, b: IntMatrix) -> IntMatrix:
             for k in range(a.ncols):
                 rows[i][j] += a.rows[i][k] * b.rows[k][j]
     return int_matrix(rows)
+
+
+def power_traces_by_triple_loop(matrix: IntMatrix) -> tuple[int, ...]:
+    """(tr M^0, tr M^1, ...) up to the first power equal to the identity,
+    every power a textbook product M * M^k."""
+    identity = IntMatrix.identity(matrix.nrows)
+    traces, power = [matrix.nrows], matrix
+    while power != identity:
+        traces.append(sum(power.rows[i][i] for i in range(matrix.nrows)))
+        power = matmul_by_triple_loop(matrix, power)
+    return tuple(traces)
+
+
+def reference_elementary_symmetric(power_sums, m: int) -> list[int]:
+    """Newton's identities term by term: k * e_k = sum_s (-1)^(s-1) e_(k-s) p_s,
+    s = 1..k.  Raises ArithmeticError naming e_k when the division by k
+    is not exact."""
+    e = [1] + [0] * m
+    for k in range(1, m + 1):
+        acc = 0
+        for s in range(1, k + 1):
+            acc += (-1) ** (s - 1) * e[k - s] * power_sums[s - 1]
+        q, r = divmod(acc, k)
+        if r:
+            raise ArithmeticError(f"e_{k}")
+        e[k] = q
+    return e
+
+
+def reference_betti_numbers(rep) -> tuple[int, ...]:
+    """beta_i = (1/p) sum_j [t^i] det(I + t M^j) over the exact order p of a
+    CyclicRep's generator: Newton run for every j, on the power sums
+    tr(M^(js)) read from the rep's power traces."""
+    m, traces = rep.dimension, rep.power_traces
+    p = len(traces)
+    totals = [0] * (m + 1)
+    for j in range(p):
+        e = reference_elementary_symmetric([traces[(j * s) % p] for s in range(1, m + 1)], m)
+        totals = [t + c for t, c in zip(totals, e)]
+    assert all(t % p == 0 for t in totals)
+    return tuple(t // p for t in totals)
+
+
+def reference_divmod(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """Euclidean division that rescans the remainder after every step:
+    strip its trailing zeros, divide its leading coefficient by the
+    divisor's and subtract the shifted multiple of the whole divisor.
+    Raises ValueError "<c> is not divisible by leading coefficient <lead>"
+    at the first leading coefficient c that does not divide."""
+    quo = [0] * max(0, len(num.coeffs) - len(den.coeffs) + 1)
+    rem = list(num.coeffs)
+    lead = den.coeffs[-1]
+    while True:
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) < len(den.coeffs):
+            break
+        q, r = divmod(rem[-1], lead)
+        if r:
+            raise ValueError(f"{rem[-1]} is not divisible by leading coefficient {lead}")
+        shift = len(rem) - len(den.coeffs)
+        quo[shift] = q
+        for j, d in enumerate(den.coeffs):
+            rem[shift + j] -= q * d
+    return IntPoly.of(*quo), IntPoly.of(*rem)
 
 
 def eigenvalue_multiplicities(rep) -> dict[int, int]:

@@ -357,3 +357,18 @@ def test_element_rejects_entries_that_are_not_ints():
         for rows in [((bad, 0), (0, 0)), ((0, 0), (0, bad))]:
             with pytest.raises(ValueError, match="integers"):
                 Element(group, CoeffVector(rows), Permutation.identity(2))
+
+
+@pytest.mark.parametrize("left, right", [
+    (CoeffVector(((1, 2),)), CoeffVector(((1, 2), (3, 4)))),  # row counts differ
+    (CoeffVector(((1, 2), (0, 0))), CoeffVector(((1,), (3,)))),  # row lengths differ
+], ids=["rows", "columns"])
+def test_coefficient_vectors_of_different_shapes_do_not_combine(left, right):
+    # map would stop at the shorter operand and truncate the result
+    for x, y in [(left, right), (right, left)]:
+        with pytest.raises(ValueError, match="coefficient vector shapes differ"):
+            x + y
+        with pytest.raises(ValueError, match="coefficient vector shapes differ"):
+            x - y
+    assert left + left == CoeffVector(tuple([tuple([2 * v for v in row]) for row in left.rows]))
+    assert (right - right).is_zero()

@@ -5,8 +5,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfbraid.bieberbach import make_bieberbach
 from surfbraid.intmatrix import IntMatrix
 from surfbraid.intpoly import IntPoly
+from surfbraid.invariants import CyclicRep
 
 from helpers import (
     DERANDOMIZED,
@@ -17,6 +19,7 @@ from helpers import (
     gcd_rank,
     int_matrix,
     matmul_by_triple_loop,
+    power_traces_by_triple_loop,
     smith_invariant_factors,
 )
 
@@ -124,6 +127,74 @@ def test_sparse_product_keeps_big_integers_exact():
     b = int_matrix([[big + 1, 3], [0, big]])
     assert a * b == matmul_by_triple_loop(a, b)
     assert (a * b).rows[0][0] == big * (big + 1)
+
+
+def signed_permutation_matrix(rng, m, signs=(1,)):
+    images = list(range(m))
+    rng.shuffle(images)
+    return int_matrix([[rng.choice(signs) if j == images[i] else 0 for j in range(m)] for i in range(m)])
+
+
+def test_product_of_permutation_and_signed_permutation_matrices_against_triple_loop():
+    rng = random.Random(211)
+    for _ in range(60):
+        m = rng.randint(1, 7)
+        p = signed_permutation_matrix(rng, m)
+        s = signed_permutation_matrix(rng, m, signs=(1, -1))
+        a = sparse_random_matrix(rng, m, rng.randint(1, 6), density=0.5)
+        for x, y in [(p, a), (s, a), (p, s), (s, p), (p, p), (s, s)]:
+            assert x * y == matmul_by_triple_loop(x, y)
+        # a unit row takes the right operand's row tuple itself
+        assert all([row is a.rows[r.index(1)] for row, r in zip((p * a).rows, p.rows)])
+
+
+def test_product_rows_with_one_nonzero_entry_against_triple_loop():
+    rng = random.Random(223)
+    for value in (1, -1, 3, -7, 10**20):
+        for _ in range(20):
+            nrows, ncols, width = (rng.randint(1, 6) for _ in range(3))
+            rows = [[0] * ncols for _ in range(nrows)]
+            for row in rows:
+                row[rng.randrange(ncols)] = value
+            a = int_matrix(rows)
+            b = sparse_random_matrix(rng, ncols, width, density=0.6)
+            assert a * b == matmul_by_triple_loop(a, b)
+
+
+def test_product_with_zero_rows_and_non_square_shapes_against_triple_loop():
+    rng = random.Random(227)
+    for _ in range(100):
+        p, q, r = (rng.randint(1, 7) for _ in range(3))
+        rows = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(q)] for _ in range(p)]
+        for i in rng.sample(range(p), rng.randint(0, p)):
+            rows[i] = [0] * q
+        a = int_matrix(rows)
+        b = sparse_random_matrix(rng, q, r, density=rng.choice([0.0, 0.5, 1.0]))
+        assert a * b == matmul_by_triple_loop(a, b)
+        assert (a * b).nrows == p and (a * b).ncols == r
+    zero = int_matrix([[0, 0, 0], [0, 0, 0]])
+    assert zero * int_matrix([[1], [2], [3]]) == int_matrix([[0], [0]])
+
+
+def test_holonomy_products_and_power_traces_against_triple_loop():
+    for n in range(2, 9):
+        for g in range(1, 5):
+            h = make_bieberbach(n, g).holonomy_matrix()
+            power = h
+            for _ in range(n):
+                expected = matmul_by_triple_loop(h, power)
+                assert h * power == expected
+                power = expected
+            assert power == h  # h has order n
+            assert CyclicRep(h, n).power_traces == power_traces_by_triple_loop(h)
+
+
+def test_identity_and_trace():
+    for m in range(6):
+        identity = IntMatrix.identity(m)
+        assert identity == int_matrix([[int(i == j) for j in range(m)] for i in range(m)])
+        assert identity.trace() == m
+    assert int_matrix([[1, 2], [3, -4]]).trace() == -3
 
 
 def test_det_against_cofactor_oracle():

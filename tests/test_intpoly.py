@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfbraid.errors import NotProductOfCyclotomicsError
 from surfbraid.intpoly import IntPoly, cyclotomic, cyclotomic_multiplicities, totient
+
+from helpers import DERANDOMIZED, reference_divmod
 
 
 def test_construction_and_degree():
@@ -147,3 +151,60 @@ def test_str():
     assert str(IntPoly.of(-1, 0, 2)) == "2x^2 - 1"
     assert str(IntPoly.zero()) == "0"
     assert str(IntPoly.of(0, 1)) == "x"
+
+
+def polys(max_size=10, bound=9):
+    return st.lists(st.integers(-bound, bound), max_size=max_size).map(lambda c: IntPoly.of(*c))
+
+
+@st.composite
+def divisors(draw):
+    """Nonzero polynomials, monic or not, often with zero terms inside."""
+    lead = draw(st.sampled_from([1, 1, -1, 2, -3, 5]))
+    inner = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -4]), max_size=7))
+    return IntPoly.of(*inner, lead)
+
+
+@settings(DERANDOMIZED, max_examples=400)
+@given(polys(), divisors())
+def test_divmod_against_the_rescanning_reference(num, den):
+    try:
+        expected = reference_divmod(num, den)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            divmod(num, den)
+        assert str(raised.value) == str(exc)
+        assert "is not divisible by leading coefficient" in str(exc)
+    else:
+        quo, rem = divmod(num, den)
+        assert (quo, rem) == expected
+        assert quo * den + rem == num
+        assert rem.degree < den.degree
+
+
+@settings(DERANDOMIZED, max_examples=300)
+@given(polys(), divisors(), polys(max_size=8))
+def test_divmod_recovers_quotient_and_remainder(quo, den, rem):
+    # num = quo * den + rem with deg rem < deg den is divisible by any divisor's lead
+    rem = IntPoly.of(*rem.coeffs[:den.degree])
+    assert divmod(quo * den + rem, den) == (quo, rem)
+
+
+def test_divmod_message_names_the_leading_coefficient():
+    with pytest.raises(ValueError, match="^3 is not divisible by leading coefficient 2$"):
+        divmod(IntPoly.of(1, 0, 3), IntPoly.of(1, 0, 2))
+    # the leading 4 divides; it leaves 1 - 2 * 1 = -1 as the next leading coefficient
+    with pytest.raises(ValueError, match="^-1 is not divisible by leading coefficient 2$"):
+        divmod(IntPoly.of(0, 1, 4), IntPoly.of(1, 2))
+
+
+@settings(DERANDOMIZED, max_examples=100)
+@given(st.lists(st.integers(1, 30), min_size=0, max_size=5))
+def test_multiplicities_round_trip_on_cyclotomic_products(indices):
+    product = IntPoly.one()
+    for d in indices:
+        product = product * cyclotomic(d)
+    expected = {}
+    for d in sorted(indices):
+        expected[d] = expected.get(d, 0) + 1
+    assert cyclotomic_multiplicities(product) == expected

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfbraid.bieberbach import make_bieberbach
 from surfbraid.errors import VerificationError
@@ -23,12 +25,15 @@ from surfbraid.invariants import (
 )
 
 from helpers import (
+    DERANDOMIZED,
     block_diag,
     char_poly_by_cofactors,
     eigenvalue_multiplicities,
     faddeev_leverrier_char_poly,
     int_matrix,
     random_permutation,
+    reference_betti_numbers,
+    reference_elementary_symmetric,
     reference_kahler_check,
     sum_principal_minors,
 )
@@ -360,3 +365,74 @@ def test_char_poly_and_its_factors_are_derived_once_per_rep(monkeypatch):
         calls = 0
         assert CyclicRep(matrix, order).cyclotomic == factors
         assert calls == 1
+
+
+ROTATIONS = {3: int_matrix([[0, -1], [1, -1]]), 4: int_matrix([[0, -1], [1, 0]]), 6: int_matrix([[1, -1], [1, 0]])}
+
+
+def test_betti_numbers_match_the_per_element_newton_reference():
+    for n in range(2, 9):
+        for g in range(1, 5):
+            rep = holonomy_rep(n, g)
+            assert betti_numbers(rep) == reference_betti_numbers(rep)
+    r3, r4, r6 = ROTATIONS[3], ROTATIONS[4], ROTATIONS[6]
+    for matrix, order in [
+        (block_diag(r3, r4, r6), 12),
+        (block_diag(r3, r3, r4, diag(1)), 12),
+        (block_diag(r6, r6, diag(-1), diag(1)), 6),
+        (block_diag(r4, diag(-1, -1, 1)), 4),
+        (block_diag(r3, companion_x3_minus_one()), 3),
+        (r6, 6 * 10**3),
+        (diag(-1, -1, -1), 2),
+    ]:
+        rep = CyclicRep(matrix, order)
+        assert betti_numbers(rep) == reference_betti_numbers(rep)
+
+
+@settings(DERANDOMIZED, max_examples=300)
+@given(st.lists(st.integers(-40, 40), max_size=9))
+def test_dot_product_newton_matches_the_term_by_term_loop(power_sums):
+    # most random power sums make some division by k inexact: the check must fire there
+    m = len(power_sums)
+    try:
+        expected = reference_elementary_symmetric(power_sums, m)
+    except ArithmeticError as exc:
+        with pytest.raises(VerificationError, match=rf"\({exc}\)"):
+            _elementary_symmetric_from_traces(power_sums, m)
+    else:
+        assert _elementary_symmetric_from_traces(power_sums, m) == expected
+
+
+@settings(DERANDOMIZED, max_examples=100)
+@given(st.lists(st.sampled_from([1, -1, 0]), min_size=1, max_size=12))
+def test_dot_product_newton_on_exact_power_sums(eigenvalues):
+    # power sums of roots of unity +-1, 0: every division is exact
+    m = len(eigenvalues)
+    power_sums = [sum([v**s for v in eigenvalues]) for s in range(1, m + 1)]
+    assert _elementary_symmetric_from_traces(power_sums, m) == reference_elementary_symmetric(power_sums, m)
+
+
+def test_newton_needs_m_power_sums():
+    with pytest.raises(ValueError, match="need 3 power sums"):
+        _elementary_symmetric_from_traces([2, 2], 3)
+
+
+@pytest.mark.parametrize("n, g, passes", [(4, 2, 3), (8, 2, 4)])
+def test_betti_runs_newton_once_per_distinct_power_sum_sequence(n, g, passes, monkeypatch):
+    import surfbraid.invariants as invariants_module
+
+    rep = holonomy_rep(n, g)
+    seen = []
+    original = invariants_module._elementary_symmetric_from_traces
+
+    def recording(power_sums, m):
+        seen.append(tuple(power_sums))
+        return original(power_sums, m)
+
+    monkeypatch.setattr(invariants_module, "_elementary_symmetric_from_traces", recording)
+    betti = betti_numbers(rep)
+    p, m = len(rep.power_traces), rep.dimension
+    distinct = {tuple([rep.power_traces[(j * s) % p] for s in range(1, m + 1)]) for j in range(p)}
+    assert len(seen) == len(set(seen)) == len(distinct) == passes
+    assert set(seen) == distinct
+    assert betti == reference_betti_numbers(rep)

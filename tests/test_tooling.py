@@ -29,7 +29,7 @@ def test_hot_modules_build_no_tuple_from_a_generator():
     # resizes fill CPython's per-size tuple free lists and peak memory grows
     # with throughput.  The hot layers build tuples from lists instead.
     found = []
-    for name in ("core", "permutations", "words", "torsion", "bieberbach"):
+    for name in ("core", "permutations", "words", "torsion", "bieberbach", "intmatrix", "intpoly", "invariants"):
         path = SRC / f"{name}.py"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "tuple"
