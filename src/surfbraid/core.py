@@ -166,10 +166,22 @@ class CoeffVector(Frozen):
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.rows for v in row)
 
+    def _require_same_shape(self, other: CoeffVector) -> None:
+        """The operand check of + and -: a CoeffVector with the same row count and
+        row lengths, since ``map`` in :func:`_rowwise` would stop silently at the
+        shorter row."""
+        if not isinstance(other, CoeffVector):
+            raise ValueError(f"a coefficient vector combines only with a CoeffVector, got {other!r}")
+        if list(map(len, self.rows)) != list(map(len, other.rows)):
+            raise ValueError(f"coefficient vector shapes differ: row lengths {list(map(len, self.rows))} "
+                             f"and {list(map(len, other.rows))}")
+
     def __add__(self, other: CoeffVector) -> CoeffVector:
+        self._require_same_shape(other)
         return _rowwise(add, self, other)
 
     def __sub__(self, other: CoeffVector) -> CoeffVector:
+        self._require_same_shape(other)
         return _rowwise(sub, self, other)
 
     def __neg__(self) -> CoeffVector:
@@ -184,16 +196,8 @@ class CoeffVector(Frozen):
 
 
 def _rowwise(op, *vectors: CoeffVector) -> CoeffVector:
-    """The row kernel of the arithmetic: one ``map(op, *rows)`` pass per row of the operands.
-    The first operand is the CoeffVector whose method called, so only the last is checked:
-    its type, and its shape (row count and every row length) against the first's, since
-    ``map`` would stop silently at the shorter row."""
-    first, last = vectors[0], vectors[-1]
-    if not isinstance(last, CoeffVector):
-        raise ValueError(f"a coefficient vector combines only with a CoeffVector, got {last!r}")
-    if first is not last and list(map(len, first.rows)) != list(map(len, last.rows)):
-        raise ValueError(f"coefficient vector shapes differ: row lengths {list(map(len, first.rows))} "
-                         f"and {list(map(len, last.rows))}")
+    """The row kernel of the arithmetic: one ``map(op, *rows)`` pass per row of the
+    operands, which must have one shape (see :meth:`CoeffVector._require_same_shape`)."""
     return CoeffVector(tuple([tuple(list(row)) for row in map(map, repeat(op), *[v.rows for v in vectors])]))
 
 
@@ -293,9 +297,10 @@ class Element(Frozen):
             raise ValueError(f"an element multiplies only an Element, got {other!r}")
         if self.group != other.group:
             raise GroupMismatchError(f"operands live in different groups: {self.group} vs {other.group}")
+        # one group, so one shape: the rows were checked when each operand was built
         return self._trusted(
             self.group,
-            self.coeffs + other.coeffs.permuted(self.perm),
+            _rowwise(add, self.coeffs, other.coeffs.permuted(self.perm)),
             self.perm * other.perm,
         )
 
