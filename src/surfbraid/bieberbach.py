@@ -232,9 +232,11 @@ class BieberbachDescriptor(Frozen):
         condition of the validating Element constructor and is built without a
         second check.  Every element gets one :func:`~surfbraid.torsion.order`
         call; only finite ones are decoded with :meth:`lattice_coords` for the
-        two checks.  Hits and mismatches are reported in (coords, j) order,
-        and the number of elements scanned is checked against
-        (2*bound + 1)**(2ng) * n."""
+        two checks.  So the cost per element is one unchecked construction
+        (``Element._trusted`` of a ``CoeffVector``, both storing through slot
+        setters, see :class:`~surfbraid.errors.Frozen`) and one ``order`` call.
+        Hits and mismatches are reported in (coords, j) order, and the number
+        of elements scanned is checked against (2*bound + 1)**(2ng) * n."""
         if type(bound) is not int:
             raise DomainError(f"scan bound must be an integer, got {bound!r}")
         if bound < 0:

@@ -153,7 +153,7 @@ class CoeffVector(Frozen):
     __slots__ = _fields = ("rows",)
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "rows", rows)
+        _set_rows(self, rows)
 
     @property
     def n(self) -> int:
@@ -193,6 +193,9 @@ class CoeffVector(Frozen):
         for row, image in zip(self.rows, w.images):
             rows[image - 1] = row
         return CoeffVector(tuple(rows))
+
+
+_set_rows = CoeffVector.rows.__set__  # the unchecked store of every CoeffVector (see Frozen)
 
 
 def _rowwise(op, *vectors: CoeffVector) -> CoeffVector:
@@ -262,10 +265,10 @@ class Element(Frozen):
         torsion bits reduced mod 2 on a non-orientable surface."""
         if group.kind == NONORIENTABLE:
             coeffs = CoeffVector(tuple([(row[0] % 2,) + row[1:] for row in coeffs.rows]))
-        x = object.__new__(Element)
-        object.__setattr__(x, "group", group)
-        object.__setattr__(x, "coeffs", coeffs)
-        object.__setattr__(x, "perm", perm)
+        x = _new(Element)
+        _set_group(x, group)
+        _set_coeffs(x, coeffs)
+        _set_perm(x, perm)
         return x
 
     @classmethod
@@ -392,6 +395,10 @@ class Element(Frozen):
     def __str__(self) -> str:
         word = self.as_word_text()
         return word if word else "<identity>"
+
+
+_new = object.__new__
+_set_group, _set_coeffs, _set_perm = Element.group.__set__, Element.coeffs.__set__, Element.perm.__set__
 
 
 class Verdict(Frozen):

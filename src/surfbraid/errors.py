@@ -73,8 +73,15 @@ class Frozen:
     A subclass declares its fields in ``__slots__`` (plus ``__dict__`` where
     a ``functools.cached_property`` caches into the instance) and names the
     ones that make up its value, in order, in ``_fields``.  It writes its own
-    ``__init__``, which stores the fields with ``object.__setattr__`` and then
-    calls the class's ``__post_init__`` check, if it has one.  This base
+    ``__init__``, which stores the fields with ``object.__setattr__`` (this
+    base refuses plain assignment) and then calls the class's
+    ``__post_init__`` check, if it has one.  The unchecked constructors that
+    arithmetic runs once per result (each ``_trusted`` and
+    ``CoeffVector.__init__``) store through the slot descriptors' setters
+    instead, bound once at module level next to the class, for example
+    ``_set_rows = CoeffVector.rows.__set__``, because ``object.__setattr__``
+    looks the slot up by name on every call, and the torsion scan makes
+    one such construction per element it checks.  This base
     gives what the ``_fields`` determine: ``Cls(field=value, ...)`` as the
     repr, equality between instances of the same class only, the hash of
     the key, assignment and deletion that raise AttributeError, and

@@ -46,8 +46,8 @@ class IntMatrix(Frozen):
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> IntMatrix:
         """Constructor for rows computed from valid operands: no validation."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
+        m = _new(cls)
+        _set_rows(m, rows)
         return m
 
     @classmethod
@@ -161,3 +161,7 @@ class IntMatrix(Frozen):
 
     def to_json_obj(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
+
+
+_new = object.__new__
+_set_rows = IntMatrix.rows.__set__  # the unchecked store of _trusted (see Frozen)

@@ -51,8 +51,8 @@ class IntPoly(Frozen):
         end = len(coeffs)
         while end > 0 and coeffs[end - 1] == 0:
             end -= 1
-        p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", tuple(coeffs[:end]))
+        p = _new(cls)
+        _set_coeffs(p, tuple(coeffs[:end]))
         return p
 
     @classmethod
@@ -158,6 +158,10 @@ class IntPoly(Frozen):
                 body = var if mag == 1 else f"{mag}{var}"
             parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
         return " ".join(parts)
+
+
+_new = object.__new__
+_set_coeffs = IntPoly.coeffs.__set__  # the unchecked store of _trusted (see Frozen)
 
 
 def totient(d: int) -> int:

@@ -156,9 +156,10 @@ def finite_normal_subgroup(group: GroupDescriptor) -> FiniteNormalWitness:
         for j in range(1, n + 1)
         for r in range(1, g + 1)
     ]
+    pairs = [(c, c.inverse()) for c in conjugators]  # inverted once, used for every generator
     for t in torsion_gens:
-        for c in conjugators:
-            check(_in_torsion_subgroup(c * t * c.inverse()), "torsion subgroup failed the normality check")
+        for c, c_inv in pairs:
+            check(_in_torsion_subgroup(c * t * c_inv), "torsion subgroup failed the normality check")
     note = "entire kernel (projective plane)" if g == 1 else "per-strand torsion classes"
     return FiniteNormalWitness(
         tuple(_strand_product_word(j, g) for j in range(1, n + 1)),

@@ -50,8 +50,8 @@ class Permutation(Frozen):
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> Permutation:
         """Constructor for images known to permute 1..n: no validation."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
+        p = _new(cls)
+        _set_images(p, images)
         return p
 
     @property
@@ -163,3 +163,7 @@ class Permutation(Frozen):
         if not cycles:
             return "id"
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+
+
+_new = object.__new__
+_set_images = Permutation.images.__set__  # the unchecked store of _trusted (see Frozen)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from operator import add
 
-from .core import CoeffVector, Element, GroupDescriptor
+from .core import ORIENTABLE, CoeffVector, Element, GroupDescriptor
 from .errors import (
     BadMultiplierError,
     BadPrimeError,
@@ -34,16 +34,19 @@ from .permutations import Permutation
 
 
 class OrderResult(Frozen):
-    """Order of a group element: a positive integer or infinite (value None)."""
+    """Order of a group element: a positive integer or infinite (value None).
 
-    __slots__ = _fields = ("value",)
+    ``is_finite`` is derived from the value and stored with it, so the torsion
+    scan reads a slot per element, not a property; only the value is
+    compared, hashed and shown by repr.
+    """
+
+    __slots__ = ("value", "is_finite")
+    _fields = ("value",)
 
     def __init__(self, value: int | None):
         object.__setattr__(self, "value", value)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.value is not None
+        object.__setattr__(self, "is_finite", value is not None)
 
 
 _INFINITE = OrderResult(None)  # frozen, so one shared instance serves every call
@@ -65,8 +68,10 @@ def cycle_sums(x: Element) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 
 def order(x: Element) -> OrderResult:
     """Order of x: finite iff every cycle sum of :func:`cycle_sums` vanishes (read
-    up to the first nonzero one); then it is the order of the permutation part."""
-    x.group.require_orientable("element order")
+    up to the first nonzero one); then it is the order of the permutation part.
+    Only a group of another surface kind calls ``require_orientable``, which raises."""
+    if x.group.kind != ORIENTABLE:
+        x.group.require_orientable("element order")
     rows = x.coeffs.rows
     for cycle in x.perm.orbits:
         if any(rows[cycle[0] - 1] if len(cycle) == 1 else map(sum, zip(*[rows[c - 1] for c in cycle]))):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from surfbraid import nonorientable
 from surfbraid.core import Element, GroupDescriptor, verify_crystallographic
 from surfbraid.errors import GeneratorIndexError, UnsupportedSurfaceError
 from surfbraid.nonorientable import (
@@ -250,6 +251,26 @@ def test_finite_normal_subgroup_nonorientable():
     projective = finite_normal_subgroup(GroupDescriptor.nonorientable(3, 1))
     assert projective.subgroup_order == 8
     assert "entire kernel" in projective.note
+
+
+def test_finite_normal_subgroup_inverts_each_conjugator_once_and_checks_every_pair(monkeypatch):
+    # (6,3): 5 transpositions and 18 strand generators conjugate 6 torsion
+    # generators, 138 checks, with one inverse per conjugator.
+    counts = {"inverse": 0, "checked": 0}
+    inverse, in_torsion = Element.inverse, nonorientable._in_torsion_subgroup
+
+    def counting_inverse(x):
+        counts["inverse"] += 1
+        return inverse(x)
+
+    def counting_check(x):
+        counts["checked"] += 1
+        return in_torsion(x)
+
+    monkeypatch.setattr(Element, "inverse", counting_inverse)
+    monkeypatch.setattr(nonorientable, "_in_torsion_subgroup", counting_check)
+    assert finite_normal_subgroup(GroupDescriptor.nonorientable(6, 3)).normality_verified
+    assert counts == {"inverse": 23, "checked": 138}
 
 
 def test_torsion_subgroup_closed_under_random_conjugation():

@@ -38,6 +38,30 @@ def test_hot_modules_build_no_tuple_from_a_generator():
     assert not found, f"tuple(<generator>) in a hot module: {found}"
 
 
+def test_trusted_constructors_store_through_slot_setters():
+    # The unchecked constructors run once per result of arithmetic and once
+    # per element of the torsion scan.  object.__setattr__ looks the slot up
+    # by name on every call, so they store through the slot descriptors'
+    # setters, bound once at module level (see errors.Frozen).
+    checked, found = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or not (
+                        fn.name == "_trusted" or (cls.name, fn.name) == ("CoeffVector", "__init__")):
+                    continue
+                checked.append(f"{cls.name}.{fn.name}")
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                            and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                        found.append(f"{path.name}:{node.lineno} in {cls.name}.{fn.name}")
+    assert sorted(checked) == ["CoeffVector.__init__", "Element._trusted", "IntMatrix._trusted",
+                               "IntPoly._trusted", "Permutation._trusted"]
+    assert not found, f"object.__setattr__ in an unchecked constructor: {found}"
+
+
 def test_every_library_function_is_used_by_the_library():
     # A def that only tests call is a second construction path kept for
     # them; it belongs in tests/helpers.py.  Each non-dunder def name must

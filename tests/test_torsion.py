@@ -12,6 +12,7 @@ from surfbraid.errors import (
     GroupMismatchError,
     InfiniteOrderError,
     NotAnSnEmbeddingError,
+    UnsupportedSurfaceError,
     VerificationError,
 )
 from surfbraid.permutations import Permutation
@@ -615,6 +616,23 @@ def test_order_stops_at_the_first_nonzero_cycle_sum():
     read.clear()
     assert order(x) == OrderResult(None)
     assert sorted(read) == [0, 1]
+
+
+@pytest.mark.parametrize("x", [
+    Element.identity(GroupDescriptor.nonorientable(3, 2)),
+    Element.strand_generator(GroupDescriptor.nonorientable(3, 2), 2, 2),  # a torsion class, of order 2
+    Element.section(GroupDescriptor.nonorientable(2, 1), Permutation((2, 1))),
+], ids=["identity", "torsion-class", "projective-plane-section"])
+def test_order_on_a_nonorientable_element_raises_the_surface_error(x):
+    with pytest.raises(UnsupportedSurfaceError) as info:
+        order(x)
+    assert str(info.value) == "element order requires an orientable surface, got nonorientable"
+
+
+def test_order_result_stores_is_finite_with_its_value():
+    assert order(Element.identity(T2)).is_finite is True
+    assert order(Element.strand_generator(T2, 1, 1)).is_finite is False
+    assert [OrderResult(v).is_finite for v in (None, 1, 6)] == [False, True, True]
 
 
 def test_frobenius_blocks_are_rejected_not_coerced():

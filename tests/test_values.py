@@ -53,7 +53,9 @@ VALUES = [
      ("generator_words", "subgroup_order", "normality_verified", "note"),
      "FiniteNormalWitness(generator_words=('a[1,1]',), subgroup_order=2, normality_verified=True, "
      "note='a note')"),
-    (lambda: OrderResult(None), ("value",), "OrderResult(value=None)"),
+    # is_finite is derived from the value: stored, refused assignment and restored, but not shown
+    (lambda: OrderResult(None), ("value", "is_finite"), "OrderResult(value=None)"),
+    (lambda: OrderResult(3), ("value", "is_finite"), "OrderResult(value=3)"),
     (lambda: FrobeniusEmbedding.zero(1), ("genus", "blocks"),
      "FrobeniusEmbedding(genus=1, blocks=((0, 0, 0, 0), (0, 0, 0, 0)))"),
     (lambda: BraidWord((Letter("s", 1), Letter("a", 2, 1, -3))), ("letters",),
@@ -62,10 +64,12 @@ VALUES = [
      f"RelationReport(group={T2_REPR}, checked=3, failures=('s1^2 = 1',))"),
 ]
 UNHASHABLE = (Verdict,)  # its witness is a dict
+# the class name, or the whole repr for a second value of the same class
+VALUE_IDS = [expected.partition("(")[0] for _, _, expected in VALUES]
+VALUE_IDS = [name if VALUE_IDS.index(name) == i else VALUES[i][2] for i, name in enumerate(VALUE_IDS)]
 
 
-@pytest.mark.parametrize("build, fields, expected", VALUES,
-                         ids=[expected.partition("(")[0] for _, _, expected in VALUES])
+@pytest.mark.parametrize("build, fields, expected", VALUES, ids=VALUE_IDS)
 def test_value_semantics(build, fields, expected):
     x, y = build(), build()
     assert x is not y and x == y and not x != y
@@ -90,7 +94,8 @@ def test_value_semantics(build, fields, expected):
 
 
 # For each class, a value built unchecked or by arithmetic beside the same
-# value from the public constructor.
+# value from the public constructor.  The unchecked one must refuse
+# assignment and deletion like the constructed one.
 X = Element(T2, CoeffVector(((1, 0), (0, -2))), Permutation((2, 1)))
 REBUILT = [
     (lambda: GroupDescriptor("".join(["orient", "able"]), 2, 1), lambda: GroupDescriptor("orientable", 2, 1)),
@@ -117,6 +122,13 @@ def test_rebuilt_values_equal_hash_and_look_up_like_constructed_ones(rebuild, bu
     assert hash(x) == hash(y)
     assert {y: "found"}[x] == "found" and {x: "found"}[y] == "found"
     assert x in {y} and y in {x}
+    # built without the public __init__, still frozen
+    for name in x._fields + ("not_a_field",):
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(x, name, None))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x == y
 
 
 def test_instances_of_different_classes_never_compare_equal():
