@@ -143,10 +143,9 @@ class BieberbachDescriptor(Frozen):
     @cached_property
     def x_generators(self) -> tuple[Element, ...]:
         """The generating set: the generator, then a[i,r]^n for r = 1..2g and
-        i = 1..n.  All but a[1,1]^n, with coordinates (n, -1, ..., -1, 0, ...),
+        i = 1..n.  All but a[1,1]^n, the n-th power of the strand generator,
         are basis vectors; u takes its place in the basis."""
-        n = self.n
-        first = self._lattice_element((n,) + (-1,) * (n - 1) + (0,) * (self.dimension - n))
+        first = Element.strand_generator(self.group, 1, 1) ** self.n
         return (self.generator, first) + self.lattice_basis[1:]
 
     def holonomy_matrix(self) -> IntMatrix:

@@ -31,9 +31,8 @@ from itertools import repeat
 from operator import add, neg, sub
 from typing import Any
 
-from .errors import Frozen, GroupMismatchError, UnsupportedSurfaceError, check
+from .errors import Frozen, GroupMismatchError, UnsupportedSurfaceError, check, check_exponent
 from .permutations import Permutation
-from .powers import check_exponent
 
 ORIENTABLE = "orientable"
 SPHERE = "sphere"
@@ -316,12 +315,13 @@ class Element(Frozen):
         x**k = (v + w.v + ... + w^(k-1).v) * section(w**k).  On a cycle
         C = (c_0, ..., c_{m-1}) of w, strand c_i gets (k // m) * S_C (the cycle sum of
         :func:`surfbraid.torsion.cycle_sums`) plus the k mod m rows of C ending at c_i,
-        a window slid once round C; w**k sends c_i to c_{(i+k) mod m}."""
+        a window slid once round C.  The permutation part w**k is
+        :meth:`Permutation.__pow__`, which reads the same orbits."""
         check_exponent(k)
         if k < 0:
             return self.inverse() ** -k
-        rows, n = self.coeffs.rows, self.group.n
-        out, images = [()] * n, [0] * n
+        rows = self.coeffs.rows
+        out = [()] * self.group.n
         for cycle in self.perm.orbits:
             m = len(cycle)
             q, r = divmod(k, m)
@@ -332,8 +332,8 @@ class Element(Frozen):
             for i, c in enumerate(cycle):
                 if r:  # slide to the r rows ending at c_i
                     window = list(map(sub, map(add, window, ring[i]), ring[i - r]))
-                out[c - 1], images[c - 1] = tuple(window), cycle[(i + k) % m]
-        return self._trusted(self.group, CoeffVector(tuple(out)), Permutation._trusted(tuple(images)))
+                out[c - 1] = tuple(window)
+        return self._trusted(self.group, CoeffVector(tuple(out)), self.perm ** k)
 
     def conjugated_by(self, by: Element) -> Element:
         """Return by * self * by^{-1}."""

@@ -1,5 +1,5 @@
-"""Exception types, and the base of the immutable value classes, shared
-across the package.
+"""Exception types, the base of the immutable value classes, and the one
+exponent check, shared across the package.
 
 Everything raised on bad mathematical input derives from DomainError so
 the command line front end can map it to a single exit code.  A failed
@@ -65,6 +65,13 @@ def check(condition: bool, message: str) -> None:
     """Raise VerificationError with ``message`` unless ``condition`` holds."""
     if not condition:
         raise VerificationError(message)
+
+
+def check_exponent(k) -> None:
+    """The exponent check of every ``__pow__``: only an exact ``int`` passes;
+    bools, floats and strings are rejected, never coerced."""
+    if type(k) is not int:
+        raise ValueError(f"exponent must be an integer, got {k!r}")
 
 
 class Frozen:

@@ -1,4 +1,4 @@
-"""Exact integer matrices: products, powers, determinant and rank.  No
+"""Exact integer matrices: products, differences, determinant and rank.  No
 floating point anywhere; verdict-grade arithmetic only.  Rank and
 determinant read one elimination, :meth:`IntMatrix._echelon`, through which
 the selftest also checks the trace-derived characteristic polynomial.
@@ -11,7 +11,6 @@ from itertools import compress
 from operator import add, getitem, sub
 
 from .errors import Frozen
-from .powers import power
 
 
 class IntMatrix(Frozen):
@@ -95,25 +94,12 @@ class IntMatrix(Frozen):
             out.append(zero if acc is None else acc if type(acc) is tuple else tuple(acc))
         return IntMatrix._trusted(tuple(out))
 
-    def _require_same_shape(self, other: IntMatrix) -> None:
+    def __sub__(self, other: IntMatrix) -> IntMatrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError(f"matrix shapes differ: {self.nrows}x{self.ncols} and {other.nrows}x{other.ncols}")
-
-    def __add__(self, other: IntMatrix) -> IntMatrix:
-        self._require_same_shape(other)
-        return IntMatrix._trusted(
-            tuple([tuple([a + b for a, b in zip(ra, rb)]) for ra, rb in zip(self.rows, other.rows)])
-        )
-
-    def __sub__(self, other: IntMatrix) -> IntMatrix:
-        self._require_same_shape(other)
         return IntMatrix._trusted(
             tuple([tuple([a - b for a, b in zip(ra, rb)]) for ra, rb in zip(self.rows, other.rows)])
         )
-
-    def __pow__(self, k: int) -> IntMatrix:
-        self.require_square()
-        return power(self, k, IntMatrix.identity(self.nrows))
 
     def trace(self) -> int:
         self.require_square()

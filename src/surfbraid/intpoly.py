@@ -7,10 +7,8 @@ trailing zeros trimmed; the zero polynomial is the empty tuple.
 from __future__ import annotations
 
 import functools
-from itertools import zip_longest
 
 from .errors import Frozen, NotProductOfCyclotomicsError
-from .powers import power
 
 
 class IntPoly(Frozen):
@@ -22,8 +20,9 @@ class IntPoly(Frozen):
     True
 
     The public constructor and :meth:`of` accept integer coefficients only:
-    floats, booleans and strings are rejected, never coerced.  Results of
-    arithmetic are built by :meth:`_trusted`, which skips that check.
+    floats, booleans and strings are rejected, never coerced.  Quotients and
+    remainders of division are built by :meth:`_trusted`, which skips that
+    check.
     """
 
     __slots__ = _fields = ("coeffs",)
@@ -56,21 +55,12 @@ class IntPoly(Frozen):
         return p
 
     @classmethod
-    def zero(cls) -> IntPoly:
-        return cls._trusted(())
-
-    @classmethod
     def one(cls) -> IntPoly:
         return cls._trusted((1,))
 
     @classmethod
-    def x(cls) -> IntPoly:
-        return cls._trusted((0, 1))
-
-    @classmethod
     def x_pow_minus_one(cls, n: int) -> IntPoly:
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        _check_index(n, "the exponent of x^n - 1")
         return cls((-1,) + (0,) * (n - 1) + (1,))
 
     @property
@@ -83,33 +73,6 @@ class IntPoly(Frozen):
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __add__(self, other: IntPoly) -> IntPoly:
-        return IntPoly._trusted([x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
-
-    def __sub__(self, other: IntPoly) -> IntPoly:
-        return self + (-other)
-
-    def __neg__(self) -> IntPoly:
-        return IntPoly._trusted([-c for c in self.coeffs])
-
-    def __mul__(self, other: IntPoly | int) -> IntPoly:
-        if type(other) is int:
-            return IntPoly._trusted([c * other for c in self.coeffs])
-        if not isinstance(other, IntPoly):
-            raise ValueError(f"a polynomial multiplies only an IntPoly or an int, got {other!r}")
-        out = [0] * (len(self.coeffs) + len(other.coeffs))
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for j, d in enumerate(other.coeffs):
-                out[i + j] += c * d
-        return IntPoly._trusted(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> IntPoly:
-        return power(self, k, IntPoly.one())
 
     def __divmod__(self, other: IntPoly) -> tuple[IntPoly, IntPoly]:
         """Exact Euclidean division over Z; the divisor's leading coefficient
@@ -164,9 +127,16 @@ _new = object.__new__
 _set_coeffs = IntPoly.coeffs.__set__  # the unchecked store of _trusted (see Frozen)
 
 
+def _check_index(d, what: str) -> None:
+    """The index check of :func:`totient`, :func:`cyclotomic` and
+    :meth:`IntPoly.x_pow_minus_one`: only an exact ``int`` >= 1 passes;
+    bools, floats and strings are rejected, never coerced."""
+    if type(d) is not int or d < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {d!r}")
+
+
 def totient(d: int) -> int:
-    if d < 1:
-        raise ValueError("totient is defined for positive integers")
+    _check_index(d, "the totient's argument")
     result, m, p = d, d, 2
     while p * p <= m:
         if m % p == 0:
@@ -179,15 +149,14 @@ def totient(d: int) -> int:
     return result
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed: True must not find the entry of 1
 def cyclotomic(d: int) -> IntPoly:
     """The d-th cyclotomic polynomial, by exact division of x^d - 1.
 
     >>> str(cyclotomic(6))
     'x^2 - x + 1'
     """
-    if d < 1:
-        raise ValueError("cyclotomic index must be >= 1")
+    _check_index(d, "the cyclotomic index")
     poly = IntPoly.x_pow_minus_one(d)
     for e in range(1, d):
         if d % e == 0:

@@ -46,13 +46,6 @@ class AbelianInvariants(Frozen):
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion_generator_words", torsion_generator_words)
 
-    def to_json_obj(self) -> dict[str, Any]:
-        return {
-            "torsion": list(self.torsion),
-            "free_rank": self.free_rank,
-            "torsion_generators": list(self.torsion_generator_words),
-        }
-
 
 class FiniteNormalWitness(Frozen):
     """A finite normal subgroup certifying that the quotient is not crystallographic."""

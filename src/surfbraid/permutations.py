@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, reduce
 
-from .errors import Frozen
-from .powers import power
+from .errors import Frozen, check_exponent
 
 
 class Permutation(Frozen):
@@ -26,11 +25,11 @@ class Permutation(Frozen):
     >>> str(p * p)
     '(1 3 2)'
 
-    The public constructor validates its images.  Results of arithmetic
-    are built by :meth:`_trusted`, which skips that O(n log n) check.  The
-    orbit decomposition :attr:`orbits` is computed on first use and cached
-    on the instance; the class is frozen, so the images never change and
-    the cache never goes stale.
+    The public constructor validates its images.  Products, inverses and
+    powers are built by :meth:`_trusted`, which skips that O(n log n)
+    check.  The orbit decomposition :attr:`orbits` is computed on first use
+    and cached on the instance; the class is frozen, so the images never
+    change and the cache never goes stale.
     """
 
     __slots__ = ("images", "__dict__")  # the dict holds the cached orbits
@@ -112,7 +111,15 @@ class Permutation(Frozen):
         return Permutation._trusted(tuple(images))
 
     def __pow__(self, k: int) -> Permutation:
-        return power(self, k, Permutation.identity(self.n), self.inverse)
+        """self**k in closed form, with no product: on each orbit
+        (c_0, ..., c_{m-1}), c_i goes to c_{(i+k) mod m}, for negative k too."""
+        check_exponent(k)
+        images = [0] * self.n
+        for cycle in self.orbits:
+            shift = k % len(cycle)
+            for c, image in zip(cycle, cycle[shift:] + cycle[:shift]):
+                images[c - 1] = image
+        return Permutation._trusted(tuple(images))
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images, start=1))
@@ -137,10 +144,6 @@ class Permutation(Frozen):
             out.append(tuple(cycle))
         return tuple(out)
 
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """The nontrivial cycles of :attr:`orbits`: fixed points left out."""
-        return tuple([c for c in self.orbits if len(c) > 1])
-
     def order(self) -> int:
         return reduce(math.lcm, [len(c) for c in self.orbits], 1)
 
@@ -159,7 +162,8 @@ class Permutation(Frozen):
         return tuple(reversed(swaps))
 
     def __str__(self) -> str:
-        cycles = self.cycles()
+        """Cycle notation of the nontrivial orbits; ``id`` when there are none."""
+        cycles = [c for c in self.orbits if len(c) > 1]
         if not cycles:
             return "id"
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)

@@ -20,9 +20,8 @@ import re
 from typing import Iterable, NamedTuple
 
 from .core import CoeffVector, Element, GroupDescriptor
-from .errors import Frozen, GeneratorIndexError, WordSyntaxError
+from .errors import Frozen, GeneratorIndexError, WordSyntaxError, check_exponent
 from .permutations import Permutation
-from .powers import check_exponent
 
 SIGMA = "s"
 HANDLE = "a"

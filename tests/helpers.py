@@ -1,17 +1,19 @@
 """Shared test oracles, kept independent of the code paths they check:
 brute-force multiplication, rational linear algebra on flattened vectors,
 cofactor determinants, the Bareiss determinant, the gcd-reduced rank
-elimination, the Faddeev-LeVerrier characteristic polynomial, triple-loop
-matrix products and power traces, term-by-term Newton identities, Betti
-numbers with one Newton run per group element, Euclidean division by
-rescanning, Smith normal form, principal-minor sums, the Bieberbach
-lattice basis and holonomy blocks written out by hand, column-sum cycle
-sums, the coordinate-by-coordinate torsion scan, the eigenvalue-pairing
-Kaehler criterion, the conjugacy witness composed from two section
-conjugators and the search over all of S_n for a conjugator's permutation
-part.  Plus the constructors only tests need: matrices, lattice elements
-and Frobenius blocks from nested lists, words from text, and Bieberbach
-elements from coordinates.  None of them coerces an entry.
+elimination, the Faddeev-LeVerrier characteristic polynomial and the
+cofactor one on coefficient lists, sympy for products of polynomials,
+triple-loop matrix products and power traces, term-by-term Newton
+identities, Betti numbers with one Newton run per group element,
+Euclidean division by rescanning, Smith normal form, principal-minor
+sums, the Bieberbach lattice basis and holonomy blocks written out by
+hand, column-sum cycle sums, the coordinate-by-coordinate torsion scan,
+the eigenvalue-pairing Kaehler criterion, the conjugacy witness composed
+from two section conjugators and the search over all of S_n for a
+conjugator's permutation part.  Plus the constructors only tests need:
+matrices, lattice elements and Frobenius blocks from nested lists, words
+from text, and Bieberbach elements from coordinates.  None of them
+coerces an entry.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import math
 import random
 from fractions import Fraction
 
+import sympy
 from hypothesis import settings
 
 from surfbraid import bieberbach
@@ -36,6 +39,9 @@ from surfbraid.words import normalize, parse
 # Property tests draw the same examples on every run and keep no example
 # database, so tier-1 is deterministic and no earlier failure is replayed.
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None)
+
+# The variable of the sympy polynomials that products of IntPolys are checked against.
+X = sympy.Symbol("x")
 
 
 def int_matrix(rows) -> IntMatrix:
@@ -383,33 +389,32 @@ def gcd_rank(matrix: IntMatrix) -> int:
 
 
 def char_poly_by_cofactors(matrix: IntMatrix) -> IntPoly:
-    """det(xI - M) via cofactor expansion with polynomial entries (small m only)."""
-    m = matrix.nrows
+    """det(xI - M) via cofactor expansion along the first row, with each
+    entry a plain coefficient list, constant term first (small m only)."""
 
-    def det(rows: list[list[IntPoly]]) -> IntPoly:
+    def det(rows: list[list[list[int]]]) -> list[int]:
         if not rows:
-            return IntPoly.one()
-        if len(rows) == 1:
-            return rows[0][0]
-        total = IntPoly.zero()
-        for j in range(len(rows)):
-            entry = rows[0][j]
-            if entry.is_zero():
-                continue
-            minor = [[rows[i][jj] for jj in range(len(rows)) if jj != j] for i in range(1, len(rows))]
-            term = entry * det(minor)
-            total = total + term if j % 2 == 0 else total - term
+            return [1]
+        total = [0] * (len(rows) + 1)  # a k x k determinant of degree-1 entries has degree <= k
+        for j, entry in enumerate(rows[0]):
+            minor = det([row[:j] + row[j + 1:] for row in rows[1:]])
+            for a, c in enumerate(entry):
+                for b, d in enumerate(minor):
+                    total[a + b] += (-1) ** j * c * d
         return total
 
-    x = IntPoly.x()
-    rows = [
-        [
-            (x if i == j else IntPoly.zero()) - IntPoly.of(matrix.rows[i][j])
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    return det(rows)
+    rows = [[[-v, 1] if i == j else [-v] for j, v in enumerate(row)] for i, row in enumerate(matrix.rows)]
+    return IntPoly.of(*det(rows))
+
+
+def poly_from_sympy(expr) -> IntPoly:
+    """The polynomial of a sympy expression or Poly in X with integer coefficients."""
+    return IntPoly.of(*[int(c) for c in reversed(sympy.Poly(expr, X).all_coeffs())])
+
+
+def poly_to_sympy(p: IntPoly) -> sympy.Poly:
+    """A polynomial as a sympy Poly in X over the integers."""
+    return sympy.Poly.from_list(list(reversed(p.coeffs)) or [0], X, domain="ZZ")
 
 
 def faddeev_leverrier_char_poly(matrix: IntMatrix) -> IntPoly:

@@ -2,6 +2,7 @@ import collections
 import functools
 import inspect
 import itertools
+import operator
 import random
 
 import pytest
@@ -96,6 +97,19 @@ def test_x_generators_and_centre_match_hand_built_elements():
         centre = [product_over_strands(desc.group, 1, 1)]
         centre += [product_over_strands(desc.group, r, n) for r in range(2, 2 * g + 1)]
         assert desc.centre() == tuple(centre)
+
+
+def test_first_lattice_generator_has_the_typed_coordinates():
+    # a[1,1]^n is derived as a power of the strand generator; in the fixed
+    # basis it has the coordinates (n, -1, ..., -1, 0, ...), written out here
+    for n in range(2, 7):
+        for g in (1, 2):
+            desc = make_bieberbach(n, g)
+            typed = (n,) + (-1,) * (n - 1) + (0,) * (2 * n * g - n)
+            first = desc.x_generators[1]
+            assert first == element_from_coords(desc, 0, typed)
+            assert desc.lattice_coords(first.coeffs) == typed
+            assert len(desc.centre()) == 2 * g  # commutes with every generator, checked inside
 
 
 def test_holonomy_matrix_matches_the_hand_built_blocks():
@@ -206,9 +220,9 @@ def test_holonomy_matrix_order():
     for n in range(2, 6):
         for g in (1, 2):
             matrix = make_bieberbach(n, g).holonomy_matrix()
-            assert matrix**n == IntMatrix.identity(2 * n * g)
-            for d in range(1, n):
-                assert matrix**d != IntMatrix.identity(2 * n * g)
+            powers = list(itertools.accumulate([matrix] * n, operator.mul))  # M^1 .. M^n
+            assert powers[-1] == IntMatrix.identity(2 * n * g)
+            assert IntMatrix.identity(2 * n * g) not in powers[:-1]
 
 
 def test_holonomy_matrix_matches_conjugation_oracle():
@@ -230,7 +244,7 @@ def test_inverse_generator_is_matrix_inverse():
     # i.e. as the (n-1)-st matrix power; no separate derivation
     for n, g in [(2, 1), (3, 2), (4, 1)]:
         desc = make_bieberbach(n, g)
-        matrix_inv = desc.holonomy_matrix() ** (n - 1)
+        matrix_inv = functools.reduce(operator.mul, [desc.holonomy_matrix()] * (n - 1))
         for k, basis_elt in enumerate(desc.lattice_basis):
             conj = basis_elt.conjugated_by(desc.generator.inverse())
             assert desc.lattice_coords(conj.coeffs) == matrix_column(matrix_inv, k)

@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import mul
 
 import pytest
 import sympy
@@ -65,7 +67,7 @@ def test_arithmetic_builds_matrices_without_validation(monkeypatch):
     a, b = random_matrix(rng, 4), random_matrix(rng, 4)
 
     def results():
-        return [a * b, a + b, a - b, a**3, IntMatrix.identity(4)]
+        return [a * b, a - b, a * a * a, IntMatrix.identity(4)]
 
     expected = results()
 
@@ -76,7 +78,7 @@ def test_arithmetic_builds_matrices_without_validation(monkeypatch):
     assert results() == expected
 
 
-@pytest.mark.parametrize("op", ["__add__", "__sub__"])
+@pytest.mark.parametrize("op", ["__sub__"])
 def test_sum_and_difference_need_equal_shapes(op):
     a = int_matrix([[1, 2], [3, 4]])
     for b in (int_matrix([[1]]), int_matrix([[1, 2]]), int_matrix([[1], [2]]), IntMatrix(())):
@@ -96,18 +98,10 @@ def test_product_rejects_an_operand_that_is_not_a_matrix(other):
 def test_product_and_power():
     a = int_matrix([[1, 1], [0, 1]])
     assert a * a == int_matrix([[1, 2], [0, 1]])
-    assert a**5 == int_matrix([[1, 5], [0, 1]])
-    assert a**0 == IntMatrix.identity(2)
+    assert reduce(mul, [a] * 5) == int_matrix([[1, 5], [0, 1]])
+    assert a * IntMatrix.identity(2) == IntMatrix.identity(2) * a == a
     assert (a - a) == int_matrix([[0, 0], [0, 0]])
     assert a.trace() == 2
-
-
-@pytest.mark.parametrize("k", [True, 2.0, "2"])
-def test_power_rejects_an_exponent_that_is_not_an_int(k):
-    with pytest.raises(ValueError, match="exponent must be an integer"):
-        int_matrix([[1, 1], [0, 1]]) ** k
-    with pytest.raises(ValueError, match="negative powers of IntMatrix are not defined"):
-        int_matrix([[1, 1], [0, 1]]) ** -1
 
 
 def test_sparse_product_against_triple_loop_oracle():

@@ -80,6 +80,108 @@ def test_every_library_function_is_used_by_the_library():
     assert not unused, f"library functions that nothing in the library uses: {unused}"
 
 
+# Runs cli.main in one fresh process under sys.setprofile, so the calls that
+# importing the package makes (Frozen.__init_subclass__) are seen too, and
+# prints the exit codes and the (file, first line) of every code object
+# that was called.
+REACH_PROBE = """
+import contextlib, io, json, sys
+argvs = json.loads(sys.argv[1])
+called = set()
+
+def note(frame, event, arg):
+    if event == "call":
+        called.add(frame.f_code)
+
+sys.setprofile(note)
+from surfbraid.cli import main  # `from surfbraid import cli` would ask surfbraid.__getattr__ first
+codes = []
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+sys.setprofile(None)
+print(json.dumps([codes, sorted({(code.co_filename, code.co_firstlineno) for code in called})]))
+"""
+_KLEIN = ["--surface", "nonorientable", "--n", "2", "--genus", "2"]
+_MIXED = '{"n":2,"g":2,"perm":[2,1],"torsion_bits":[1,0],"coeffs":[[3],[-3]]}'
+# The actions that no README command runs, one usage error (exit 1) and one
+# word syntax error (exit 2), so that _Parser.error and WordSyntaxError run.
+REACH_EXTRA = [
+    (["inv", "--n", "2", '{"n":2,"g":1,"perm":[2,1],"coeffs":[[1,0],[0,0]]}'], 0),
+    (["bieberbach", "centre", "--n", "2", "--genus", "1"], 0),
+    (["frobenius", "conjugator"], 0),
+    (["frobenius", "conjugator", "--blocks", "[[1,0,0,0],[0,0,0,0]]"], 0),
+    (["subgroup-conjugator", "--n", "2", "--images", '[{"n":2,"g":1,"perm":[2,1],"coeffs":[[1,0],[-1,0]]}]'], 0),
+    (["verdict", "--surface", "orientable", "--n", "3", "--genus", "2"], 0),
+    (["normalize", *_KLEIN, "a[1,2] s1"], 0),
+    (["mul", *_KLEIN, _MIXED, _MIXED], 0),
+    (["no-such-command"], 1),
+    (["normalize", "--n", "2", "a[1"], 2),
+]
+# The defs that no command runs, each with the reason it stays.
+UNREACHED_ALLOWED = {
+    "__init__.__getattr__": "PEP 562 namespace: resolves `surfbraid.Name`, which the CLI never reads",
+    "__init__.__dir__": "PEP 562 namespace: dir(surfbraid)",
+    "errors.Frozen.__repr__": "value-class protocol: repr of every value class",
+    "errors.Frozen.__hash__": "value-class protocol: values as dict keys and set members",
+    "errors.Frozen.__setattr__": "value-class protocol: refuses assignment",
+    "errors.Frozen.__delattr__": "value-class protocol: refuses deletion",
+    "errors.Frozen.__getstate__": "value-class protocol: pickling and copying",
+    "errors.Frozen.__setstate__": "value-class protocol: unpickling",
+    "permutations.Permutation.__str__": "str() of a permutation, in cycle notation",
+    "words.BraidWord.__str__": "str() of a parsed word, its text",
+    "intpoly.IntPoly.__str__": "str() of a polynomial; the CLI prints one only in an error",
+    "core.CoeffVector.__add__": "the public pair of the `-` that membership and conjugacy run",
+    "nonorientable.normalize_word": "public non-orientable word normalizer, timed by the benchmark's word_session",
+}
+
+
+def library_defs():
+    """Each def of the library as ((file, first line of its code object),
+    dotted name).  A decorated def's code starts at its first decorator."""
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = child.decorator_list[0].lineno if child.decorator_list else child.lineno
+                yield (str(path), line), prefix + child.name
+                yield from walk(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, path, f"{prefix}{child.name}.")
+            else:
+                yield from walk(child, path, prefix)
+
+    for path in sorted(SRC.glob("*.py")):
+        yield from walk(ast.parse(path.read_text(), filename=str(path)), path, f"{path.stem}.")
+
+
+def test_every_library_def_runs_under_some_command():
+    # The library holds what its commands run: every README command, plain
+    # and with --format text, and the actions and errors of REACH_EXTRA
+    # together call every def but the listed ones.  A def that only tests
+    # call is a second construction path kept for them and is deleted, not
+    # allowed here.
+    commands = [shlex.split(entry["command"], comments=True)[1:]
+                for entry in json.loads(README_GOLDEN.read_text())]
+    runs = [(argv, 0) for argv in commands]
+    runs += [(argv + ["--format", "text"], 0) for argv in commands if argv != ["selftest"]]
+    runs += REACH_EXTRA
+    res = subprocess.run([sys.executable, "-c", REACH_PROBE, json.dumps([argv for argv, _ in runs])],
+                         capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent)), text=True,
+                         timeout=300)
+    assert res.returncode == 0, res.stderr
+    codes, called = json.loads(res.stdout)
+    assert codes == [code for _, code in runs]
+    called = {(str(Path(path).resolve()), line) for path, line in called}
+    unreached = {name for key, name in library_defs() if key not in called}
+    never_run = sorted(unreached - set(UNREACHED_ALLOWED))
+    assert not never_run, f"defs that no command runs: {never_run}"
+    stale = sorted(set(UNREACHED_ALLOWED) - unreached)
+    assert not stale, f"allowed as unreached, but run or gone: {stale}"
+
+
 def test_only_frozen_defines_equality_and_hash():
     # Value equality is the rule every verdict reads, so it is written once:
     # errors.Frozen derives it from each class's _fields.
@@ -206,7 +308,7 @@ print(json.dumps([code, sorted(mods), sorted(m for m, mod in mods.items() if typ
 _PUBLIC = {"bieberbach", "core", "errors", "intmatrix", "intpoly", "invariants", "nonorientable",
            "permutations", "torsion", "words"}
 _X = '{"n":2,"g":1,"perm":[2,1],"coeffs":[[1,0],[0,0]]}'
-_ELEMENT = {"cli", "core", "errors", "permutations", "powers"}
+_ELEMENT = {"cli", "core", "errors", "permutations"}
 _BIEBERBACH = _ELEMENT | {"torsion", "bieberbach", "intmatrix"}
 FOOTPRINTS = [
     (None, set()),
@@ -217,7 +319,7 @@ FOOTPRINTS = [
      _ELEMENT | {"words", "nonorientable"}),
     (["bieberbach", "info", "--n", "3", "--genus", "1"], _BIEBERBACH),
     (["invariants", "--n", "2", "--genus", "1"], _BIEBERBACH | {"intpoly", "invariants"}),
-    (["selftest"], _PUBLIC | {"cli", "powers", "selftest"}),
+    (["selftest"], _PUBLIC | {"cli", "selftest"}),
 ]
 
 

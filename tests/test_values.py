@@ -107,14 +107,14 @@ REBUILT = [
     (lambda: IntMatrix._trusted(((1, 2), (3, 4))), lambda: IntMatrix(((1, 2), (3, 4)))),
     (lambda: IntMatrix(((1, 2), (3, 4))) * IntMatrix.identity(2), lambda: IntMatrix(((1, 2), (3, 4)))),
     (lambda: IntPoly._trusted([-1, 0, 1, 0]), lambda: IntPoly((-1, 0, 1))),
-    (lambda: IntPoly.of(1, 1) * IntPoly.of(-1, 1), lambda: IntPoly((-1, 0, 1))),
+    (lambda: divmod(IntPoly.of(-1, 0, 0, 1), IntPoly.of(1, 1, 1))[0], lambda: IntPoly((-1, 1))),
 ]
 
 
 @pytest.mark.parametrize("rebuild, build", REBUILT, ids=[
     "GroupDescriptor-joined-kind", "CoeffVector-plus-zero", "Permutation-trusted", "Permutation-times-identity",
     "Element-times-identity", "Element-trusted", "IntMatrix-trusted", "IntMatrix-times-identity",
-    "IntPoly-trusted", "IntPoly-product"])
+    "IntPoly-trusted", "IntPoly-quotient"])
 def test_rebuilt_values_equal_hash_and_look_up_like_constructed_ones(rebuild, build):
     x, y = rebuild(), build()
     assert x is not y and type(x) is type(y)
@@ -145,6 +145,6 @@ def test_cached_orbits_survive_pickle_and_copy():
     assert vars(p) == {"orbits": orbits}
     for clone in (copy.copy(p), pickle.loads(pickle.dumps(p))):
         assert clone == p and vars(clone) == {"orbits": orbits}
-        assert clone.orbits == ((1, 2, 3), (4, 5)) and clone.cycles() == p.cycles()
+        assert clone.orbits == ((1, 2, 3), (4, 5)) and str(clone) == str(p) == "(1 2 3)(4 5)"
     fresh = pickle.loads(pickle.dumps(Permutation((2, 1))))
     assert vars(fresh) == {} and fresh.orbits == ((1, 2),)
