@@ -5,20 +5,23 @@ multiplicity criteria deciding Anosov diffeomorphisms and Kaehler structure.
 Every invariant is derived from one vector of power traces tr(M^k), computed
 once per CyclicRep: Newton's identities turn the traces of M^j into the
 coefficients of det(I + t M^j), which give the characteristic polynomial
-(j = 1), the determinant and the Betti numbers (all j).  Factoring that
-polynomial into cyclotomic polynomials gives the multiplicities that decide
-the Anosov and Kaehler criteria.
+(j = 1), the determinant and the Betti numbers (all j).  The cyclotomic
+multiplicities that decide the Anosov and Kaehler criteria come from the
+same traces by the rational characters of Z/p, the Ramanujan sums: no
+polynomial is divided, and one exact evaluation ties the multiplicities
+back to the characteristic polynomial.
 
 The work is sized to what the inputs need: the power chain runs on sparse
 row products (:meth:`IntMatrix.__mul__`), in which most rows of a
 permutation-like holonomy matrix reuse a row of the previous power as it
-is; each e_k of Newton's identities is one dot product; and the Betti
-average runs Newton once per distinct power-sum sequence, not once per
-group element.
+is; each e_k of Newton's identities is one dot product; and Newton runs
+once per distinct power-sum sequence of a rep, construction included, not
+once per group element.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from operator import mul
@@ -26,7 +29,7 @@ from typing import Any
 
 from .errors import Frozen, NotProductOfCyclotomicsError, check
 from .intmatrix import IntMatrix
-from .intpoly import IntPoly, cyclotomic_multiplicities
+from .intpoly import IntPoly, cyclotomic_multiplicities, totient
 
 
 class CyclicRep(Frozen):
@@ -38,17 +41,19 @@ class CyclicRep(Frozen):
     identity, which must happen at a power dividing ``order``; that is the
     order check.  If M, ..., M^m (m the dimension) all differ from the
     identity, the chain is cut at the lcm L of the cyclotomic indices of
-    the characteristic polynomial derived from their traces: a matrix of
-    finite order is diagonalizable with root-of-unity eigenvalues, so its
-    exact order is L, and a polynomial that is no product of cyclotomics,
-    or an L not dividing ``order``, rejects M after m + 1 products.  It keeps
-    ``power_traces`` = (tr M^0, ..., tr M^(p-1)), where
-    p is the exact order of M, the characteristic polynomial det(xI - M)
-    and its cyclotomic factor multiplicities {d: mult} (read-only), each
-    index d checked to divide ``order``.  The polynomial and its factors are
-    derived once: at the cut, or from the whole period of a chain that
-    closes sooner.  Only the matrix and the order make up the value: they
-    alone are compared, hashed and shown by repr.
+    the characteristic polynomial derived from their traces, the one place
+    a polynomial is factored: a matrix of finite order is diagonalizable
+    with root-of-unity eigenvalues, so its exact order is L, and a
+    polynomial that is no product of cyclotomics, or an L not dividing
+    ``order``, rejects M after m + 1 products.  It keeps ``power_traces`` =
+    (tr M^0, ..., tr M^(p-1)), where p is the exact order of M, the
+    characteristic polynomial det(xI - M), derived once by Newton's
+    identities (at the cut, or from the whole period of a chain that closes
+    sooner), and its cyclotomic factor multiplicities {d: mult}
+    (read-only), derived from the whole period by the rational characters
+    of Z/p (:func:`_multiplicities_by_characters`), each index d checked to
+    divide ``order``.  Only the matrix and the order make up the value:
+    they alone are compared, hashed and shown by repr.
     """
 
     __slots__ = ("matrix", "order", "power_traces", "char_poly", "cyclotomic")
@@ -72,20 +77,22 @@ class CyclicRep(Frozen):
         traces = [m]
         power = self.matrix
         limit = self.order
-        factored = None
+        char_poly = None
         while power != identity and len(traces) < limit:
             traces.append(power.trace())
             if len(traces) == m + 1:
+                char_poly = _char_poly(traces, m)
                 try:
-                    factored = _factored_char_poly(traces, m)
-                    bound = math.lcm(*factored[1])
+                    bound = math.lcm(*cyclotomic_multiplicities(char_poly))
                 except NotProductOfCyclotomicsError:
                     bound = 0
                 limit = bound if bound and self.order % bound == 0 else 0
             power = self.matrix * power
         if power != identity or self.order % len(traces) != 0:
             raise ValueError(f"matrix does not have order dividing {self.order}")
-        char_poly, mults = factored or _factored_char_poly(traces, m)
+        if char_poly is None:
+            char_poly = _char_poly(traces, m)
+        mults = _multiplicities_by_characters(traces, char_poly)
         for d in mults:
             if self.order % d != 0:
                 raise ValueError(f"cyclotomic index {d} does not divide the group order {self.order}")
@@ -136,13 +143,102 @@ def _power_sums(traces: tuple[int, ...] | list[int], m: int, j: int) -> tuple[in
     return tuple([traces[(j * s) % p] for s in range(1, m + 1)])
 
 
-def _factored_char_poly(traces: list[int], m: int) -> tuple[IntPoly, dict[int, int]]:
+def _char_poly(traces: list[int], m: int) -> IntPoly:
     """The one derivation of det(xI - M) = sum_k (-1)^k e_k x^(m-k), from the
-    traces as in :func:`_power_sums`, and its cyclotomic multiplicities;
-    raises NotProductOfCyclotomicsError when it is no product of cyclotomics."""
+    traces as in :func:`_power_sums`."""
     e = _elementary_symmetric_from_traces(_power_sums(traces, m, 1), m)
-    poly = IntPoly.of(*[(-1) ** k * e[k] for k in range(m, -1, -1)])
-    return poly, cyclotomic_multiplicities(poly)
+    return IntPoly.of(*[(-1) ** k * e[k] for k in range(m, -1, -1)])
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _mobius(n: int) -> int:
+    """The Moebius function: 0 if a square divides n, else (-1)^(number of
+    prime factors of n)."""
+    sign, rest, q = 1, n, 2
+    while q * q <= rest:
+        if rest % q == 0:
+            rest //= q
+            if rest % q == 0:
+                return 0
+            sign = -sign
+        q += 1
+    return -sign if rest > 1 else sign
+
+
+@functools.lru_cache(maxsize=None)
+def _rational_characters(p: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(d, phi(d), (c_d(h) for each h dividing p)) for each d dividing p, in
+    increasing order of d and of h.
+
+    c_d is the character of the rational irreducible representation of Z/p
+    whose generator has characteristic polynomial Phi_d: c_d(j), the sum of
+    zeta^j over the primitive d-th roots of unity zeta, is the Ramanujan sum
+    mu(d/g) phi(d)/phi(d/g) with g = gcd(d, j), an integer.  It depends on
+    j only through gcd(j, p) = h, since gcd(d, j) = gcd(d, h), so the table
+    has one value per divisor h, not one per group element.
+    """
+    divisors = _divisors(p)
+    table = []
+    for d in divisors:
+        phi = totient(d)
+        quotients = [d // math.gcd(d, h) for h in divisors]
+        table.append((d, phi, tuple([_mobius(q) * (phi // totient(q)) for q in quotients])))
+    return tuple(table)
+
+
+def _multiplicities_by_characters(traces: tuple[int, ...] | list[int], char_poly: IntPoly) -> dict[int, int]:
+    """The cyclotomic multiplicities {d: mult_d} of a rep of Z/p, p = len(traces),
+    from its traces (tr M^0, ..., tr M^(p-1)) over one whole period.
+
+    mult_d = (1/(p phi(d))) sum_j tr(M^j) c_d(j) is the inner product of the
+    trace character with the rational character c_d of
+    :func:`_rational_characters` (Serre, Linear Representations of Finite
+    Groups, 13.1), summed over the classes gcd(j, p) = h; every division is
+    checked exact and non-negative.  The result is then checked against
+    ``char_poly`` = det(xI - M) of degree m: sum_d phi(d) mult_d = m, every
+    |coefficient| of ``char_poly`` is at most 2^m (as for any product of
+    cyclotomics of degree m, whose roots lie on the unit circle), and both
+    sides agree at x0 = 2^(m+2).  Two polynomials of degree <= m whose
+    coefficients are bounded so are equal once they agree at x0, so
+    char_poly == prod_d Phi_d^mult_d.  The right side is evaluated as
+    prod_e (x0^e - 1)^(b_e), with b_e = sum over e | d of mu(d/e) mult_d,
+    from Phi_d = prod_{e | d} (x^e - 1)^mu(d/e): integer products only, no
+    division.
+    """
+    p, m = len(traces), char_poly.degree
+    class_sums = dict.fromkeys(_divisors(p), 0)
+    for j, trace in enumerate(traces):
+        class_sums[math.gcd(j, p)] += trace
+    mults = {}
+    degree = 0
+    for d, phi, character in _rational_characters(p):
+        mult, r = divmod(sum(map(mul, class_sums.values(), character)), p * phi)
+        check(r == 0 and mult >= 0, f"the multiplicity of Phi_{d} must be a non-negative integer")
+        if mult:
+            mults[d] = mult
+            degree += phi * mult
+    check(degree == m, f"the cyclotomic factors must have total degree {m}, got {degree}")
+    check(max(map(abs, char_poly.coeffs)) <= 1 << m,
+          "the characteristic polynomial's coefficients must be at most 2^dim")
+    shift = m + 2  # x0 = 2^shift
+    value = 0
+    for c in reversed(char_poly.coeffs):
+        value = (value << shift) + c
+    exponents = Counter()
+    for d, mult in mults.items():
+        for e in _divisors(d):
+            exponents[e] += _mobius(d // e) * mult
+    left, right = value, 1
+    for e, b in exponents.items():
+        if b > 0:
+            right *= ((1 << (shift * e)) - 1) ** b
+        elif b < 0:
+            left *= ((1 << (shift * e)) - 1) ** -b
+    check(left == right, "the characteristic polynomial must be the product of its cyclotomic factors")
+    return mults
 
 
 def betti_numbers(rep: CyclicRep) -> tuple[int, ...]:
@@ -156,15 +252,20 @@ def betti_numbers(rep: CyclicRep) -> tuple[int, ...]:
     power sums of M^j, read from the cached power traces tr(M^u), which are
     periodic with period p.  Newton runs once per distinct power-sum
     sequence, weighted by how many j share it: equal inputs give equal
-    coefficients, and nothing else is assumed.  The first Betti number is
-    cross-checked against dim - rank(M - I).
+    coefficients, and nothing else is assumed.  The sequence of j = 1 is
+    the one Newton already ran on at construction, so its coefficients are
+    read off ``rep.char_poly``.  The first Betti number is cross-checked
+    against dim - rank(M - I).
     """
     m = rep.dimension
     p = len(rep.power_traces)
     counts = Counter([_power_sums(rep.power_traces, m, j) for j in range(p)])
+    first = _power_sums(rep.power_traces, m, 1)
+    from_char_poly = [(-1) ** k * c for k, c in enumerate(reversed(rep.char_poly.coeffs))]
     totals = [0] * (m + 1)
     for sums, count in counts.items():
-        totals = [t + count * e_i for t, e_i in zip(totals, _elementary_symmetric_from_traces(sums, m))]
+        e = from_char_poly if sums == first else _elementary_symmetric_from_traces(sums, m)
+        totals = [t + count * e_i for t, e_i in zip(totals, e)]
     betti = []
     for i, total in enumerate(totals):
         q, r = divmod(total, p)

@@ -417,6 +417,22 @@ def poly_to_sympy(p: IntPoly) -> sympy.Poly:
     return sympy.Poly.from_list(list(reversed(p.coeffs)) or [0], X, domain="ZZ")
 
 
+def sympy_cyclotomic_multiplicities(p: IntPoly) -> dict[int, int]:
+    """{d: multiplicity} of a product of cyclotomic polynomials, by sympy's
+    factor_list: each irreducible factor is matched to the Phi_d of its
+    degree phi(d) that it equals; any other factor fails."""
+    content, factors = sympy.factor_list(poly_to_sympy(p))
+    assert content == 1, content
+    out = {}
+    for factor, mult in factors:
+        degree = factor.degree()
+        index = [d for d in range(1, 2 * degree * degree + 2)
+                 if sympy.totient(d) == degree and sympy.Poly(sympy.cyclotomic_poly(d, X), X) == factor]
+        assert len(index) == 1, factor
+        out[index[0]] = mult
+    return dict(sorted(out.items()))
+
+
 def faddeev_leverrier_char_poly(matrix: IntMatrix) -> IntPoly:
     """det(xI - M) by the Faddeev-LeVerrier recurrence: c_(m-k) = -tr(M A_k)/k
     with A_1 = I and A_(k+1) = M A_k + c_(m-k) I, every division by k checked

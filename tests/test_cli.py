@@ -479,18 +479,20 @@ def test_broken_selftest_exits_3_under_python_O():
     assert "not ok 3 - cycle power formula" in res.stdout
 
 
-# Two faults the selftest's characteristic-polynomial check must catch: a
-# trace-derived coefficient off by one, and an echelon whose row swaps no
-# longer flip the determinant's sign.
+# Two faults the selftest must catch: a trace-derived coefficient off by one,
+# which the multiplicities derived by characters reject when the rep is
+# built, and an echelon whose row swaps no longer flip the determinant's
+# sign, which the selftest's characteristic-polynomial check rejects.
 CHAR_POLY_FAULTS = {
     "trace_coefficient": (
         "from surfbraid import intpoly, invariants\n"
-        "real = invariants._factored_char_poly\n"
+        "real = invariants._char_poly\n"
         "def perturbed(traces, m):\n"
-        "    poly, mults = real(traces, m)\n"
-        "    return intpoly.IntPoly.of(poly.coeffs[0], poly.coeffs[1] + 1, *poly.coeffs[2:]), mults\n"
-        "invariants._factored_char_poly = perturbed\n",
-        ["ok 5 - ", "not ok 6 - flat manifold invariants: the trace char poly must be det(xI - M) at x = 1"],
+        "    poly = real(traces, m)\n"
+        "    return intpoly.IntPoly.of(poly.coeffs[0], poly.coeffs[1] + 1, *poly.coeffs[2:])\n"
+        "invariants._char_poly = perturbed\n",
+        ["ok 5 - ", "not ok 6 - flat manifold invariants: the characteristic polynomial must be the product "
+                    "of its cyclotomic factors"],
     ),
     "echelon_sign": (
         "from surfbraid.intmatrix import IntMatrix\n"

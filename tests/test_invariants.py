@@ -1,24 +1,29 @@
+import itertools
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from functools import reduce
 from operator import mul
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfbraid.bieberbach import make_bieberbach
 from surfbraid.errors import VerificationError
 from surfbraid.intmatrix import IntMatrix
-from surfbraid.intpoly import IntPoly
+from surfbraid.intpoly import IntPoly, cyclotomic_multiplicities, totient
 from surfbraid.invariants import (
     CyclicRep,
     _elementary_symmetric_from_traces,
+    _multiplicities_by_characters,
+    _rational_characters,
     anosov_check,
     betti_numbers,
     invariant_report,
@@ -40,6 +45,7 @@ from helpers import (
     reference_elementary_symmetric,
     reference_kahler_check,
     sum_principal_minors,
+    sympy_cyclotomic_multiplicities,
 )
 
 
@@ -275,7 +281,8 @@ def test_power_traces_stop_at_the_exact_order():
 def test_cyclotomic_index_must_divide_the_order(monkeypatch):
     import surfbraid.invariants as invariants_module
 
-    monkeypatch.setattr(invariants_module, "cyclotomic_multiplicities", lambda p: {1: 1, 3: 1})
+    monkeypatch.setattr(invariants_module, "_multiplicities_by_characters",
+                        lambda traces, char_poly: {1: 1, 3: 1})
     with pytest.raises(ValueError, match="cyclotomic index 3"):
         CyclicRep(diag(-1, -1, 1), 2)
 
@@ -354,25 +361,171 @@ def test_infinite_order_matrix_is_rejected_within_dimension_products(monkeypatch
 def test_char_poly_and_its_factors_are_derived_once_per_rep(monkeypatch):
     import surfbraid.invariants as invariants_module
 
-    calls = 0
-    original = invariants_module.cyclotomic_multiplicities
+    calls = Counter()
 
-    def counting(poly):
-        nonlocal calls
-        calls += 1
-        return original(poly)
+    def counting(name):
+        original = getattr(invariants_module, name)
 
-    monkeypatch.setattr(invariants_module, "cyclotomic_multiplicities", counting)
-    # a holonomy chain closes before dim + 1 products; the second chain is cut at dim + 1
-    cases = [(make_bieberbach(4, 2).holonomy_matrix(), 4, {1: 4, 2: 4, 4: 4}),
-             (int_matrix([[1, -1], [1, 0]]), 6 * 10**4, {6: 1})]
-    for matrix, order, factors in cases:
-        calls = 0
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(invariants_module, name, wrapper)
+
+    for name in ("_char_poly", "_multiplicities_by_characters", "cyclotomic_multiplicities"):
+        counting(name)
+    # a holonomy chain closes before dim + 1 products and factors nothing; the
+    # second chain is cut at dim + 1, where its polynomial is factored for the
+    # chain's bound only, and its multiplicities too come from the characters
+    cases = [(make_bieberbach(4, 2).holonomy_matrix(), 4, {1: 4, 2: 4, 4: 4}, 0),
+             (int_matrix([[1, -1], [1, 0]]), 6 * 10**4, {6: 1}, 1)]
+    for matrix, order, factors, factorings in cases:
+        calls.clear()
         assert CyclicRep(matrix, order).cyclotomic == factors
-        assert calls == 1
+        assert calls == Counter({"_char_poly": 1, "_multiplicities_by_characters": 1,
+                                 "cyclotomic_multiplicities": factorings})
 
 
 ROTATIONS = {3: int_matrix([[0, -1], [1, -1]]), 4: int_matrix([[0, -1], [1, 0]]), 6: int_matrix([[1, -1], [1, 0]])}
+
+
+def companion_x_pow_minus_one(k):
+    """The companion matrix of x^k - 1: the k-cycle on the unit vectors."""
+    return int_matrix([[1 if i == (j + 1) % k else 0 for j in range(k)] for i in range(k)])
+
+
+def character_cases():
+    """Every holonomy rep with n <= 8 and g <= 4, every block sum of one to
+    three of the order-1/2/3/4/6 rotations at the lcm of their orders, and
+    the companions of x^k - 1 for k <= 12."""
+    reps = [holonomy_rep(n, g) for n in range(2, 9) for g in range(1, 5)]
+    blocks = [(diag(1), 1), (diag(-1), 2), (ROTATIONS[3], 3), (ROTATIONS[4], 4), (ROTATIONS[6], 6)]
+    for size in (1, 2, 3):
+        for chosen in itertools.combinations_with_replacement(blocks, size):
+            reps.append(CyclicRep(block_diag(*[b for b, _ in chosen]), math.lcm(*[d for _, d in chosen])))
+    reps += [CyclicRep(companion_x_pow_minus_one(k), k) for k in range(1, 13)]
+    return reps
+
+
+def test_multiplicities_by_characters_match_factoring_and_sympy():
+    for rep in character_cases():
+        mults = rep.cyclotomic
+        assert mults == cyclotomic_multiplicities(rep.char_poly) == sympy_cyclotomic_multiplicities(rep.char_poly)
+        assert list(mults) == sorted(mults) and all(rep.order % d == 0 and k > 0 for d, k in mults.items())
+        assert sum(totient(d) * k for d, k in mults.items()) == rep.dimension
+    assert CyclicRep(companion_x_pow_minus_one(12), 12).cyclotomic == {d: 1 for d in (1, 2, 3, 4, 6, 12)}
+
+
+MUTATION_REPS = [
+    (make_bieberbach(4, 2).holonomy_matrix(), 4),
+    (make_bieberbach(6, 1).holonomy_matrix(), 6),
+    (block_diag(ROTATIONS[3], ROTATIONS[4], ROTATIONS[6], diag(-1)), 12),
+    (ROTATIONS[6], 6 * 10**4),  # a chain cut at dim + 1 products
+    (IntMatrix.identity(3), 1),  # p = 1: one trace, one character
+]
+
+
+@pytest.mark.parametrize("matrix, order", MUTATION_REPS)
+def test_a_trace_off_by_one_is_rejected(matrix, order):
+    rep = CyclicRep(matrix, order)
+    traces = list(rep.power_traces)
+    for j in range(len(traces)):
+        for delta in (1, -1):
+            mutated = traces[:j] + [traces[j] + delta] + traces[j + 1:]
+            with pytest.raises(VerificationError):
+                _multiplicities_by_characters(mutated, rep.char_poly)
+
+
+@pytest.mark.parametrize("matrix, order", MUTATION_REPS)
+def test_a_dropped_divisor_is_rejected(matrix, order, monkeypatch):
+    import surfbraid.invariants as invariants_module
+
+    real = invariants_module._rational_characters
+    for d in CyclicRep(matrix, order).cyclotomic:
+        monkeypatch.setattr(invariants_module, "_rational_characters",
+                            lambda p: tuple([row for row in real(p) if row[0] != d]))
+        with pytest.raises(VerificationError):
+            CyclicRep(matrix, order)
+
+
+@pytest.mark.parametrize("matrix, order", MUTATION_REPS)
+def test_a_flipped_ramanujan_sign_is_rejected(matrix, order, monkeypatch):
+    # every single sign flip that changes a character sum: c_d(h) != 0 on a
+    # class gcd(j, p) = h whose traces do not sum to 0
+    import surfbraid.invariants as invariants_module
+
+    rep = CyclicRep(matrix, order)
+    p = len(rep.power_traces)
+    divisors = [h for h in range(1, p + 1) if p % h == 0]
+    class_sums = [sum([t for j, t in enumerate(rep.power_traces) if math.gcd(j, p) == h]) for h in divisors]
+    real = invariants_module._rational_characters
+    flips = 0
+    for index, (d, phi, character) in enumerate(real(p)):
+        for i, (c, class_sum) in enumerate(zip(character, class_sums)):
+            if c * class_sum == 0:
+                continue
+            flipped = (d, phi, character[:i] + (-c,) + character[i + 1:])
+            monkeypatch.setattr(invariants_module, "_rational_characters",
+                                lambda p: real(p)[:index] + (flipped,) + real(p)[index + 1:])
+            with pytest.raises(VerificationError):
+                CyclicRep(matrix, order)
+            flips += 1
+    assert flips > 0
+
+
+def test_rational_characters_are_the_ramanujan_sums():
+    # Kluyver's formula c_d(j) = sum over e | gcd(d, j) of e mu(d/e), with
+    # sympy's Moebius function, at the class representatives j = h | p
+    for p in range(1, 31):
+        divisors = [h for h in range(1, p + 1) if p % h == 0]
+        table = _rational_characters(p)
+        assert [d for d, _, _ in table] == divisors
+        for d, phi, character in table:
+            assert phi == totient(d)
+            assert list(character) == [sum([e * int(sympy.mobius(d // e)) for e in range(1, d + 1)
+                                            if math.gcd(d, h) % e == 0]) for h in divisors]
+
+
+def test_a_polynomial_equal_only_at_x0_is_rejected():
+    # (x - 1)^2 + (x - 16) agrees with (x - 1)^2 at x0 = 2^(2 + 2) = 16; its
+    # coefficient -15 exceeds 2^2, the bound that makes x0 decide equality
+    assert _multiplicities_by_characters((2,), IntPoly.of(1, -2, 1)) == {1: 2}
+    with pytest.raises(VerificationError, match="coefficients must be at most 2\\^dim"):
+        _multiplicities_by_characters((2,), IntPoly.of(-15, -1, 1))
+    with pytest.raises(VerificationError, match="product of its cyclotomic factors"):
+        _multiplicities_by_characters((2,), IntPoly.of(1, -1, 1))
+    with pytest.raises(VerificationError, match="total degree 3, got 2"):
+        _multiplicities_by_characters((2,), IntPoly.of(-1, 3, -3, 1))
+
+
+def test_character_mutants_are_rejected_under_python_O():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "from surfbraid import invariants\n"
+        "from surfbraid.bieberbach import make_bieberbach\n"
+        "from surfbraid.errors import VerificationError\n"
+        "matrix = make_bieberbach(4, 2).holonomy_matrix()\n"
+        "rep = invariants.CyclicRep(matrix, 4)\n"
+        "real_characters, real_mobius = invariants._rational_characters, invariants._mobius\n"
+        "def trace_off_by_one():\n"
+        "    invariants._multiplicities_by_characters((16, 1) + rep.power_traces[2:], rep.char_poly)\n"
+        "def dropped_divisor():\n"
+        "    invariants._rational_characters = lambda p: real_characters(p)[:-1]\n"
+        "    invariants.CyclicRep(matrix, 4)\n"
+        "def flipped_sign():\n"
+        "    invariants._rational_characters = real_characters.__wrapped__\n"
+        "    invariants._mobius = lambda n: -real_mobius(n) if n > 1 else 1\n"
+        "    invariants.CyclicRep(matrix, 4)\n"
+        "for mutant in (trace_off_by_one, dropped_divisor, flipped_sign):\n"
+        "    try:\n"
+        "        mutant()\n"
+        "    except VerificationError:\n"
+        "        print(mutant.__name__, 'rejected')\n"
+    )
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split("\n") == ["trace_off_by_one rejected", "dropped_divisor rejected",
+                                      "flipped_sign rejected", ""]
 
 
 def test_betti_numbers_match_the_per_element_newton_reference():
@@ -424,9 +577,10 @@ def test_newton_needs_m_power_sums():
 
 @pytest.mark.parametrize("n, g, passes", [(4, 2, 3), (8, 2, 4)])
 def test_betti_runs_newton_once_per_distinct_power_sum_sequence(n, g, passes, monkeypatch):
+    # counted over construction and report: the j = 1 sequence that gave the
+    # characteristic polynomial is not run through Newton again
     import surfbraid.invariants as invariants_module
 
-    rep = holonomy_rep(n, g)
     seen = []
     original = invariants_module._elementary_symmetric_from_traces
 
@@ -435,9 +589,10 @@ def test_betti_runs_newton_once_per_distinct_power_sum_sequence(n, g, passes, mo
         return original(power_sums, m)
 
     monkeypatch.setattr(invariants_module, "_elementary_symmetric_from_traces", recording)
-    betti = betti_numbers(rep)
+    rep = holonomy_rep(n, g)
+    betti = invariant_report(rep)["betti"]
     p, m = len(rep.power_traces), rep.dimension
     distinct = {tuple([rep.power_traces[(j * s) % p] for s in range(1, m + 1)]) for j in range(p)}
     assert len(seen) == len(set(seen)) == len(distinct) == passes
     assert set(seen) == distinct
-    assert betti == reference_betti_numbers(rep)
+    assert tuple(betti) == reference_betti_numbers(rep)
