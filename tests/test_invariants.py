@@ -58,8 +58,9 @@ def diag(*entries):
     return int_matrix([[entries[i] if i == j else 0 for j in range(m)] for i in range(m)])
 
 
-def companion_x3_minus_one():
-    return int_matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+def companion_x_pow_minus_one(k):
+    """The companion matrix of x^k - 1: the k-cycle on the unit vectors."""
+    return int_matrix([[1 if i == (j + 1) % k else 0 for j in range(k)] for i in range(k)])
 
 
 def test_cyclic_rep_validation():
@@ -167,8 +168,8 @@ def test_anosov():
     for n in range(2, 6):
         for g in (1, 2):
             assert anosov_check(holonomy_rep(n, g))
-    assert not anosov_check(CyclicRep(companion_x3_minus_one(), 3))
-    doubled = block_diag(companion_x3_minus_one(), companion_x3_minus_one())
+    assert not anosov_check(CyclicRep(companion_x_pow_minus_one(3), 3))
+    doubled = block_diag(companion_x_pow_minus_one(3), companion_x_pow_minus_one(3))
     assert anosov_check(CyclicRep(doubled, 3))
 
 
@@ -250,10 +251,10 @@ def test_echelon_det_and_rank_on_holonomy_sweep():
 
 
 def test_trace_char_poly_and_det_match_oracles_off_holonomy():
-    odd = block_diag(companion_x3_minus_one(), diag(1), diag(-1))
+    odd = block_diag(companion_x_pow_minus_one(3), diag(1), diag(-1))
     for rep in [
         CyclicRep(diag(-1, 1), 2),
-        CyclicRep(companion_x3_minus_one(), 3),
+        CyclicRep(companion_x_pow_minus_one(3), 3),
         CyclicRep(IntMatrix.identity(4), 1),
         CyclicRep(IntMatrix.identity(2), 2),  # declared order a multiple of the exact order
         CyclicRep(odd, 6),  # dimension 5
@@ -275,7 +276,7 @@ def test_power_traces_stop_at_the_exact_order():
     with pytest.raises(ValueError):
         CyclicRep(diag(-1, -1), 3)  # order 2 does not divide 3
     with pytest.raises(ValueError):
-        CyclicRep(companion_x3_minus_one(), 2)
+        CyclicRep(companion_x_pow_minus_one(3), 2)
 
 
 def test_cyclotomic_index_must_divide_the_order(monkeypatch):
@@ -386,11 +387,6 @@ def test_char_poly_and_its_factors_are_derived_once_per_rep(monkeypatch):
 
 
 ROTATIONS = {3: int_matrix([[0, -1], [1, -1]]), 4: int_matrix([[0, -1], [1, 0]]), 6: int_matrix([[1, -1], [1, 0]])}
-
-
-def companion_x_pow_minus_one(k):
-    """The companion matrix of x^k - 1: the k-cycle on the unit vectors."""
-    return int_matrix([[1 if i == (j + 1) % k else 0 for j in range(k)] for i in range(k)])
 
 
 def character_cases():
@@ -539,7 +535,7 @@ def test_betti_numbers_match_the_per_element_newton_reference():
         (block_diag(r3, r3, r4, diag(1)), 12),
         (block_diag(r6, r6, diag(-1), diag(1)), 6),
         (block_diag(r4, diag(-1, -1, 1)), 4),
-        (block_diag(r3, companion_x3_minus_one()), 3),
+        (block_diag(r3, companion_x_pow_minus_one(3)), 3),
         (r6, 6 * 10**3),
         (diag(-1, -1, -1), 2),
     ]:
