@@ -336,8 +336,29 @@ class Element(Frozen):
         return self._trusted(self.group, CoeffVector(tuple(out)), self.perm ** k)
 
     def conjugated_by(self, by: Element) -> Element:
-        """Return by * self * by^{-1}."""
-        return by * self * by.inverse()
+        """by * self * by^{-1} in closed form, with no product and no inverse:
+        for by = a * section(u) and self = v * section(w), it is
+        (a + u.v - w'.a) * section(w') with w' = u w u^{-1}, where u.v is the
+        strand action of :meth:`CoeffVector.permuted`.  One pass over the
+        strands builds w' from w'(u(i)) = u(w(i)) and places the rows of u.v
+        and w'.a; one row pass sums the three.  The operand checks are those
+        of the product ``by * self``."""
+        if not isinstance(by, Element):
+            raise ValueError(f"an element is conjugated only by an Element, got {by!r}")
+        if by.group != self.group:
+            raise GroupMismatchError(f"operands live in different groups: {by.group} vs {self.group}")
+        u, a = by.perm.images, by.coeffs.rows
+        n = len(u)
+        images = [0] * n
+        uv: list[tuple[int, ...]] = [()] * n
+        wa: list[tuple[int, ...]] = [()] * n
+        for ui, wi, row in zip(u, self.perm.images, self.coeffs.rows):
+            uwi = u[wi - 1]
+            images[ui - 1] = uwi
+            uv[ui - 1] = row
+            wa[uwi - 1] = a[ui - 1]
+        rows = tuple([tuple(list(map(sub, map(add, x, y), z))) for x, y, z in zip(a, uv, wa)])
+        return self._trusted(self.group, CoeffVector(rows), Permutation._trusted(tuple(images)))
 
     def is_identity(self) -> bool:
         return self.coeffs.is_zero() and self.perm.is_identity()

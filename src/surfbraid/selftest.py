@@ -83,9 +83,11 @@ def _suite_conjugacy() -> None:
     check(torsion.conjugacy_test(t1, t2) is not None, "two transpositions must be conjugate")
     check(torsion.conjugacy_test(t1, three) is None, "a transposition and a 3-cycle must not be conjugate")
     rng = random.Random(303)
-    for _ in range(20):
+    for i in range(20):
         c = _random_element(rng, group)
         theta = three.conjugated_by(c)
+        if i % 4 == 0:  # two products and an inverse, a path independent of the closed form
+            check(theta == c * three * c.inverse(), "the closed-form conjugate must be by * x * by^-1")
         check(torsion.order(theta).value == 3, "a conjugate of a 3-cycle section must have order 3")
         check(torsion.conjugacy_test(theta, three) is not None, "a conjugate must be found conjugate")
     x = Element.strand_generator(group, 1, 1) * t1  # infinite order: its 2-cycle sums to (1, 0)
@@ -158,7 +160,7 @@ def _suite_nonorientable() -> None:
         for i in range(1, n):
             s = Element.section(group, Permutation.transposition(n, i))
             check(s * s == e, "sections of transpositions must be involutions")
-        for _ in range(20):
+        for i in range(20):
             xs = []
             for _ in range(3):
                 bits = tuple(rng.randint(0, 1) for _ in range(n))
@@ -171,6 +173,8 @@ def _suite_nonorientable() -> None:
             x, y, z = xs
             check((x * y) * z == x * (y * z), "mixed multiplication must be associative")
             check(x * x.inverse() == e, "x * x^-1 must be the identity")
+            if i % 4 == 0:  # the closed form behind the verdict's normality checks, against products
+                check(x.conjugated_by(y) == y * x * y.inverse(), "the closed-form conjugate must be by * x * by^-1")
         check(not verify_crystallographic(group).is_crystallographic,
               "non-orientable quotients are not crystallographic")
     check(not verify_crystallographic(GroupDescriptor.sphere(4)).is_crystallographic,

@@ -313,7 +313,9 @@ def frobenius_torsion_element(
     commutator [v2, v1] = v2 * v1 * v2^{-1} * v1^{-1} lies over
     w1**l * w1^{-1} = w1**(l-1), a p-cycle because l != 1 mod p, and, as a
     commutator, has zero coefficient sum in every handle; hence it has
-    order exactly p.  This is why no such subgroup is torsion free.
+    order exactly p.  This is why no such subgroup is torsion free.  It is
+    formed as the closed-form conjugate ``v1.conjugated_by(v2)`` times
+    v1^{-1}: one product and one inverse.
     """
     group.require_orientable("Frobenius torsion construction")
     w1, w2 = frobenius_pair(p, l)
@@ -326,6 +328,6 @@ def frobenius_torsion_element(
         lift2 = CoeffVector.zero(p, handles)
     v1 = Element(group, lift1, w1)
     v2 = Element(group, lift2, w2)
-    v = v2 * v1 * v2.inverse() * v1.inverse()
+    v = v1.conjugated_by(v2) * v1.inverse()
     check(not v.perm.is_identity(), "the torsion element must lie over a p-cycle")
     return v

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -477,6 +478,25 @@ def test_broken_selftest_exits_3_under_python_O():
     res = run_optimized(code)
     assert res.returncode == 3
     assert "not ok 3 - cycle power formula" in res.stdout
+
+
+def test_selftest_catches_a_sign_flip_in_the_closed_form_conjugate_under_python_O(tmp_path):
+    # A copy of the package whose conjugation adds w'.a instead of subtracting
+    # it: the selftest's cross-checks against by * x * by^-1 must reject it in
+    # the conjugacy and the non-orientable suites.
+    shutil.copytree(Path(SRC) / "surfbraid", tmp_path / "surfbraid", ignore=shutil.ignore_patterns("__pycache__"))
+    core_py = tmp_path / "surfbraid" / "core.py"
+    text = core_py.read_text()
+    body = text[text.index("    def conjugated_by("):text.index("    def is_identity(")]
+    assert body.count("map(sub, map(add, x, y), z)") == 1
+    core_py.write_text(text.replace(body, body.replace("map(sub, map(add, x, y), z)", "map(add, map(add, x, y), z)")))
+    res = subprocess.run([sys.executable, "-O", "-m", "surfbraid.cli", "selftest"],
+                         env=dict(os.environ, PYTHONPATH=str(tmp_path)), capture_output=True, text=True, timeout=60)
+    assert res.returncode == 3, res.stderr
+    message = "the closed-form conjugate must be by * x * by^-1"
+    lines = res.stdout.splitlines()
+    assert f"not ok 4 - conjugacy decided by cycle lengths and cycle sums: {message}" in lines, res.stdout
+    assert f"not ok 8 - non-orientable and sphere models: {message}" in lines, res.stdout
 
 
 # Two faults the selftest must catch: a trace-derived coefficient off by one,

@@ -221,9 +221,43 @@ def test_conjugation_relabels_strands():
                     assert a(group, i, r).conjugated_by(x) == a(group, x.perm(i), r)
 
 
+def _conjugation_rows(rng, group, bound):
+    """Random rows with entries in [-bound, bound]; non-orientable torsion bits 0 or 1."""
+    bits = 0 if group.is_orientable else 1
+    return CoeffVector(tuple([tuple([rng.randint(0, 1) for _ in range(bits)]
+                                    + [rng.randint(-bound, bound) for _ in range(group.handle_count - bits)])
+                              for _ in range(group.n)]))
+
+
+def test_closed_form_conjugate_matches_its_definition():
+    rng = random.Random(47)
+    big = 10**12
+    for n in range(1, 9):
+        # identity, a transposition (fixed points from n = 3 on), the n-cycle and a random one
+        perms = [Permutation.identity(n), Permutation.from_cycles(n, tuple(range(1, n + 1))),
+                 Permutation.from_cycles(n, (1, 2)[:n]), random_permutation(rng, n)]
+        for group in (GroupDescriptor.orientable(n, 2), GroupDescriptor.nonorientable(n, 1),
+                      GroupDescriptor.nonorientable(n, 3)):
+            for w, u in itertools.product(perms, repeat=2):
+                for bound in (0, 3, big):
+                    x = Element(group, _conjugation_rows(rng, group, bound), w)
+                    by = Element(group, _conjugation_rows(rng, group, big), u)
+                    assert x.conjugated_by(by) == by * x * by.inverse()
+                    assert by.conjugated_by(x) == x * by * x.inverse()
+
+
 def test_group_mismatch_rejected():
     with pytest.raises(GroupMismatchError):
         Element.identity(T2) * Element.identity(T3)
+
+
+def test_conjugation_by_another_group_keeps_the_product_message():
+    x, by = Element.identity(T2), Element.identity(T3)
+    with pytest.raises(GroupMismatchError) as product:
+        by * x
+    with pytest.raises(GroupMismatchError) as closed:
+        x.conjugated_by(by)
+    assert str(closed.value) == str(product.value) == f"operands live in different groups: {T3} vs {T2}"
 
 
 def test_element_requires_orientable_surface():
@@ -340,13 +374,15 @@ def test_strand_generator_indices_must_be_ints():
 @pytest.mark.parametrize("operation, message", [
     (lambda: a(T2, 1, 1) * 3, "an element multiplies only an Element"),
     (lambda: a(T2, 1, 1) * Permutation.identity(2), "an element multiplies only an Element"),
+    (lambda: a(T2, 1, 1).conjugated_by(5), "an element is conjugated only by an Element, got 5"),
+    (lambda: a(T2, 1, 1).conjugated_by(Permutation.identity(2)), "an element is conjugated only by an Element"),
     (lambda: Permutation.identity(2) * 3, "a permutation composes only with a Permutation"),
     (lambda: Permutation.identity(2) * a(T2, 1, 1), "a permutation composes only with a Permutation"),
     (lambda: CoeffVector.zero(2, 2) + 3, "a coefficient vector combines only with a CoeffVector"),
     (lambda: CoeffVector.zero(2, 2) - 3, "a coefficient vector combines only with a CoeffVector"),
     (lambda: CoeffVector.zero(2, 2) + ((0, 0), (0, 0)), "a coefficient vector combines only with a CoeffVector"),
-], ids=["element*int", "element*permutation", "permutation*int", "permutation*element",
-        "coeffs+int", "coeffs-int", "coeffs+rows"])
+], ids=["element*int", "element*permutation", "element^int", "element^permutation", "permutation*int",
+        "permutation*element", "coeffs+int", "coeffs-int", "coeffs+rows"])
 def test_foreign_operands_are_rejected(operation, message):
     with pytest.raises(ValueError, match=message):
         operation()

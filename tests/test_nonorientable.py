@@ -250,24 +250,36 @@ def test_finite_normal_subgroup_nonorientable():
     assert "entire kernel" in projective.note
 
 
-def test_finite_normal_subgroup_inverts_each_conjugator_once_and_checks_every_pair(monkeypatch):
+def test_finite_normal_subgroup_checks_every_pair_with_no_product_or_inverse(monkeypatch):
     # (6,3): 5 transpositions and 18 strand generators conjugate 6 torsion
-    # generators, 138 checks, with one inverse per conjugator.
-    counts = {"inverse": 0, "checked": 0}
-    inverse, in_torsion = Element.inverse, nonorientable._in_torsion_subgroup
+    # generators, 138 checks, each by the closed form.
+    counts = {"inverse": 0, "mul": 0, "checked": 0}
+    inverse, mul, in_torsion = Element.inverse, Element.__mul__, nonorientable._in_torsion_subgroup
 
-    def counting_inverse(x):
-        counts["inverse"] += 1
-        return inverse(x)
+    def counting(key, real):
+        def wrapper(*args):
+            counts[key] += 1
+            return real(*args)
+        return wrapper
 
-    def counting_check(x):
-        counts["checked"] += 1
-        return in_torsion(x)
-
-    monkeypatch.setattr(Element, "inverse", counting_inverse)
-    monkeypatch.setattr(nonorientable, "_in_torsion_subgroup", counting_check)
+    monkeypatch.setattr(Element, "inverse", counting("inverse", inverse))
+    monkeypatch.setattr(Element, "__mul__", counting("mul", mul))
+    monkeypatch.setattr(nonorientable, "_in_torsion_subgroup", counting("checked", in_torsion))
     assert finite_normal_subgroup(GroupDescriptor.nonorientable(6, 3)).normality_verified
-    assert counts == {"inverse": 23, "checked": 138}
+    assert counts == {"inverse": 0, "mul": 0, "checked": 138}
+
+
+def test_torsion_subgroup_membership_reads_the_permutation_and_every_free_column():
+    group = GroupDescriptor.nonorientable(3, 3)
+    identity, zero = Permutation.identity(3), ((0, 0),) * 3
+    assert nonorientable._in_torsion_subgroup(MixedElement(group, (1, 0, 1), zero, identity))
+    assert not nonorientable._in_torsion_subgroup(
+        MixedElement(group, (1, 0, 1), zero, Permutation.transposition(3, 2)))
+    for strand, col in itertools.product(range(3), range(2)):
+        free = [[0, 0] for _ in range(3)]
+        free[strand][col] = -1
+        assert not nonorientable._in_torsion_subgroup(
+            MixedElement(group, (0, 0, 0), tuple(map(tuple, free)), identity))
 
 
 def test_torsion_subgroup_closed_under_random_conjugation():
@@ -277,7 +289,8 @@ def test_torsion_subgroup_closed_under_random_conjugation():
         for t in torsion_subgroup_elements(group):
             for _ in range(25):
                 c = random_mixed(rng, group)
-                conj = c * t * c.inverse()
+                conj = t.conjugated_by(c)
+                assert conj == c * t * c.inverse()
                 assert conj.perm.is_identity()
                 assert all(v == 0 for row in conj.free for v in row)
 
