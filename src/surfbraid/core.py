@@ -261,9 +261,11 @@ class Element(Frozen):
     @staticmethod
     def _trusted(group: GroupDescriptor, coeffs: CoeffVector, perm: Permutation) -> Element:
         """Constructor for parts computed from valid operands: no validation,
-        torsion bits reduced mod 2 on a non-orientable surface."""
-        if group.kind == NONORIENTABLE:
-            coeffs = CoeffVector(tuple([(row[0] % 2,) + row[1:] for row in coeffs.rows]))
+        torsion bits reduced mod 2 on a non-orientable surface, where only
+        the rows whose bit is not already 0 or 1 are rebuilt."""
+        if group.kind == NONORIENTABLE and any([row[0] not in (0, 1) for row in coeffs.rows]):
+            coeffs = CoeffVector(tuple([row if row[0] in (0, 1) else (row[0] % 2,) + row[1:]
+                                        for row in coeffs.rows]))
         x = _new(Element)
         _set_group(x, group)
         _set_coeffs(x, coeffs)

@@ -51,10 +51,6 @@ class BadMultiplierError(DomainError):
     """The multiplier does not have multiplicative order (p-1)/2 modulo p."""
 
 
-class NotProductOfCyclotomicsError(DomainError):
-    """The polynomial is not a product of cyclotomic polynomials."""
-
-
 class VerificationError(RuntimeError):
     """An internal consistency check failed: the computation, not the input,
     is at fault.  Deliberately not a ValueError, so it is never reported as a

@@ -7,9 +7,11 @@ once per CyclicRep: Newton's identities turn the traces of M^j into the
 coefficients of det(I + t M^j), which give the characteristic polynomial
 (j = 1), the determinant and the Betti numbers (all j).  The cyclotomic
 multiplicities that decide the Anosov and Kaehler criteria come from the
-same traces by the rational characters of Z/p, the Ramanujan sums: no
-polynomial is divided, and one exact evaluation ties the multiplicities
-back to the characteristic polynomial.
+same traces by the rational characters of Z/p, the Ramanujan sums, and one
+exact evaluation ties them back to the characteristic polynomial.  A chain
+that has not closed by M^dim is cut at the period of its power sums,
+extended past tr M^dim by the Cayley-Hamilton recurrence.  No polynomial
+is divided or factored.
 
 The work is sized to what the inputs need: the power chain runs on sparse
 row products (:meth:`IntMatrix.__mul__`), in which most rows of a
@@ -27,9 +29,9 @@ from collections import Counter
 from operator import mul
 from typing import Any
 
-from .errors import Frozen, NotProductOfCyclotomicsError, check
+from .errors import Frozen, check
 from .intmatrix import IntMatrix
-from .intpoly import IntPoly, cyclotomic_multiplicities, totient
+from .intpoly import IntPoly, totient
 
 
 class CyclicRep(Frozen):
@@ -40,16 +42,17 @@ class CyclicRep(Frozen):
     Construction multiplies out the chain M, M^2, ... until it reaches the
     identity, which must happen at a power dividing ``order``; that is the
     order check.  If M, ..., M^m (m the dimension) all differ from the
-    identity, the chain is cut at the lcm L of the cyclotomic indices of
-    the characteristic polynomial derived from their traces, the one place
-    a polynomial is factored: a matrix of finite order is diagonalizable
-    with root-of-unity eigenvalues, so its exact order is L, and a
-    polynomial that is no product of cyclotomics, or an L not dividing
-    ``order``, rejects M after m + 1 products.  It keeps ``power_traces`` =
-    (tr M^0, ..., tr M^(p-1)), where p is the exact order of M, the
-    characteristic polynomial det(xI - M), derived once by Newton's
-    identities (at the cut, or from the whole period of a chain that closes
-    sooner), and its cyclotomic factor multiplicities {d: mult}
+    identity, the chain is cut at the period P of the power sums tr M^k
+    (:func:`_trace_period`), read from the characteristic polynomial of
+    the first m traces without another product: a matrix of finite order
+    has exact order P, and P = 0 (no period up to ``order``), or a P not
+    dividing ``order``, rejects M after m + 1 products.  A matrix of
+    infinite order whose eigenvalues are all roots of unity has a period
+    too, so it is rejected after at most max(m + 1, P) products.  It keeps
+    ``power_traces`` = (tr M^0, ..., tr M^(p-1)), where p is the exact
+    order of M, the characteristic polynomial det(xI - M), derived once by
+    Newton's identities (at the cut, or from the whole period of a chain
+    that closes sooner), and its cyclotomic factor multiplicities {d: mult}
     (read-only), derived from the whole period by the rational characters
     of Z/p (:func:`_multiplicities_by_characters`), each index d checked to
     divide ``order``.  Only the matrix and the order make up the value:
@@ -82,11 +85,8 @@ class CyclicRep(Frozen):
             traces.append(power.trace())
             if len(traces) == m + 1:
                 char_poly = _char_poly(traces, m)
-                try:
-                    bound = math.lcm(*cyclotomic_multiplicities(char_poly))
-                except NotProductOfCyclotomicsError:
-                    bound = 0
-                limit = bound if bound and self.order % bound == 0 else 0
+                period = _trace_period(traces, char_poly, self.order)
+                limit = period if period and self.order % period == 0 else 0
             power = self.matrix * power
         if power != identity or self.order % len(traces) != 0:
             raise ValueError(f"matrix does not have order dividing {self.order}")
@@ -148,6 +148,40 @@ def _char_poly(traces: list[int], m: int) -> IntPoly:
     traces as in :func:`_power_sums`."""
     e = _elementary_symmetric_from_traces(_power_sums(traces, m, 1), m)
     return IntPoly.of(*[(-1) ** k * e[k] for k in range(m, -1, -1)])
+
+
+def _trace_period(traces: list[int], char_poly: IntPoly, order: int) -> int:
+    """The least period P <= ``order`` of the power sums t_k = tr(M^k), from
+    t_0, ..., t_m and char_poly = det(xI - M) = sum_j c_j x^j of degree m;
+    0 when there is none.
+
+    A matrix of finite order has det = +-1, so |c_0| != 1 gives 0 at once.
+    Past t_m the sums follow from Cayley-Hamilton, tr(char_poly(M) M^k) = 0:
+    t_(k+m) = -sum_(j<m) c_j t_(k+j), one dot product per step.  P is the
+    first shift at which the window t_P, ..., t_(P+m-1) repeats t_0, ...,
+    t_(m-1), since the recurrence then repeats the whole sequence; a sum
+    with |t_k| > m, which no m roots of unity give, gives 0 at once.
+    Bounded power sums put every eigenvalue in the closed unit disc, and
+    |det| = 1 then puts each on the unit circle, so each is a root of unity
+    (Kronecker, J. reine angew. Math. 53, 1857): t_k = sum_d mult_d c_d(k)
+    over the Ramanujan sums c_d of :func:`_rational_characters`.  These are
+    linearly independent, so P is the lcm of the cyclotomic indices d of
+    char_poly, the exact order of M when M has finite order.
+    """
+    m = char_poly.degree
+    if abs(char_poly.coeffs[0]) != 1 or any([abs(t) > m for t in traces]):
+        return 0
+    negated = [-c for c in char_poly.coeffs[:m]]
+    sums = list(traces)
+    for period in range(1, order + 1):
+        while len(sums) < period + m:
+            nxt = sum(map(mul, negated, sums[-m:]))
+            if abs(nxt) > m:
+                return 0
+            sums.append(nxt)
+        if sums[period:period + m] == sums[:m]:
+            return period
+    return 0
 
 
 def _divisors(n: int) -> list[int]:
@@ -281,24 +315,31 @@ def betti_numbers(rep: CyclicRep) -> tuple[int, ...]:
 
 
 def anosov_check(rep: CyclicRep) -> bool:
-    """Multiplicity criterion for Anosov diffeomorphisms on the flat manifold:
-    every rationally irreducible summand (cyclotomic factor of the
-    characteristic polynomial) must occur with multiplicity >= 2."""
-    return all(mult >= 2 for mult in rep.cyclotomic.values())
+    """Porteous's criterion (Topology 11, 1972) for an Anosov diffeomorphism
+    on the flat manifold: every rationally irreducible summand of the
+    holonomy representation (cyclotomic factor Phi_d of the characteristic
+    polynomial) that occurs once must split over R into more than one
+    summand.  Over R, Phi_d is one line for d <= 2 and phi(d)/2 planes for
+    d >= 3, so multiplicity 1 is allowed exactly where phi(d) > 2, that is
+    for d not in {1, 2, 3, 4, 6}."""
+    return all(mult >= 2 or totient(d) > 2 for d, mult in rep.cyclotomic.items())
 
 
 def kahler_check(rep: CyclicRep) -> bool:
-    """Even-multiplicity criterion for a Kaehler structure on the flat manifold:
-    every real-irreducible summand must have even multiplicity.
+    """The criterion for a Kaehler structure on the flat manifold
+    (Johnson-Rees, Math. Proc. Cambridge Philos. Soc. 109, 1991): the
+    holonomy representation must commute with a complex structure on
+    R^dim, i.e. every real-irreducible summand of real type must occur with
+    even multiplicity.
 
-    For a cyclic group of order N the eigenvalue zeta_N^k occurs as often as
-    the cyclotomic factor of index N/gcd(N, k), so the real-irreducible
-    multiplicities (m_0, m_{N/2} for N even, and m_k for each conjugate pair
-    {k, N-k}) are the cyclotomic multiplicities plus zeros.  An even
-    dimension follows, since dim = sum of phi(d) * mult_d and phi(d) is even
-    for d >= 3.
+    For a cyclic group the summands of real type are the eigenvalue-1 and
+    eigenvalue-(-1) lines, Phi_1 and Phi_2; each plane of Phi_d, d >= 3, is
+    a rotation that commutes with the rotation by a right angle.  So the
+    multiplicities of Phi_1 and Phi_2 must be even, and an even dimension
+    follows, since dim = sum of phi(d) * mult_d and phi(d) is even for
+    d >= 3.
     """
-    return all(mult % 2 == 0 for mult in rep.cyclotomic.values())
+    return rep.cyclotomic.get(1, 0) % 2 == 0 and rep.cyclotomic.get(2, 0) % 2 == 0
 
 
 def invariant_report(rep: CyclicRep) -> dict[str, Any]:

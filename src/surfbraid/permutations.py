@@ -122,7 +122,7 @@ class Permutation(Frozen):
         return Permutation._trusted(tuple(images))
 
     def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images, start=1))
+        return self.images == tuple(range(1, len(self.images) + 1))
 
     @cached_property
     def orbits(self) -> tuple[tuple[int, ...], ...]:

@@ -130,7 +130,8 @@ def _suite_invariants() -> None:
         check(sum((-1) ** i * b for i, b in enumerate(betti)) == 0, "the Euler characteristic must vanish")
         check(orientability(rep) and anosov_check(rep) and kahler_check(rep),
               "the flat manifold must be orientable, Anosov and Kaehler")
-    # the order-6 rotation: M^2 != I, so its chain is cut at dim + 1 products
+    # the order-6 rotation: M^2 != I, so its chain is cut after dim = 2 traces
+    # and runs on to the period 6 of its power sums, found by their recurrence
     rotation = CyclicRep(IntMatrix(((1, -1), (1, 0))), 6)
     _check_char_poly(rotation.matrix, rotation.char_poly.coeffs, "the cut chain's char poly")
     check(rotation.cyclotomic == {6: 1}, "the order-6 rotation must have the single factor Phi_6")

@@ -504,30 +504,6 @@ def reference_betti_numbers(rep) -> tuple[int, ...]:
     return tuple(t // p for t in totals)
 
 
-def reference_divmod(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Euclidean division that rescans the remainder after every step:
-    strip its trailing zeros, divide its leading coefficient by the
-    divisor's and subtract the shifted multiple of the whole divisor.
-    Raises ValueError "<c> is not divisible by leading coefficient <lead>"
-    at the first leading coefficient c that does not divide."""
-    quo = [0] * max(0, len(num.coeffs) - len(den.coeffs) + 1)
-    rem = list(num.coeffs)
-    lead = den.coeffs[-1]
-    while True:
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(den.coeffs):
-            break
-        q, r = divmod(rem[-1], lead)
-        if r:
-            raise ValueError(f"{rem[-1]} is not divisible by leading coefficient {lead}")
-        shift = len(rem) - len(den.coeffs)
-        quo[shift] = q
-        for j, d in enumerate(den.coeffs):
-            rem[shift + j] -= q * d
-    return IntPoly.of(*quo), IntPoly.of(*rem)
-
-
 def eigenvalue_multiplicities(rep) -> dict[int, int]:
     """Multiplicity of each eigenvalue zeta_N^k of a CyclicRep's generator,
     k = 0..N-1: as often as the cyclotomic factor of index N/gcd(N, k)."""
@@ -538,19 +514,16 @@ def eigenvalue_multiplicities(rep) -> dict[int, int]:
 
 
 def reference_kahler_check(rep) -> bool:
-    """The eigenvalue-pairing Kaehler criterion: an even dimension, and even
-    multiplicities m_0, m_{N/2} (N even) and m_k for each conjugate pair
-    {k, N-k}, m_k counting the eigenvalue zeta_N^k."""
-    if rep.dimension % 2 != 0:
-        return False
+    """The eigenvalue-pairing Kaehler criterion: the real eigenvalues, zeta_N^0
+    and zeta_N^(N/2) (N even), must have even multiplicities m_0 and
+    m_(N/2); each conjugate pair {k, N-k} spans planes on which a rotation by
+    a right angle commutes, whatever m_k is.  m_k counts the eigenvalue
+    zeta_N^k."""
     m = eigenvalue_multiplicities(rep)
     n = rep.order
-    real_mults = [m[0]]
-    if n % 2 == 0:
-        real_mults.append(m[n // 2])
     for k in range(1, (n + 1) // 2):
         assert m[k] == m[n - k]
-        real_mults.append(m[k])
+    real_mults = [m[0]] + ([m[n // 2]] if n % 2 == 0 else [])
     return all(mult % 2 == 0 for mult in real_mults)
 
 

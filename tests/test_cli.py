@@ -499,10 +499,12 @@ def test_selftest_catches_a_sign_flip_in_the_closed_form_conjugate_under_python_
     assert f"not ok 8 - non-orientable and sphere models: {message}" in lines, res.stdout
 
 
-# Two faults the selftest must catch: a trace-derived coefficient off by one,
-# which the multiplicities derived by characters reject when the rep is
-# built, and an echelon whose row swaps no longer flip the determinant's
-# sign, which the selftest's characteristic-polynomial check rejects.
+# Three faults the selftest must catch: a trace-derived coefficient off by
+# one, which the multiplicities derived by characters reject when the rep is
+# built; an echelon whose row swaps no longer flip the determinant's sign,
+# which the selftest's characteristic-polynomial check rejects; and a power-sum
+# recurrence run on a characteristic polynomial with one sign flipped, whose
+# sums never repeat, so the order-6 rotation's cut chain finds no period.
 CHAR_POLY_FAULTS = {
     "trace_coefficient": (
         "from surfbraid import intpoly, invariants\n"
@@ -513,6 +515,15 @@ CHAR_POLY_FAULTS = {
         "invariants._char_poly = perturbed\n",
         ["ok 5 - ", "not ok 6 - flat manifold invariants: the characteristic polynomial must be the product "
                     "of its cyclotomic factors"],
+    ),
+    "trace_recurrence": (
+        "from surfbraid import intpoly, invariants\n"
+        "real = invariants._trace_period\n"
+        "def flipped(traces, char_poly, order):\n"
+        "    c = char_poly.coeffs\n"
+        "    return real(traces, intpoly.IntPoly.of(c[0], -c[1], *c[2:]), order)\n"
+        "invariants._trace_period = flipped\n",
+        ["ok 5 - ", "not ok 6 - flat manifold invariants: matrix does not have order dividing 6"],
     ),
     "echelon_sign": (
         "from surfbraid.intmatrix import IntMatrix\n"

@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 from surfbraid.bieberbach import make_bieberbach
 from surfbraid.errors import VerificationError
 from surfbraid.intmatrix import IntMatrix
-from surfbraid.intpoly import IntPoly, cyclotomic_multiplicities, totient
+from surfbraid.intpoly import IntPoly, totient
 from surfbraid.invariants import (
     CyclicRep,
     _elementary_symmetric_from_traces,
     _multiplicities_by_characters,
     _rational_characters,
+    _trace_period,
     anosov_check,
     betti_numbers,
     invariant_report,
@@ -61,6 +62,18 @@ def diag(*entries):
 def companion_x_pow_minus_one(k):
     """The companion matrix of x^k - 1: the k-cycle on the unit vectors."""
     return int_matrix([[1 if i == (j + 1) % k else 0 for j in range(k)] for i in range(k)])
+
+
+def companion(*coeffs):
+    """The companion matrix of the monic polynomial with these coefficients,
+    constant term first and the leading 1 left out."""
+    m = len(coeffs)
+    return int_matrix([[(1 if i == j + 1 else 0) if j < m - 1 else -coeffs[i] for j in range(m)] for i in range(m)])
+
+
+def cyclotomic_companion(d):
+    """The companion matrix of Phi_d, its coefficients by sympy."""
+    return companion(*[int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(d, X), X).all_coeffs()[1:])])
 
 
 def test_cyclic_rep_validation():
@@ -181,6 +194,45 @@ def test_kahler():
     assert kahler_check(CyclicRep(diag(-1, -1), 2))  # sign representation twice
     assert not kahler_check(CyclicRep(diag(1, -1), 2))  # both real summands once
     assert kahler_check(CyclicRep(IntMatrix.identity(2), 1))
+
+
+def test_anosov_and_kahler_on_representations_with_a_factor_once():
+    # companion(Phi_3) + I_2 is the holonomy of a bielliptic surface: Kaehler,
+    # and Phi_3 once is a single plane, so no Anosov diffeomorphism;
+    # companion(Phi_5) + I_2 splits Phi_5 into two planes and has both; an
+    # odd dimension has no complex structure
+    bielliptic = CyclicRep(block_diag(cyclotomic_companion(3), IntMatrix.identity(2)), 3)
+    assert bielliptic.cyclotomic == {1: 2, 3: 1}
+    assert kahler_check(bielliptic) and not anosov_check(bielliptic)
+    quintic = CyclicRep(block_diag(cyclotomic_companion(5), IntMatrix.identity(2)), 5)
+    assert quintic.cyclotomic == {1: 2, 5: 1}
+    assert kahler_check(quintic) and anosov_check(quintic)
+    odd = CyclicRep(block_diag(cyclotomic_companion(3), IntMatrix.identity(1)), 3)
+    assert not kahler_check(odd) and not anosov_check(odd)
+    report = invariant_report(quintic)
+    assert (report["betti"], report["anosov"], report["kahler"]) == ([1, 2, 3, 4, 3, 2, 1], True, True)
+
+
+def test_anosov_and_kahler_match_the_factor_list_oracle():
+    # Every block sum of one to three companions of Phi_d, d <= 12, at the lcm
+    # of its indices.  The oracle reads the multiplicities from sympy's
+    # factor_list and applies Porteous's and the Johnson-Rees rule; the old
+    # criteria (every multiplicity >= 2, every multiplicity even) each imply
+    # the new one.
+    blocks = {d: cyclotomic_companion(d) for d in range(1, 13)}
+    verdicts = Counter()
+    for size in (1, 2, 3):
+        for chosen in itertools.combinations_with_replacement(sorted(blocks), size):
+            rep = CyclicRep(block_diag(*[blocks[d] for d in chosen]), math.lcm(*chosen))
+            mults = sympy_cyclotomic_multiplicities(rep.char_poly)
+            assert rep.cyclotomic == mults
+            anosov = all(k >= 2 or d not in (1, 2, 3, 4, 6) for d, k in mults.items())
+            kahler = mults.get(1, 0) % 2 == 0 and mults.get(2, 0) % 2 == 0
+            assert (anosov_check(rep), kahler_check(rep)) == (anosov, kahler)
+            assert anosov or not all(k >= 2 for k in mults.values())
+            assert kahler or not all(k % 2 == 0 for k in mults.values())
+            verdicts[anosov, kahler] += 1
+    assert len(verdicts) == 4
 
 
 def test_kahler_check_matches_the_pairing_reference():
@@ -351,12 +403,122 @@ def test_infinite_order_matrix_is_rejected_within_dimension_products(monkeypatch
         with pytest.raises(ValueError):
             CyclicRep(matrix, 10**5)
         assert calls <= matrix.nrows + 2
+    # infinite order, every eigenvalue a root of unity: the power sums of
+    # Phi_5 + Phi_3 + a Jordan block have period P = 15 > dim + 1 = 9, and the
+    # chain runs to the period before the order check rejects it, at an
+    # order divisible by P and at one that is not
+    jordan = block_diag(cyclotomic_companion(5), cyclotomic_companion(3), int_matrix([[1, 1], [0, 1]]))
+    for order in (15, 150_000, 10**6):
+        calls = 0
+        with pytest.raises(ValueError):
+            CyclicRep(jordan, order)
+        assert calls <= max(jordan.nrows + 1, 15)
     # finite order above the dimension: the bound is the exact order, 6 here
     calls = 0
     rep = CyclicRep(int_matrix([[1, -1], [1, 0]]), 6 * 10**4)
     assert len(rep.power_traces) == 6 and calls <= 6
     with pytest.raises(ValueError):  # order 6 does not divide 10^5
         CyclicRep(int_matrix([[1, -1], [1, 0]]), 10**5)
+
+
+def test_rejection_without_a_period_takes_no_recurrence_run(monkeypatch):
+    # At order 10^6 each of these is rejected within dim + 1 products, and
+    # the power-sum recurrence stops at once: a singular matrix fails the
+    # |det| = 1 test before any step, the unipotent one repeats its first
+    # window, and the others reach a power sum above the dimension within a
+    # few steps.  Every multiplication of the recurrence (and of Newton's
+    # identities) goes through the module's mul.
+    import surfbraid.invariants as invariants_module
+
+    products = multiplications = 0
+    original_product, original_mul = IntMatrix.__mul__, invariants_module.mul
+
+    def counting_product(self, other):
+        nonlocal products
+        products += 1
+        return original_product(self, other)
+
+    def counting_mul(a, b):
+        nonlocal multiplications
+        multiplications += 1
+        return original_mul(a, b)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", counting_product)
+    monkeypatch.setattr(invariants_module, "mul", counting_mul)
+    lehmer = companion(1, 1, 0, -1, -1, -1, -1, -1, 0, 1)  # Lehmer's degree-10 Salem polynomial
+    for matrix in [int_matrix([[1, 1], [0, 1]]), int_matrix([[2, 1], [1, 1]]), lehmer,
+                   int_matrix([[0, 1], [0, 0]]), diag(0, 1)]:
+        products = multiplications = 0
+        with pytest.raises(ValueError, match="does not have order dividing 1000000"):
+            CyclicRep(matrix, 10**6)
+        assert products <= matrix.nrows + 1
+        assert multiplications <= 2 * matrix.nrows * (matrix.nrows + 1)  # Newton takes half of it
+
+
+def random_unimodular_pair(rng, m):
+    """A random U in GL(m, Z) and its inverse, from 3m elementary operations:
+    U gains s * row j in row i, and U^-1 loses s * column i from column j."""
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [row[:] for row in u]
+    for _ in range(3 * m if m > 1 else 0):
+        i, j = rng.sample(range(m), 2)
+        s = rng.choice((1, -1))
+        u[i] = [a + s * b for a, b in zip(u[i], u[j])]
+        for row in v:
+            row[j] -= s * row[i]
+    return int_matrix(u), int_matrix(v)
+
+
+def test_trace_period_is_the_lcm_of_the_cyclotomic_indices():
+    # Random unimodular conjugates of block sums of Phi_d companions (total
+    # degree <= 10) whose exact order L exceeds the dimension, so the chain
+    # is cut: the period is sympy's lcm of the cyclotomic indices, at the
+    # order L and at 2L; no period lies below L; and L does not divide L + 1.
+    rng = random.Random(2611)
+    blocks = {d: cyclotomic_companion(d) for d in range(1, 31) if totient(d) <= 10}
+    tried = 0
+    while tried < 60:
+        chosen = []
+        while sum(map(totient, chosen)) < rng.randint(1, 10):
+            chosen.append(rng.choice([d for d in blocks if totient(d) + sum(map(totient, chosen)) <= 10]))
+        base = block_diag(*[blocks[d] for d in chosen])
+        m, order = base.nrows, math.lcm(*chosen)
+        if order <= m:
+            continue
+        tried += 1
+        u, v = random_unimodular_pair(rng, m)
+        assert u * v == IntMatrix.identity(m)
+        matrix = u * base * v
+        rep = CyclicRep(matrix, order)
+        expected = math.lcm(*sympy_cyclotomic_multiplicities(rep.char_poly))
+        assert len(rep.power_traces) == expected == order
+        head = list(rep.power_traces[:m + 1])
+        assert _trace_period(head, rep.char_poly, order) == _trace_period(head, rep.char_poly, 2 * order) == order
+        assert _trace_period(head, rep.char_poly, order - 1) == 0
+        with pytest.raises(ValueError, match="does not have order dividing"):
+            CyclicRep(matrix, order + 1)
+
+
+def test_trace_period_of_infinite_order_matrices():
+    # Eigenvalues all roots of unity but not diagonalizable: the power sums
+    # are periodic all the same, and the period is the lcm of the indices;
+    # any other polynomial has no period.
+    def period(matrix, order):
+        traces = [matrix.nrows]
+        power = matrix
+        for _ in range(matrix.nrows):
+            traces.append(power.trace())
+            power = matrix * power
+        char_poly = faddeev_leverrier_char_poly(matrix)
+        return _trace_period(traces, char_poly, order)
+
+    jordan = int_matrix([[1, 1], [0, 1]])
+    assert period(jordan, 10) == 1
+    assert period(block_diag(cyclotomic_companion(5), cyclotomic_companion(3), jordan), 10**6) == 15
+    assert period(block_diag(cyclotomic_companion(4), int_matrix([[-1, 1], [0, -1]])), 10**6) == 4
+    assert period(int_matrix([[2, 1], [1, 1]]), 10**6) == 0
+    assert period(int_matrix([[0, 1], [0, 0]]), 10**6) == 0
+    assert period(diag(2, -1), 10**6) == 0
 
 
 def test_char_poly_and_its_factors_are_derived_once_per_rep(monkeypatch):
@@ -372,18 +534,18 @@ def test_char_poly_and_its_factors_are_derived_once_per_rep(monkeypatch):
             return original(*args)
         monkeypatch.setattr(invariants_module, name, wrapper)
 
-    for name in ("_char_poly", "_multiplicities_by_characters", "cyclotomic_multiplicities"):
+    for name in ("_char_poly", "_multiplicities_by_characters", "_trace_period"):
         counting(name)
-    # a holonomy chain closes before dim + 1 products and factors nothing; the
-    # second chain is cut at dim + 1, where its polynomial is factored for the
-    # chain's bound only, and its multiplicities too come from the characters
+    # a holonomy chain closes before dim + 1 products and needs no period; the
+    # second chain is cut at dim + 1, where the period of its power sums bounds
+    # the chain, and its multiplicities too come from the characters
     cases = [(make_bieberbach(4, 2).holonomy_matrix(), 4, {1: 4, 2: 4, 4: 4}, 0),
              (int_matrix([[1, -1], [1, 0]]), 6 * 10**4, {6: 1}, 1)]
-    for matrix, order, factors, factorings in cases:
+    for matrix, order, factors, periods in cases:
         calls.clear()
         assert CyclicRep(matrix, order).cyclotomic == factors
         assert calls == Counter({"_char_poly": 1, "_multiplicities_by_characters": 1,
-                                 "cyclotomic_multiplicities": factorings})
+                                 "_trace_period": periods})
 
 
 ROTATIONS = {3: int_matrix([[0, -1], [1, -1]]), 4: int_matrix([[0, -1], [1, 0]]), 6: int_matrix([[1, -1], [1, 0]])}
@@ -405,7 +567,7 @@ def character_cases():
 def test_multiplicities_by_characters_match_factoring_and_sympy():
     for rep in character_cases():
         mults = rep.cyclotomic
-        assert mults == cyclotomic_multiplicities(rep.char_poly) == sympy_cyclotomic_multiplicities(rep.char_poly)
+        assert mults == sympy_cyclotomic_multiplicities(rep.char_poly)
         assert list(mults) == sorted(mults) and all(rep.order % d == 0 and k > 0 for d, k in mults.items())
         assert sum(totient(d) * k for d, k in mults.items()) == rep.dimension
     assert CyclicRep(companion_x_pow_minus_one(12), 12).cyclotomic == {d: 1 for d in (1, 2, 3, 4, 6, 12)}

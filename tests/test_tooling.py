@@ -58,7 +58,7 @@ def test_trusted_constructors_store_through_slot_setters():
                             and isinstance(node.value, ast.Name) and node.value.id == "object"):
                         found.append(f"{path.name}:{node.lineno} in {cls.name}.{fn.name}")
     assert sorted(checked) == ["CoeffVector.__init__", "Element._trusted", "IntMatrix._trusted",
-                               "IntPoly._trusted", "Permutation._trusted"]
+                               "Permutation._trusted"]
     assert not found, f"object.__setattr__ in an unchecked constructor: {found}"
 
 
@@ -133,7 +133,7 @@ UNREACHED_ALLOWED = {
     "errors.Frozen.__setstate__": "value-class protocol: unpickling",
     "permutations.Permutation.__str__": "str() of a permutation, in cycle notation",
     "words.BraidWord.__str__": "str() of a parsed word, its text",
-    "intpoly.IntPoly.__str__": "str() of a polynomial; the CLI prints one only in an error",
+    "intpoly.IntPoly.__str__": "str() of a polynomial, for reading one in a session; no output prints one",
     "core.CoeffVector.__add__": "the public pair of the `-` that membership and conjugacy run",
     "nonorientable.normalize_word": "public non-orientable word normalizer, timed by the benchmark's word_session",
 }
