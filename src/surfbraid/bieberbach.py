@@ -18,9 +18,12 @@ A descriptor holds the group and the generator only.  The basis, the
 generating set, the centre and the holonomy matrix are read through one
 coordinate codec: one encoder, ``coeffs_from_coords``, and one decoder,
 ``lattice_coords``.  The encoder writes each strand's row with
-``_strand_row``, which the torsion scan also reads strand by strand.  The
-holonomy matrix is read from the generator's action on coordinates, with
-the columns that involve lam decoded and checked to lie in L.
+``_strand_row``, which the torsion scan also reads strand by strand; the
+scan hands each tuple of rows straight to the finite-order kernel
+``torsion.cycle_sums_vanish`` and builds an element only where it says
+finite.  The holonomy matrix is read from the generator's action on
+coordinates, with the columns that involve lam decoded and checked to lie
+in L.
 """
 
 from __future__ import annotations
@@ -30,11 +33,11 @@ import operator
 from functools import cached_property
 from typing import Any
 
+from . import torsion
 from .core import CoeffVector, Element, GroupDescriptor, _require_elements
 from .errors import DomainError, Frozen, GroupMismatchError, check
 from .intmatrix import IntMatrix
 from .permutations import Permutation
-from .torsion import order
 
 
 class GnMembership(Frozen):
@@ -227,21 +230,24 @@ class BieberbachDescriptor(Frozen):
         :func:`_strand_row` rows and the box is walked as the product of the
         tables.  Every table row passes the constructor's row check once, and
         the table count and the residue's permutation its size check, so each
-        element, one checked row from each of the n tables, meets every
-        condition of the validating Element constructor and is built without a
-        second check.  Every element gets one :func:`~surfbraid.torsion.order`
-        call; only finite ones are decoded with :meth:`lattice_coords` for the
-        two checks.  So the cost per element is one unchecked construction
-        (``Element._trusted`` of a ``CoeffVector``, both storing through slot
-        setters, see :class:`~surfbraid.errors.Frozen`) and one ``order`` call.
-        Hits and mismatches are reported in (coords, j) order, and the number
-        of elements scanned is checked against (2*bound + 1)**(2ng) * n."""
+        tuple of rows, one checked row from each of the n tables, meets every
+        condition of the validating Element constructor.  Each tuple is
+        decided by :func:`~surfbraid.torsion.cycle_sums_vanish`, the kernel of
+        :func:`~surfbraid.torsion.order`, over the residue's orbits, read once
+        per j; only a tuple it calls finite becomes an element
+        (``Element._trusted``, no second check) and is decoded with
+        :meth:`lattice_coords` for the obstruction and identity checks.  In a
+        torsion-free group that is the identity alone, so the cost per element
+        is one kernel call.  Hits and mismatches are reported in (coords, j)
+        order, and the number of elements scanned, counted one by one, is
+        checked against (2*bound + 1)**(2ng) * n."""
         if type(bound) is not int:
             raise DomainError(f"scan bound must be an integer, got {bound!r}")
         if bound < 0:
             raise DomainError(f"scan bound must be >= 0, got {bound}")
         n, g, group = self.n, self.genus, self.group
         _require_elements(group)
+        vanish = torsion.cycle_sums_vanish
         box = range(-bound, bound + 1)
         free = [box] * (2 * g - 1)
         hits: list[dict[str, Any]] = []
@@ -249,6 +255,7 @@ class BieberbachDescriptor(Frozen):
         scanned = 0
         for j, gj in enumerate(self.powers):
             perm = gj.perm
+            orbits = perm.orbits
             for lam in box:
                 tables = [tuple([_strand_row(n, lam, i, strand, row)
                                  for strand in itertools.product((lam,) if i == 0 else box, *free)])
@@ -258,8 +265,8 @@ class BieberbachDescriptor(Frozen):
                     Element._check_rows(group, table)
                 for rows in itertools.product(*tables):
                     scanned += 1
-                    elt = Element._trusted(group, CoeffVector(rows), perm)
-                    if order(elt).is_finite:
+                    if vanish(rows, orbits):
+                        elt = Element._trusted(group, CoeffVector(rows), perm)
                         coords = self.lattice_coords(elt.coeffs - gj.coeffs)
                         check(coords is not None, "a scanned element must decode to lattice coordinates")
                         obstruction = n * sum(coords[:n]) + j

@@ -137,7 +137,7 @@ def _cmd_order(args: argparse.Namespace) -> int:
     from . import torsion
 
     group = _group_from_args(args)
-    result = torsion.order(_load_element(group, args.x))
+    result = torsion.checked_order(_load_element(group, args.x))
     _emit(
         args,
         {"finite": result.is_finite, "order": result.value},
@@ -183,7 +183,7 @@ def _cmd_frobenius(args: argparse.Namespace) -> int:
             _load_coeffs(args.lift1),
             _load_coeffs(args.lift2),
         )
-        result = torsion.order(v)
+        result = torsion.checked_order(v)
         _emit(args, {"element": v.to_json_obj(), "order": result.value})
         return EXIT_OK
     if args.blocks is None:

@@ -119,6 +119,8 @@ def _suite_bieberbach() -> None:
             closed[n * k] = (-1) ** k * math.comb(2 * g, k)
         _check_char_poly(desc.holonomy_matrix(), tuple(closed), "(x^n - 1)^2g")
         check(len(desc.centre()) == 2 * g, "the centre must have rank 2g")
+    scan = make_bieberbach(2, 1).torsion_scan(1)
+    check(scan.passed and scan.scanned == 162, "the bound-1 torsion scan at n = 2, g = 1 must pass on 162 elements")
 
 
 def _suite_invariants() -> None:

@@ -3,16 +3,18 @@ element, one constructive conjugator, and the order-p element living over a
 Frobenius permutation group.
 
 Detection reads the cycle-sum map S_w of :func:`cycle_sums`: v * section(w)
-has finite order iff the rows of v sum to zero over every cycle of w; the
-closed power formula read from the same sums is
-:meth:`surfbraid.core.Element.__pow__`.  Conjugators come from one
-breadth-first walk of the Schreier graph, :func:`conjugator_to_section`.  The
-lattice is a sum of permutation modules, so by Shapiro's lemma that walk
-closes exactly on finite subgroups.  Two elements are conjugate iff their
-multisets of pairs (cycle length, S_C) agree, and the witness is one walk
-over the cycles of the second; the S_n copies and the Frobenius copies, the
-sections of :func:`frobenius_pair` conjugated by a partial-sum alpha, are
-two more named cases.
+has finite order iff the rows of v sum to zero over every cycle of w.
+:func:`cycle_sums_vanish` is that test on plain rows and cycles, shared by
+:func:`order` and the Bieberbach torsion scan.  The closed power formula
+read from the same sums is :meth:`surfbraid.core.Element.__pow__`, with
+which :func:`checked_order` backs the order that the commands print.
+Conjugators come from one breadth-first walk of the Schreier graph,
+:func:`conjugator_to_section`.  The lattice is a sum of permutation modules,
+so by Shapiro's lemma that walk closes exactly on finite subgroups.  Two
+elements are conjugate iff their multisets of pairs (cycle length, S_C)
+agree, and the witness is one walk over the cycles of the second; the S_n
+copies and the Frobenius copies, the sections of :func:`frobenius_pair`
+conjugated by a partial-sum alpha, are two more named cases.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ from .permutations import Permutation
 class OrderResult(Frozen):
     """Order of a group element: a positive integer or infinite (value None).
 
-    ``is_finite`` is derived from the value and stored with it, so the torsion
-    scan reads a slot per element, not a property; only the value is
-    compared, hashed and shown by repr.
+    ``is_finite`` is derived from the value and stored with it; only the
+    value is compared, hashed and shown by repr.
     """
 
     __slots__ = ("value", "is_finite")
@@ -66,17 +67,52 @@ def cycle_sums(x: Element) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return [(cycle, tuple(list(map(sum, zip(*[rows[c - 1] for c in cycle]))))) for cycle in x.perm.orbits]
 
 
+def cycle_sums_vanish(rows: tuple[tuple[int, ...], ...], orbits: tuple[tuple[int, ...], ...]) -> bool:
+    """The finite-order test on plain data: True iff the rows sum to zero over
+    every cycle of ``orbits`` (a permutation's
+    :attr:`~surfbraid.permutations.Permutation.orbits`), read up to the first
+    nonzero sum; a fixed strand's sum is its own row.  The one place the test
+    is written: :func:`order` and the Bieberbach torsion scan both call it."""
+    for cycle in orbits:
+        if any(rows[cycle[0] - 1] if len(cycle) == 1 else map(sum, zip(*[rows[c - 1] for c in cycle]))):
+            return False
+    return True
+
+
 def order(x: Element) -> OrderResult:
-    """Order of x: finite iff every cycle sum of :func:`cycle_sums` vanishes (read
-    up to the first nonzero one); then it is the order of the permutation part.
-    Only a group of another surface kind calls ``require_orientable``, which raises."""
+    """Order of x: finite iff :func:`cycle_sums_vanish` holds for its rows and
+    the cycles of its permutation; then it is the order of the permutation
+    part.  Only a group of another surface kind calls ``require_orientable``,
+    which raises."""
     if x.group.kind != ORIENTABLE:
         x.group.require_orientable("element order")
-    rows = x.coeffs.rows
-    for cycle in x.perm.orbits:
-        if any(rows[cycle[0] - 1] if len(cycle) == 1 else map(sum, zip(*[rows[c - 1] for c in cycle]))):
-            return _INFINITE
-    return OrderResult(x.perm.order())
+    if cycle_sums_vanish(x.coeffs.rows, x.perm.orbits):
+        return OrderResult(x.perm.order())
+    return _INFINITE
+
+
+def checked_order(x: Element) -> OrderResult:
+    """:func:`order`, backed by closed-form powers for the commands that print
+    it.  A finite order k needs x**k to be the identity and x**(k // q) not
+    to be, for each prime q dividing k.  Infinite order needs x**m, m the
+    order of the permutation part, to be a nonzero lattice element: a finite
+    order would be a multiple of m, and the lattice is torsion free."""
+    result = order(x)
+    if not result.is_finite:
+        check(not (x ** x.perm.order()).is_identity(),
+              "an infinite-order element must have a nonzero power over the identity permutation")
+        return result
+    k = result.value
+    check((x ** k).is_identity(), f"x**{k} must be the identity for an element of order {k}")
+    rest, q = k, 2  # each prime factor of k divides a cycle length, so q stays at most n
+    while rest > 1:
+        if rest % q == 0:
+            check(not (x ** (k // q)).is_identity(),
+                  f"x**{k // q} must not be the identity for an element of order {k}")
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    return result
 
 
 def conjugator_to_section(theta: Element, *others: Element, root: int = 1) -> Element:

@@ -26,7 +26,7 @@ from fractions import Fraction
 import sympy
 from hypothesis import settings
 
-from surfbraid import bieberbach
+from surfbraid import torsion
 from surfbraid.bieberbach import BieberbachDescriptor, TorsionScanReport
 from surfbraid.core import CoeffVector, Element, GroupDescriptor
 from surfbraid.errors import InfiniteOrderError
@@ -213,7 +213,9 @@ def reference_torsion_scan(desc: BieberbachDescriptor, bound: int) -> TorsionSca
     """The coordinate-by-coordinate scan: every coordinate tuple of the box
     from itertools.product, in lexicographic order, and every residue j, each
     element built with :func:`element_from_coords` and checked with
-    ``bieberbach.order`` (looked up at call time, so a patch applies)."""
+    ``torsion.order``, element by element; its finite-order kernel
+    ``torsion.cycle_sums_vanish`` is looked up at call time, so a patch
+    applies."""
     n, g = desc.n, desc.genus
     hits, mismatches, scanned = [], [], 0
     for coords in itertools.product(range(-bound, bound + 1), repeat=2 * n * g):
@@ -221,7 +223,7 @@ def reference_torsion_scan(desc: BieberbachDescriptor, bound: int) -> TorsionSca
         for j in range(n):
             scanned += 1
             elt = element_from_coords(desc, j, coords)
-            if bieberbach.order(elt).is_finite:
+            if torsion.order(elt).is_finite:
                 obstruction = handle1 + j
                 if obstruction != 0:
                     mismatches.append({"coords": list(coords), "j": j, "obstruction": obstruction})

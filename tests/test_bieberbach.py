@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from surfbraid import bieberbach
+from surfbraid import bieberbach, torsion
 from surfbraid.bieberbach import BieberbachDescriptor, GnMembership, make_bieberbach
 from surfbraid.core import CoeffVector, Element
 from surfbraid.errors import DomainError, VerificationError
@@ -429,25 +429,26 @@ def test_torsion_scan_walks_one_orbit_decomposition_per_residue(monkeypatch):
 SCAN_CASES = [(2, 1, 0), (2, 1, 1), (3, 1, 1), (2, 2, 1)]
 
 
-def _record_order(monkeypatch, seen, finite=None):
-    """Wrap bieberbach.order: count each checked (perm images, rows) pair in
-    seen[0], and, if given, call the elements picked by ``finite`` finite."""
-    real = bieberbach.order
+def _record_kernel(monkeypatch, seen, finite=None):
+    """Wrap the finite-order kernel torsion.cycle_sums_vanish, which `order`
+    and the scan both look up at call time: count each (orbits, rows) pair
+    it decides in seen[0], and, if given, call the pairs picked by
+    ``finite`` finite."""
+    real = torsion.cycle_sums_vanish
 
-    def recorded(x):
-        seen[0][(x.perm.images, x.coeffs.rows)] += 1
-        if finite is not None and finite(x):
-            return OrderResult(1)
-        return real(x)
+    def recorded(rows, orbits):
+        seen[0][(orbits, rows)] += 1
+        return real(rows, orbits) or (finite is not None and finite(rows, orbits))
 
-    monkeypatch.setattr(bieberbach, "order", recorded)
+    monkeypatch.setattr(torsion, "cycle_sums_vanish", recorded)
 
 
 def test_torsion_scan_matches_the_coordinate_scan(monkeypatch):
     # The strand tables walk the same box as the coordinate-by-coordinate
-    # scan: the same report, and the same elements handed to order.
+    # scan: the same report, and the same (orbits, rows) pairs handed to the
+    # kernel as the reference's elements give through `order`.
     seen = [None]
-    _record_order(monkeypatch, seen)
+    _record_kernel(monkeypatch, seen)
     for n, g, b in SCAN_CASES:
         desc = make_bieberbach(n, g)
         seen[0] = ours = collections.Counter()
@@ -460,11 +461,11 @@ def test_torsion_scan_matches_the_coordinate_scan(monkeypatch):
 def test_torsion_scan_reports_finite_elements_in_coordinate_order(monkeypatch):
     # With a chosen subset called finite, the lazily decoded coordinates and
     # the sort reproduce the coordinate-lexicographic report entry for entry.
-    def chosen(x):
-        return x.is_identity() or (sum(map(sum, x.coeffs.rows)) + 3 * x.perm.images[0]) % 7 == 0
+    def chosen(rows, orbits):
+        return (sum(map(sum, rows)) + 3 * len(orbits)) % 7 == 0
 
     seen = [collections.Counter()]
-    _record_order(monkeypatch, seen, chosen)
+    _record_kernel(monkeypatch, seen, chosen)
     for n, g, b in SCAN_CASES:
         desc = make_bieberbach(n, g)
         report, reference = desc.torsion_scan(b), reference_torsion_scan(desc, b)
@@ -476,35 +477,67 @@ def test_torsion_scan_reports_finite_elements_in_coordinate_order(monkeypatch):
 
 def test_torsion_scan_validates_and_checks_every_element(monkeypatch):
     # The scan checks each strand-table row once with the constructor's row
-    # check and builds every element from checked rows: when `order` sees an
-    # element, each of its n rows is a row object that passed the check (held
-    # here, so no id is reused), and `order` runs exactly once per element.
+    # check and hands the kernel only checked rows: when the kernel sees a
+    # tuple of rows, it holds n rows, each a row object that passed the
+    # check (held here, so no id is reused), over orbits that cover the n
+    # strands, and the kernel runs exactly once per element.
     checked: dict[int, tuple[int, ...]] = {}
     calls = collections.Counter()
-    real_order, real_check_rows = bieberbach.order, Element._check_rows
+    real_kernel, real_check_rows = torsion.cycle_sums_vanish, Element._check_rows
 
     def recorded_check_rows(group, rows):
         real_check_rows(group, rows)
         checked.update((id(row), row) for row in rows)
 
-    def checked_order(x):
-        calls["order"] += 1
-        rows = x.coeffs.rows
-        if type(rows) is not tuple or len(rows) != x.group.n or len(x.perm.images) != x.group.n:
+    def checked_kernel(rows, orbits):
+        calls["kernel"] += 1
+        if type(rows) is not tuple or len(rows) != n or sorted(itertools.chain(*orbits)) != list(range(1, n + 1)):
             calls["bad size"] += 1
         calls["unchecked rows"] += sum(1 for row in rows if checked.get(id(row)) is not row)
-        return real_order(x)
+        return real_kernel(rows, orbits)
 
     monkeypatch.setattr(Element, "_check_rows", staticmethod(recorded_check_rows))
-    monkeypatch.setattr(bieberbach, "order", checked_order)
+    monkeypatch.setattr(torsion, "cycle_sums_vanish", checked_kernel)
     for n, g, b in SCAN_CASES:
         desc = make_bieberbach(n, g)
         checked.clear()
         calls.clear()
         report = desc.torsion_scan(b)
         assert report.scanned == (2 * b + 1) ** (2 * n * g) * n
-        assert calls["order"] == report.scanned
+        assert calls["kernel"] == report.scanned
         assert calls["bad size"] == calls["unchecked rows"] == 0
+
+
+def test_a_kernel_that_calls_everything_finite_fails_order_and_the_scan(monkeypatch):
+    # `order` and the scan decide finiteness in one place: a single patch
+    # of the kernel turns the generator's infinite order finite and the
+    # passing scan into a failing one.
+    desc = make_bieberbach(2, 1)
+    assert not order(desc.generator).is_finite and desc.torsion_scan(1).passed
+    monkeypatch.setattr(torsion, "cycle_sums_vanish", lambda rows, orbits: True)
+    assert order(desc.generator) == OrderResult(desc.generator.perm.order())
+    assert not desc.torsion_scan(1).passed
+
+
+def test_torsion_scan_builds_an_element_only_for_finite_rows(monkeypatch):
+    # Element._trusted runs inside the scan once per tuple of rows the
+    # kernel calls finite: in the torsion-free subgroup, the identity alone.
+    real_trusted = Element._trusted
+    built = collections.Counter()
+
+    def counted(group, coeffs, perm):
+        built["elements"] += 1
+        return real_trusted(group, coeffs, perm)
+
+    for n, g, b in SCAN_CASES:
+        desc = make_bieberbach(n, g)
+        assert len(desc.powers) == n  # cached before counting
+        built.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Element, "_trusted", staticmethod(counted))
+            report = desc.torsion_scan(b)
+        assert report.passed and report.scanned == (2 * b + 1) ** (2 * n * g) * n
+        assert built["elements"] == 1
 
 
 @pytest.mark.parametrize("fault, message", [
@@ -514,8 +547,8 @@ def test_torsion_scan_validates_and_checks_every_element(monkeypatch):
 ], ids=["float", "bool", "short"])
 def test_torsion_scan_rejects_a_faulty_strand_row(monkeypatch, fault, message):
     # One faulty row, the last of the last strand's first table, is rejected
-    # with the validating constructor's message before any element reaches
-    # `order`.
+    # with the validating constructor's message before any tuple of rows
+    # reaches the finite-order kernel.
     desc = make_bieberbach(2, 1)
     real_strand_row = bieberbach._strand_row
 
@@ -523,11 +556,11 @@ def test_torsion_scan_rejects_a_faulty_strand_row(monkeypatch, fault, message):
         row = real_strand_row(n, lam, i, strand, base_row)
         return fault(row) if (i, lam, strand) == (n - 1, -1, (1, 1)) else row
 
-    def no_order(x):
+    def no_kernel(rows, orbits):
         raise AssertionError("an element was checked before the faulty row was rejected")
 
     monkeypatch.setattr(bieberbach, "_strand_row", faulty_strand_row)
-    monkeypatch.setattr(bieberbach, "order", no_order)
+    monkeypatch.setattr(torsion, "cycle_sums_vanish", no_kernel)
     with pytest.raises(ValueError) as excinfo:
         desc.torsion_scan(1)
     assert str(excinfo.value) == message

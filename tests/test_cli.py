@@ -480,6 +480,21 @@ def test_broken_selftest_exits_3_under_python_O():
     assert "not ok 3 - cycle power formula" in res.stdout
 
 
+def test_selftest_runs_the_torsion_scan_under_python_O():
+    # Suite 5 scans the bound-1 box at n = 2, g = 1 through the finite-order
+    # kernel; nothing else in it reads the kernel, so a kernel that calls
+    # every element finite fails that suite.
+    code = (
+        "import sys\n"
+        "from surfbraid import cli, torsion\n"
+        "torsion.cycle_sums_vanish = lambda rows, orbits: True\n"
+        "sys.exit(cli.main(['selftest']))\n"
+    )
+    res = run_optimized(code)
+    assert res.returncode == 3
+    assert "not ok 5 - bieberbach holonomy matrices and centre" in res.stdout
+
+
 def test_selftest_catches_a_sign_flip_in_the_closed_form_conjugate_under_python_O(tmp_path):
     # A copy of the package whose conjugation adds w'.a instead of subtracting
     # it: the selftest's cross-checks against by * x * by^-1 must reject it in
@@ -559,9 +574,9 @@ def test_verdict_runs_the_strand_action(capsys, monkeypatch):
 
 
 def test_torsion_scan_checks_run_under_python_O():
-    # The scan's checks are explicit branches, not asserts: under -O an order
-    # that calls every element finite still yields hits and mismatches, and
-    # the unpatched scan prints the README output.
+    # The scan's checks are explicit branches, not asserts: under -O a
+    # finite-order kernel that calls every element finite still yields hits
+    # and mismatches, and the unpatched scan prints the README output.
     golden = json.loads((Path(__file__).resolve().parent / "data" / "readme_outputs.json").read_text())
     command = "surfbraid bieberbach torsion-scan --n 2 --genus 1 --bound 1"
     expected = next(entry["stdout"] for entry in golden if entry["command"] == command)
@@ -569,7 +584,7 @@ def test_torsion_scan_checks_run_under_python_O():
         "import json\n"
         "from surfbraid import bieberbach, cli, torsion\n"
         f"cli.main({command.split()[1:]!r})\n"
-        "bieberbach.order = lambda x: torsion.OrderResult(1)  # every element called finite\n"
+        "torsion.cycle_sums_vanish = lambda rows, orbits: True  # every element called finite\n"
         "report = bieberbach.make_bieberbach(2, 1).torsion_scan(1)\n"
         "print(json.dumps([report.scanned, len(report.torsion_hits), len(report.obstruction_mismatches)]))\n"
     )
@@ -584,13 +599,13 @@ def test_torsion_scan_checks_run_under_python_O():
 def test_torsion_scan_row_check_runs_under_python_O():
     # The scan checks its strand-table rows with an explicit branch, not an
     # assert: under -O a float entry from the row builder is still rejected,
-    # before any element reaches `order`.
+    # before any tuple of rows reaches the finite-order kernel.
     code = (
-        "from surfbraid import bieberbach\n"
+        "from surfbraid import bieberbach, torsion\n"
         "desc = bieberbach.make_bieberbach(2, 1)\n"
         "real_strand_row = bieberbach._strand_row\n"
         "bieberbach._strand_row = lambda *args: (0.5,) + real_strand_row(*args)[1:]\n"
-        "bieberbach.order = None  # any element checked would raise TypeError\n"
+        "torsion.cycle_sums_vanish = None  # any element checked would raise TypeError\n"
         "try:\n"
         "    desc.torsion_scan(1)\n"
         "except ValueError as exc:\n"
@@ -599,3 +614,31 @@ def test_torsion_scan_row_check_runs_under_python_O():
     res = run_optimized(code)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "rejected: coefficients must be integers\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("fault, x, message", [
+    ("torsion.cycle_sums_vanish = lambda rows, orbits: True", '{"n":2,"g":1,"perm":[2,1],"coeffs":[[1,0],[0,0]]}',
+     "x**2 must be the identity for an element of order 2"),
+    ("torsion.cycle_sums_vanish = lambda rows, orbits: False", '{"n":2,"g":1,"perm":[2,1],"coeffs":[[1,0],[-1,0]]}',
+     "an infinite-order element must have a nonzero power over the identity permutation"),
+    ("real = Permutation.order\nPermutation.order = lambda self: 2 * real(self)",
+     '{"n":2,"g":1,"perm":[2,1],"coeffs":[[1,0],[-1,0]]}', "x**2 must not be the identity for an element of order 4"),
+], ids=["called-finite", "called-infinite", "order-too-large"])
+def test_order_command_checks_the_printed_order_with_powers(flags, fault, x, message):
+    # The printed order is backed by closed-form powers that run under -O
+    # too: a finite-order kernel that calls every element finite (or every
+    # element infinite), or a permutation order twice too large, makes
+    # `surfbraid order` exit 4 with the power check's message, not print a
+    # wrong order.
+    code = (
+        "import sys\n"
+        "from surfbraid import cli, torsion\n"
+        "from surfbraid.permutations import Permutation\n"
+        f"{fault}\n"
+        f"sys.exit(cli.main(['order', '--n', '2', {x!r}]))\n"
+    )
+    res = subprocess.run([sys.executable, *flags, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, timeout=60)
+    assert (res.returncode, res.stdout) == (4, "")
+    assert res.stderr == f"surfbraid: internal check failed: {message}\n"

@@ -383,7 +383,7 @@ def test_newton_check_survives_python_O():
     assert "VerificationError" in res.stderr
 
 
-def test_infinite_order_matrix_is_rejected_within_dimension_products(monkeypatch):
+def test_infinite_order_matrix_is_rejected_within_max_of_dimension_and_trace_period_products(monkeypatch):
     calls = 0
     original = IntMatrix.__mul__
 

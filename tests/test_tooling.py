@@ -309,7 +309,7 @@ _PUBLIC = {"bieberbach", "core", "errors", "intmatrix", "intpoly", "invariants",
            "permutations", "torsion", "words"}
 _X = '{"n":2,"g":1,"perm":[2,1],"coeffs":[[1,0],[0,0]]}'
 _ELEMENT = {"cli", "core", "errors", "permutations"}
-_BIEBERBACH = _ELEMENT | {"torsion", "bieberbach", "intmatrix"}
+_BIEBERBACH = _ELEMENT | {"bieberbach", "intmatrix"}  # only the scan reads torsion, its kernel
 FOOTPRINTS = [
     (None, set()),
     (["mul", "--n", "2", _X, _X], _ELEMENT),
