@@ -18,20 +18,24 @@ A descriptor holds the group and the generator only.  The basis, the
 generating set, the centre and the holonomy matrix are read through one
 coordinate codec: one encoder, ``coeffs_from_coords``, and one decoder,
 ``lattice_coords``.  The encoder writes each strand's row with
-``_strand_row``, which the torsion scan also reads strand by strand; the
-scan hands each tuple of rows straight to the finite-order kernel
-``torsion.cycle_sums_vanish`` and builds an element only where it says
-finite.  The holonomy matrix is read from the generator's action on
+``_strand_row``, which the torsion scan also reads strand by strand into one
+table per strand.  The scan finds the finite tuples of rows one cycle of the
+residue's permutation at a time, with the join ``torsion.zero_sum_rows``,
+re-checks each with the finite-order kernel ``torsion.cycle_sums_vanish``,
+builds an element only from those, and requires the identity to be found
+exactly once.  The holonomy matrix is read from the generator's action on
 coordinates, with the columns that involve lam decoded and checked to lie
-in L.
+in L.  A membership that the command prints is rebuilt from its residue
+and coordinates and compared with the element.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from functools import cached_property
-from typing import Any
+from typing import Any, Iterator
 
 from . import torsion
 from .core import CoeffVector, Element, GroupDescriptor, _require_elements
@@ -218,6 +222,38 @@ class BieberbachDescriptor(Frozen):
                 check(z * gen == gen * z, "centre element must commute with every generator")
         return tuple(basis)
 
+    def checked_membership(self, x: Element) -> GnMembership:
+        """:meth:`membership`, backed for the command that prints it: a member
+        is rebuilt from its residue and coordinates, as the lattice element
+        with those coordinates times generator**j, and compared with x.
+        :meth:`membership` keeps its cost."""
+        result = self.membership(x)
+        if result.in_group:
+            check(self._lattice_element(result.coords) * self.powers[result.j] == x,
+                  "a member must be rebuilt from its residue and coordinates")
+        return result
+
+    def _strand_tables(self, bound: int) -> Iterator[tuple[int, Element, list[tuple[tuple[int, ...], ...]]]]:
+        """For each residue j and first coordinate lam in [-bound, bound]:
+        j, generator**j and the n strand tables, table i holding the
+        :func:`_strand_row` rows of strand i over the box, one per choice of
+        strand i's coordinates.  Every table row has passed the constructor's
+        row check, and the table count and the residue's permutation its size
+        check, so each tuple of rows, one from each table, meets every
+        condition of the validating Element constructor."""
+        n, group = self.n, self.group
+        box = range(-bound, bound + 1)
+        free = [box] * (2 * self.genus - 1)
+        for j, gj in enumerate(self.powers):
+            for lam in box:
+                tables = [tuple([_strand_row(n, lam, i, strand, row)
+                                 for strand in itertools.product((lam,) if i == 0 else box, *free)])
+                          for i, row in enumerate(gj.coeffs.rows)]
+                Element._check_sizes(group, len(tables), len(gj.perm.images))
+                for table in tables:
+                    Element._check_rows(group, table)
+                yield j, gj, tables
+
     def torsion_scan(self, bound: int) -> TorsionScanReport:
         """Check every element theta * generator**j with lattice coordinates
         in [-bound, bound] and every holonomy residue j: all must have
@@ -226,58 +262,64 @@ class BieberbachDescriptor(Frozen):
         vanish.
 
         For fixed lam = coords[0] and j, row i of the element depends only on
-        strand i's coordinates coords[i::n], so each strand gets one table of
-        :func:`_strand_row` rows and the box is walked as the product of the
-        tables.  Every table row passes the constructor's row check once, and
-        the table count and the residue's permutation its size check, so each
-        tuple of rows, one checked row from each of the n tables, meets every
-        condition of the validating Element constructor.  Each tuple is
-        decided by :func:`~surfbraid.torsion.cycle_sums_vanish`, the kernel of
-        :func:`~surfbraid.torsion.order`, over the residue's orbits, read once
-        per j; only a tuple it calls finite becomes an element
-        (``Element._trusted``, no second check) and is decoded with
-        :meth:`lattice_coords` for the obstruction and identity checks.  In a
-        torsion-free group that is the identity alone, so the cost per element
-        is one kernel call.  Hits and mismatches are reported in (coords, j)
-        order, and the number of elements scanned, counted one by one, is
-        checked against (2*bound + 1)**(2ng) * n."""
+        strand i's coordinates coords[i::n], so each strand gets one checked
+        table of rows (:meth:`_strand_tables`) and the box is the product of
+        the tables.  The finite-order test splits over the cycles of the
+        residue's permutation, so :func:`_joined_rows` finds the finite tuples
+        one cycle at a time, with the join
+        :func:`~surfbraid.torsion.zero_sum_rows`, without visiting every tuple.
+        Each tuple it yields is re-checked with
+        :func:`~surfbraid.torsion.cycle_sums_vanish`, the kernel of
+        :func:`~surfbraid.torsion.order`, so a join that reports too much
+        fails a check; only then does it become an element
+        (``Element._trusted``, no second row check), decoded with
+        :meth:`lattice_coords` for the obstruction and identity checks.  The
+        join must yield the identity exactly once, so a join that drops it
+        fails too.  Hits and mismatches are reported in (coords, j) order, and
+        the number of elements scanned, the sum of the products of the table
+        lengths, is checked against (2*bound + 1)**(2ng) * n."""
         if type(bound) is not int:
             raise DomainError(f"scan bound must be an integer, got {bound!r}")
         if bound < 0:
             raise DomainError(f"scan bound must be >= 0, got {bound}")
         n, g, group = self.n, self.genus, self.group
         _require_elements(group)
-        vanish = torsion.cycle_sums_vanish
-        box = range(-bound, bound + 1)
-        free = [box] * (2 * g - 1)
         hits: list[dict[str, Any]] = []
         mismatches: list[dict[str, Any]] = []
-        scanned = 0
-        for j, gj in enumerate(self.powers):
+        scanned = identities = 0
+        for j, gj, tables in self._strand_tables(bound):
             perm = gj.perm
             orbits = perm.orbits
-            for lam in box:
-                tables = [tuple([_strand_row(n, lam, i, strand, row)
-                                 for strand in itertools.product((lam,) if i == 0 else box, *free)])
-                          for i, row in enumerate(gj.coeffs.rows)]
-                Element._check_sizes(group, len(tables), len(perm.images))
-                for table in tables:
-                    Element._check_rows(group, table)
-                for rows in itertools.product(*tables):
-                    scanned += 1
-                    if vanish(rows, orbits):
-                        elt = Element._trusted(group, CoeffVector(rows), perm)
-                        coords = self.lattice_coords(elt.coeffs - gj.coeffs)
-                        check(coords is not None, "a scanned element must decode to lattice coordinates")
-                        obstruction = n * sum(coords[:n]) + j
-                        if obstruction != 0:
-                            mismatches.append({"coords": list(coords), "j": j, "obstruction": obstruction})
-                        if not elt.is_identity():
-                            hits.append({"coords": list(coords), "j": j})
-        check(scanned == len(box) ** (2 * n * g) * n, "the scan must cover every element of the box")
+            scanned += math.prod(map(len, tables))
+            for rows in _joined_rows(tables, orbits):
+                check(torsion.cycle_sums_vanish(rows, orbits), "a joined tuple of rows must have vanishing cycle sums")
+                elt = Element._trusted(group, CoeffVector(rows), perm)
+                coords = self.lattice_coords(elt.coeffs - gj.coeffs)
+                check(coords is not None, "a scanned element must decode to lattice coordinates")
+                obstruction = n * sum(coords[:n]) + j
+                if obstruction != 0:
+                    mismatches.append({"coords": list(coords), "j": j, "obstruction": obstruction})
+                if elt.is_identity():
+                    identities += 1
+                else:
+                    hits.append({"coords": list(coords), "j": j})
+        check(scanned == (2 * bound + 1) ** (2 * n * g) * n, "the scan must cover every element of the box")
+        check(identities == 1, "the join must find the identity exactly once")
         in_box_order = operator.itemgetter("coords", "j")
         return TorsionScanReport(n, g, bound, scanned, tuple(sorted(hits, key=in_box_order)),
                                  tuple(sorted(mismatches, key=in_box_order)))
+
+
+def _joined_rows(tables: list[tuple[tuple[int, ...], ...]],
+                 orbits: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every tuple of rows, one from each strand table, whose sums vanish over
+    every cycle of ``orbits``: the product of the per-cycle joins
+    :func:`~surfbraid.torsion.zero_sum_rows`, each tuple put back in strand
+    order."""
+    place = sorted(range(len(tables)), key=[c for cycle in orbits for c in cycle].__getitem__)
+    for parts in itertools.product(*[torsion.zero_sum_rows(tables, cycle) for cycle in orbits]):
+        joined = [row for part in parts for row in part]
+        yield tuple([joined[k] for k in place])
 
 
 def make_bieberbach(n: int, genus: int) -> BieberbachDescriptor:

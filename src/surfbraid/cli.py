@@ -223,7 +223,7 @@ def _cmd_bieberbach(args: argparse.Namespace) -> int:
         if args.x is None:
             raise DomainError("membership requires --x ELEMENT_JSON")
         element = _load_element(desc.group, args.x)
-        _emit(args, desc.membership(element).to_json_obj())
+        _emit(args, desc.checked_membership(element).to_json_obj())
     elif args.action == "holonomy":
         _emit(args, {"n": desc.n, "g": desc.genus, "matrix": desc.holonomy_matrix().to_json_obj()})
     elif args.action == "centre":

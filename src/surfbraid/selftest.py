@@ -7,13 +7,14 @@ TAP-style line per suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from functools import reduce
 from typing import Callable, TextIO
 
 from . import nonorientable, torsion, words
-from .bieberbach import make_bieberbach
+from .bieberbach import _joined_rows, make_bieberbach
 from .core import CoeffVector, Element, GroupDescriptor, verify_crystallographic
 from .errors import check
 from .intmatrix import IntMatrix
@@ -119,7 +120,13 @@ def _suite_bieberbach() -> None:
             closed[n * k] = (-1) ** k * math.comb(2 * g, k)
         _check_char_poly(desc.holonomy_matrix(), tuple(closed), "(x^n - 1)^2g")
         check(len(desc.centre()) == 2 * g, "the centre must have rank 2g")
-    scan = make_bieberbach(2, 1).torsion_scan(1)
+    desc = make_bieberbach(2, 1)
+    for _, gj, tables in desc._strand_tables(1):  # the join against the kernel, element by element
+        orbits = gj.perm.orbits
+        finite = [rows for rows in itertools.product(*tables) if torsion.cycle_sums_vanish(rows, orbits)]
+        check(sorted(_joined_rows(tables, orbits)) == sorted(finite),
+              "the join must find exactly the tuples of rows whose cycle sums vanish")
+    scan = desc.torsion_scan(1)
     check(scan.passed and scan.scanned == 162, "the bound-1 torsion scan at n = 2, g = 1 must pass on 162 elements")
 
 

@@ -5,9 +5,12 @@ Frobenius permutation group.
 Detection reads the cycle-sum map S_w of :func:`cycle_sums`: v * section(w)
 has finite order iff the rows of v sum to zero over every cycle of w.
 :func:`cycle_sums_vanish` is that test on plain rows and cycles, shared by
-:func:`order` and the Bieberbach torsion scan.  The closed power formula
-read from the same sums is :meth:`surfbraid.core.Element.__pow__`, with
-which :func:`checked_order` backs the order that the commands print.
+:func:`order` and the Bieberbach torsion scan.  The scan finds its finite
+tuples with :func:`zero_sum_rows`, the same test solved one cycle at a time
+by a meet-in-the-middle join over tables of rows, and re-checks each with
+:func:`cycle_sums_vanish`.  The closed power formula read from the same
+sums is :meth:`surfbraid.core.Element.__pow__`, with which
+:func:`checked_order` backs the order that the commands print.
 Conjugators come from one breadth-first walk of the Schreier graph,
 :func:`conjugator_to_section`.  The lattice is a sum of permutation modules,
 so by Shapiro's lemma that walk closes exactly on finite subgroups.  Two
@@ -72,11 +75,45 @@ def cycle_sums_vanish(rows: tuple[tuple[int, ...], ...], orbits: tuple[tuple[int
     every cycle of ``orbits`` (a permutation's
     :attr:`~surfbraid.permutations.Permutation.orbits`), read up to the first
     nonzero sum; a fixed strand's sum is its own row.  The one place the test
-    is written: :func:`order` and the Bieberbach torsion scan both call it."""
+    is written for one tuple of rows: :func:`order` calls it, and the
+    Bieberbach torsion scan re-checks with it every tuple that
+    :func:`zero_sum_rows` finds."""
     for cycle in orbits:
         if any(rows[cycle[0] - 1] if len(cycle) == 1 else map(sum, zip(*[rows[c - 1] for c in cycle]))):
             return False
     return True
+
+
+def zero_sum_rows(tables: list[tuple[tuple[int, ...], ...]],
+                  cycle: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """The test of :func:`cycle_sums_vanish` on one cycle, solved over row
+    tables: every tuple of rows, one from ``tables[c - 1]`` for each strand c
+    of ``cycle`` in cycle order, whose rows sum to zero.  Rows drawn from a
+    table per strand have vanishing cycle sums iff each cycle's part is in
+    its list, so the finite tuples are the product of the lists.
+
+    A fixed strand keeps its zero rows.  A longer cycle is split in halves
+    (meet in the middle, Horowitz-Sahni 1974): the tuples of the second half
+    are indexed by their negated row sums, and each tuple of the first half
+    looks up its own sum.  Sums are tuples of ints, so every match is an
+    exact comparison."""
+    if len(cycle) == 1:
+        return [(row,) for row in tables[cycle[0] - 1] if not any(row)]
+    half = len(cycle) // 2
+    matches: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {}
+    for part, total in _partial_sums(tables, cycle[half:]):
+        matches.setdefault(tuple([-s for s in total]), []).append(part)
+    return [part + other for part, total in _partial_sums(tables, cycle[:half]) for other in matches.get(total, ())]
+
+
+def _partial_sums(tables: list[tuple[tuple[int, ...], ...]],
+                  strands: tuple[int, ...]) -> list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+    """Each tuple of rows, one from ``tables[c - 1]`` for each strand c of
+    ``strands`` in order, with the sum of its rows."""
+    out = [((row,), row) for row in tables[strands[0] - 1]]
+    for c in strands[1:]:
+        out = [(part + (row,), tuple(list(map(add, total, row)))) for part, total in out for row in tables[c - 1]]
+    return out
 
 
 def order(x: Element) -> OrderResult:

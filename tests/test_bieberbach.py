@@ -174,6 +174,7 @@ def test_membership_reconstruction_round_trip():
             x = element_from_coords(desc, j, coords)
             result = desc.membership(x)
             assert result.in_group and result.j == j and result.coords == coords
+            assert desc.checked_membership(x) == result
 
 
 def test_lattice_characterisation_against_span_oracle():
@@ -429,24 +430,31 @@ def test_torsion_scan_walks_one_orbit_decomposition_per_residue(monkeypatch):
 SCAN_CASES = [(2, 1, 0), (2, 1, 1), (3, 1, 1), (2, 2, 1)]
 
 
-def _record_kernel(monkeypatch, seen, finite=None):
+def _every_tuple(tables, cycle):
+    """A join that reports too much: every tuple of rows of the cycle's tables."""
+    return list(itertools.product(*[tables[c - 1] for c in cycle]))
+
+
+def _record_kernel(monkeypatch, seen):
     """Wrap the finite-order kernel torsion.cycle_sums_vanish, which `order`
-    and the scan both look up at call time: count each (orbits, rows) pair
-    it decides in seen[0], and, if given, call the pairs picked by
-    ``finite`` finite."""
+    and the scan's re-check both look up at call time: count each (orbits,
+    rows) pair it calls finite in seen[0]."""
     real = torsion.cycle_sums_vanish
 
     def recorded(rows, orbits):
-        seen[0][(orbits, rows)] += 1
-        return real(rows, orbits) or (finite is not None and finite(rows, orbits))
+        verdict = real(rows, orbits)
+        if verdict:
+            seen[0][(orbits, rows)] += 1
+        return verdict
 
     monkeypatch.setattr(torsion, "cycle_sums_vanish", recorded)
 
 
 def test_torsion_scan_matches_the_coordinate_scan(monkeypatch):
-    # The strand tables walk the same box as the coordinate-by-coordinate
-    # scan: the same report, and the same (orbits, rows) pairs handed to the
-    # kernel as the reference's elements give through `order`.
+    # The strand tables and the join cover the same box as the
+    # coordinate-by-coordinate scan: the same report, and the (orbits, rows)
+    # pairs the join yields, each re-checked by the kernel, are the pairs the
+    # kernel calls finite among the reference's elements through `order`.
     seen = [None]
     _record_kernel(monkeypatch, seen)
     for n, g, b in SCAN_CASES:
@@ -455,17 +463,29 @@ def test_torsion_scan_matches_the_coordinate_scan(monkeypatch):
         report = desc.torsion_scan(b)
         seen[0] = theirs = collections.Counter()
         assert report == reference_torsion_scan(desc, b)
-        assert ours == theirs and sum(ours.values()) == report.scanned == (2 * b + 1) ** (2 * n * g) * n
+        assert ours == theirs and sum(ours.values()) == 1  # the identity
+        assert report.scanned == (2 * b + 1) ** (2 * n * g) * n
 
 
 def test_torsion_scan_reports_finite_elements_in_coordinate_order(monkeypatch):
-    # With a chosen subset called finite, the lazily decoded coordinates and
-    # the sort reproduce the coordinate-lexicographic report entry for entry.
-    def chosen(rows, orbits):
-        return (sum(map(sum, rows)) + 3 * len(orbits)) % 7 == 0
+    # With a chosen subset of each cycle's row tuples called finite, by the
+    # join and by the kernel alike, the scan puts the joined parts back in
+    # strand order, and the lazily decoded coordinates and the sort reproduce
+    # the coordinate-lexicographic report entry for entry.
+    real_join, real_kernel = torsion.zero_sum_rows, torsion.cycle_sums_vanish
 
-    seen = [collections.Counter()]
-    _record_kernel(monkeypatch, seen, chosen)
+    def chosen(part):
+        return (sum(map(sum, part)) + 3 * len(part)) % 7 == 0
+
+    def join(tables, cycle):
+        zero = set(real_join(tables, cycle))
+        return [part for part in _every_tuple(tables, cycle) if part in zero or chosen(part)]
+
+    def kernel(rows, orbits):
+        return all(real_kernel(rows, (cycle,)) or chosen(tuple([rows[c - 1] for c in cycle])) for cycle in orbits)
+
+    monkeypatch.setattr(torsion, "zero_sum_rows", join)
+    monkeypatch.setattr(torsion, "cycle_sums_vanish", kernel)
     for n, g, b in SCAN_CASES:
         desc = make_bieberbach(n, g)
         report, reference = desc.torsion_scan(b), reference_torsion_scan(desc, b)
@@ -477,17 +497,28 @@ def test_torsion_scan_reports_finite_elements_in_coordinate_order(monkeypatch):
 
 def test_torsion_scan_validates_and_checks_every_element(monkeypatch):
     # The scan checks each strand-table row once with the constructor's row
-    # check and hands the kernel only checked rows: when the kernel sees a
-    # tuple of rows, it holds n rows, each a row object that passed the
-    # check (held here, so no id is reused), over orbits that cover the n
-    # strands, and the kernel runs exactly once per element.
+    # check and hands the join only checked rows: each join call gets the n
+    # tables, every row an object that passed the check (held here, so no id
+    # is reused), and one cycle of the residue's orbits; for each (j, lam) the
+    # join runs once per cycle, and the cycles cover the n strands.  Every
+    # tuple it yields is re-checked by the kernel, n checked rows over orbits
+    # that cover the n strands: in the torsion-free subgroup, the identity
+    # alone.  The scan counts the elements of the box.
     checked: dict[int, tuple[int, ...]] = {}
     calls = collections.Counter()
-    real_kernel, real_check_rows = torsion.cycle_sums_vanish, Element._check_rows
+    real_join, real_kernel, real_check_rows = torsion.zero_sum_rows, torsion.cycle_sums_vanish, Element._check_rows
 
     def recorded_check_rows(group, rows):
         real_check_rows(group, rows)
         checked.update((id(row), row) for row in rows)
+
+    def checked_join(tables, cycle):
+        calls["join"] += 1
+        calls["cycle strands"] += len(cycle)
+        if len(tables) != n or not set(cycle) <= set(range(1, n + 1)):
+            calls["bad size"] += 1
+        calls["unchecked rows"] += sum(1 for table in tables for row in table if checked.get(id(row)) is not row)
+        return real_join(tables, cycle)
 
     def checked_kernel(rows, orbits):
         calls["kernel"] += 1
@@ -497,6 +528,7 @@ def test_torsion_scan_validates_and_checks_every_element(monkeypatch):
         return real_kernel(rows, orbits)
 
     monkeypatch.setattr(Element, "_check_rows", staticmethod(recorded_check_rows))
+    monkeypatch.setattr(torsion, "zero_sum_rows", checked_join)
     monkeypatch.setattr(torsion, "cycle_sums_vanish", checked_kernel)
     for n, g, b in SCAN_CASES:
         desc = make_bieberbach(n, g)
@@ -504,24 +536,68 @@ def test_torsion_scan_validates_and_checks_every_element(monkeypatch):
         calls.clear()
         report = desc.torsion_scan(b)
         assert report.scanned == (2 * b + 1) ** (2 * n * g) * n
-        assert calls["kernel"] == report.scanned
+        assert calls["join"] == (2 * b + 1) * sum(len(gj.perm.orbits) for gj in desc.powers)
+        assert calls["cycle strands"] == (2 * b + 1) * n * n
+        assert calls["kernel"] == 1
         assert calls["bad size"] == calls["unchecked rows"] == 0
 
 
 def test_a_kernel_that_calls_everything_finite_fails_order_and_the_scan(monkeypatch):
-    # `order` and the scan decide finiteness in one place: a single patch
-    # of the kernel turns the generator's infinite order finite and the
-    # passing scan into a failing one.
+    # `order` and the scan's re-check decide finiteness in one place, the
+    # kernel; the join only proposes tuples.  A join that yields every tuple
+    # fails the re-check; with a kernel that also calls everything finite,
+    # the generator's infinite order turns finite and the passing scan into a
+    # failing one.  A join that drops the identity, or finds it twice, fails
+    # the identity check.
     desc = make_bieberbach(2, 1)
     assert not order(desc.generator).is_finite and desc.torsion_scan(1).passed
-    monkeypatch.setattr(torsion, "cycle_sums_vanish", lambda rows, orbits: True)
-    assert order(desc.generator) == OrderResult(desc.generator.perm.order())
-    assert not desc.torsion_scan(1).passed
+    real_join = torsion.zero_sum_rows
+    with monkeypatch.context() as patch:
+        patch.setattr(torsion, "zero_sum_rows", _every_tuple)
+        with pytest.raises(VerificationError, match="a joined tuple of rows must have vanishing cycle sums"):
+            desc.torsion_scan(1)
+        patch.setattr(torsion, "cycle_sums_vanish", lambda rows, orbits: True)
+        assert order(desc.generator) == OrderResult(desc.generator.perm.order())
+        assert not desc.torsion_scan(1).passed
+    for join in (lambda tables, cycle: [], lambda tables, cycle: 2 * real_join(tables, cycle)):
+        monkeypatch.setattr(torsion, "zero_sum_rows", join)
+        with pytest.raises(VerificationError, match="the join must find the identity exactly once"):
+            desc.torsion_scan(1)
+
+
+def test_join_finds_exactly_the_tuples_whose_cycle_sums_vanish():
+    # Per (j, lam) and per cycle, the join's tuples are the brute-force set
+    # {rows in the product of the tables : the kernel calls them finite}, each
+    # once.  (4,1,1) has the cycle types 4, 2+2 and 1^4.
+    joined_any = False
+    for n, g, b in SCAN_CASES + [(4, 1, 1), (3, 1, 2)]:
+        desc = make_bieberbach(n, g)
+        for j, gj, tables in desc._strand_tables(b):
+            orbits = gj.perm.orbits
+            for cycle in orbits:
+                part = collections.Counter(torsion.zero_sum_rows(tables, cycle))
+                brute = collections.Counter(rows for rows in itertools.product(*[tables[c - 1] for c in cycle])
+                                            if torsion.cycle_sums_vanish(rows, (tuple(range(1, len(cycle) + 1)),)))
+                assert part == brute, (n, g, b, j, cycle)
+                joined_any = joined_any or bool(part)
+            finite = collections.Counter(rows for rows in itertools.product(*tables)
+                                         if torsion.cycle_sums_vanish(rows, orbits))
+            assert collections.Counter(bieberbach._joined_rows(tables, orbits)) == finite, (n, g, b, j)
+    assert joined_any
+    assert {tuple(map(len, gj.perm.orbits)) for gj in make_bieberbach(4, 1).powers} == {(4,), (2, 2), (1,) * 4}
+
+
+def test_bound_one_scans_of_larger_boxes_pass():
+    # The join reaches boxes of millions of elements: 3^12 * 3 and 3^12 * 6.
+    for (n, g), scanned in [((3, 2), 1_594_323), ((6, 1), 3_188_646)]:
+        report = make_bieberbach(n, g).torsion_scan(1)
+        assert report.passed and report.scanned == scanned
 
 
 def test_torsion_scan_builds_an_element_only_for_finite_rows(monkeypatch):
-    # Element._trusted runs inside the scan once per tuple of rows the
-    # kernel calls finite: in the torsion-free subgroup, the identity alone.
+    # Element._trusted runs inside the scan once per tuple of rows the join
+    # yields and the kernel re-checks: in the torsion-free subgroup, the
+    # identity alone.
     real_trusted = Element._trusted
     built = collections.Counter()
 
@@ -547,8 +623,8 @@ def test_torsion_scan_builds_an_element_only_for_finite_rows(monkeypatch):
 ], ids=["float", "bool", "short"])
 def test_torsion_scan_rejects_a_faulty_strand_row(monkeypatch, fault, message):
     # One faulty row, the last of the last strand's first table, is rejected
-    # with the validating constructor's message before any tuple of rows
-    # reaches the finite-order kernel.
+    # with the validating constructor's message before any table reaches the
+    # join or any tuple of rows the finite-order kernel.
     desc = make_bieberbach(2, 1)
     real_strand_row = bieberbach._strand_row
 
@@ -556,11 +632,12 @@ def test_torsion_scan_rejects_a_faulty_strand_row(monkeypatch, fault, message):
         row = real_strand_row(n, lam, i, strand, base_row)
         return fault(row) if (i, lam, strand) == (n - 1, -1, (1, 1)) else row
 
-    def no_kernel(rows, orbits):
-        raise AssertionError("an element was checked before the faulty row was rejected")
+    def no_check(*args):
+        raise AssertionError("rows were joined or checked before the faulty row was rejected")
 
     monkeypatch.setattr(bieberbach, "_strand_row", faulty_strand_row)
-    monkeypatch.setattr(torsion, "cycle_sums_vanish", no_kernel)
+    monkeypatch.setattr(torsion, "zero_sum_rows", no_check)
+    monkeypatch.setattr(torsion, "cycle_sums_vanish", no_check)
     with pytest.raises(ValueError) as excinfo:
         desc.torsion_scan(1)
     assert str(excinfo.value) == message

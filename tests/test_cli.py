@@ -480,19 +480,28 @@ def test_broken_selftest_exits_3_under_python_O():
     assert "not ok 3 - cycle power formula" in res.stdout
 
 
+# Two faulty joins for the torsion scan: one that reports every tuple of a
+# cycle's rows, one that reports none, not even the identity's.
+JOIN_FAULTS = {
+    "everything": "torsion.zero_sum_rows = lambda tables, cycle: "
+                  "list(itertools.product(*[tables[c - 1] for c in cycle]))\n",
+    "nothing": "torsion.zero_sum_rows = lambda tables, cycle: []\n",
+}
+
+
 def test_selftest_runs_the_torsion_scan_under_python_O():
-    # Suite 5 scans the bound-1 box at n = 2, g = 1 through the finite-order
-    # kernel; nothing else in it reads the kernel, so a kernel that calls
-    # every element finite fails that suite.
-    code = (
-        "import sys\n"
-        "from surfbraid import cli, torsion\n"
-        "torsion.cycle_sums_vanish = lambda rows, orbits: True\n"
-        "sys.exit(cli.main(['selftest']))\n"
-    )
-    res = run_optimized(code)
-    assert res.returncode == 3
-    assert "not ok 5 - bieberbach holonomy matrices and centre" in res.stdout
+    # Suite 5 compares the join with the finite-order kernel element by
+    # element over the bound-1 box at n = 2, g = 1, then runs the scan;
+    # nothing else in the selftest reads the join, so a join that yields
+    # every tuple, or none, fails that suite alone.
+    for fault in JOIN_FAULTS.values():
+        code = ("import itertools, sys\nfrom surfbraid import cli, torsion\n"
+                + fault + "sys.exit(cli.main(['selftest']))\n")
+        res = run_optimized(code)
+        assert res.returncode == 3, res.stderr
+        failed = [line for line in res.stdout.splitlines() if line.startswith("not ok")]
+        assert failed == ["not ok 5 - bieberbach holonomy matrices and centre: "
+                          "the join must find exactly the tuples of rows whose cycle sums vanish"], res.stdout
 
 
 def test_selftest_catches_a_sign_flip_in_the_closed_form_conjugate_under_python_O(tmp_path):
@@ -574,38 +583,51 @@ def test_verdict_runs_the_strand_action(capsys, monkeypatch):
 
 
 def test_torsion_scan_checks_run_under_python_O():
-    # The scan's checks are explicit branches, not asserts: under -O a
-    # finite-order kernel that calls every element finite still yields hits
-    # and mismatches, and the unpatched scan prints the README output.
+    # The scan's checks are explicit branches, not asserts: under -O the
+    # unpatched scan prints the README output; a join that yields every tuple
+    # fails the kernel's re-check, and a join that yields none fails the
+    # identity check; with a kernel that calls every element finite too, the
+    # scan yields hits and mismatches.
     golden = json.loads((Path(__file__).resolve().parent / "data" / "readme_outputs.json").read_text())
     command = "surfbraid bieberbach torsion-scan --n 2 --genus 1 --bound 1"
     expected = next(entry["stdout"] for entry in golden if entry["command"] == command)
     code = (
-        "import json\n"
-        "from surfbraid import bieberbach, cli, torsion\n"
+        "import itertools, json\n"
+        "from surfbraid import bieberbach, cli, errors, torsion\n"
         f"cli.main({command.split()[1:]!r})\n"
+        "def scan():\n"
+        "    try:\n"
+        "        report = bieberbach.make_bieberbach(2, 1).torsion_scan(1)\n"
+        "    except errors.VerificationError as exc:\n"
+        "        return str(exc)\n"
+        "    return [report.scanned, len(report.torsion_hits), len(report.obstruction_mismatches)]\n"
+        + JOIN_FAULTS["nothing"] + "nothing = scan()\n"
+        + JOIN_FAULTS["everything"] + "everything = scan()\n"
         "torsion.cycle_sums_vanish = lambda rows, orbits: True  # every element called finite\n"
-        "report = bieberbach.make_bieberbach(2, 1).torsion_scan(1)\n"
-        "print(json.dumps([report.scanned, len(report.torsion_hits), len(report.obstruction_mismatches)]))\n"
+        "print(json.dumps([nothing, everything, scan()]))\n"
     )
     res = run_optimized(code)
     assert res.returncode == 0, res.stderr
     box = list(itertools.product(range(-1, 2), repeat=4))
     # every element but the identity is a hit; a mismatch has 2*(c1 + c2) + j != 0
     mismatches = sum(1 for c in box for j in (0, 1) if 2 * (c[0] + c[1]) + j != 0)
-    assert res.stdout == expected + json.dumps([2 * len(box), 2 * len(box) - 1, mismatches]) + "\n"
+    assert res.stdout == expected + json.dumps([
+        "the join must find the identity exactly once",
+        "a joined tuple of rows must have vanishing cycle sums",
+        [2 * len(box), 2 * len(box) - 1, mismatches],
+    ]) + "\n"
 
 
 def test_torsion_scan_row_check_runs_under_python_O():
     # The scan checks its strand-table rows with an explicit branch, not an
     # assert: under -O a float entry from the row builder is still rejected,
-    # before any tuple of rows reaches the finite-order kernel.
+    # before any table reaches the join or any tuple of rows the kernel.
     code = (
         "from surfbraid import bieberbach, torsion\n"
         "desc = bieberbach.make_bieberbach(2, 1)\n"
         "real_strand_row = bieberbach._strand_row\n"
         "bieberbach._strand_row = lambda *args: (0.5,) + real_strand_row(*args)[1:]\n"
-        "torsion.cycle_sums_vanish = None  # any element checked would raise TypeError\n"
+        "torsion.zero_sum_rows = torsion.cycle_sums_vanish = None  # joining or checking would raise TypeError\n"
         "try:\n"
         "    desc.torsion_scan(1)\n"
         "except ValueError as exc:\n"
@@ -642,3 +664,27 @@ def test_order_command_checks_the_printed_order_with_powers(flags, fault, x, mes
                          capture_output=True, text=True, timeout=60)
     assert (res.returncode, res.stdout) == (4, "")
     assert res.stderr == f"surfbraid: internal check failed: {message}\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_membership_command_rebuilds_the_member(flags):
+    # `bieberbach membership` prints "in_group": true only after it rebuilds
+    # the member from its residue and coordinates and compares it with x: a
+    # decoder whose first coordinate is off by one makes it exit 4, also
+    # under -O, not print wrong coordinates.
+    x = '{"n":2,"g":1,"perm":[1,2],"coeffs":[[1,0],[1,0]]}'
+    code = (
+        "import sys\n"
+        "from surfbraid import cli\n"
+        "from surfbraid.bieberbach import BieberbachDescriptor\n"
+        "real = BieberbachDescriptor.lattice_coords\n"
+        "def off_by_one(self, vec):\n"
+        "    coords = real(self, vec)\n"
+        "    return None if coords is None else (coords[0] + 1,) + coords[1:]\n"
+        "BieberbachDescriptor.lattice_coords = off_by_one\n"
+        f"sys.exit(cli.main(['bieberbach', 'membership', '--n', '2', '--genus', '1', '--x', {x!r}]))\n"
+    )
+    res = subprocess.run([sys.executable, *flags, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, timeout=60)
+    assert (res.returncode, res.stdout) == (4, "")
+    assert res.stderr == "surfbraid: internal check failed: a member must be rebuilt from its residue and coordinates\n"
