@@ -92,14 +92,16 @@ def zero_sum_rows(tables: list[tuple[tuple[int, ...], ...]],
     table per strand have vanishing cycle sums iff each cycle's part is in
     its list, so the finite tuples are the product of the lists.
 
-    A fixed strand keeps its zero rows.  A longer cycle is split in halves
-    (meet in the middle, Horowitz-Sahni 1974): the tuples of the second half
-    are indexed by their negated row sums, and each tuple of the first half
+    A fixed strand keeps its zero rows.  A longer cycle is split in two
+    (meet in the middle, Horowitz-Sahni 1974) where the two halves have the
+    fewest row tuples between them: the tuples of the second half are
+    indexed by their negated row sums, and each tuple of the first half
     looks up its own sum.  Sums are tuples of ints, so every match is an
     exact comparison."""
     if len(cycle) == 1:
         return [(row,) for row in tables[cycle[0] - 1] if not any(row)]
-    half = len(cycle) // 2
+    sizes = [len(tables[c - 1]) for c in cycle]
+    half = min(range(1, len(cycle)), key=lambda h: math.prod(sizes[:h]) + math.prod(sizes[h:]))
     matches: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {}
     for part, total in _partial_sums(tables, cycle[half:]):
         matches.setdefault(tuple([-s for s in total]), []).append(part)

@@ -585,6 +585,18 @@ def test_join_finds_exactly_the_tuples_whose_cycle_sums_vanish():
             assert collections.Counter(bieberbach._joined_rows(tables, orbits)) == finite, (n, g, b, j)
     assert joined_any
     assert {tuple(map(len, gj.perm.orbits)) for gj in make_bieberbach(4, 1).powers} == {(4,), (2, 2), (1,) * 4}
+    # In the torsion-free subgroup a cycle of length 3 or more never sums to
+    # zero, so random tables of small rows and sizes give the join's halves
+    # sums with many matches each.
+    rng = random.Random(281)
+    for m in range(1, 6):
+        for _ in range(20):
+            tables = [tuple(tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(rng.randint(1, 6)))
+                      for _ in range(m)]
+            cycle = tuple(rng.sample(range(1, m + 1), m))
+            brute = collections.Counter(rows for rows in itertools.product(*[tables[c - 1] for c in cycle])
+                                        if not any(map(sum, zip(*rows))))
+            assert collections.Counter(torsion.zero_sum_rows(tables, cycle)) == brute, (tables, cycle)
 
 
 def test_bound_one_scans_of_larger_boxes_pass():
