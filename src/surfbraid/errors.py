@@ -83,9 +83,8 @@ class Frozen:
     ``CoeffVector.__init__``) store through the slot descriptors' setters
     instead, bound once at module level next to the class, for example
     ``_set_rows = CoeffVector.rows.__set__``, because ``object.__setattr__``
-    looks the slot up by name on every call, and the torsion scan makes
-    one such construction per element it checks.  This base
-    gives what the ``_fields`` determine: ``Cls(field=value, ...)`` as the
+    looks the slot up by name on every call.  This base gives what the
+    ``_fields`` determine: ``Cls(field=value, ...)`` as the
     repr, equality between instances of the same class only, the hash of
     the key, assignment and deletion that raise AttributeError, and
     pickling and copying that restore the fields without assigning them.

@@ -39,10 +39,10 @@ def test_hot_modules_build_no_tuple_from_a_generator():
 
 
 def test_trusted_constructors_store_through_slot_setters():
-    # The unchecked constructors run once per result of arithmetic and once
-    # per element of the torsion scan.  object.__setattr__ looks the slot up
-    # by name on every call, so they store through the slot descriptors'
-    # setters, bound once at module level (see errors.Frozen).
+    # The unchecked constructors run once per result of arithmetic.
+    # object.__setattr__ looks the slot up by name on every call, so they
+    # store through the slot descriptors' setters, bound once at module
+    # level (see errors.Frozen).
     checked, found = [], []
     for path in sorted(SRC.glob("*.py")):
         for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
