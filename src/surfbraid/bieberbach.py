@@ -18,15 +18,20 @@ A descriptor holds the group and the generator only.  The basis, the
 generating set, the centre and the holonomy matrix are read through one
 coordinate codec: one encoder, ``coeffs_from_coords``, and one decoder,
 ``lattice_coords``.  The encoder writes each strand's row with
-``_strand_row``, which the torsion scan also reads strand by strand into one
-table per strand.  The scan finds the finite tuples of rows one cycle of the
-residue's permutation at a time, with the join ``torsion.zero_sum_rows``,
-re-checks each with the finite-order kernel ``torsion.cycle_sums_vanish``,
-builds an element only from those, and requires the identity to be found
-exactly once.  The holonomy matrix is read from the generator's action on
-coordinates, with the columns that involve lam decoded and checked to lie
-in L.  A membership that the command prints is rebuilt from its residue
-and coordinates and compared with the element.
+``_strand_row``, which the torsion scan also reads, once per scan, into
+offset tables: one for strand 0 and one shared by the other strands.  Each
+scanned row is an offset plus a shift, a row of the residue's power of the
+generator with the first coordinate added.  The scan finds the finite tuples
+one cycle of the residue's permutation at a time, with the join
+``torsion.zero_sum_rows`` on the offsets against minus the cycle's shift
+sum, adds the shifts back to the tuples it finds, re-checks each with the
+constructor's row check and the finite-order kernel
+``torsion.cycle_sums_vanish``, builds an element only from those, and
+requires the identity to be found exactly once.  The holonomy matrix is
+read from the generator's action on coordinates, with the columns that
+involve lam decoded and checked to lie in L.  A membership that the command
+prints is rebuilt from its residue and coordinates and compared with the
+element.
 """
 
 from __future__ import annotations
@@ -233,26 +238,38 @@ class BieberbachDescriptor(Frozen):
                   "a member must be rebuilt from its residue and coordinates")
         return result
 
-    def _strand_tables(self, bound: int) -> Iterator[tuple[int, Element, list[tuple[tuple[int, ...], ...]]]]:
-        """For each residue j and first coordinate lam in [-bound, bound]:
-        j, generator**j and the n strand tables, table i holding the
-        :func:`_strand_row` rows of strand i over the box, one per choice of
-        strand i's coordinates.  Every table row has passed the constructor's
-        row check, and the table count and the residue's permutation its size
-        check, so each tuple of rows, one from each table, meets every
-        condition of the validating Element constructor."""
+    def _strand_tables(self, bound: int) -> list[tuple[int, Element, list[tuple[tuple[int, ...], ...]],
+                                                       tuple[tuple[int, ...], ...]]]:
+        """The scan's rows, written as offset + shift.  Strand i's row at
+        coordinates strand = coords[i::n] over residue j is the offset
+        ``_strand_row(n, 0, i, strand, 0)``, which depends on neither j nor
+        lam = coords[0], plus the shift, row i of generator**j with lam added
+        in handle 1.  The offset tables are built once per call through the
+        codec, one row per choice of strand i's coordinates in the box: one
+        table for strand 0, whose handle-1 coordinate is lam itself, and one
+        shared by strands 1..n-1, whose offsets are identical.  Returns, for
+        each residue j and lam in [-bound, bound], j, generator**j, the n
+        offset tables and the n shift rows.  Before it returns, each table
+        has passed the constructor's row check once, and each (j, lam)'s
+        shift rows have passed it too, and with the table count and the
+        residue's permutation the size check."""
         n, group = self.n, self.group
         box = range(-bound, bound + 1)
         free = [box] * (2 * self.genus - 1)
+        zero = (0,) * (2 * self.genus)
+        first = tuple([_strand_row(n, 0, 0, strand, zero) for strand in itertools.product((0,), *free)])
+        other = tuple([_strand_row(n, 0, 1, strand, zero) for strand in itertools.product(box, *free)])
+        Element._check_rows(group, first)
+        Element._check_rows(group, other)
+        tables = [first] + [other] * (n - 1)
+        out = []
         for j, gj in enumerate(self.powers):
             for lam in box:
-                tables = [tuple([_strand_row(n, lam, i, strand, row)
-                                 for strand in itertools.product((lam,) if i == 0 else box, *free)])
-                          for i, row in enumerate(gj.coeffs.rows)]
-                Element._check_sizes(group, len(tables), len(gj.perm.images))
-                for table in tables:
-                    Element._check_rows(group, table)
-                yield j, gj, tables
+                shifts = tuple([(row[0] + lam,) + row[1:] for row in gj.coeffs.rows])
+                Element._check_sizes(group, len(tables), len(shifts), len(gj.perm.images))
+                Element._check_rows(group, shifts)
+                out.append((j, gj, tables, shifts))
+        return out
 
     def torsion_scan(self, bound: int) -> TorsionScanReport:
         """Check every element theta * generator**j with lattice coordinates
@@ -262,13 +279,17 @@ class BieberbachDescriptor(Frozen):
         vanish.
 
         For fixed lam = coords[0] and j, row i of the element depends only on
-        strand i's coordinates coords[i::n], so each strand gets one checked
-        table of rows (:meth:`_strand_tables`) and the box is the product of
-        the tables.  The finite-order test splits over the cycles of the
-        residue's permutation, so :func:`_joined_rows` finds the finite tuples
-        one cycle at a time, with the join
-        :func:`~surfbraid.torsion.zero_sum_rows`, without visiting every tuple.
-        Each tuple it yields is re-checked with
+        strand i's coordinates coords[i::n], and it is an offset that depends
+        on those coordinates alone plus a shift that depends on (j, lam)
+        alone.  :meth:`_strand_tables` builds and checks the offset tables
+        once and the n shift rows per (j, lam); the box is the product of the
+        tables.  The finite-order test splits over the cycles of the
+        residue's permutation, so :func:`_joined_rows` finds the finite
+        tuples one cycle at a time, with the join
+        :func:`~surfbraid.torsion.zero_sum_rows` on the offsets against minus
+        the cycle's shift sum, without visiting every tuple, and adds the
+        shifts back only to the tuples it finds.  Each tuple it yields passes
+        the constructor's row check and is re-checked with
         :func:`~surfbraid.torsion.cycle_sums_vanish`, the kernel of
         :func:`~surfbraid.torsion.order`, so a join that reports too much
         fails a check; only then does it become an element
@@ -287,11 +308,12 @@ class BieberbachDescriptor(Frozen):
         hits: list[dict[str, Any]] = []
         mismatches: list[dict[str, Any]] = []
         scanned = identities = 0
-        for j, gj, tables in self._strand_tables(bound):
+        for j, gj, tables, shifts in self._strand_tables(bound):
             perm = gj.perm
             orbits = perm.orbits
             scanned += math.prod(map(len, tables))
-            for rows in _joined_rows(tables, orbits):
+            for rows in _joined_rows(tables, shifts, orbits):
+                Element._check_rows(group, rows)
                 check(torsion.cycle_sums_vanish(rows, orbits), "a joined tuple of rows must have vanishing cycle sums")
                 elt = Element._trusted(group, CoeffVector(rows), perm)
                 coords = self.lattice_coords(elt.coeffs - gj.coeffs)
@@ -310,15 +332,23 @@ class BieberbachDescriptor(Frozen):
                                  tuple(sorted(mismatches, key=in_box_order)))
 
 
-def _joined_rows(tables: list[tuple[tuple[int, ...], ...]],
+def _joined_rows(tables: list[tuple[tuple[int, ...], ...]], shifts: tuple[tuple[int, ...], ...],
                  orbits: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every tuple of rows, one from each strand table, whose sums vanish over
-    every cycle of ``orbits``: the product of the per-cycle joins
-    :func:`~surfbraid.torsion.zero_sum_rows`, each tuple put back in strand
-    order."""
+    """Every tuple of rows offset + shift, the offset from strand i's table
+    and the shift row i, whose sums vanish over every cycle of ``orbits``.
+    For each cycle C the join :func:`~surfbraid.torsion.zero_sum_rows` finds
+    the tuples of offsets that sum to the target -(sum of the shifts over
+    C), and only those get their shifts added back; the result is the
+    product of the per-cycle parts, each tuple put back in strand order."""
     place = sorted(range(len(tables)), key=[c for cycle in orbits for c in cycle].__getitem__)
-    for parts in itertools.product(*[torsion.zero_sum_rows(tables, cycle) for cycle in orbits]):
-        joined = [row for part in parts for row in part]
+    parts = []
+    for cycle in orbits:
+        cycle_shifts = [shifts[c - 1] for c in cycle]
+        target = tuple([-total for total in map(sum, zip(*cycle_shifts))])
+        parts.append([tuple([tuple(list(map(operator.add, row, shift))) for row, shift in zip(part, cycle_shifts)])
+                      for part in torsion.zero_sum_rows(tables, cycle, target)])
+    for chosen in itertools.product(*parts):
+        joined = [row for part in chosen for row in part]
         yield tuple([joined[k] for k in place])
 
 

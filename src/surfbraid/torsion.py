@@ -7,8 +7,9 @@ has finite order iff the rows of v sum to zero over every cycle of w.
 :func:`cycle_sums_vanish` is that test on plain rows and cycles, shared by
 :func:`order` and the Bieberbach torsion scan.  The scan finds its finite
 tuples with :func:`zero_sum_rows`, the same test solved one cycle at a time
-by a meet-in-the-middle join over tables of rows, and re-checks each with
-:func:`cycle_sums_vanish`.  The closed power formula read from the same
+by a meet-in-the-middle join over tables of rows against a target (the scan
+joins fixed offsets against minus the cycle's shift sum), and re-checks each
+with :func:`cycle_sums_vanish`.  The closed power formula read from the same
 sums is :meth:`surfbraid.core.Element.__pow__`, with which
 :func:`checked_order` backs the order that the commands print.
 Conjugators come from one breadth-first walk of the Schreier graph,
@@ -23,7 +24,8 @@ conjugated by a partial-sum alpha, are two more named cases.
 from __future__ import annotations
 
 import math
-from operator import add
+from operator import add, sub
+from typing import Callable, Iterator
 
 from .core import ORIENTABLE, CoeffVector, Element, GroupDescriptor
 from .errors import (
@@ -84,38 +86,49 @@ def cycle_sums_vanish(rows: tuple[tuple[int, ...], ...], orbits: tuple[tuple[int
     return True
 
 
-def zero_sum_rows(tables: list[tuple[tuple[int, ...], ...]],
-                  cycle: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+def zero_sum_rows(tables: list[tuple[tuple[int, ...], ...]], cycle: tuple[int, ...],
+                  target: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
     """The test of :func:`cycle_sums_vanish` on one cycle, solved over row
-    tables: every tuple of rows, one from ``tables[c - 1]`` for each strand c
-    of ``cycle`` in cycle order, whose rows sum to zero.  Rows drawn from a
-    table per strand have vanishing cycle sums iff each cycle's part is in
-    its list, so the finite tuples are the product of the lists.
+    tables against a target: every tuple of rows, one from ``tables[c - 1]``
+    for each strand c of ``cycle`` in cycle order, whose rows sum to
+    ``target``.  The Bieberbach torsion scan writes each row as a fixed
+    offset plus a per-residue shift and joins the offsets against minus the
+    cycle's shift sum, so a cycle's rows sum to zero iff its offsets sum to
+    the target, and the finite tuples are the product of the per-cycle lists.
 
-    A fixed strand keeps its zero rows.  A longer cycle is split in two
-    (meet in the middle, Horowitz-Sahni 1974) where the two halves have the
-    fewest row tuples between them: the tuples of the second half are
-    indexed by their negated row sums, and each tuple of the first half
-    looks up its own sum.  Sums are tuples of ints, so every match is an
-    exact comparison."""
+    A fixed strand keeps its rows equal to the target.  A longer cycle is
+    split in two (meet in the middle, Horowitz-Sahni 1974) where the two
+    halves have the fewest row tuples between them.  The half with fewer
+    tuples is indexed by target minus its row sums and held in memory; the
+    tuples of the other half are streamed, each looking up its own sum.
+    Sums are tuples of ints, so every match is an exact comparison."""
     if len(cycle) == 1:
-        return [(row,) for row in tables[cycle[0] - 1] if not any(row)]
+        return [(row,) for row in tables[cycle[0] - 1] if row == target]
     sizes = [len(tables[c - 1]) for c in cycle]
     half = min(range(1, len(cycle)), key=lambda h: math.prod(sizes[:h]) + math.prod(sizes[h:]))
+    first_indexed = math.prod(sizes[:half]) <= math.prod(sizes[half:])
+    indexed, streamed = (cycle[:half], cycle[half:]) if first_indexed else (cycle[half:], cycle[:half])
     matches: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {}
-    for part, total in _partial_sums(tables, cycle[half:]):
-        matches.setdefault(tuple([-s for s in total]), []).append(part)
-    return [part + other for part, total in _partial_sums(tables, cycle[:half]) for other in matches.get(total, ())]
+    for part, rest in _partial_sums(tables, indexed, target, sub):
+        matches.setdefault(rest, []).append(part)
+    return [other + part if first_indexed else part + other
+            for part, total in _partial_sums(tables, streamed, (0,) * len(target), add)
+            for other in matches.get(total, ())]
 
 
-def _partial_sums(tables: list[tuple[tuple[int, ...], ...]],
-                  strands: tuple[int, ...]) -> list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+def _partial_sums(tables: list[tuple[tuple[int, ...], ...]], strands: tuple[int, ...], start: tuple[int, ...],
+                  op: Callable[[int, int], int]) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
     """Each tuple of rows, one from ``tables[c - 1]`` for each strand c of
-    ``strands`` in order, with the sum of its rows."""
-    out = [((row,), row) for row in tables[strands[0] - 1]]
-    for c in strands[1:]:
-        out = [(part + (row,), tuple(list(map(add, total, row)))) for part, total in out for row in tables[c - 1]]
-    return out
+    ``strands`` in order, with ``start`` folded with its rows by ``op``,
+    yielded one at a time: only the tuples of the strands before the last
+    are held."""
+    out = [((), start)]
+    for c in strands[:-1]:
+        out = [(part + (row,), tuple(list(map(op, total, row)))) for part, total in out for row in tables[c - 1]]
+    last = tables[strands[-1] - 1]
+    for part, total in out:
+        for row in last:
+            yield part + (row,), tuple(list(map(op, total, row)))
 
 
 def order(x: Element) -> OrderResult:

@@ -430,8 +430,9 @@ def test_torsion_scan_walks_one_orbit_decomposition_per_residue(monkeypatch):
 SCAN_CASES = [(2, 1, 0), (2, 1, 1), (3, 1, 1), (2, 2, 1)]
 
 
-def _every_tuple(tables, cycle):
-    """A join that reports too much: every tuple of rows of the cycle's tables."""
+def _every_tuple(tables, cycle, target):
+    """A join that reports too much: every tuple of rows of the cycle's
+    tables, whatever their sum."""
     return list(itertools.product(*[tables[c - 1] for c in cycle]))
 
 
@@ -471,18 +472,22 @@ def test_torsion_scan_reports_finite_elements_in_coordinate_order(monkeypatch):
     # With a chosen subset of each cycle's row tuples called finite, by the
     # join and by the kernel alike, the scan puts the joined parts back in
     # strand order, and the lazily decoded coordinates and the sort reproduce
-    # the coordinate-lexicographic report entry for entry.
+    # the coordinate-lexicographic report entry for entry.  The join sees
+    # offsets, whose entries sum to those of the scanned rows minus those of
+    # the cycle's shifts, that is plus those of the target.
     real_join, real_kernel = torsion.zero_sum_rows, torsion.cycle_sums_vanish
 
-    def chosen(part):
-        return (sum(map(sum, part)) + 3 * len(part)) % 7 == 0
+    def chosen(total, length):
+        return (total + 3 * length) % 7 == 0
 
-    def join(tables, cycle):
-        zero = set(real_join(tables, cycle))
-        return [part for part in _every_tuple(tables, cycle) if part in zero or chosen(part)]
+    def join(tables, cycle, target):
+        hits = set(real_join(tables, cycle, target))
+        return [part for part in _every_tuple(tables, cycle, target)
+                if part in hits or chosen(sum(map(sum, part)) - sum(target), len(part))]
 
     def kernel(rows, orbits):
-        return all(real_kernel(rows, (cycle,)) or chosen(tuple([rows[c - 1] for c in cycle])) for cycle in orbits)
+        return all(real_kernel(rows, (cycle,)) or chosen(sum([sum(rows[c - 1]) for c in cycle]), len(cycle))
+                   for cycle in orbits)
 
     monkeypatch.setattr(torsion, "zero_sum_rows", join)
     monkeypatch.setattr(torsion, "cycle_sums_vanish", kernel)
@@ -496,29 +501,33 @@ def test_torsion_scan_reports_finite_elements_in_coordinate_order(monkeypatch):
 
 
 def test_torsion_scan_validates_and_checks_every_element(monkeypatch):
-    # The scan checks each strand-table row once with the constructor's row
-    # check and hands the join only checked rows: each join call gets the n
+    # The scan checks each row of its two offset tables once, each (j, lam)'s
+    # n shift rows once and each joined tuple once with the constructor's row
+    # check, and hands the join only checked rows: each join call gets the n
     # tables, every row an object that passed the check (held here, so no id
-    # is reused), and one cycle of the residue's orbits; for each (j, lam) the
-    # join runs once per cycle, and the cycles cover the n strands.  Every
-    # tuple it yields is re-checked by the kernel, n checked rows over orbits
-    # that cover the n strands: in the torsion-free subgroup, the identity
-    # alone.  The scan counts the elements of the box.
+    # is reused), one cycle of the residue's orbits and a target of 2g ints;
+    # for each (j, lam) the join runs once per cycle, and the cycles cover
+    # the n strands.  Every tuple it yields is re-checked by the kernel, n
+    # checked rows over orbits that cover the n strands: in the torsion-free
+    # subgroup, the identity alone.  The scan counts the elements of the box.
     checked: dict[int, tuple[int, ...]] = {}
     calls = collections.Counter()
     real_join, real_kernel, real_check_rows = torsion.zero_sum_rows, torsion.cycle_sums_vanish, Element._check_rows
 
     def recorded_check_rows(group, rows):
         real_check_rows(group, rows)
+        calls["row checks"] += 1
         checked.update((id(row), row) for row in rows)
 
-    def checked_join(tables, cycle):
+    def checked_join(tables, cycle, target):
         calls["join"] += 1
         calls["cycle strands"] += len(cycle)
         if len(tables) != n or not set(cycle) <= set(range(1, n + 1)):
             calls["bad size"] += 1
+        if type(target) is not tuple or len(target) != 2 * g or any(type(v) is not int for v in target):
+            calls["bad target"] += 1
         calls["unchecked rows"] += sum(1 for table in tables for row in table if checked.get(id(row)) is not row)
-        return real_join(tables, cycle)
+        return real_join(tables, cycle, target)
 
     def checked_kernel(rows, orbits):
         calls["kernel"] += 1
@@ -532,6 +541,7 @@ def test_torsion_scan_validates_and_checks_every_element(monkeypatch):
     monkeypatch.setattr(torsion, "cycle_sums_vanish", checked_kernel)
     for n, g, b in SCAN_CASES:
         desc = make_bieberbach(n, g)
+        assert len(desc.powers) == n  # cached before counting
         checked.clear()
         calls.clear()
         report = desc.torsion_scan(b)
@@ -539,7 +549,8 @@ def test_torsion_scan_validates_and_checks_every_element(monkeypatch):
         assert calls["join"] == (2 * b + 1) * sum(len(gj.perm.orbits) for gj in desc.powers)
         assert calls["cycle strands"] == (2 * b + 1) * n * n
         assert calls["kernel"] == 1
-        assert calls["bad size"] == calls["unchecked rows"] == 0
+        assert calls["row checks"] == 2 + (2 * b + 1) * n + 1
+        assert calls["bad size"] == calls["bad target"] == calls["unchecked rows"] == 0
 
 
 def test_a_kernel_that_calls_everything_finite_fails_order_and_the_scan(monkeypatch):
@@ -559,44 +570,98 @@ def test_a_kernel_that_calls_everything_finite_fails_order_and_the_scan(monkeypa
         patch.setattr(torsion, "cycle_sums_vanish", lambda rows, orbits: True)
         assert order(desc.generator) == OrderResult(desc.generator.perm.order())
         assert not desc.torsion_scan(1).passed
-    for join in (lambda tables, cycle: [], lambda tables, cycle: 2 * real_join(tables, cycle)):
+    for join in (lambda tables, cycle, target: [],
+                 lambda tables, cycle, target: 2 * real_join(tables, cycle, target)):
         monkeypatch.setattr(torsion, "zero_sum_rows", join)
         with pytest.raises(VerificationError, match="the join must find the identity exactly once"):
             desc.torsion_scan(1)
 
 
+def _shifted(tables, shifts):
+    """The scanned rows: each offset table with its strand's shift row added."""
+    return [tuple([tuple(map(operator.add, row, shift)) for row in table]) for table, shift in zip(tables, shifts)]
+
+
 def test_join_finds_exactly_the_tuples_whose_cycle_sums_vanish():
-    # Per (j, lam) and per cycle, the join's tuples are the brute-force set
-    # {rows in the product of the tables : the kernel calls them finite}, each
-    # once.  (4,1,1) has the cycle types 4, 2+2 and 1^4.
+    # Per (j, lam) and per cycle, the join's tuples of offsets are the
+    # brute-force set {offsets in the product of the tables : they sum to
+    # minus the cycle's shift sum}, each once, and the joined rows are
+    # {rows in the product of the shifted tables : the kernel calls them
+    # finite}.  (4,1,1) has the cycle types 4, 2+2 and 1^4.
     joined_any = False
     for n, g, b in SCAN_CASES + [(4, 1, 1), (3, 1, 2)]:
         desc = make_bieberbach(n, g)
-        for j, gj, tables in desc._strand_tables(b):
+        for j, gj, tables, shifts in desc._strand_tables(b):
             orbits = gj.perm.orbits
             for cycle in orbits:
-                part = collections.Counter(torsion.zero_sum_rows(tables, cycle))
+                target = tuple([-v for v in map(sum, zip(*[shifts[c - 1] for c in cycle]))])
+                part = collections.Counter(torsion.zero_sum_rows(tables, cycle, target))
                 brute = collections.Counter(rows for rows in itertools.product(*[tables[c - 1] for c in cycle])
-                                            if torsion.cycle_sums_vanish(rows, (tuple(range(1, len(cycle) + 1)),)))
+                                            if tuple(map(sum, zip(*rows))) == target)
                 assert part == brute, (n, g, b, j, cycle)
                 joined_any = joined_any or bool(part)
-            finite = collections.Counter(rows for rows in itertools.product(*tables)
+            finite = collections.Counter(rows for rows in itertools.product(*_shifted(tables, shifts))
                                          if torsion.cycle_sums_vanish(rows, orbits))
-            assert collections.Counter(bieberbach._joined_rows(tables, orbits)) == finite, (n, g, b, j)
+            assert collections.Counter(bieberbach._joined_rows(tables, shifts, orbits)) == finite, (n, g, b, j)
     assert joined_any
     assert {tuple(map(len, gj.perm.orbits)) for gj in make_bieberbach(4, 1).powers} == {(4,), (2, 2), (1,) * 4}
     # In the torsion-free subgroup a cycle of length 3 or more never sums to
     # zero, so random tables of small rows and sizes give the join's halves
-    # sums with many matches each.
+    # sums with many matches each, against the zero target and random
+    # nonzero ones.
     rng = random.Random(281)
+    nonzero = 0
     for m in range(1, 6):
         for _ in range(20):
             tables = [tuple(tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(rng.randint(1, 6)))
                       for _ in range(m)]
             cycle = tuple(rng.sample(range(1, m + 1), m))
-            brute = collections.Counter(rows for rows in itertools.product(*[tables[c - 1] for c in cycle])
-                                        if not any(map(sum, zip(*rows))))
-            assert collections.Counter(torsion.zero_sum_rows(tables, cycle)) == brute, (tables, cycle)
+            for target in [(0, 0)] + [(rng.randint(-m, m), rng.randint(-m, m)) for _ in range(3)]:
+                brute = collections.Counter(rows for rows in itertools.product(*[tables[c - 1] for c in cycle])
+                                            if tuple(map(sum, zip(*rows))) == target)
+                assert collections.Counter(torsion.zero_sum_rows(tables, cycle, target)) == brute, (tables, cycle)
+                nonzero += bool(any(target) and brute)
+    assert nonzero >= 50
+
+
+def test_offset_tables_plus_shifts_are_the_codec_rows():
+    # The hoist matches the codec: for every (j, lam), strand i and choice
+    # of strand i's coordinates, offset + shift is the row that _strand_row
+    # writes over generator**j.  Strand 0's handle-1 coordinate is lam.
+    for n, g, b in SCAN_CASES:
+        desc = make_bieberbach(n, g)
+        box = range(-b, b + 1)
+        free = [box] * (2 * g - 1)
+        residues = list(itertools.product(range(n), box))
+        yielded = list(desc._strand_tables(b))
+        assert [j for j, *_ in yielded] == [j for j, _ in residues]
+        for (j, gj, tables, shifts), (_, lam) in zip(yielded, residues):
+            assert gj == desc.powers[j] and len(tables) == len(shifts) == n
+            for i, (table, shift) in enumerate(zip(tables, shifts)):
+                strands = list(itertools.product((lam,) if i == 0 else box, *free))
+                assert len(table) == len(strands)
+                for offset, strand in zip(table, strands):
+                    assert (tuple(map(operator.add, offset, shift))
+                            == bieberbach._strand_row(n, lam, i, strand, gj.coeffs.rows[i])), (n, g, b, j, lam, i)
+
+
+@pytest.mark.parametrize("n, g, b", [(n, 1, b) for n in range(2, 7) for b in (0, 1)]
+                         + [(2, 1, 2), (2, 2, 1), (3, 2, 0), (3, 2, 1)])
+def test_a_scan_builds_each_offset_row_once(monkeypatch, n, g, b):
+    # One scan calls the codec's row writer once per offset row: strand 0's
+    # table and the table shared by strands 1..n-1, so the count depends on
+    # neither n nor the number of residues.
+    real_strand_row = bieberbach._strand_row
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real_strand_row(*args)
+
+    desc = make_bieberbach(n, g)
+    monkeypatch.setattr(bieberbach, "_strand_row", counted)
+    assert desc.torsion_scan(b).passed
+    assert calls[0] == (2 * b + 1) ** (2 * g - 1) + (2 * b + 1) ** (2 * g)
 
 
 def test_bound_one_scans_of_larger_boxes_pass():
@@ -634,20 +699,51 @@ def test_torsion_scan_builds_an_element_only_for_finite_rows(monkeypatch):
     (lambda row: row[:-1], "every coefficient row must have 2 entries (rows as a tuple of tuples)"),
 ], ids=["float", "bool", "short"])
 def test_torsion_scan_rejects_a_faulty_strand_row(monkeypatch, fault, message):
-    # One faulty row, the last of the last strand's first table, is rejected
-    # with the validating constructor's message before any table reaches the
-    # join or any tuple of rows the finite-order kernel.
+    # One faulty row, the last of the offset table shared by strands
+    # 1..n-1, built once with lam = 0, is rejected with the validating
+    # constructor's message before any table reaches the join or any tuple of
+    # rows the finite-order kernel.
     desc = make_bieberbach(2, 1)
     real_strand_row = bieberbach._strand_row
+    faulted = []
 
     def faulty_strand_row(n, lam, i, strand, base_row):
         row = real_strand_row(n, lam, i, strand, base_row)
-        return fault(row) if (i, lam, strand) == (n - 1, -1, (1, 1)) else row
+        if (i, lam, strand) == (n - 1, 0, (1, 1)):
+            faulted.append(row)
+            return fault(row)
+        return row
 
     def no_check(*args):
         raise AssertionError("rows were joined or checked before the faulty row was rejected")
 
     monkeypatch.setattr(bieberbach, "_strand_row", faulty_strand_row)
+    monkeypatch.setattr(torsion, "zero_sum_rows", no_check)
+    monkeypatch.setattr(torsion, "cycle_sums_vanish", no_check)
+    with pytest.raises(ValueError) as excinfo:
+        desc.torsion_scan(1)
+    assert str(excinfo.value) == message
+    assert faulted == [(2, 2)]
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda row: (row[0], float(row[1])), "coefficients must be integers"),
+    (lambda row: (row[0], True), "coefficients must be integers"),
+    (lambda row: row[:-1], "every coefficient row must have 2 entries (rows as a tuple of tuples)"),
+], ids=["float", "bool", "short"])
+def test_torsion_scan_rejects_a_faulty_shift_row(monkeypatch, fault, message):
+    # A faulty row in a cached power of the generator, the base of one
+    # residue's shift rows, is rejected with the validating constructor's
+    # message before any table reaches the join or any tuple of rows the
+    # finite-order kernel.
+    desc = make_bieberbach(2, 1)
+    g1 = desc.powers[1]
+    rows = (fault(g1.coeffs.rows[0]),) + g1.coeffs.rows[1:]
+    desc.__dict__["powers"] = (desc.powers[0], Element._trusted(desc.group, CoeffVector(rows), g1.perm))
+
+    def no_check(*args):
+        raise AssertionError("rows were joined or checked before the faulty shift row was rejected")
+
     monkeypatch.setattr(torsion, "zero_sum_rows", no_check)
     monkeypatch.setattr(torsion, "cycle_sums_vanish", no_check)
     with pytest.raises(ValueError) as excinfo:

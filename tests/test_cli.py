@@ -483,9 +483,9 @@ def test_broken_selftest_exits_3_under_python_O():
 # Two faulty joins for the torsion scan: one that reports every tuple of a
 # cycle's rows, one that reports none, not even the identity's.
 JOIN_FAULTS = {
-    "everything": "torsion.zero_sum_rows = lambda tables, cycle: "
+    "everything": "torsion.zero_sum_rows = lambda tables, cycle, target: "
                   "list(itertools.product(*[tables[c - 1] for c in cycle]))\n",
-    "nothing": "torsion.zero_sum_rows = lambda tables, cycle: []\n",
+    "nothing": "torsion.zero_sum_rows = lambda tables, cycle, target: []\n",
 }
 
 
@@ -618,15 +618,14 @@ def test_torsion_scan_checks_run_under_python_O():
     ]) + "\n"
 
 
-def test_torsion_scan_row_check_runs_under_python_O():
-    # The scan checks its strand-table rows with an explicit branch, not an
-    # assert: under -O a float entry from the row builder is still rejected,
-    # before any table reaches the join or any tuple of rows the kernel.
+def _rejected_under_python_O(fault):
+    """Run a bound-1 scan at n = 2, g = 1 under -O after ``fault``, with the
+    join and the kernel unset, and return what it printed."""
     code = (
         "from surfbraid import bieberbach, torsion\n"
+        "from surfbraid.core import CoeffVector, Element\n"
         "desc = bieberbach.make_bieberbach(2, 1)\n"
-        "real_strand_row = bieberbach._strand_row\n"
-        "bieberbach._strand_row = lambda *args: (0.5,) + real_strand_row(*args)[1:]\n"
+        + fault +
         "torsion.zero_sum_rows = torsion.cycle_sums_vanish = None  # joining or checking would raise TypeError\n"
         "try:\n"
         "    desc.torsion_scan(1)\n"
@@ -635,7 +634,27 @@ def test_torsion_scan_row_check_runs_under_python_O():
     )
     res = run_optimized(code)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "rejected: coefficients must be integers\n"
+    return res.stdout
+
+
+def test_torsion_scan_row_check_runs_under_python_O():
+    # The scan checks its offset-table rows with an explicit branch, not an
+    # assert: under -O a float entry from the row builder is still rejected,
+    # before any table reaches the join or any tuple of rows the kernel.
+    assert _rejected_under_python_O(
+        "real_strand_row = bieberbach._strand_row\n"
+        "bieberbach._strand_row = lambda *args: (0.5,) + real_strand_row(*args)[1:]\n"
+    ) == "rejected: coefficients must be integers\n"
+
+
+def test_torsion_scan_shift_row_check_runs_under_python_O():
+    # The same for the shift rows: a float entry in a cached power of the
+    # generator is rejected under -O before the join.
+    assert _rejected_under_python_O(
+        "g1 = desc.powers[1]\n"
+        "rows = ((g1.coeffs.rows[0][0], 0.5),) + g1.coeffs.rows[1:]\n"
+        "desc.__dict__['powers'] = (desc.powers[0], Element._trusted(desc.group, CoeffVector(rows), g1.perm))\n"
+    ) == "rejected: coefficients must be integers\n"
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
