@@ -2,6 +2,7 @@ import collections
 import functools
 import inspect
 import itertools
+import math
 import operator
 import random
 
@@ -622,6 +623,34 @@ def test_join_finds_exactly_the_tuples_whose_cycle_sums_vanish():
                 assert collections.Counter(torsion.zero_sum_rows(tables, cycle, target)) == brute, (tables, cycle)
                 nonzero += bool(any(target) and brute)
     assert nonzero >= 50
+
+
+def test_join_indexes_the_half_with_fewer_row_tuples(monkeypatch):
+    # The join holds only the half of a cycle that it indexes, the one with
+    # fewer row tuples, and streams the other: per call of a cycle of length
+    # 2 or more, one half is folded from the target by subtraction (the
+    # index) and the other from zero by addition, and the index is never the
+    # larger half.
+    real_partial_sums = torsion._partial_sums
+    halves = []
+
+    def recorded(tables, strands, start, op):
+        halves.append((op, math.prod(len(tables[c - 1]) for c in strands)))
+        return real_partial_sums(tables, strands, start, op)
+
+    monkeypatch.setattr(torsion, "_partial_sums", recorded)
+    rng = random.Random(30)
+    for m in range(2, 6):
+        for _ in range(10):
+            tables = [tuple(tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(rng.randint(1, 9)))
+                      for _ in range(m)]
+            halves.clear()
+            torsion.zero_sum_rows(tables, tuple(rng.sample(range(1, m + 1), m)), (0, 0))
+            (index_op, indexed), (stream_op, streamed) = halves
+            assert (index_op, stream_op) == (operator.sub, operator.add) and indexed <= streamed
+    halves.clear()
+    assert make_bieberbach(4, 1).torsion_scan(1).passed
+    assert halves and all(indexed <= streamed for (_, indexed), (_, streamed) in zip(halves[::2], halves[1::2]))
 
 
 def test_offset_tables_plus_shifts_are_the_codec_rows():
