@@ -31,7 +31,6 @@ _EXPORTS = {
         "core": ("CoeffVector", "Element", "GroupDescriptor", "Verdict", "verify_crystallographic"),
         "errors": ("DomainError",),
         "intmatrix": ("IntMatrix",),
-        "intpoly": ("IntPoly",),
         "invariants": ("CyclicRep", "anosov_check", "betti_numbers", "invariant_report", "kahler_check",
                        "orientability"),
         "nonorientable": ("AbelianInvariants", "FiniteNormalWitness", "MixedElement", "finite_normal_subgroup",

@@ -15,23 +15,19 @@ entry is divisible by n; this characterisation is validated against a
 brute-force span oracle in the test suite.
 
 A descriptor holds the group and the generator only.  The basis, the
-generating set, the centre and the holonomy matrix are read through one
-coordinate codec: one encoder, ``coeffs_from_coords``, and one decoder,
-``lattice_coords``.  The encoder writes each strand's row with
-``_strand_row``, which the torsion scan also reads, once per scan, into
-offset tables: one for strand 0 and one shared by the other strands.  Each
-scanned row is an offset plus a shift, a row of the residue's power of the
-generator with the first coordinate added.  The scan finds the finite tuples
-one cycle of the residue's permutation at a time, with the join
-``torsion.zero_sum_rows`` on the offsets against minus the cycle's shift
-sum, adds the shifts back to the tuples it finds, re-checks each with the
-constructor's row check and the finite-order kernel
-``torsion.cycle_sums_vanish``, builds an element only from those, and
-requires the identity to be found exactly once.  The holonomy matrix is
-read from the generator's action on coordinates, with the columns that
-involve lam decoded and checked to lie in L.  A membership that the command
-prints is rebuilt from its residue and coordinates and compared with the
-element.
+generating set, the centre, the holonomy matrix and the torsion scan's rows
+are read through one coordinate codec: one encoder, ``coeffs_from_coords``,
+which writes each strand's row with ``_strand_row``, and one decoder,
+``lattice_coords``.  The checks that run: the holonomy matrix's columns
+that involve lam are decoded and must lie in L; a membership that the
+command prints is rebuilt from its residue and coordinates and compared
+with the element (``checked_membership``); and ``torsion_scan``, which
+covers every element of a coordinate box without visiting each one
+(``_strand_tables``, ``_joined_rows`` and ``torsion.zero_sum_rows``), runs
+the constructor's row check on every row it builds and on every tuple it
+reports, re-checks each tuple with the finite-order kernel
+``torsion.cycle_sums_vanish``, requires the identity exactly once, and
+checks the number of elements scanned against the size of the box.
 """
 
 from __future__ import annotations
@@ -278,26 +274,17 @@ class BieberbachDescriptor(Frozen):
         handle-1 counting obstruction n*(sum of handle-1 coordinates) + j to
         vanish.
 
-        For fixed lam = coords[0] and j, row i of the element depends only on
-        strand i's coordinates coords[i::n], and it is an offset that depends
-        on those coordinates alone plus a shift that depends on (j, lam)
-        alone.  :meth:`_strand_tables` builds and checks the offset tables
-        once and the n shift rows per (j, lam); the box is the product of the
-        tables.  The finite-order test splits over the cycles of the
-        residue's permutation, so :func:`_joined_rows` finds the finite
-        tuples one cycle at a time, with the join
-        :func:`~surfbraid.torsion.zero_sum_rows` on the offsets against minus
-        the cycle's shift sum, without visiting every tuple, and adds the
-        shifts back only to the tuples it finds.  Each tuple it yields passes
-        the constructor's row check and is re-checked with
-        :func:`~surfbraid.torsion.cycle_sums_vanish`, the kernel of
+        The box for each (j, lam) is the product of the tables of
+        :meth:`_strand_tables`, and :func:`_joined_rows` yields its finite
+        tuples.  Each passes the constructor's row check and is re-checked
+        with :func:`~surfbraid.torsion.cycle_sums_vanish`, the kernel of
         :func:`~surfbraid.torsion.order`, so a join that reports too much
         fails a check; only then does it become an element
         (``Element._trusted``, no second row check), decoded with
         :meth:`lattice_coords` for the obstruction and identity checks.  The
-        join must yield the identity exactly once, so a join that drops it
-        fails too.  Hits and mismatches are reported in (coords, j) order, and
-        the number of elements scanned, the sum of the products of the table
+        identity must be found exactly once, so a join that drops it fails
+        too.  Hits and mismatches are reported in (coords, j) order, and the
+        number of elements scanned, the sum of the products of the table
         lengths, is checked against (2*bound + 1)**(2ng) * n."""
         if type(bound) is not int:
             raise DomainError(f"scan bound must be an integer, got {bound!r}")

@@ -2,23 +2,18 @@
 orientability, Betti numbers of the associated flat manifold, and the
 multiplicity criteria deciding Anosov diffeomorphisms and Kaehler structure.
 
-Every invariant is derived from one vector of power traces tr(M^k), computed
-once per CyclicRep: Newton's identities turn the traces of M^j into the
-coefficients of det(I + t M^j), which give the characteristic polynomial
-(j = 1), the determinant and the Betti numbers (all j).  The cyclotomic
-multiplicities that decide the Anosov and Kaehler criteria come from the
-same traces by the rational characters of Z/p, the Ramanujan sums, and one
-exact evaluation ties them back to the characteristic polynomial.  A chain
-that has not closed by M^dim is cut at the period of its power sums,
-extended past tr M^dim by the Cayley-Hamilton recurrence.  No polynomial
-is divided or factored.
-
-The work is sized to what the inputs need: the power chain runs on sparse
-row products (:meth:`IntMatrix.__mul__`), in which most rows of a
-permutation-like holonomy matrix reuse a row of the previous power as it
-is; each e_k of Newton's identities is one dot product; and Newton runs
-once per distinct power-sum sequence of a rep, construction included, not
-once per group element.
+Every invariant is exact and read from the power traces tr(M^k) that
+:class:`CyclicRep` computes once, and from what it derives from them when
+it is built: the characteristic polynomial (:func:`_char_poly`), the exact
+order (:func:`_trace_period`) and the cyclotomic multiplicities
+(:func:`_multiplicities_by_characters`).  :func:`orientability`,
+:func:`betti_numbers`, :func:`anosov_check` and :func:`kahler_check` read
+those; no polynomial is divided or factored.  The checks that run: the
+order check M^k = I for some k dividing the order; every division of
+Newton's identities exact; every multiplicity a non-negative integer whose
+index divides the order, the factors of total degree dim and of product
+the characteristic polynomial; every Betti number a non-negative integer,
+and beta_1 = dim - rank(M - I).
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ from typing import Any
 
 from .errors import Frozen, check
 from .intmatrix import IntMatrix
-from .intpoly import IntPoly, totient
+from .intpoly import totient
 
 
 class CyclicRep(Frozen):
@@ -41,22 +36,17 @@ class CyclicRep(Frozen):
 
     Construction multiplies out the chain M, M^2, ... until it reaches the
     identity, which must happen at a power dividing ``order``; that is the
-    order check.  If M, ..., M^m (m the dimension) all differ from the
-    identity, the chain is cut at the period P of the power sums tr M^k
-    (:func:`_trace_period`), read from the characteristic polynomial of
-    the first m traces without another product: a matrix of finite order
-    has exact order P, and P = 0 (no period up to ``order``), or a P not
-    dividing ``order``, rejects M after m + 1 products.  A matrix of
-    infinite order whose eigenvalues are all roots of unity has a period
-    too, so it is rejected after at most max(m + 1, P) products.  It keeps
-    ``power_traces`` = (tr M^0, ..., tr M^(p-1)), where p is the exact
-    order of M, the characteristic polynomial det(xI - M), derived once by
-    Newton's identities (at the cut, or from the whole period of a chain
-    that closes sooner), and its cyclotomic factor multiplicities {d: mult}
-    (read-only), derived from the whole period by the rational characters
-    of Z/p (:func:`_multiplicities_by_characters`), each index d checked to
-    divide ``order``.  Only the matrix and the order make up the value:
-    they alone are compared, hashed and shown by repr.
+    order check.  A chain still open at M^m, m the dimension, runs on only
+    up to the period of its power sums (:func:`_trace_period`, read from
+    the characteristic polynomial of the first m traces), and no period
+    dividing ``order`` rejects M after m + 1 products.  It keeps
+    ``power_traces`` = (tr M^0, ..., tr M^(p-1)), where p is the exact order
+    of M; ``char_poly``, the coefficients of det(xI - M), constant term
+    first, monic, of length m + 1 (:func:`_char_poly`); and ``cyclotomic``,
+    its cyclotomic factor multiplicities {d: mult}
+    (:func:`_multiplicities_by_characters`), each index d checked to divide
+    ``order``.  Only the matrix and the order make up the value: they alone
+    are compared, hashed and shown by repr.
     """
 
     __slots__ = ("matrix", "order", "power_traces", "char_poly", "cyclotomic")
@@ -107,7 +97,7 @@ class CyclicRep(Frozen):
     @property
     def det(self) -> int:
         """det(M) = e_m, read off the constant term (-1)^m det(M) of det(xI - M)."""
-        return (-1) ** self.dimension * self.char_poly.coeffs[0]
+        return (-1) ** self.dimension * self.char_poly[0]
 
 
 def orientability(rep: CyclicRep) -> bool:
@@ -143,17 +133,18 @@ def _power_sums(traces: tuple[int, ...] | list[int], m: int, j: int) -> tuple[in
     return tuple([traces[(j * s) % p] for s in range(1, m + 1)])
 
 
-def _char_poly(traces: list[int], m: int) -> IntPoly:
+def _char_poly(traces: list[int], m: int) -> tuple[int, ...]:
     """The one derivation of det(xI - M) = sum_k (-1)^k e_k x^(m-k), from the
-    traces as in :func:`_power_sums`."""
+    traces as in :func:`_power_sums`: its coefficients, constant term first,
+    monic (e_0 = 1) and of length m + 1."""
     e = _elementary_symmetric_from_traces(_power_sums(traces, m, 1), m)
-    return IntPoly.of(*[(-1) ** k * e[k] for k in range(m, -1, -1)])
+    return tuple([(-1) ** k * e[k] for k in range(m, -1, -1)])
 
 
-def _trace_period(traces: list[int], char_poly: IntPoly, order: int) -> int:
+def _trace_period(traces: list[int], char_poly: tuple[int, ...], order: int) -> int:
     """The least period P <= ``order`` of the power sums t_k = tr(M^k), from
-    t_0, ..., t_m and char_poly = det(xI - M) = sum_j c_j x^j of degree m;
-    0 when there is none.
+    t_0, ..., t_m and char_poly = (c_0, ..., c_m), det(xI - M) = sum_j c_j
+    x^j; 0 when there is none.
 
     A matrix of finite order has det = +-1, so |c_0| != 1 gives 0 at once.
     Past t_m the sums follow from Cayley-Hamilton, tr(char_poly(M) M^k) = 0:
@@ -168,10 +159,10 @@ def _trace_period(traces: list[int], char_poly: IntPoly, order: int) -> int:
     linearly independent, so P is the lcm of the cyclotomic indices d of
     char_poly, the exact order of M when M has finite order.
     """
-    m = char_poly.degree
-    if abs(char_poly.coeffs[0]) != 1 or any([abs(t) > m for t in traces]):
+    m = len(char_poly) - 1
+    if abs(char_poly[0]) != 1 or any([abs(t) > m for t in traces]):
         return 0
-    negated = [-c for c in char_poly.coeffs[:m]]
+    negated = [-c for c in char_poly[:m]]
     sums = list(traces)
     for period in range(1, order + 1):
         while len(sums) < period + m:
@@ -223,7 +214,7 @@ def _rational_characters(p: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]
     return tuple(table)
 
 
-def _multiplicities_by_characters(traces: tuple[int, ...] | list[int], char_poly: IntPoly) -> dict[int, int]:
+def _multiplicities_by_characters(traces: tuple[int, ...] | list[int], char_poly: tuple[int, ...]) -> dict[int, int]:
     """The cyclotomic multiplicities {d: mult_d} of a rep of Z/p, p = len(traces),
     from its traces (tr M^0, ..., tr M^(p-1)) over one whole period.
 
@@ -232,17 +223,17 @@ def _multiplicities_by_characters(traces: tuple[int, ...] | list[int], char_poly
     :func:`_rational_characters` (Serre, Linear Representations of Finite
     Groups, 13.1), summed over the classes gcd(j, p) = h; every division is
     checked exact and non-negative.  The result is then checked against
-    ``char_poly`` = det(xI - M) of degree m: sum_d phi(d) mult_d = m, every
-    |coefficient| of ``char_poly`` is at most 2^m (as for any product of
-    cyclotomics of degree m, whose roots lie on the unit circle), and both
-    sides agree at x0 = 2^(m+2).  Two polynomials of degree <= m whose
+    ``char_poly`` = det(xI - M) of degree m, constant term first:
+    sum_d phi(d) mult_d = m, every |coefficient| of ``char_poly`` is at most
+    2^m (as for any product of cyclotomics of degree m, whose roots lie on
+    the unit circle), and both sides agree at x0 = 2^(m+2).  Two polynomials of degree <= m whose
     coefficients are bounded so are equal once they agree at x0, so
     char_poly == prod_d Phi_d^mult_d.  The right side is evaluated as
     prod_e (x0^e - 1)^(b_e), with b_e = sum over e | d of mu(d/e) mult_d,
     from Phi_d = prod_{e | d} (x^e - 1)^mu(d/e): integer products only, no
     division.
     """
-    p, m = len(traces), char_poly.degree
+    p, m = len(traces), len(char_poly) - 1
     class_sums = dict.fromkeys(_divisors(p), 0)
     for j, trace in enumerate(traces):
         class_sums[math.gcd(j, p)] += trace
@@ -255,12 +246,10 @@ def _multiplicities_by_characters(traces: tuple[int, ...] | list[int], char_poly
             mults[d] = mult
             degree += phi * mult
     check(degree == m, f"the cyclotomic factors must have total degree {m}, got {degree}")
-    check(max(map(abs, char_poly.coeffs)) <= 1 << m,
+    check(max(map(abs, char_poly)) <= 1 << m,
           "the characteristic polynomial's coefficients must be at most 2^dim")
     shift = m + 2  # x0 = 2^shift
-    value = 0
-    for c in reversed(char_poly.coeffs):
-        value = (value << shift) + c
+    value = sum([c << (shift * k) for k, c in enumerate(char_poly)])
     exponents = Counter()
     for d, mult in mults.items():
         for e in _divisors(d):
@@ -295,7 +284,7 @@ def betti_numbers(rep: CyclicRep) -> tuple[int, ...]:
     p = len(rep.power_traces)
     counts = Counter([_power_sums(rep.power_traces, m, j) for j in range(p)])
     first = _power_sums(rep.power_traces, m, 1)
-    from_char_poly = [(-1) ** k * c for k, c in enumerate(reversed(rep.char_poly.coeffs))]
+    from_char_poly = [(-1) ** k * c for k, c in enumerate(reversed(rep.char_poly))]
     totals = [0] * (m + 1)
     for sums, count in counts.items():
         e = from_char_poly if sums == first else _elementary_symmetric_from_traces(sums, m)
@@ -349,7 +338,7 @@ def invariant_report(rep: CyclicRep) -> dict[str, Any]:
     derived from them at construction; no matrix product runs here.
     """
     return {
-        "char_poly": list(rep.char_poly.coeffs),
+        "char_poly": list(rep.char_poly),
         "det": rep.det,
         "betti": list(betti_numbers(rep)),
         "anosov": anosov_check(rep),

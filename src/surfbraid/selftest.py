@@ -135,7 +135,7 @@ def _suite_bieberbach() -> None:
 def _suite_invariants() -> None:
     for n, g in [(2, 1), (3, 1), (4, 2)]:
         rep = CyclicRep(make_bieberbach(n, g).holonomy_matrix(), n)
-        _check_char_poly(rep.matrix, rep.char_poly.coeffs, "the trace char poly")  # x = 0 checks rep.det
+        _check_char_poly(rep.matrix, rep.char_poly, "the trace char poly")  # x = 0 checks rep.det
         betti = betti_numbers(rep)
         check(betti[1] == 2 * g, "beta_1 must be 2g")
         check(sum((-1) ** i * b for i, b in enumerate(betti)) == 0, "the Euler characteristic must vanish")
@@ -144,7 +144,7 @@ def _suite_invariants() -> None:
     # the order-6 rotation: M^2 != I, so its chain is cut after dim = 2 traces
     # and runs on to the period 6 of its power sums, found by their recurrence
     rotation = CyclicRep(IntMatrix(((1, -1), (1, 0))), 6)
-    _check_char_poly(rotation.matrix, rotation.char_poly.coeffs, "the cut chain's char poly")
+    _check_char_poly(rotation.matrix, rotation.char_poly, "the cut chain's char poly")
     check(rotation.cyclotomic == {6: 1}, "the order-6 rotation must have the single factor Phi_6")
     check(betti_numbers(rotation) == (1, 0, 1), "the order-6 rotation must have Betti numbers (1, 0, 1)")
 

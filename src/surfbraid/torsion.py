@@ -5,11 +5,9 @@ Frobenius permutation group.
 Detection reads the cycle-sum map S_w of :func:`cycle_sums`: v * section(w)
 has finite order iff the rows of v sum to zero over every cycle of w.
 :func:`cycle_sums_vanish` is that test on plain rows and cycles, shared by
-:func:`order` and the Bieberbach torsion scan.  The scan finds its finite
-tuples with :func:`zero_sum_rows`, the same test solved one cycle at a time
-by a meet-in-the-middle join over tables of rows against a target (the scan
-joins fixed offsets against minus the cycle's shift sum), and re-checks each
-with :func:`cycle_sums_vanish`.  The closed power formula read from the same
+:func:`order` and the Bieberbach torsion scan, which finds its finite
+tuples with :func:`zero_sum_rows` and re-checks each with
+:func:`cycle_sums_vanish`.  The closed power formula read from the same
 sums is :meth:`surfbraid.core.Element.__pow__`, with which
 :func:`checked_order` backs the order that the commands print.
 Conjugators come from one breadth-first walk of the Schreier graph,
@@ -77,9 +75,7 @@ def cycle_sums_vanish(rows: tuple[tuple[int, ...], ...], orbits: tuple[tuple[int
     every cycle of ``orbits`` (a permutation's
     :attr:`~surfbraid.permutations.Permutation.orbits`), read up to the first
     nonzero sum; a fixed strand's sum is its own row.  The one place the test
-    is written for one tuple of rows: :func:`order` calls it, and the
-    Bieberbach torsion scan re-checks with it every tuple that
-    :func:`zero_sum_rows` finds."""
+    is written for one tuple of rows."""
     for cycle in orbits:
         if any(rows[cycle[0] - 1] if len(cycle) == 1 else map(sum, zip(*[rows[c - 1] for c in cycle]))):
             return False
@@ -91,10 +87,7 @@ def zero_sum_rows(tables: list[tuple[tuple[int, ...], ...]], cycle: tuple[int, .
     """The test of :func:`cycle_sums_vanish` on one cycle, solved over row
     tables against a target: every tuple of rows, one from ``tables[c - 1]``
     for each strand c of ``cycle`` in cycle order, whose rows sum to
-    ``target``.  The Bieberbach torsion scan writes each row as a fixed
-    offset plus a per-residue shift and joins the offsets against minus the
-    cycle's shift sum, so a cycle's rows sum to zero iff its offsets sum to
-    the target, and the finite tuples are the product of the per-cycle lists.
+    ``target``.
 
     A fixed strand keeps its rows equal to the target.  A longer cycle is
     split in two (meet in the middle, Horowitz-Sahni 1974) where the two

@@ -36,9 +36,11 @@ class _LetterFields(NamedTuple):
 
 class Letter(_LetterFields):
     """One signed generator: kind 's' uses index i; kind 'a' uses (i, r).
+    The index, handle and exponent must be exact ``int``s: bools, floats and
+    strings are rejected, never coerced.
 
     A tuple, so :func:`parse`, which has already checked the kind and the
-    exponent, builds it with ``tuple.__new__`` and skips these checks.
+    integers it read, builds it with ``tuple.__new__`` and skips these checks.
     """
 
     __slots__ = ()
@@ -46,6 +48,9 @@ class Letter(_LetterFields):
     def __new__(cls, kind: str, i: int, r: int = 0, exp: int = 1) -> Letter:
         if kind not in (SIGMA, HANDLE):
             raise ValueError(f"unknown letter kind {kind!r}")
+        if not (type(i) is type(r) is type(exp) is int):
+            name, value = next(f for f in (("index", i), ("handle", r), ("exponent", exp)) if type(f[1]) is not int)
+            raise ValueError(f"letter {name} must be an integer, got {value!r}")
         if exp == 0:
             raise ValueError("letter exponent must be nonzero")
         return tuple.__new__(cls, (kind, i, r, exp))

@@ -31,7 +31,6 @@ from surfbraid.bieberbach import BieberbachDescriptor, TorsionScanReport
 from surfbraid.core import CoeffVector, Element, GroupDescriptor
 from surfbraid.errors import InfiniteOrderError
 from surfbraid.intmatrix import IntMatrix
-from surfbraid.intpoly import IntPoly
 from surfbraid.permutations import Permutation
 from surfbraid.torsion import FrobeniusEmbedding, conjugating_permutation, conjugator_to_section
 from surfbraid.words import normalize, parse
@@ -40,7 +39,7 @@ from surfbraid.words import normalize, parse
 # database, so tier-1 is deterministic and no earlier failure is replayed.
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None)
 
-# The variable of the sympy polynomials that products of IntPolys are checked against.
+# The variable of the sympy polynomials that coefficient tuples are checked against.
 X = sympy.Symbol("x")
 
 
@@ -390,9 +389,10 @@ def gcd_rank(matrix: IntMatrix) -> int:
     return rank
 
 
-def char_poly_by_cofactors(matrix: IntMatrix) -> IntPoly:
-    """det(xI - M) via cofactor expansion along the first row, with each
-    entry a plain coefficient list, constant term first (small m only)."""
+def char_poly_by_cofactors(matrix: IntMatrix) -> tuple[int, ...]:
+    """The coefficients of det(xI - M), constant term first, via cofactor
+    expansion along the first row, with each entry a plain coefficient list
+    (small m only)."""
 
     def det(rows: list[list[list[int]]]) -> list[int]:
         if not rows:
@@ -406,20 +406,21 @@ def char_poly_by_cofactors(matrix: IntMatrix) -> IntPoly:
         return total
 
     rows = [[[-v, 1] if i == j else [-v] for j, v in enumerate(row)] for i, row in enumerate(matrix.rows)]
-    return IntPoly.of(*det(rows))
+    return tuple(det(rows))
 
 
-def poly_from_sympy(expr) -> IntPoly:
-    """The polynomial of a sympy expression or Poly in X with integer coefficients."""
-    return IntPoly.of(*[int(c) for c in reversed(sympy.Poly(expr, X).all_coeffs())])
+def poly_from_sympy(expr) -> tuple[int, ...]:
+    """The coefficients, constant term first, of a nonzero sympy expression
+    or Poly in X with integer coefficients."""
+    return tuple([int(c) for c in reversed(sympy.Poly(expr, X).all_coeffs())])
 
 
-def poly_to_sympy(p: IntPoly) -> sympy.Poly:
-    """A polynomial as a sympy Poly in X over the integers."""
-    return sympy.Poly.from_list(list(reversed(p.coeffs)) or [0], X, domain="ZZ")
+def poly_to_sympy(p: tuple[int, ...]) -> sympy.Poly:
+    """Coefficients, constant term first, as a sympy Poly in X over the integers."""
+    return sympy.Poly.from_list(list(reversed(p)), X, domain="ZZ")
 
 
-def sympy_cyclotomic_multiplicities(p: IntPoly) -> dict[int, int]:
+def sympy_cyclotomic_multiplicities(p: tuple[int, ...]) -> dict[int, int]:
     """{d: multiplicity} of a product of cyclotomic polynomials, by sympy's
     factor_list: each irreducible factor is matched to the Phi_d of its
     degree phi(d) that it equals; any other factor fails."""
@@ -435,10 +436,11 @@ def sympy_cyclotomic_multiplicities(p: IntPoly) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def faddeev_leverrier_char_poly(matrix: IntMatrix) -> IntPoly:
-    """det(xI - M) by the Faddeev-LeVerrier recurrence: c_(m-k) = -tr(M A_k)/k
-    with A_1 = I and A_(k+1) = M A_k + c_(m-k) I, every division by k checked
-    to be exact over the integers."""
+def faddeev_leverrier_char_poly(matrix: IntMatrix) -> tuple[int, ...]:
+    """The coefficients of det(xI - M), constant term first, by the
+    Faddeev-LeVerrier recurrence: c_(m-k) = -tr(M A_k)/k with A_1 = I and
+    A_(k+1) = M A_k + c_(m-k) I, every division by k checked to be exact over
+    the integers."""
     m = matrix.nrows
     assert m == matrix.ncols
     coeffs = [0] * (m + 1)
@@ -451,7 +453,7 @@ def faddeev_leverrier_char_poly(matrix: IntMatrix) -> IntPoly:
         if k < m:
             shifted = [row[:i] + (row[i] + q,) + row[i + 1:] for i, row in enumerate(aux.rows)]
             aux = matrix * IntMatrix(tuple(shifted))
-    return IntPoly.of(*coeffs)
+    return tuple(coeffs)
 
 
 def matmul_by_triple_loop(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -531,21 +531,20 @@ def test_selftest_catches_a_sign_flip_in_the_closed_form_conjugate_under_python_
 # sums never repeat, so the order-6 rotation's cut chain finds no period.
 CHAR_POLY_FAULTS = {
     "trace_coefficient": (
-        "from surfbraid import intpoly, invariants\n"
+        "from surfbraid import invariants\n"
         "real = invariants._char_poly\n"
         "def perturbed(traces, m):\n"
         "    poly = real(traces, m)\n"
-        "    return intpoly.IntPoly.of(poly.coeffs[0], poly.coeffs[1] + 1, *poly.coeffs[2:])\n"
+        "    return (poly[0], poly[1] + 1, *poly[2:])\n"
         "invariants._char_poly = perturbed\n",
         ["ok 5 - ", "not ok 6 - flat manifold invariants: the characteristic polynomial must be the product "
                     "of its cyclotomic factors"],
     ),
     "trace_recurrence": (
-        "from surfbraid import intpoly, invariants\n"
+        "from surfbraid import invariants\n"
         "real = invariants._trace_period\n"
         "def flipped(traces, char_poly, order):\n"
-        "    c = char_poly.coeffs\n"
-        "    return real(traces, intpoly.IntPoly.of(c[0], -c[1], *c[2:]), order)\n"
+        "    return real(traces, (char_poly[0], -char_poly[1], *char_poly[2:]), order)\n"
         "invariants._trace_period = flipped\n",
         ["ok 5 - ", "not ok 6 - flat manifold invariants: matrix does not have order dividing 6"],
     ),

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from surfbraid.bieberbach import make_bieberbach
 from surfbraid.errors import VerificationError
 from surfbraid.intmatrix import IntMatrix
-from surfbraid.intpoly import IntPoly, totient
+from surfbraid.intpoly import totient
 from surfbraid.invariants import (
     CyclicRep,
     _elementary_symmetric_from_traces,
@@ -96,7 +96,7 @@ def test_cyclic_rep_order_must_be_an_int(order, monkeypatch):
         CyclicRep(matrix, order)
 
 
-@pytest.mark.parametrize("matrix", [((1,),), [[1]], IntPoly.of(1)])
+@pytest.mark.parametrize("matrix", [((1,),), [[1]], (1,)])
 def test_cyclic_rep_matrix_must_be_an_int_matrix(matrix):
     with pytest.raises(ValueError, match="must be an IntMatrix"):
         CyclicRep(matrix, 1)
@@ -119,7 +119,7 @@ def test_betti_torus_two_strand_case():
     signed = poly_from_sympy((1 - X**2) ** 2)
     binom = poly_from_sympy((1 + X) ** 4)
     oracle = tuple(
-        (binom.coeffs[i] + (signed.coeffs[i] if i <= signed.degree else 0)) // 2
+        (binom[i] + (signed[i] if i < len(signed) else 0)) // 2
         for i in range(5)
     )
     assert betti == oracle == (1, 2, 2, 2, 1)
@@ -282,10 +282,31 @@ def test_invariant_report_shape():
     json.dumps(report)
 
 
+def assert_coefficient_tuple(poly, dim):
+    """A characteristic polynomial as CyclicRep keeps it: a tuple of exact
+    ints, constant term first, monic, of length dim + 1, and hashable."""
+    assert type(poly) is tuple and all(type(c) is int for c in poly), poly
+    assert len(poly) == dim + 1 and poly[-1] == 1, poly
+    hash(poly)
+
+
+def test_char_poly_is_a_monic_coefficient_tuple():
+    # The order-6 rotation's chain is cut after dim = 2 traces; its polynomial is Phi_6.
+    rotation = CyclicRep(IntMatrix(((1, -1), (1, 0))), 6)
+    assert rotation.char_poly == (1, -1, 1)
+    assert_coefficient_tuple(rotation.char_poly, rotation.dimension)
+    # the check rejects a list, a tuple one term short or one term long, and
+    # coefficients that are not exact ints
+    for bad in ([1, -1, 1], (1, -1), (1, -1, True), (1.0, -1, 1), (1, -1, 1, 0)):
+        with pytest.raises(AssertionError):
+            assert_coefficient_tuple(bad, 2)
+
+
 def test_trace_char_poly_and_det_match_oracles_on_holonomy_sweep():
     for n in range(2, 7):
         for g in range(1, 4):
             rep = holonomy_rep(n, g)
+            assert_coefficient_tuple(rep.char_poly, rep.dimension)
             assert rep.char_poly == faddeev_leverrier_char_poly(rep.matrix)
             assert rep.det == rep.matrix.det() == 1  # the echelon kernel
             if rep.dimension <= 6:
@@ -315,7 +336,7 @@ def test_trace_char_poly_and_det_match_oracles_off_holonomy():
         assert rep.det == rep.matrix.det()
         assert orientability(rep) == (rep.matrix.det() == 1)
         report = invariant_report(rep)
-        assert report["char_poly"] == list(char_poly_by_cofactors(rep.matrix).coeffs)
+        assert report["char_poly"] == list(char_poly_by_cofactors(rep.matrix))
         assert report["det"] == rep.matrix.det()
     assert CyclicRep(diag(-1, 1), 2).det == -1
 
@@ -646,13 +667,13 @@ def test_rational_characters_are_the_ramanujan_sums():
 def test_a_polynomial_equal_only_at_x0_is_rejected():
     # (x - 1)^2 + (x - 16) agrees with (x - 1)^2 at x0 = 2^(2 + 2) = 16; its
     # coefficient -15 exceeds 2^2, the bound that makes x0 decide equality
-    assert _multiplicities_by_characters((2,), IntPoly.of(1, -2, 1)) == {1: 2}
+    assert _multiplicities_by_characters((2,), (1, -2, 1)) == {1: 2}
     with pytest.raises(VerificationError, match="coefficients must be at most 2\\^dim"):
-        _multiplicities_by_characters((2,), IntPoly.of(-15, -1, 1))
+        _multiplicities_by_characters((2,), (-15, -1, 1))
     with pytest.raises(VerificationError, match="product of its cyclotomic factors"):
-        _multiplicities_by_characters((2,), IntPoly.of(1, -1, 1))
+        _multiplicities_by_characters((2,), (1, -1, 1))
     with pytest.raises(VerificationError, match="total degree 3, got 2"):
-        _multiplicities_by_characters((2,), IntPoly.of(-1, 3, -3, 1))
+        _multiplicities_by_characters((2,), (-1, 3, -3, 1))
 
 
 def test_character_mutants_are_rejected_under_python_O():

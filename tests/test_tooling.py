@@ -133,7 +133,6 @@ UNREACHED_ALLOWED = {
     "errors.Frozen.__setstate__": "value-class protocol: unpickling",
     "permutations.Permutation.__str__": "str() of a permutation, in cycle notation",
     "words.BraidWord.__str__": "str() of a parsed word, its text",
-    "intpoly.IntPoly.__str__": "str() of a polynomial, for reading one in a session; no output prints one",
     "core.CoeffVector.__add__": "the public pair of the `-` that membership and conjugacy run",
     "nonorientable.normalize_word": "public non-orientable word normalizer, timed by the benchmark's word_session",
 }
@@ -242,18 +241,24 @@ def readme_commands() -> list[str]:
 
 
 def test_readme_commands_print_their_recorded_output(capsys):
-    # The golden file holds the recorded stdout of each README command, so
-    # README examples stay byte-identical; a deliberate change to one of
-    # them updates its entry in the same commit.
+    # The golden file holds the recorded stdout of each README command,
+    # plain and with --format text (selftest has no --format), and its
+    # stderr, so README examples stay byte-identical in both renderings; a
+    # deliberate change to one of them updates its entry in the same commit.
     from surfbraid.cli import main
 
     golden = json.loads(README_GOLDEN.read_text())
     commands = readme_commands()
     assert commands == [entry["command"] for entry in golden]
     for entry in golden:
-        code = main(shlex.split(entry["command"], comments=True)[1:])
-        out = capsys.readouterr().out
-        assert (code, out) == (0, entry["stdout"]), entry["command"]
+        argv = shlex.split(entry["command"], comments=True)[1:]
+        runs = [(argv, entry["stdout"])]
+        if argv != ["selftest"]:
+            runs.append((argv + ["--format", "text"], entry["text_stdout"]))
+        for args, stdout in runs:
+            code = main(args)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (0, stdout, entry["stderr"]), shlex.join(args)
 
 
 def test_readme_names_resolve_in_the_package():
@@ -280,6 +285,8 @@ def test_readme_names_resolve_in_the_package():
             if not hasattr(target, attr):
                 missing.append(f"{owner}.{attr}")
     assert "torsion.cycle_sums" in named and "Element.bits" in named
+    assert {"BieberbachDescriptor._strand_tables", "torsion.zero_sum_rows", "torsion.cycle_sums_vanish",
+            "invariants.CyclicRep"} <= set(named)
     assert not missing, f"README names that the package does not define: {missing}"
 
 
@@ -305,8 +312,8 @@ print(json.dumps([code, sorted(mods), sorted(m for m, mod in mods.items() if typ
                   sorted(m for m in ("dataclasses", "inspect", "sympy") if m in sys.modules)]))
 """
 # The submodules that define public names: always in sys.modules.
-_PUBLIC = {"bieberbach", "core", "errors", "intmatrix", "intpoly", "invariants", "nonorientable",
-           "permutations", "torsion", "words"}
+_PUBLIC = {"bieberbach", "core", "errors", "intmatrix", "invariants", "nonorientable", "permutations",
+           "torsion", "words"}
 _X = '{"n":2,"g":1,"perm":[2,1],"coeffs":[[1,0],[0,0]]}'
 _ELEMENT = {"cli", "core", "errors", "permutations"}
 _BIEBERBACH = _ELEMENT | {"bieberbach", "intmatrix"}  # only the scan reads torsion, its kernel
@@ -319,7 +326,7 @@ FOOTPRINTS = [
      _ELEMENT | {"words", "nonorientable"}),
     (["bieberbach", "info", "--n", "3", "--genus", "1"], _BIEBERBACH),
     (["invariants", "--n", "2", "--genus", "1"], _BIEBERBACH | {"intpoly", "invariants"}),
-    (["selftest"], _PUBLIC | {"cli", "selftest"}),
+    (["selftest"], _PUBLIC | {"cli", "intpoly", "selftest"}),
 ]
 
 

@@ -10,7 +10,6 @@ import pytest
 from surfbraid.bieberbach import GnMembership, TorsionScanReport, make_bieberbach
 from surfbraid.core import CoeffVector, Element, GroupDescriptor, Verdict
 from surfbraid.intmatrix import IntMatrix
-from surfbraid.intpoly import IntPoly
 from surfbraid.invariants import CyclicRep
 from surfbraid.nonorientable import AbelianInvariants, FiniteNormalWitness
 from surfbraid.permutations import Permutation
@@ -34,7 +33,6 @@ VALUES = [
      "Verdict(is_crystallographic=False, dimension=None, holonomy_order=None, "
      "witness={'kind': 'finite_normal_subgroup'})"),
     (lambda: IntMatrix(((1, 2), (3, 4))), ("rows",), "IntMatrix(rows=((1, 2), (3, 4)))"),
-    (lambda: IntPoly((-1, 0, 1)), ("coeffs",), "IntPoly(coeffs=(-1, 0, 1))"),
     # the power traces, char_poly and cyclotomic are derived: neither shown nor compared
     (lambda: CyclicRep(IntMatrix(((0, 1), (1, 0))), 2),
      ("matrix", "order", "power_traces", "char_poly", "cyclotomic"),

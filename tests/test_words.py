@@ -147,6 +147,26 @@ def test_letter_checks_its_kind_and_exponent():
         Letter._make(("q", 1, 0, 1))
 
 
+@pytest.mark.parametrize("fields, message", [
+    (("a", 1, 1, 2.5), "letter exponent must be an integer, got 2.5"),
+    (("a", 1.0, 1), "letter index must be an integer, got 1.0"),
+    (("s", True), "letter index must be an integer, got True"),
+    (("s", "1"), "letter index must be an integer, got '1'"),
+    (("a", 1, 2.0), "letter handle must be an integer, got 2.0"),
+    (("a", 1, False), "letter handle must be an integer, got False"),
+    (("s", 1, 0, True), "letter exponent must be an integer, got True"),
+    (("s", 1, 0, False), "letter exponent must be an integer, got False"),
+    (("s", 1, 0, "-1"), "letter exponent must be an integer, got '-1'"),
+])
+def test_letter_rejects_an_index_handle_or_exponent_that_is_not_an_int(fields, message):
+    # Rejected, never coerced: a float exponent used to reach an Element's
+    # JSON, and a float index failed in normalize with a raw TypeError.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Letter(*fields)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Letter._make(fields + (0, 1)[len(fields) - 2:])
+
+
 def test_parse_rejects_handle_letters_on_sphere():
     sphere = GroupDescriptor.sphere(3)
     assert len(parse(sphere, "s1 s2").letters) == 2
