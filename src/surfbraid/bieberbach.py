@@ -50,11 +50,6 @@ class GnMembership(Frozen):
 
     __slots__ = _fields = ("in_group", "j", "coords")
 
-    def __init__(self, in_group: bool, j: int | None = None, coords: tuple[int, ...] | None = None):
-        object.__setattr__(self, "in_group", in_group)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "coords", coords)
-
     def to_json_obj(self) -> dict[str, Any]:
         return {
             "in_group": self.in_group,
@@ -63,19 +58,13 @@ class GnMembership(Frozen):
         }
 
 
+_NOT_A_MEMBER = GnMembership(False, None, None)  # frozen, so one shared instance serves every call
+
+
 class TorsionScanReport(Frozen):
     """Exhaustive torsion scan over bounded lattice coordinates and all residues."""
 
     __slots__ = _fields = ("n", "genus", "bound", "scanned", "torsion_hits", "obstruction_mismatches")
-
-    def __init__(self, n: int, genus: int, bound: int, scanned: int, torsion_hits: tuple[dict[str, Any], ...],
-                 obstruction_mismatches: tuple[dict[str, Any], ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "scanned", scanned)
-        object.__setattr__(self, "torsion_hits", torsion_hits)
-        object.__setattr__(self, "obstruction_mismatches", obstruction_mismatches)
 
     @property
     def passed(self) -> bool:
@@ -111,10 +100,6 @@ class BieberbachDescriptor(Frozen):
 
     __slots__ = ("group", "generator", "__dict__")  # the dict holds the cached properties
     _fields = ("group", "generator")
-
-    def __init__(self, group: GroupDescriptor, generator: Element):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "generator", generator)
 
     @property
     def n(self) -> int:
@@ -204,10 +189,10 @@ class BieberbachDescriptor(Frozen):
             raise GroupMismatchError("element does not live in the ambient group of this subgroup")
         j = x.perm(1) - 1
         if x.perm != self.powers[j].perm:
-            return GnMembership(False)
+            return _NOT_A_MEMBER
         coords = self.lattice_coords(x.coeffs - self.powers[j].coeffs)
         if coords is None:
-            return GnMembership(False)
+            return _NOT_A_MEMBER
         return GnMembership(True, j, coords)
 
     def centre(self) -> tuple[Element, ...]:

@@ -44,12 +44,6 @@ class GroupDescriptor(Frozen):
 
     __slots__ = _fields = ("kind", "n", "genus")
 
-    def __init__(self, kind: str, n: int, genus: int | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "genus", genus)
-        self.__post_init__()
-
     def __post_init__(self):
         if self.kind not in (ORIENTABLE, SPHERE, NONORIENTABLE):
             raise ValueError(f"unknown surface kind {self.kind!r}")
@@ -73,7 +67,7 @@ class GroupDescriptor(Frozen):
 
     @classmethod
     def sphere(cls, n: int) -> GroupDescriptor:
-        return cls(SPHERE, n)
+        return cls(SPHERE, n, None)
 
     @classmethod
     def nonorientable(cls, n: int, genus: int) -> GroupDescriptor:
@@ -225,12 +219,6 @@ class Element(Frozen):
     """
 
     __slots__ = _fields = ("group", "coeffs", "perm")
-
-    def __init__(self, group: GroupDescriptor, coeffs: CoeffVector, perm: Permutation):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "perm", perm)
-        self.__post_init__()
 
     def __post_init__(self):
         group, rows = self.group, self.coeffs.rows
@@ -429,13 +417,6 @@ class Verdict(Frozen):
 
     __slots__ = _fields = ("is_crystallographic", "dimension", "holonomy_order", "witness")
 
-    def __init__(self, is_crystallographic: bool, dimension: int | None, holonomy_order: int | None,
-                 witness: dict[str, Any]):
-        object.__setattr__(self, "is_crystallographic", is_crystallographic)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "holonomy_order", holonomy_order)
-        object.__setattr__(self, "witness", witness)
-
     def to_json_obj(self) -> dict[str, Any]:
         return {
             "is_crystallographic": self.is_crystallographic,
@@ -461,7 +442,7 @@ def verify_crystallographic(group: GroupDescriptor) -> Verdict:
         witness["kind"] = "finite_normal_subgroup"
         witness["justification"] = ("a crystallographic group has no nontrivial finite normal subgroup; "
                                     "the listed torsion classes generate one")
-        return Verdict(is_crystallographic=False, dimension=None, holonomy_order=None, witness=witness)
+        return Verdict(False, None, None, witness)
 
     n = group.n
     moves = []
@@ -472,14 +453,9 @@ def verify_crystallographic(group: GroupDescriptor) -> Verdict:
         check(a_i1.permuted(Permutation.transposition(n, i)).rows[i] == a_i1.rows[i - 1],
               f"transposition {i} must move a[{i},1]")
         moves.append({"transposition": i, "from": [i, 1], "to": [i + 1, 1]})
-    return Verdict(
-        is_crystallographic=True,
-        dimension=group.lattice_rank,
-        holonomy_order=math.factorial(n),
-        witness={
-            "kind": "faithful_strand_action",
-            "generator_moves": moves,
-            "justification": "every non-identity permutation moves some strand, hence "
-                             "moves a lattice basis vector; conjugation acts faithfully",
-        },
-    )
+    return Verdict(True, group.lattice_rank, math.factorial(n), {
+        "kind": "faithful_strand_action",
+        "generator_moves": moves,
+        "justification": "every non-identity permutation moves some strand, hence "
+                         "moves a lattice basis vector; conjugation acts faithfully",
+    })

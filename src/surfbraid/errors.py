@@ -75,21 +75,22 @@ class Frozen:
 
     A subclass declares its fields in ``__slots__`` (plus ``__dict__`` where
     a ``functools.cached_property`` caches into the instance) and names the
-    ones that make up its value, in order, in ``_fields``.  It writes its own
-    ``__init__``, which stores the fields with ``object.__setattr__`` (this
-    base refuses plain assignment) and then calls the class's
-    ``__post_init__`` check, if it has one.  The unchecked constructors that
+    ones that make up its value, in order, in ``_fields``.  This base gives
+    what the ``_fields`` determine.  The one constructor, ``Cls(*values)``,
+    takes exactly one positional value per field (a wrong count raises
+    TypeError before anything is stored), stores them in order and runs the
+    class's ``__post_init__``, which checks them and may store derived slots
+    with ``object.__setattr__``: plain assignment and deletion raise
+    AttributeError.  The repr is ``Cls(field=value, ...)``, equality holds
+    between instances of the same class only, and the hash is that of the
+    key, ``operator.attrgetter(*_fields)`` made once per class: the field
+    tuple, or the one field itself.  Pickling and copying restore the
+    fields without assigning them.  The unchecked constructors that
     arithmetic runs once per result (each ``_trusted`` and
     ``CoeffVector.__init__``) store through the slot descriptors' setters
     instead, bound once at module level next to the class, for example
     ``_set_rows = CoeffVector.rows.__set__``, because ``object.__setattr__``
-    looks the slot up by name on every call.  This base gives what the
-    ``_fields`` determine: ``Cls(field=value, ...)`` as the
-    repr, equality between instances of the same class only, the hash of
-    the key, assignment and deletion that raise AttributeError, and
-    pickling and copying that restore the fields without assigning them.
-    The key is ``operator.attrgetter(*_fields)``, made once per class: the
-    field tuple, or the one field itself when there is only one.
+    looks the slot up by name on every call.
     """
 
     __slots__ = ()
@@ -98,6 +99,17 @@ class Frozen:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._key = attrgetter(*cls._fields)  # not a descriptor: self._key is the getter itself
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{self.__class__.__qualname__}() takes one value per field {self._fields}: "
+                            f"{len(self._fields)} expected, {len(values)} given")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """The check a subclass runs on its stored fields; none here."""
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

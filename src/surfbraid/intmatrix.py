@@ -29,10 +29,6 @@ class IntMatrix(Frozen):
 
     __slots__ = _fields = ("rows",)
 
-    def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "rows", rows)
-        self.__post_init__()
-
     def __post_init__(self):
         rows = self.rows
         if not isinstance(rows, tuple) or any([not isinstance(r, tuple) for r in rows]):

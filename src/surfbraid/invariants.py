@@ -52,11 +52,6 @@ class CyclicRep(Frozen):
     __slots__ = ("matrix", "order", "power_traces", "char_poly", "cyclotomic")
     _fields = ("matrix", "order")
 
-    def __init__(self, matrix: IntMatrix, order: int):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "order", order)
-        self.__post_init__()
-
     def __post_init__(self):
         if not isinstance(self.matrix, IntMatrix):
             raise ValueError(f"the generator must be an IntMatrix, got {type(self.matrix).__name__}")

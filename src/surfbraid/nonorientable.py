@@ -41,23 +41,10 @@ class AbelianInvariants(Frozen):
 
     __slots__ = _fields = ("torsion", "free_rank", "torsion_generator_words")
 
-    def __init__(self, torsion: tuple[int, ...], free_rank: int, torsion_generator_words: tuple[str, ...]):
-        object.__setattr__(self, "torsion", torsion)
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion_generator_words", torsion_generator_words)
-
-
 class FiniteNormalWitness(Frozen):
     """A finite normal subgroup certifying that the quotient is not crystallographic."""
 
     __slots__ = _fields = ("generator_words", "subgroup_order", "normality_verified", "note")
-
-    def __init__(self, generator_words: tuple[str, ...], subgroup_order: int, normality_verified: bool,
-                 note: str):
-        object.__setattr__(self, "generator_words", generator_words)
-        object.__setattr__(self, "subgroup_order", subgroup_order)
-        object.__setattr__(self, "normality_verified", normality_verified)
-        object.__setattr__(self, "note", note)
 
     def to_json_obj(self) -> dict[str, Any]:
         return {
@@ -68,12 +55,10 @@ class FiniteNormalWitness(Frozen):
         }
 
 
-def _strand_product_word(j: int, genus: int) -> str:
-    return " ".join(f"a[{j},{r}]" for r in range(1, genus + 1))
-
-
 def kernel_structure(group: GroupDescriptor) -> AbelianInvariants:
-    """Abelian invariants of the kernel of the permutation map."""
+    """Abelian invariants of the kernel of the permutation map; the torsion
+    generator words are the full twist (sphere) or the per-strand products
+    a[j,1] ... a[j,g] (non-orientable)."""
     if group.kind == core.SPHERE:
         if group.n < 3:
             raise UnsupportedSurfaceError(
@@ -83,7 +68,7 @@ def kernel_structure(group: GroupDescriptor) -> AbelianInvariants:
         return AbelianInvariants((2,), group.n * (group.n - 3) // 2, (twist,))
     if group.kind == core.NONORIENTABLE:
         g = group.genus
-        gens = tuple(_strand_product_word(j, g) for j in range(1, group.n + 1))
+        gens = tuple(" ".join(f"a[{j},{r}]" for r in range(1, g + 1)) for j in range(1, group.n + 1))
         return AbelianInvariants((2,) * group.n, group.n * (g - 1), gens)
     raise UnsupportedSurfaceError(
         "kernel structure is reported for the sphere and non-orientable surfaces; "
@@ -158,9 +143,4 @@ def finite_normal_subgroup(group: GroupDescriptor) -> FiniteNormalWitness:
         for c in conjugators:
             check(_in_torsion_subgroup(t.conjugated_by(c)), "torsion subgroup failed the normality check")
     note = "entire kernel (projective plane)" if g == 1 else "per-strand torsion classes"
-    return FiniteNormalWitness(
-        tuple(_strand_product_word(j, g) for j in range(1, n + 1)),
-        2**n,
-        True,
-        note,
-    )
+    return FiniteNormalWitness(kernel_structure(group).torsion_generator_words, 2**n, True, note)

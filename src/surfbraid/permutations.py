@@ -35,10 +35,6 @@ class Permutation(Frozen):
     __slots__ = ("images", "__dict__")  # the dict holds the cached orbits
     _fields = ("images",)
 
-    def __init__(self, images: tuple[int, ...]):
-        object.__setattr__(self, "images", images)
-        self.__post_init__()
-
     def __post_init__(self):
         # a list would compare unequal and not hash; floats and bools are never coerced
         if not isinstance(self.images, tuple) or any([type(v) is not int for v in self.images]):

@@ -48,10 +48,8 @@ class OrderResult(Frozen):
     __slots__ = ("value", "is_finite")
     _fields = ("value",)
 
-    def __init__(self, value: int | None):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "is_finite", value is not None)
-
+    def __post_init__(self):
+        object.__setattr__(self, "is_finite", self.value is not None)
 
 _INFINITE = OrderResult(None)  # frozen, so one shared instance serves every call
 
@@ -284,11 +282,6 @@ class FrobeniusEmbedding(Frozen):
     """
 
     __slots__ = _fields = ("genus", "blocks")
-
-    def __init__(self, genus: int, blocks: tuple[tuple[int, int, int, int], ...]):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "blocks", blocks)
-        self.__post_init__()
 
     def __post_init__(self):
         if type(self.genus) is not int:

@@ -64,12 +64,15 @@ class Letter(_LetterFields):
 
 
 class BraidWord(Frozen):
-    """A sequence of signed generator letters; the empty word is the identity."""
+    """A sequence of signed generator letters; the empty word is the identity.
+    The letters must be a tuple of :class:`Letter`, so a plain tuple never
+    gets past the letter checks."""
 
     __slots__ = _fields = ("letters",)
 
-    def __init__(self, letters: tuple[Letter, ...] = ()):
-        object.__setattr__(self, "letters", letters)
+    def __post_init__(self):
+        if not isinstance(self.letters, tuple) or not {Letter}.issuperset(map(type, self.letters)):
+            raise ValueError(f"braid word letters must be a tuple of Letters, got {self.letters!r}")
 
     def __mul__(self, other: BraidWord) -> BraidWord:
         return BraidWord(self.letters + other.letters)
@@ -206,11 +209,6 @@ class RelationReport(Frozen):
 
     __slots__ = _fields = ("group", "checked", "failures")
 
-    def __init__(self, group: GroupDescriptor, checked: int, failures: tuple[str, ...]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "checked", checked)
-        object.__setattr__(self, "failures", failures)
-
     @property
     def ok(self) -> bool:
         return not self.failures
@@ -241,7 +239,7 @@ def check_relations(group: GroupDescriptor) -> RelationReport:
         if not normalize(group, word).is_identity():
             failures.append(label)
 
-    empty = BraidWord()
+    empty = BraidWord(())
     for i in range(1, n):
         expect_trivial(sigma_word([i, i]), f"s{i}^2 = 1")
         for j in range(1, n):
@@ -253,21 +251,16 @@ def check_relations(group: GroupDescriptor) -> RelationReport:
                 sigma_word([i + 1, i, i + 1]),
                 f"braid relation at s{i}",
             )
-    for i in range(1, n + 1):
-        for r in range(1, handles + 1):
-            x = BraidWord((Letter(HANDLE, i, r),))
-            for j in range(1, n + 1):
-                for s in range(1, handles + 1):
-                    y = BraidWord((Letter(HANDLE, j, s),))
-                    expect_equal(x * y, y * x, f"[a[{i},{r}], a[{j},{s}]] = 1")
+    handle = {(j, r): BraidWord((Letter(HANDLE, j, r),)) for j in range(1, n + 1) for r in range(1, handles + 1)}
+    for (i, r), x in handle.items():
+        for (j, s), y in handle.items():
+            expect_equal(x * y, y * x, f"[a[{i},{r}], a[{j},{s}]] = 1")
     for i in range(1, n):
         tau = Permutation.transposition(n, i)
         si = BraidWord((Letter(SIGMA, i),))
-        for j in range(1, n + 1):
-            for r in range(1, handles + 1):
-                lhs = si * BraidWord((Letter(HANDLE, j, r),)) * si.inverse_word()
-                rhs = BraidWord((Letter(HANDLE, tau(j), r),))
-                expect_equal(lhs, rhs, f"s{i} a[{j},{r}] s{i}^-1 = a[{tau(j)},{r}]")
+        si_inverse = si.inverse_word()
+        for (j, r), x in handle.items():
+            expect_equal(si * x * si_inverse, handle[tau(j), r], f"s{i} a[{j},{r}] s{i}^-1 = a[{tau(j)},{r}]")
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             expect_trivial(t_word(group, i, j), f"T({i},{j}) = 1")

@@ -22,7 +22,7 @@ T2_REPR = "GroupDescriptor(kind='orientable', n=2, genus=1)"
 # Each class with a builder of a fresh instance, its fields and its repr.
 # Error messages embed the reprs, so they are pinned byte for byte.
 VALUES = [
-    (lambda: GroupDescriptor("sphere", 3), ("kind", "n", "genus"),
+    (lambda: GroupDescriptor("sphere", 3, None), ("kind", "n", "genus"),
      "GroupDescriptor(kind='sphere', n=3, genus=None)"),
     (lambda: CoeffVector(((1, 0), (0, -2))), ("rows",), "CoeffVector(rows=((1, 0), (0, -2)))"),
     (lambda: Permutation((2, 3, 1)), ("images",), "Permutation(images=(2, 3, 1))"),
@@ -124,6 +124,15 @@ def test_rebuilt_values_equal_hash_and_look_up_like_constructed_ones(rebuild, bu
         with pytest.raises(AttributeError):
             delattr(x, name)
     assert x == y
+
+
+@pytest.mark.parametrize("build, fields, expected", VALUES, ids=VALUE_IDS)
+def test_constructor_takes_exactly_one_value_per_field(build, fields, expected):
+    x = build()
+    cls, values = type(x), [getattr(x, name) for name in x._fields]
+    for wrong in (values + [values[0]], values[:-1]):
+        with pytest.raises(TypeError, match=cls.__qualname__):
+            cls(*wrong)
 
 
 def test_instances_of_different_classes_never_compare_equal():

@@ -167,6 +167,18 @@ def test_letter_rejects_an_index_handle_or_exponent_that_is_not_an_int(fields, m
         Letter._make(fields + (0, 1)[len(fields) - 2:])
 
 
+@pytest.mark.parametrize("letters", [
+    (("a", 1, 1, 2.5),),  # a plain tuple used to carry the float exponent into the Element's JSON
+    (Letter("s", 1), ("s", 1, 0, 1)),
+    [Letter("s", 1)],
+    "s1",
+])
+def test_braid_word_takes_only_a_tuple_of_letters(letters):
+    with pytest.raises(ValueError, match="^braid word letters must be a tuple of Letters, got "):
+        normalize(T2, BraidWord(letters))
+    assert BraidWord(()).letters == () and normalize(T2, BraidWord(())).is_identity()
+
+
 def test_parse_rejects_handle_letters_on_sphere():
     sphere = GroupDescriptor.sphere(3)
     assert len(parse(sphere, "s1 s2").letters) == 2
