@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any
 
 from . import core
-from .core import Element, GroupDescriptor, rows_from_parts
+from .core import CoeffVector, Element, GroupDescriptor, rows_from_parts
 from .errors import Frozen, UnsupportedSurfaceError, check
 from .permutations import Permutation
 from .words import BraidWord, full_twist_word, normalize
@@ -92,21 +92,20 @@ def normalize_word(group: GroupDescriptor, word: BraidWord) -> Element:
 
 def torsion_subgroup_elements(group: GroupDescriptor) -> list[Element]:
     """Generators of the torsion subgroup T: one bit per strand, no free part."""
-    return [
-        MixedElement(
-            group,
-            tuple(1 if i == j else 0 for i in range(1, group.n + 1)),
-            tuple((0,) * (group.genus - 1) for _ in range(group.n)),
-            Permutation.identity(group.n),
-        )
-        for j in range(1, group.n + 1)
-    ]
+    group.require_nonorientable("torsion_subgroup_elements")
+    n, zero = group.n, (0,) * group.genus
+    bit, identity = (1,) + zero[1:], Permutation.identity(n)
+    return [Element._trusted(group, CoeffVector(tuple([bit if i == j else zero for i in range(n)])), identity)
+            for j in range(n)]
 
 
 def _in_torsion_subgroup(x: Element) -> bool:
     """x lies in the torsion subgroup: identity permutation, and every row
     zero after its torsion bit in column 1."""
-    return x.perm.is_identity() and not any([any(row[1:]) for row in x.coeffs.rows])
+    for row in x.coeffs.rows:
+        if any(row[1:]):
+            return False
+    return x.perm.is_identity()
 
 
 def finite_normal_subgroup(group: GroupDescriptor) -> FiniteNormalWitness:
@@ -139,8 +138,7 @@ def finite_normal_subgroup(group: GroupDescriptor) -> FiniteNormalWitness:
         for j in range(1, n + 1)
         for r in range(1, g + 1)
     ]
-    for t in torsion_gens:
-        for c in conjugators:
-            check(_in_torsion_subgroup(t.conjugated_by(c)), "torsion subgroup failed the normality check")
+    check(all([_in_torsion_subgroup(t.conjugated_by(c)) for t in torsion_gens for c in conjugators]),
+          "torsion subgroup failed the normality check")
     note = "entire kernel (projective plane)" if g == 1 else "per-strand torsion classes"
     return FiniteNormalWitness(kernel_structure(group).torsion_generator_words, 2**n, True, note)

@@ -74,23 +74,38 @@ class BraidWord(Frozen):
         if not isinstance(self.letters, tuple) or not {Letter}.issuperset(map(type, self.letters)):
             raise ValueError(f"braid word letters must be a tuple of Letters, got {self.letters!r}")
 
+    @staticmethod
+    def _trusted(letters: tuple[Letter, ...]) -> BraidWord:
+        """Constructor for a tuple of :class:`Letter` values: no check.  Parsing,
+        products, powers and inverses build their words here."""
+        word = _new(BraidWord)
+        _set_letters(word, letters)
+        return word
+
     def __mul__(self, other: BraidWord) -> BraidWord:
-        return BraidWord(self.letters + other.letters)
+        if not isinstance(other, BraidWord):
+            raise ValueError(f"a braid word multiplies only a BraidWord, got {other!r}")
+        return BraidWord._trusted(self.letters + other.letters)
 
     def inverse_word(self) -> BraidWord:
-        return BraidWord(tuple([Letter(l.kind, l.i, l.r, -l.exp) for l in reversed(self.letters)]))
+        return BraidWord._trusted(tuple([tuple.__new__(Letter, (kind, i, r, -e))  # -e is a nonzero int
+                                         for kind, i, r, e in reversed(self.letters)]))
 
     def __pow__(self, k: int) -> BraidWord:
         check_exponent(k)
         if k < 0:
             return self.inverse_word() ** (-k)
-        return BraidWord(self.letters * k)
+        return BraidWord._trusted(self.letters * k)
 
     def text(self) -> str:
         return " ".join(l.text() for l in self.letters)
 
     def __str__(self) -> str:
         return self.text()
+
+
+_new = object.__new__
+_set_letters = BraidWord.letters.__set__  # the unchecked store of BraidWord._trusted (see Frozen)
 
 
 def check_letter(group: GroupDescriptor, kind: str, i: int, r: int) -> None:
@@ -143,26 +158,28 @@ def parse(group: GroupDescriptor, text: str) -> BraidWord:
         kind, i, r = (SIGMA, int(si), 0) if si is not None else (HANDLE, int(aj), int(ar))
         check_letter(group, kind, i, r)
         letters.append(tuple.__new__(Letter, (kind, i, r, e)))  # kind and exponent checked above
-    return BraidWord(tuple(letters))
+    return BraidWord._trusted(tuple(letters))
 
 
-def normalize(group: GroupDescriptor, word: BraidWord) -> Element:
-    """Rewrite a word to its unique normal form (any surface but the sphere).
+def _fold(group: GroupDescriptor, letters: Iterable[Letter], images) -> tuple[list[list[int]], list[int]]:
+    """The left fold of :func:`normalize` on its raw state: the coefficient rows
+    and the image list of w, as mutable lists.  ``images`` is
+    ``group.letter_images()``, built once by the caller.
 
     Folding left to right: an s_i letter multiplies the permutation part by
     the transposition (i, i+1) (its section squares to the identity, so the
     sign of the exponent is irrelevant); an a[j,r]^e letter adds e times the
     letter image of a[j,r] (:meth:`GroupDescriptor.letter_images`) to the
     row of strand w(j), where w is the permutation accumulated so far.
+    Every letter's indices pass :func:`check_letter` first.
 
     w is kept as one mutable image list: (w * t_i)(k) = w(t_i(k)), so an
     odd power of s_i swaps entries i-1 and i in O(1).
     """
-    n, handles = group.n, group.handle_count
-    images = group.letter_images()
-    rows = [[0] * handles for _ in range(n)]
+    n = group.n
+    rows = [[0] * len(images) for _ in range(n)]
     w = list(range(1, n + 1))
-    for kind, i, r, e in word.letters:
+    for kind, i, r, e in letters:
         check_letter(group, kind, i, r)
         if kind == SIGMA:
             if e % 2:
@@ -171,6 +188,13 @@ def normalize(group: GroupDescriptor, word: BraidWord) -> Element:
             row = rows[w[i - 1] - 1]
             for col, v in images[r - 1]:
                 row[col] += v * e
+    return rows, w
+
+
+def normalize(group: GroupDescriptor, word: BraidWord) -> Element:
+    """Rewrite a word to its unique normal form (any surface but the sphere):
+    the element of the state :func:`_fold` leaves."""
+    rows, w = _fold(group, word.letters, group.letter_images())
     coeffs = CoeffVector(tuple([tuple(r) for r in rows]))
     return Element._trusted(group, coeffs, Permutation._trusted(tuple(w)))
 
@@ -215,33 +239,39 @@ class RelationReport(Frozen):
 
 
 def check_relations(group: GroupDescriptor) -> RelationReport:
-    """Normalize both sides of every defining relation of the quotient presentation.
+    """Check every defining relation of the quotient presentation by one fold each.
 
     Checked: commuting and braid relations among the s_i, the involutivity
     s_i^2 = 1, commutativity of the a[j,r], the strand-relabelling relation
     s_i a[j,r] s_i^-1 = a[t_i(j),r], and triviality of the two-strand twist
     words, band generator words, and the full twist.
+
+    Each relation is one word that must fold to the identity state (w the
+    identity list, every row zero), read on the raw state of :func:`_fold`;
+    an equation lhs = rhs is the word lhs rhs^-1.  This is exact: every
+    letter acts on the fold state by a bijection and its inverse letter by
+    the inverse bijection, so folding rhs^-1 after lhs reaches the identity
+    state exactly when lhs and rhs fold to the same state.
     """
     group.require_orientable("relation checking")
     n, handles = group.n, group.handle_count
+    images = group.letter_images()
+    identity = list(range(1, n + 1))
     checked = 0
     failures: list[str] = []
 
+    def expect_trivial(letters: tuple[Letter, ...], label: str) -> None:
+        nonlocal checked
+        checked += 1
+        rows, w = _fold(group, letters, images)
+        if w != identity or any(map(any, rows)):
+            failures.append(label)
+
     def expect_equal(lhs: BraidWord, rhs: BraidWord, label: str) -> None:
-        nonlocal checked
-        checked += 1
-        if normalize(group, lhs) != normalize(group, rhs):
-            failures.append(label)
+        expect_trivial(lhs.letters + rhs.inverse_word().letters, label)
 
-    def expect_trivial(word: BraidWord, label: str) -> None:
-        nonlocal checked
-        checked += 1
-        if not normalize(group, word).is_identity():
-            failures.append(label)
-
-    empty = BraidWord(())
     for i in range(1, n):
-        expect_trivial(sigma_word([i, i]), f"s{i}^2 = 1")
+        expect_trivial(sigma_word([i, i]).letters, f"s{i}^2 = 1")
         for j in range(1, n):
             if abs(i - j) >= 2:
                 expect_equal(sigma_word([i, j]), sigma_word([j, i]), f"s{i} s{j} = s{j} s{i}")
@@ -251,21 +281,24 @@ def check_relations(group: GroupDescriptor) -> RelationReport:
                 sigma_word([i + 1, i, i + 1]),
                 f"braid relation at s{i}",
             )
-    handle = {(j, r): BraidWord((Letter(HANDLE, j, r),)) for j in range(1, n + 1) for r in range(1, handles + 1)}
-    for (i, r), x in handle.items():
-        for (j, s), y in handle.items():
-            expect_equal(x * y, y * x, f"[a[{i},{r}], a[{j},{s}]] = 1")
+    # Each handle letter a[j,r] with its inverse, built once: the handle
+    # relations below are written out as their words lhs rhs^-1.
+    handle = {(j, r): (Letter(HANDLE, j, r), Letter(HANDLE, j, r, -1))
+              for j in range(1, n + 1) for r in range(1, handles + 1)}
+    for (i, r), (x, x_inverse) in handle.items():
+        for (j, s), (y, y_inverse) in handle.items():
+            expect_trivial((x, y, x_inverse, y_inverse), f"[a[{i},{r}], a[{j},{s}]] = 1")
     for i in range(1, n):
         tau = Permutation.transposition(n, i)
-        si = BraidWord((Letter(SIGMA, i),))
-        si_inverse = si.inverse_word()
-        for (j, r), x in handle.items():
-            expect_equal(si * x * si_inverse, handle[tau(j), r], f"s{i} a[{j},{r}] s{i}^-1 = a[{tau(j)},{r}]")
+        si, si_inverse = Letter(SIGMA, i), Letter(SIGMA, i, 0, -1)
+        for (j, r), (x, _) in handle.items():
+            expect_trivial((si, x, si_inverse, handle[tau(j), r][1]),
+                           f"s{i} a[{j},{r}] s{i}^-1 = a[{tau(j)},{r}]")
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            expect_trivial(t_word(group, i, j), f"T({i},{j}) = 1")
-            expect_trivial(a_word(group, i, j), f"A({i},{j}) = 1")
+            expect_trivial(t_word(group, i, j).letters, f"T({i},{j}) = 1")
+            expect_trivial(a_word(group, i, j).letters, f"A({i},{j}) = 1")
     if n >= 2:
-        expect_trivial(full_twist_word(group), "full twist = 1")
-    expect_trivial(empty, "empty word = 1")
+        expect_trivial(full_twist_word(group).letters, "full twist = 1")
+    expect_trivial((), "empty word = 1")
     return RelationReport(group, checked, tuple(failures))

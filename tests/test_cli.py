@@ -504,6 +504,29 @@ def test_selftest_runs_the_torsion_scan_under_python_O():
                           "the join must find exactly the tuples of rows whose cycle sums vanish"], res.stdout
 
 
+
+def test_nonorientable_verdict_exits_4_when_one_conjugate_has_a_free_coordinate_under_python_O():
+    # (2,2): 2 torsion generators times 1 transposition and 4 strand
+    # generators; the seventh conjugate gets one free coordinate.
+    code = (
+        "import sys\n"
+        "from surfbraid import cli, core\n"
+        "real, calls = core.Element.conjugated_by, []\n"
+        "def faulty(self, by):\n"
+        "    z = real(self, by)\n"
+        "    calls.append(by)\n"
+        "    if len(calls) == 7:\n"
+        "        rows = ((z.coeffs.rows[0][0], 1),) + z.coeffs.rows[1:]\n"
+        "        z = core.Element(z.group, core.CoeffVector(rows), z.perm)\n"
+        "    return z\n"
+        "core.Element.conjugated_by = faulty\n"
+        "sys.exit(cli.main(['verdict', '--surface', 'nonorientable', '--n', '2', '--genus', '2']))\n"
+    )
+    res = run_optimized(code)
+    assert res.returncode == 4 and res.stdout == "", res.stderr
+    assert res.stderr == "surfbraid: internal check failed: torsion subgroup failed the normality check\n"
+
+
 def test_selftest_catches_a_sign_flip_in_the_closed_form_conjugate_under_python_O(tmp_path):
     # A copy of the package whose conjugation adds w'.a instead of subtracting
     # it: the selftest's cross-checks against by * x * by^-1 must reject it in

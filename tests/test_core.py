@@ -246,6 +246,38 @@ def test_closed_form_conjugate_matches_its_definition():
                     assert by.conjugated_by(x) == x * by * x.inverse()
 
 
+
+def test_closed_form_conjugate_shortcut_is_exact():
+    # The rows of u.v are placed as they are wherever a row of a and its
+    # w'.a row are one object: shared zero rows (a section, a strand
+    # generator) and strands w' fixes.  Conjugators here also have rows that
+    # are equal but distinct objects, and fully random rows.
+    rng = random.Random(59)
+    for n in range(1, 8):
+        perms = [Permutation.identity(n), Permutation.from_cycles(n, (1, 2)[:n]),
+                 Permutation.from_cycles(n, tuple(range(1, n + 1))), random_permutation(rng, n)]
+        for group in (GroupDescriptor.orientable(n, 2), GroupDescriptor.nonorientable(n, 1),
+                      GroupDescriptor.nonorientable(n, 3)):
+            handles = group.handle_count
+            zero = CoeffVector.zero(n, handles)
+            shared = list(zero.rows)  # one zero row object on every strand but the random ones
+            for i in rng.sample(range(n), rng.randint(0, n)):
+                shared[i] = _conjugation_rows(rng, group, 3).rows[i]
+            template = _conjugation_rows(rng, group, 3).rows[0]
+            equal = tuple([tuple(list(template)) for _ in range(n)])  # equal rows, distinct objects
+            lattices = [zero, CoeffVector(tuple(shared)), CoeffVector(equal), _conjugation_rows(rng, group, 3)]
+            lattices += [Element.strand_generator(group, j, r).coeffs
+                         for j in range(1, n + 1) for r in range(1, handles + 1)]
+            for u, a in itertools.product(perms, lattices):
+                by = Element(group, a, u)
+                for w in perms:
+                    x = Element(group, _conjugation_rows(rng, group, 3), w)
+                    z = x.conjugated_by(by)
+                    assert z == by * x * by.inverse()
+                    if a is zero:  # a section: every row is a row of x, placed as it is
+                        assert all(any(row is v for v in x.coeffs.rows) for row in z.coeffs.rows)
+
+
 def test_group_mismatch_rejected():
     with pytest.raises(GroupMismatchError):
         Element.identity(T2) * Element.identity(T3)

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from surfbraid import nonorientable
-from surfbraid.core import Element, GroupDescriptor, verify_crystallographic
-from surfbraid.errors import GeneratorIndexError, UnsupportedSurfaceError
+from surfbraid.core import CoeffVector, Element, GroupDescriptor, verify_crystallographic
+from surfbraid.errors import GeneratorIndexError, UnsupportedSurfaceError, VerificationError
 from surfbraid.nonorientable import (
     AbelianInvariants,
     MixedElement,
@@ -267,6 +267,30 @@ def test_finite_normal_subgroup_checks_every_pair_with_no_product_or_inverse(mon
     monkeypatch.setattr(nonorientable, "_in_torsion_subgroup", counting("checked", in_torsion))
     assert finite_normal_subgroup(GroupDescriptor.nonorientable(6, 3)).normality_verified
     assert counts == {"inverse": 0, "mul": 0, "checked": 138}
+
+
+
+def test_finite_normal_subgroup_fails_when_any_one_conjugate_has_a_free_coordinate(monkeypatch):
+    # Each of the 138 (generator, conjugator) pairs at (6,3) is checked:
+    # one wrong free coordinate in any one conjugate raises.
+    group = GroupDescriptor.nonorientable(6, 3)
+    conjugated_by = Element.conjugated_by
+    for target in range(138):
+        calls = []
+
+        def faulty(self, by, target=target, calls=calls):
+            z = conjugated_by(self, by)
+            if len(calls) == target:
+                rows = [list(row) for row in z.coeffs.rows]
+                rows[target % 6][1 + target % 2] = 1
+                z = Element(group, CoeffVector(tuple(map(tuple, rows))), z.perm)
+            calls.append(by)
+            return z
+
+        monkeypatch.setattr(Element, "conjugated_by", faulty)
+        with pytest.raises(VerificationError, match="^torsion subgroup failed the normality check$"):
+            finite_normal_subgroup(group)
+        assert len(calls) == 138
 
 
 def test_torsion_subgroup_membership_reads_the_permutation_and_every_free_column():

@@ -57,8 +57,8 @@ def test_trusted_constructors_store_through_slot_setters():
                     if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
                             and isinstance(node.value, ast.Name) and node.value.id == "object"):
                         found.append(f"{path.name}:{node.lineno} in {cls.name}.{fn.name}")
-    assert sorted(checked) == ["CoeffVector.__init__", "Element._trusted", "IntMatrix._trusted",
-                               "Permutation._trusted"]
+    assert sorted(checked) == ["BraidWord._trusted", "CoeffVector.__init__", "Element._trusted",
+                               "IntMatrix._trusted", "Permutation._trusted"]
     assert not found, f"object.__setattr__ in an unchecked constructor: {found}"
 
 

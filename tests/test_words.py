@@ -1,9 +1,12 @@
+import json
 import random
 import re
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
+from surfbraid import words
 from surfbraid.core import Element, GroupDescriptor
 from surfbraid.errors import GeneratorIndexError, UnsupportedSurfaceError, WordSyntaxError
 from surfbraid.permutations import Permutation
@@ -23,6 +26,7 @@ from helpers import normalize_text
 
 
 T2 = GroupDescriptor.torus(2)
+RELATION_LABELS = Path(__file__).resolve().parent / "data" / "relation_labels.json"
 
 
 def test_parse_basic():
@@ -330,3 +334,102 @@ def test_check_relations_small():
         report = check_relations(GroupDescriptor.orientable(n, g))
         assert report.ok, report.failures
         assert report.checked > 0
+
+
+def test_braid_word_product_takes_only_a_braid_word():
+    word = BraidWord((Letter("s", 1),))
+    for other in [(Letter("s", 1),), "s1", None]:
+        with pytest.raises(ValueError, match="^a braid word multiplies only a BraidWord, got "):
+            word * other
+
+
+def test_braid_word_products_powers_and_inverses_are_plain_letter_tuples():
+    rng = random.Random(83)
+    for _ in range(20):
+        w1, w2 = random_word(rng, 4, 2, 12), random_word(rng, 4, 2, 12)
+        k = rng.randint(-3, 3)
+        for word, letters in [
+            (w1 * w2, w1.letters + w2.letters),
+            (w1.inverse_word(), tuple([Letter(l.kind, l.i, l.r, -l.exp) for l in reversed(w1.letters)])),
+            (w1 ** k, (w1.letters if k >= 0 else w1.inverse_word().letters) * abs(k)),
+        ]:
+            assert type(word) is BraidWord and word == BraidWord(letters)
+            assert {Letter}.issuperset(map(type, word.letters))
+
+
+def _faulty_fold(fault):
+    """words._fold with one fault; letters are checked as in the real fold."""
+    def fold(group, letters, images):
+        n = group.n
+        rows = [[0] * len(images) for _ in range(n)]
+        w = list(range(1, n + 1))
+        for kind, i, r, e in letters:
+            words.check_letter(group, kind, i, r)
+            if kind == "s":
+                if e % 2 or fault == "s_i swaps on even exponents too":
+                    w[i - 1], w[i] = w[i], w[i - 1]
+                continue
+            if fault == "a-letter exponent loses its sign":
+                e = abs(e)
+            if fault == "every power of the last handle gets its image once" and r == len(images):
+                e = 1
+            row = rows[i - 1] if fault == "a-letter lands on row j, not w(j)" else rows[w[i - 1] - 1]
+            for col, v in images[r - 1]:
+                row[col] += v * e
+        return rows, w
+    return fold
+
+
+FOLD_FAULTS = [
+    "a-letter exponent loses its sign",
+    "s_i swaps on even exponents too",
+    "a-letter lands on row j, not w(j)",
+    "every power of the last handle gets its image once",
+]
+
+
+def test_faulty_fold_without_a_fault_passes(monkeypatch):
+    monkeypatch.setattr(words, "_fold", _faulty_fold(None))
+    assert check_relations(GroupDescriptor.orientable(3, 2)).ok
+
+
+@pytest.mark.parametrize("fault", FOLD_FAULTS)
+def test_check_relations_catches_a_broken_fold(monkeypatch, fault):
+    # The sign and last-handle faults break only inverse a-letters, which
+    # the relations reach through lhs rhs^-1.
+    monkeypatch.setattr(words, "_fold", _faulty_fold(fault))
+    assert not check_relations(GroupDescriptor.orientable(3, 2)).ok
+
+
+@pytest.mark.parametrize("n, g", [(4, 1), (4, 2)])
+def test_check_relations_labels_and_count_are_pinned(monkeypatch, n, g):
+    # Every relation made to fail lists every label, in order.
+    pinned = json.loads(RELATION_LABELS.read_text(encoding="utf-8"))[f"{n},{g}"]
+    monkeypatch.setattr(words, "_fold", lambda group, letters, images: ([], [0]))
+    report = check_relations(GroupDescriptor.orientable(n, g))
+    assert report.checked == pinned["checked"] == len(report.failures)
+    assert list(report.failures) == pinned["labels"]
+
+
+def test_check_relations_folds_once_per_relation_and_builds_no_element(monkeypatch):
+    counts = {"fold": 0, "element": 0}
+    fold, trusted, post_init = words._fold, Element._trusted, Element.__post_init__
+
+    def counting_fold(*args):
+        counts["fold"] += 1
+        return fold(*args)
+
+    def counting_trusted(*args):
+        counts["element"] += 1
+        return trusted(*args)
+
+    def counting_post_init(self):
+        counts["element"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(words, "_fold", counting_fold)
+    monkeypatch.setattr(Element, "_trusted", staticmethod(counting_trusted))
+    monkeypatch.setattr(Element, "__post_init__", counting_post_init)
+    report = check_relations(GroupDescriptor.orientable(4, 1))
+    assert report.ok and report.checked == 109
+    assert counts == {"fold": 109, "element": 0}
