@@ -251,12 +251,9 @@ class Element(Frozen):
         """Constructor for parts computed from valid operands: no validation,
         torsion bits reduced mod 2 on a non-orientable surface, where only
         the rows whose bit is not already 0 or 1 are rebuilt."""
-        if group.kind == NONORIENTABLE:
-            for row in coeffs.rows:
-                if row[0] not in (0, 1):
-                    coeffs = CoeffVector(tuple([row if row[0] in (0, 1) else (row[0] % 2,) + row[1:]
-                                                for row in coeffs.rows]))
-                    break
+        if group.kind == NONORIENTABLE and any([row[0] not in (0, 1) for row in coeffs.rows]):
+            coeffs = CoeffVector(tuple([row if row[0] in (0, 1) else (row[0] % 2,) + row[1:]
+                                        for row in coeffs.rows]))
         x = _new(Element)
         _set_group(x, group)
         _set_coeffs(x, coeffs)
@@ -270,9 +267,7 @@ class Element(Frozen):
     @classmethod
     def section(cls, group: GroupDescriptor, w: Permutation) -> Element:
         """The canonical section of a permutation: trivial lattice part."""
-        zero = CoeffVector.zero(group.n, group.handle_count)
-        cls._check_sizes(group, len(w.images))  # the zero rows need no row check
-        return cls._trusted(group, zero, w)
+        return cls(group, CoeffVector.zero(group.n, group.handle_count), w)
 
     @classmethod
     def strand_generator(cls, group: GroupDescriptor, i: int, r: int) -> Element:
@@ -287,8 +282,7 @@ class Element(Frozen):
             row[col] = v
         rows = [(0,) * handles] * n
         rows[i - 1] = tuple(row)
-        # indices checked above, and the row is a letter image: no row check
-        return cls._trusted(group, CoeffVector(tuple(rows)), Permutation.identity(n))
+        return cls(group, CoeffVector(tuple(rows)), Permutation.identity(n))
 
     def __mul__(self, other: Element) -> Element:
         if not isinstance(other, Element):
@@ -337,13 +331,11 @@ class Element(Frozen):
         (a + u.v - w'.a) * section(w') with w' = u w u^{-1}, where u.v is the
         strand action of :meth:`CoeffVector.permuted`.  One pass over the
         strands builds w' from w'(u(i)) = u(w(i)) and places the rows of u.v
-        and w'.a; one row pass sums the three.  Since x + y - x = y exactly,
-        the rows of u.v are placed as they are where a and w'.a meet: all of
-        them when w'.a = a (a section, whose rows are the shared zero rows of
-        :meth:`CoeffVector.zero`, or a generator on a strand w' fixes), else
-        each row where a row of a and its w'.a row are one object (a strand
-        w' fixes, or two shared zero rows).  The operand checks are those of
-        the product ``by * self``."""
+        and w'.a; one row pass sums the three, except that a row of u.v is
+        placed as it is wherever a row of a and its w'.a row are one object
+        (a strand w' fixes, or two shared zero rows of
+        :meth:`CoeffVector.zero`), since x + y - x = y exactly.  The operand
+        checks are those of the product ``by * self``."""
         if not isinstance(by, Element):
             raise ValueError(f"an element is conjugated only by an Element, got {by!r}")
         if by.group is not self.group and by.group != self.group:
@@ -358,10 +350,7 @@ class Element(Frozen):
             images[ui - 1] = uwi
             uv[ui - 1] = row
             wa[uwi - 1] = a[ui - 1]
-        if tuple(wa) == a:
-            rows = tuple(uv)
-        else:
-            rows = tuple([y if x is z else tuple(list(map(sub, map(add, x, y), z))) for x, y, z in zip(a, uv, wa)])
+        rows = tuple([y if x is z else tuple(list(map(sub, map(add, x, y), z))) for x, y, z in zip(a, uv, wa)])
         return self._trusted(self.group, CoeffVector(rows), Permutation._trusted(tuple(images)))
 
     def is_identity(self) -> bool:

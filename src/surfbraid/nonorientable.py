@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any
 
 from . import core
-from .core import CoeffVector, Element, GroupDescriptor, rows_from_parts
+from .core import Element, GroupDescriptor, rows_from_parts
 from .errors import Frozen, UnsupportedSurfaceError, check
 from .permutations import Permutation
 from .words import BraidWord, full_twist_word, normalize
@@ -92,11 +92,15 @@ def normalize_word(group: GroupDescriptor, word: BraidWord) -> Element:
 
 def torsion_subgroup_elements(group: GroupDescriptor) -> list[Element]:
     """Generators of the torsion subgroup T: one bit per strand, no free part."""
-    group.require_nonorientable("torsion_subgroup_elements")
-    n, zero = group.n, (0,) * group.genus
-    bit, identity = (1,) + zero[1:], Permutation.identity(n)
-    return [Element._trusted(group, CoeffVector(tuple([bit if i == j else zero for i in range(n)])), identity)
-            for j in range(n)]
+    return [
+        MixedElement(
+            group,
+            tuple(1 if i == j else 0 for i in range(1, group.n + 1)),
+            tuple((0,) * (group.genus - 1) for _ in range(group.n)),
+            Permutation.identity(group.n),
+        )
+        for j in range(1, group.n + 1)
+    ]
 
 
 def _in_torsion_subgroup(x: Element) -> bool:
