@@ -24,10 +24,10 @@ command prints is rebuilt from its residue and coordinates and compared
 with the element (``checked_membership``); and ``torsion_scan``, which
 covers every element of a coordinate box without visiting each one
 (``_strand_tables``, ``_joined_rows`` and ``torsion.zero_sum_rows``), runs
-the constructor's row check on every row it builds and on every tuple it
-reports, re-checks each tuple with the finite-order kernel
-``torsion.cycle_sums_vanish``, requires the identity exactly once, and
-checks the number of elements scanned against the size of the box.
+the constructor's row check on every row it builds, builds each tuple it
+reports with the checked constructor and re-checks it with
+``torsion.order``, requires the identity exactly once, and checks the
+number of elements scanned against the size of the box.
 """
 
 from __future__ import annotations
@@ -82,14 +82,13 @@ class TorsionScanReport(Frozen):
         }
 
 
-def _strand_row(n: int, lam: int, i: int, strand: tuple[int, ...],
-                base_row: tuple[int, ...]) -> tuple[int, ...]:
-    """Row i of base plus the lattice vector theta with coordinates coords,
-    where lam = coords[0] and strand = coords[i::n] holds the coordinates
-    that reach strand i: lam + n*coords[i] (lam alone for i = 0) in handle 1
-    and n*coords[r*n + i] in handle r + 1.  The one place the layout of the
+def _strand_row(n: int, lam: int, i: int, strand: tuple[int, ...]) -> tuple[int, ...]:
+    """Row i of the lattice vector theta with coordinates coords, where
+    lam = coords[0] and strand = coords[i::n] holds the coordinates that
+    reach strand i: lam + n*coords[i] (lam alone for i = 0) in handle 1 and
+    n*coords[r*n + i] in handle r + 1.  The one place the layout of the
     Bieberbach coordinate codec is written."""
-    row = [n * c + b for c, b in zip(strand, base_row)]
+    row = [n * c for c in strand]
     row[0] += lam - (0 if i else n * strand[0])  # strand 0's handle-1 coordinate is lam itself
     return tuple(row)
 
@@ -175,8 +174,7 @@ class BieberbachDescriptor(Frozen):
         n, g = self.n, self.genus
         if len(coords) != 2 * n * g:
             raise ValueError(f"need {2 * n * g} coordinates, got {len(coords)}")
-        zero = (0,) * (2 * g)
-        return CoeffVector(tuple([_strand_row(n, coords[0], i, coords[i::n], zero) for i in range(n)]))
+        return CoeffVector(tuple([_strand_row(n, coords[0], i, coords[i::n]) for i in range(n)]))
 
     def _lattice_element(self, coords: tuple[int, ...]) -> Element:
         """The pure-lattice element with the given coordinates."""
@@ -223,7 +221,7 @@ class BieberbachDescriptor(Frozen):
                                                        tuple[tuple[int, ...], ...]]]:
         """The scan's rows, written as offset + shift.  Strand i's row at
         coordinates strand = coords[i::n] over residue j is the offset
-        ``_strand_row(n, 0, i, strand, 0)``, which depends on neither j nor
+        ``_strand_row(n, 0, i, strand)``, which depends on neither j nor
         lam = coords[0], plus the shift, row i of generator**j with lam added
         in handle 1.  The offset tables are built once per call through the
         codec, one row per choice of strand i's coordinates in the box: one
@@ -237,9 +235,8 @@ class BieberbachDescriptor(Frozen):
         n, group = self.n, self.group
         box = range(-bound, bound + 1)
         free = [box] * (2 * self.genus - 1)
-        zero = (0,) * (2 * self.genus)
-        first = tuple([_strand_row(n, 0, 0, strand, zero) for strand in itertools.product((0,), *free)])
-        other = tuple([_strand_row(n, 0, 1, strand, zero) for strand in itertools.product(box, *free)])
+        first = tuple([_strand_row(n, 0, 0, strand) for strand in itertools.product((0,), *free)])
+        other = tuple([_strand_row(n, 0, 1, strand) for strand in itertools.product(box, *free)])
         Element._check_rows(group, first)
         Element._check_rows(group, other)
         tables = [first] + [other] * (n - 1)
@@ -261,16 +258,15 @@ class BieberbachDescriptor(Frozen):
 
         The box for each (j, lam) is the product of the tables of
         :meth:`_strand_tables`, and :func:`_joined_rows` yields its finite
-        tuples.  Each passes the constructor's row check and is re-checked
-        with :func:`~surfbraid.torsion.cycle_sums_vanish`, the kernel of
-        :func:`~surfbraid.torsion.order`, so a join that reports too much
-        fails a check; only then does it become an element
-        (``Element._trusted``, no second row check), decoded with
-        :meth:`lattice_coords` for the obstruction and identity checks.  The
-        identity must be found exactly once, so a join that drops it fails
-        too.  Hits and mismatches are reported in (coords, j) order, and the
-        number of elements scanned, the sum of the products of the table
-        lengths, is checked against (2*bound + 1)**(2ng) * n."""
+        tuples.  Each is built with the checked constructor, which runs the
+        row check, and re-checked with :func:`~surfbraid.torsion.order`, so
+        a join that reports too much fails a check; the element is decoded
+        with :meth:`lattice_coords` for the obstruction and identity checks.
+        The identity must be found exactly once, so a join that drops it, or
+        finds it twice, fails too.  Hits and mismatches are reported in
+        (coords, j) order, and the number of elements scanned, the sum of the
+        products of the table lengths, is checked against
+        (2*bound + 1)**(2ng) * n."""
         if type(bound) is not int:
             raise DomainError(f"scan bound must be an integer, got {bound!r}")
         if bound < 0:
@@ -281,13 +277,10 @@ class BieberbachDescriptor(Frozen):
         mismatches: list[dict[str, Any]] = []
         scanned = identities = 0
         for j, gj, tables, shifts in self._strand_tables(bound):
-            perm = gj.perm
-            orbits = perm.orbits
             scanned += math.prod(map(len, tables))
-            for rows in _joined_rows(tables, shifts, orbits):
-                Element._check_rows(group, rows)
-                check(torsion.cycle_sums_vanish(rows, orbits), "a joined tuple of rows must have vanishing cycle sums")
-                elt = Element._trusted(group, CoeffVector(rows), perm)
+            for rows in _joined_rows(tables, shifts, gj.perm.orbits):
+                elt = Element(group, CoeffVector(rows), gj.perm)
+                check(torsion.order(elt).is_finite, "a joined tuple of rows must have vanishing cycle sums")
                 coords = self.lattice_coords(elt.coeffs - gj.coeffs)
                 check(coords is not None, "a scanned element must decode to lattice coordinates")
                 obstruction = n * sum(coords[:n]) + j
@@ -331,9 +324,9 @@ def make_bieberbach(n: int, genus: int) -> BieberbachDescriptor:
     strand i to i + 1.  The defining identity (a[1,1] * c)^n == u, the
     lattice element with coordinates e_0, is checked here.
     """
-    if n < 2:
+    if type(n) is int and n < 2:
         raise ValueError(f"strand count must be >= 2, got {n}")
-    group = GroupDescriptor.orientable(n, genus)
+    group = GroupDescriptor.orientable(n, genus)  # which rejects an n that is not an int
     alpha = Element.section(group, Permutation.from_cycles(n, tuple(range(1, n + 1))))
     desc = BieberbachDescriptor(group, Element.strand_generator(group, 1, 1) * alpha)
     u = desc._lattice_element((1,) + (0,) * (desc.dimension - 1))

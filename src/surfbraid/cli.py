@@ -17,7 +17,7 @@ from typing import Any
 # Only core and errors, which nearly every command needs, load here; each
 # _cmd_* imports the rest of what it runs when it starts.
 from .core import CoeffVector, Element, GroupDescriptor, json_int_rows, verify_crystallographic
-from .errors import DomainError, VerificationError
+from .errors import DomainError, VerificationError, check
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -240,7 +240,10 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
     desc = make_bieberbach(args.n, args.genus)
     rep = CyclicRep(desc.holonomy_matrix(), desc.n)
-    _emit(args, invariant_report(rep))
+    report = invariant_report(rep)
+    check(sum([(-1) ** k * b for k, b in enumerate(report["betti"])]) == 0,
+          "a flat manifold must have Euler characteristic 0")
+    _emit(args, report)
     return EXIT_OK
 
 

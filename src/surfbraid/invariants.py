@@ -13,7 +13,7 @@ order check M^k = I for some k dividing the order; every division of
 Newton's identities exact; every multiplicity a non-negative integer whose
 index divides the order, the factors of total degree dim and of product
 the characteristic polynomial; every Betti number a non-negative integer,
-and beta_1 = dim - rank(M - I).
+beta_0 = 1, beta_1 = dim - rank(M - I), and Poincare duality when det = 1.
 """
 
 from __future__ import annotations
@@ -273,7 +273,8 @@ def betti_numbers(rep: CyclicRep) -> tuple[int, ...]:
     coefficients, and nothing else is assumed.  The sequence of j = 1 is
     the one Newton already ran on at construction, so its coefficients are
     read off ``rep.char_poly``.  The first Betti number is cross-checked
-    against dim - rank(M - I).
+    against dim - rank(M - I); beta_0 must be 1, and when det = 1 Poincare
+    duality beta_i = beta_(dim - i) must hold.
     """
     m = rep.dimension
     p = len(rep.power_traces)
@@ -295,6 +296,8 @@ def betti_numbers(rep: CyclicRep) -> tuple[int, ...]:
             betti[1] == rank_check,
             f"first Betti number mismatch: averaging gives {betti[1]}, rank formula {rank_check}",
         )
+    check(betti[0] == 1, f"beta_0 must be 1, got {betti[0]}")
+    check(rep.det != 1 or betti == betti[::-1], f"Betti numbers {betti} of det 1 must satisfy Poincare duality")
     return tuple(betti)
 
 

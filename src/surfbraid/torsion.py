@@ -3,13 +3,12 @@ element, one constructive conjugator, and the order-p element living over a
 Frobenius permutation group.
 
 Detection reads the cycle-sum map S_w of :func:`cycle_sums`: v * section(w)
-has finite order iff the rows of v sum to zero over every cycle of w.
-:func:`cycle_sums_vanish` is that test on plain rows and cycles, shared by
-:func:`order` and the Bieberbach torsion scan, which finds its finite
-tuples with :func:`zero_sum_rows` and re-checks each with
-:func:`cycle_sums_vanish`.  The closed power formula read from the same
-sums is :meth:`surfbraid.core.Element.__pow__`, with which
-:func:`checked_order` backs the order that the commands print.
+has finite order iff the rows of v sum to zero over every cycle of w.  The
+test is written once, in :func:`order`; the Bieberbach torsion scan finds
+its finite tuples with :func:`zero_sum_rows` and re-checks each with
+:func:`order`.  The closed power formula read from the same sums is
+:meth:`surfbraid.core.Element.__pow__`, with which :func:`checked_order`
+backs the order that the commands print.
 Conjugators come from one breadth-first walk of the Schreier graph,
 :func:`conjugator_to_section`.  The lattice is a sum of permutation modules,
 so by Shapiro's lemma that walk closes exactly on finite subgroups.  Two
@@ -25,7 +24,7 @@ import math
 from operator import add, sub
 from typing import Callable, Iterator
 
-from .core import ORIENTABLE, CoeffVector, Element, GroupDescriptor
+from .core import CoeffVector, Element, GroupDescriptor
 from .errors import (
     BadMultiplierError,
     BadPrimeError,
@@ -39,19 +38,13 @@ from .permutations import Permutation
 
 
 class OrderResult(Frozen):
-    """Order of a group element: a positive integer or infinite (value None).
+    """Order of a group element: a positive integer or infinite (value None)."""
 
-    ``is_finite`` is derived from the value and stored with it; only the
-    value is compared, hashed and shown by repr.
-    """
+    __slots__ = _fields = ("value",)
 
-    __slots__ = ("value", "is_finite")
-    _fields = ("value",)
-
-    def __post_init__(self):
-        object.__setattr__(self, "is_finite", self.value is not None)
-
-_INFINITE = OrderResult(None)  # frozen, so one shared instance serves every call
+    @property
+    def is_finite(self) -> bool:
+        return self.value is not None
 
 
 def cycle_sums(x: Element) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -68,21 +61,9 @@ def cycle_sums(x: Element) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return [(cycle, tuple(list(map(sum, zip(*[rows[c - 1] for c in cycle]))))) for cycle in x.perm.orbits]
 
 
-def cycle_sums_vanish(rows: tuple[tuple[int, ...], ...], orbits: tuple[tuple[int, ...], ...]) -> bool:
-    """The finite-order test on plain data: True iff the rows sum to zero over
-    every cycle of ``orbits`` (a permutation's
-    :attr:`~surfbraid.permutations.Permutation.orbits`), read up to the first
-    nonzero sum; a fixed strand's sum is its own row.  The one place the test
-    is written for one tuple of rows."""
-    for cycle in orbits:
-        if any(rows[cycle[0] - 1] if len(cycle) == 1 else map(sum, zip(*[rows[c - 1] for c in cycle]))):
-            return False
-    return True
-
-
 def zero_sum_rows(tables: list[tuple[tuple[int, ...], ...]], cycle: tuple[int, ...],
                   target: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    """The test of :func:`cycle_sums_vanish` on one cycle, solved over row
+    """The finite-order test of :func:`order` on one cycle, solved over row
     tables against a target: every tuple of rows, one from ``tables[c - 1]``
     for each strand c of ``cycle`` in cycle order, whose rows sum to
     ``target``.
@@ -123,15 +104,16 @@ def _partial_sums(tables: list[tuple[tuple[int, ...], ...]], strands: tuple[int,
 
 
 def order(x: Element) -> OrderResult:
-    """Order of x: finite iff :func:`cycle_sums_vanish` holds for its rows and
-    the cycles of its permutation; then it is the order of the permutation
-    part.  Only a group of another surface kind calls ``require_orientable``,
-    which raises."""
-    if x.group.kind != ORIENTABLE:
-        x.group.require_orientable("element order")
-    if cycle_sums_vanish(x.coeffs.rows, x.perm.orbits):
-        return OrderResult(x.perm.order())
-    return _INFINITE
+    """Order of x = v * section(w): finite iff the rows of v sum to zero over
+    every cycle of w, read up to the first nonzero sum (a fixed strand's sum
+    is its own row); then it is the order of w.  The one place the
+    finite-order test is written."""
+    x.group.require_orientable("element order")
+    rows = x.coeffs.rows
+    for cycle in x.perm.orbits:
+        if any(rows[cycle[0] - 1] if len(cycle) == 1 else map(sum, zip(*[rows[c - 1] for c in cycle]))):
+            return OrderResult(None)
+    return OrderResult(x.perm.order())
 
 
 def checked_order(x: Element) -> OrderResult:
@@ -268,7 +250,7 @@ def symmetric_copy_conjugator(group: GroupDescriptor, images: list[Element]) -> 
             raise GroupMismatchError("images must live in the given group")
         if alpha.perm != Permutation.transposition(n, i):
             raise NotAnSnEmbeddingError(f"image {i} does not project to the transposition ({i},{i + 1})")
-        if alpha * alpha != identity:
+        if not order(alpha).is_finite:  # over a transposition, finite order is order 2
             raise NotAnSnEmbeddingError(f"image {i} is not an involution")
     return conjugator_to_section(identity, *images)
 

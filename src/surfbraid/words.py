@@ -205,16 +205,16 @@ def sigma_word(indices: Iterable[int], exp: int = 1) -> BraidWord:
 
 def t_word(group: GroupDescriptor, i: int, j: int) -> BraidWord:
     """The two-strand twist word: s_i ... s_{j-2} s_{j-1}^2 s_{j-2} ... s_i."""
-    if not 1 <= i < j <= group.n:
-        raise GeneratorIndexError(f"need 1 <= i < j <= n, got ({i},{j}) with n={group.n}")
+    if type(i) is not int or type(j) is not int or not 1 <= i < j <= group.n:
+        raise GeneratorIndexError(f"need 1 <= i < j <= n, got ({i!r},{j!r}) with n={group.n}")
     ascent = list(range(i, j - 1))
     return sigma_word(ascent) * BraidWord((Letter(SIGMA, j - 1, 0, 2),)) * sigma_word(reversed(ascent))
 
 
 def a_word(group: GroupDescriptor, i: int, j: int) -> BraidWord:
     """The pure-braid band generator word: s_{j-1} ... s_{i+1} s_i^2 s_{i+1}^-1 ... s_{j-1}^-1."""
-    if not 1 <= i < j <= group.n:
-        raise GeneratorIndexError(f"need 1 <= i < j <= n, got ({i},{j}) with n={group.n}")
+    if type(i) is not int or type(j) is not int or not 1 <= i < j <= group.n:
+        raise GeneratorIndexError(f"need 1 <= i < j <= n, got ({i!r},{j!r}) with n={group.n}")
     descent = list(range(j - 1, i, -1))
     return (
         sigma_word(descent)

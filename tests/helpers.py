@@ -212,9 +212,8 @@ def reference_torsion_scan(desc: BieberbachDescriptor, bound: int) -> TorsionSca
     """The coordinate-by-coordinate scan: every coordinate tuple of the box
     from itertools.product, in lexicographic order, and every residue j, each
     element built with :func:`element_from_coords` and checked with
-    ``torsion.order``, element by element; its finite-order kernel
-    ``torsion.cycle_sums_vanish`` is looked up at call time, so a patch
-    applies."""
+    ``torsion.order``, element by element; ``torsion.order`` is looked up at
+    call time, so a patch applies."""
     n, g = desc.n, desc.genus
     hits, mismatches, scanned = [], [], 0
     for coords in itertools.product(range(-bound, bound + 1), repeat=2 * n * g):

@@ -46,6 +46,17 @@ def test_sizes_and_generator_identity():
             make_bieberbach(n, genus)
 
 
+@pytest.mark.parametrize("n, message", [
+    ("3", "integers"), (None, "integers"), (1.5, "integers"), (False, "integers"),
+    (0, "strand count must be >= 2, got 0"), (1, "strand count must be >= 2, got 1"),
+], ids=["str", "None", "float", "bool", "zero", "one"])
+def test_make_bieberbach_rejects_a_strand_count_that_is_not_an_int_greater_than_1(n, message):
+    # the type is read before any comparison: a ValueError, never the
+    # TypeError of "3" < 2, and a bool is not taken for 0 or 1
+    with pytest.raises(ValueError, match=message):
+        make_bieberbach(n, 1)
+
+
 def test_generator_is_sigma_ladder_lift():
     # the distinguished generator is a[1,1] * s1 * s2 * ... * s_{n-1}
     for n in (2, 3, 4):
@@ -437,28 +448,28 @@ def _every_tuple(tables, cycle, target):
     return list(itertools.product(*[tables[c - 1] for c in cycle]))
 
 
-def _record_kernel(monkeypatch, seen):
-    """Wrap the finite-order kernel torsion.cycle_sums_vanish, which `order`
-    and the scan's re-check both look up at call time: count each (orbits,
+def _record_order(monkeypatch, seen):
+    """Wrap the finite-order test torsion.order, which the scan's re-check
+    and the reference scan both look up at call time: count each (orbits,
     rows) pair it calls finite in seen[0]."""
-    real = torsion.cycle_sums_vanish
+    real = torsion.order
 
-    def recorded(rows, orbits):
-        verdict = real(rows, orbits)
-        if verdict:
-            seen[0][(orbits, rows)] += 1
-        return verdict
+    def recorded(x):
+        result = real(x)
+        if result.is_finite:
+            seen[0][(x.perm.orbits, x.coeffs.rows)] += 1
+        return result
 
-    monkeypatch.setattr(torsion, "cycle_sums_vanish", recorded)
+    monkeypatch.setattr(torsion, "order", recorded)
 
 
 def test_torsion_scan_matches_the_coordinate_scan(monkeypatch):
     # The strand tables and the join cover the same box as the
     # coordinate-by-coordinate scan: the same report, and the (orbits, rows)
-    # pairs the join yields, each re-checked by the kernel, are the pairs the
-    # kernel calls finite among the reference's elements through `order`.
+    # pairs the join yields, each re-checked by `order`, are the pairs `order`
+    # calls finite among the reference's elements.
     seen = [None]
-    _record_kernel(monkeypatch, seen)
+    _record_order(monkeypatch, seen)
     for n, g, b in SCAN_CASES:
         desc = make_bieberbach(n, g)
         seen[0] = ours = collections.Counter()
@@ -471,12 +482,12 @@ def test_torsion_scan_matches_the_coordinate_scan(monkeypatch):
 
 def test_torsion_scan_reports_finite_elements_in_coordinate_order(monkeypatch):
     # With a chosen subset of each cycle's row tuples called finite, by the
-    # join and by the kernel alike, the scan puts the joined parts back in
+    # join and by `order` alike, the scan puts the joined parts back in
     # strand order, and the lazily decoded coordinates and the sort reproduce
     # the coordinate-lexicographic report entry for entry.  The join sees
     # offsets, whose entries sum to those of the scanned rows minus those of
     # the cycle's shifts, that is plus those of the target.
-    real_join, real_kernel = torsion.zero_sum_rows, torsion.cycle_sums_vanish
+    real_join = torsion.zero_sum_rows
 
     def chosen(total, length):
         return (total + 3 * length) % 7 == 0
@@ -486,12 +497,12 @@ def test_torsion_scan_reports_finite_elements_in_coordinate_order(monkeypatch):
         return [part for part in _every_tuple(tables, cycle, target)
                 if part in hits or chosen(sum(map(sum, part)) - sum(target), len(part))]
 
-    def kernel(rows, orbits):
-        return all(real_kernel(rows, (cycle,)) or chosen(sum([sum(rows[c - 1]) for c in cycle]), len(cycle))
-                   for cycle in orbits)
+    def order(x):
+        finite = all(not any(sums) or chosen(sum(sums), len(cycle)) for cycle, sums in torsion.cycle_sums(x))
+        return OrderResult(x.perm.order() if finite else None)
 
     monkeypatch.setattr(torsion, "zero_sum_rows", join)
-    monkeypatch.setattr(torsion, "cycle_sums_vanish", kernel)
+    monkeypatch.setattr(torsion, "order", order)
     for n, g, b in SCAN_CASES:
         desc = make_bieberbach(n, g)
         report, reference = desc.torsion_scan(b), reference_torsion_scan(desc, b)
@@ -508,12 +519,13 @@ def test_torsion_scan_validates_and_checks_every_element(monkeypatch):
     # tables, every row an object that passed the check (held here, so no id
     # is reused), one cycle of the residue's orbits and a target of 2g ints;
     # for each (j, lam) the join runs once per cycle, and the cycles cover
-    # the n strands.  Every tuple it yields is re-checked by the kernel, n
-    # checked rows over orbits that cover the n strands: in the torsion-free
-    # subgroup, the identity alone.  The scan counts the elements of the box.
+    # the n strands.  Every tuple it yields is re-checked by `order`, an
+    # element of n checked rows over orbits that cover the n strands: in the
+    # torsion-free subgroup, the identity alone.  The scan counts the
+    # elements of the box.
     checked: dict[int, tuple[int, ...]] = {}
     calls = collections.Counter()
-    real_join, real_kernel, real_check_rows = torsion.zero_sum_rows, torsion.cycle_sums_vanish, Element._check_rows
+    real_join, real_order, real_check_rows = torsion.zero_sum_rows, torsion.order, Element._check_rows
 
     def recorded_check_rows(group, rows):
         real_check_rows(group, rows)
@@ -530,16 +542,17 @@ def test_torsion_scan_validates_and_checks_every_element(monkeypatch):
         calls["unchecked rows"] += sum(1 for table in tables for row in table if checked.get(id(row)) is not row)
         return real_join(tables, cycle, target)
 
-    def checked_kernel(rows, orbits):
-        calls["kernel"] += 1
+    def checked_order(x):
+        calls["order"] += 1
+        rows, orbits = x.coeffs.rows, x.perm.orbits
         if type(rows) is not tuple or len(rows) != n or sorted(itertools.chain(*orbits)) != list(range(1, n + 1)):
             calls["bad size"] += 1
         calls["unchecked rows"] += sum(1 for row in rows if checked.get(id(row)) is not row)
-        return real_kernel(rows, orbits)
+        return real_order(x)
 
     monkeypatch.setattr(Element, "_check_rows", staticmethod(recorded_check_rows))
     monkeypatch.setattr(torsion, "zero_sum_rows", checked_join)
-    monkeypatch.setattr(torsion, "cycle_sums_vanish", checked_kernel)
+    monkeypatch.setattr(torsion, "order", checked_order)
     for n, g, b in SCAN_CASES:
         desc = make_bieberbach(n, g)
         assert len(desc.powers) == n  # cached before counting
@@ -549,15 +562,15 @@ def test_torsion_scan_validates_and_checks_every_element(monkeypatch):
         assert report.scanned == (2 * b + 1) ** (2 * n * g) * n
         assert calls["join"] == (2 * b + 1) * sum(len(gj.perm.orbits) for gj in desc.powers)
         assert calls["cycle strands"] == (2 * b + 1) * n * n
-        assert calls["kernel"] == 1
+        assert calls["order"] == 1
         assert calls["row checks"] == 2 + (2 * b + 1) * n + 1
         assert calls["bad size"] == calls["bad target"] == calls["unchecked rows"] == 0
 
 
 def test_a_kernel_that_calls_everything_finite_fails_order_and_the_scan(monkeypatch):
-    # `order` and the scan's re-check decide finiteness in one place, the
-    # kernel; the join only proposes tuples.  A join that yields every tuple
-    # fails the re-check; with a kernel that also calls everything finite,
+    # The scan decides finiteness in one place, `order`, looked up at call
+    # time; the join only proposes tuples.  A join that yields every tuple
+    # fails the re-check; with an `order` that also calls everything finite,
     # the generator's infinite order turns finite and the passing scan into a
     # failing one.  A join that drops the identity, or finds it twice, fails
     # the identity check.
@@ -568,8 +581,8 @@ def test_a_kernel_that_calls_everything_finite_fails_order_and_the_scan(monkeypa
         patch.setattr(torsion, "zero_sum_rows", _every_tuple)
         with pytest.raises(VerificationError, match="a joined tuple of rows must have vanishing cycle sums"):
             desc.torsion_scan(1)
-        patch.setattr(torsion, "cycle_sums_vanish", lambda rows, orbits: True)
-        assert order(desc.generator) == OrderResult(desc.generator.perm.order())
+        patch.setattr(torsion, "order", lambda x: OrderResult(x.perm.order()))
+        assert torsion.order(desc.generator) == OrderResult(desc.generator.perm.order())
         assert not desc.torsion_scan(1).passed
     for join in (lambda tables, cycle, target: [],
                  lambda tables, cycle, target: 2 * real_join(tables, cycle, target)):
@@ -583,11 +596,11 @@ def _shifted(tables, shifts):
     return [tuple([tuple(map(operator.add, row, shift)) for row in table]) for table, shift in zip(tables, shifts)]
 
 
-def test_join_finds_exactly_the_tuples_whose_cycle_sums_vanish():
+def test_join_finds_exactly_the_tuples_of_finite_order():
     # Per (j, lam) and per cycle, the join's tuples of offsets are the
     # brute-force set {offsets in the product of the tables : they sum to
     # minus the cycle's shift sum}, each once, and the joined rows are
-    # {rows in the product of the shifted tables : the kernel calls them
+    # {rows in the product of the shifted tables : `order` calls them
     # finite}.  (4,1,1) has the cycle types 4, 2+2 and 1^4.
     joined_any = False
     for n, g, b in SCAN_CASES + [(4, 1, 1), (3, 1, 2)]:
@@ -602,7 +615,7 @@ def test_join_finds_exactly_the_tuples_whose_cycle_sums_vanish():
                 assert part == brute, (n, g, b, j, cycle)
                 joined_any = joined_any or bool(part)
             finite = collections.Counter(rows for rows in itertools.product(*_shifted(tables, shifts))
-                                         if torsion.cycle_sums_vanish(rows, orbits))
+                                         if order(Element(desc.group, CoeffVector(rows), gj.perm)).is_finite)
             assert collections.Counter(bieberbach._joined_rows(tables, shifts, orbits)) == finite, (n, g, b, j)
     assert joined_any
     assert {tuple(map(len, gj.perm.orbits)) for gj in make_bieberbach(4, 1).powers} == {(4,), (2, 2), (1,) * 4}
@@ -656,7 +669,7 @@ def test_join_indexes_the_half_with_fewer_row_tuples(monkeypatch):
 def test_offset_tables_plus_shifts_are_the_codec_rows():
     # The hoist matches the codec: for every (j, lam), strand i and choice
     # of strand i's coordinates, offset + shift is the row that _strand_row
-    # writes over generator**j.  Strand 0's handle-1 coordinate is lam.
+    # writes plus that of generator**j.  Strand 0's handle-1 coordinate is lam.
     for n, g, b in SCAN_CASES:
         desc = make_bieberbach(n, g)
         box = range(-b, b + 1)
@@ -670,8 +683,8 @@ def test_offset_tables_plus_shifts_are_the_codec_rows():
                 strands = list(itertools.product((lam,) if i == 0 else box, *free))
                 assert len(table) == len(strands)
                 for offset, strand in zip(table, strands):
-                    assert (tuple(map(operator.add, offset, shift))
-                            == bieberbach._strand_row(n, lam, i, strand, gj.coeffs.rows[i])), (n, g, b, j, lam, i)
+                    assert (tuple(map(operator.add, offset, shift)) == tuple(map(
+                        operator.add, bieberbach._strand_row(n, lam, i, strand), gj.coeffs.rows[i]))), (n, g, b, j, lam, i)
 
 
 @pytest.mark.parametrize("n, g, b", [(n, 1, b) for n in range(2, 7) for b in (0, 1)]
@@ -693,6 +706,30 @@ def test_a_scan_builds_each_offset_row_once(monkeypatch, n, g, b):
     assert calls[0] == (2 * b + 1) ** (2 * g - 1) + (2 * b + 1) ** (2 * g)
 
 
+@pytest.mark.parametrize("b", [0, 1, 2])
+def test_torsion_scan_calls_order_once_per_reported_tuple(monkeypatch, b):
+    # The scan's only finite-order test is `order`, called once on each
+    # tuple the join reports; the torsion-free subgroup reports the
+    # identity alone, so once per scan.
+    real_join, real_order = bieberbach._joined_rows, torsion.order
+    calls = collections.Counter()
+
+    def counted_join(*args):
+        for rows in real_join(*args):
+            calls["reported"] += 1
+            yield rows
+
+    def counted_order(x):
+        calls["order"] += 1
+        return real_order(x)
+
+    desc = make_bieberbach(2, 1)
+    monkeypatch.setattr(bieberbach, "_joined_rows", counted_join)
+    monkeypatch.setattr(torsion, "order", counted_order)
+    assert desc.torsion_scan(b).passed
+    assert calls == {"reported": 1, "order": 1}
+
+
 def test_bound_one_scans_of_larger_boxes_pass():
     # The join reaches boxes of millions of elements: 3^12 * 3 and 3^12 * 6.
     for (n, g), scanned in [((3, 2), 1_594_323), ((6, 1), 3_188_646)]:
@@ -701,25 +738,31 @@ def test_bound_one_scans_of_larger_boxes_pass():
 
 
 def test_torsion_scan_builds_an_element_only_for_finite_rows(monkeypatch):
-    # Element._trusted runs inside the scan once per tuple of rows the join
-    # yields and the kernel re-checks: in the torsion-free subgroup, the
-    # identity alone.
-    real_trusted = Element._trusted
+    # The scan builds one element, with the checked constructor, per tuple
+    # of rows the join yields, and re-checks it with `order`: in the
+    # torsion-free subgroup, the identity alone.  No element is built
+    # unchecked.
+    real_trusted, real_post_init = Element._trusted, Element.__post_init__
     built = collections.Counter()
 
-    def counted(group, coeffs, perm):
-        built["elements"] += 1
+    def counted_trusted(group, coeffs, perm):
+        built["unchecked"] += 1
         return real_trusted(group, coeffs, perm)
+
+    def counted_post_init(self):
+        built["checked"] += 1
+        real_post_init(self)
 
     for n, g, b in SCAN_CASES:
         desc = make_bieberbach(n, g)
         assert len(desc.powers) == n  # cached before counting
         built.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(Element, "_trusted", staticmethod(counted))
+            patch.setattr(Element, "_trusted", staticmethod(counted_trusted))
+            patch.setattr(Element, "__post_init__", counted_post_init)
             report = desc.torsion_scan(b)
         assert report.passed and report.scanned == (2 * b + 1) ** (2 * n * g) * n
-        assert built["elements"] == 1
+        assert built == {"checked": 1}
 
 
 @pytest.mark.parametrize("fault, message", [
@@ -730,14 +773,14 @@ def test_torsion_scan_builds_an_element_only_for_finite_rows(monkeypatch):
 def test_torsion_scan_rejects_a_faulty_strand_row(monkeypatch, fault, message):
     # One faulty row, the last of the offset table shared by strands
     # 1..n-1, built once with lam = 0, is rejected with the validating
-    # constructor's message before any table reaches the join or any tuple of
-    # rows the finite-order kernel.
+    # constructor's message before any table reaches the join or any element
+    # the finite-order test.
     desc = make_bieberbach(2, 1)
     real_strand_row = bieberbach._strand_row
     faulted = []
 
-    def faulty_strand_row(n, lam, i, strand, base_row):
-        row = real_strand_row(n, lam, i, strand, base_row)
+    def faulty_strand_row(n, lam, i, strand):
+        row = real_strand_row(n, lam, i, strand)
         if (i, lam, strand) == (n - 1, 0, (1, 1)):
             faulted.append(row)
             return fault(row)
@@ -748,7 +791,7 @@ def test_torsion_scan_rejects_a_faulty_strand_row(monkeypatch, fault, message):
 
     monkeypatch.setattr(bieberbach, "_strand_row", faulty_strand_row)
     monkeypatch.setattr(torsion, "zero_sum_rows", no_check)
-    monkeypatch.setattr(torsion, "cycle_sums_vanish", no_check)
+    monkeypatch.setattr(torsion, "order", no_check)
     with pytest.raises(ValueError) as excinfo:
         desc.torsion_scan(1)
     assert str(excinfo.value) == message
@@ -763,8 +806,8 @@ def test_torsion_scan_rejects_a_faulty_strand_row(monkeypatch, fault, message):
 def test_torsion_scan_rejects_a_faulty_shift_row(monkeypatch, fault, message):
     # A faulty row in a cached power of the generator, the base of one
     # residue's shift rows, is rejected with the validating constructor's
-    # message before any table reaches the join or any tuple of rows the
-    # finite-order kernel.
+    # message before any table reaches the join or any element the
+    # finite-order test.
     desc = make_bieberbach(2, 1)
     g1 = desc.powers[1]
     rows = (fault(g1.coeffs.rows[0]),) + g1.coeffs.rows[1:]
@@ -774,7 +817,7 @@ def test_torsion_scan_rejects_a_faulty_shift_row(monkeypatch, fault, message):
         raise AssertionError("rows were joined or checked before the faulty shift row was rejected")
 
     monkeypatch.setattr(torsion, "zero_sum_rows", no_check)
-    monkeypatch.setattr(torsion, "cycle_sums_vanish", no_check)
+    monkeypatch.setattr(torsion, "order", no_check)
     with pytest.raises(ValueError) as excinfo:
         desc.torsion_scan(1)
     assert str(excinfo.value) == message

@@ -490,18 +490,18 @@ JOIN_FAULTS = {
 
 
 def test_selftest_runs_the_torsion_scan_under_python_O():
-    # Suite 5 compares the join with the finite-order kernel element by
-    # element over the bound-1 box at n = 2, g = 1, then runs the scan;
-    # nothing else in the selftest reads the join, so a join that yields
-    # every tuple, or none, fails that suite alone.
-    for fault in JOIN_FAULTS.values():
+    # Suite 5 runs the bound-1 scan at n = 2, g = 1, which re-checks each
+    # tuple the join reports with `order` and requires the identity exactly
+    # once; nothing else in the selftest reads the join, so a join that
+    # yields every tuple, or none, fails that suite alone.
+    for fault, message in [("everything", "a joined tuple of rows must have vanishing cycle sums"),
+                           ("nothing", "the join must find the identity exactly once")]:
         code = ("import itertools, sys\nfrom surfbraid import cli, torsion\n"
-                + fault + "sys.exit(cli.main(['selftest']))\n")
+                + JOIN_FAULTS[fault] + "sys.exit(cli.main(['selftest']))\n")
         res = run_optimized(code)
         assert res.returncode == 3, res.stderr
         failed = [line for line in res.stdout.splitlines() if line.startswith("not ok")]
-        assert failed == ["not ok 5 - bieberbach holonomy matrices and centre: "
-                          "the join must find exactly the tuples of rows whose cycle sums vanish"], res.stdout
+        assert failed == [f"not ok 5 - bieberbach holonomy matrices and centre: {message}"], res.stdout
 
 
 
@@ -607,9 +607,9 @@ def test_verdict_runs_the_strand_action(capsys, monkeypatch):
 def test_torsion_scan_checks_run_under_python_O():
     # The scan's checks are explicit branches, not asserts: under -O the
     # unpatched scan prints the README output; a join that yields every tuple
-    # fails the kernel's re-check, and a join that yields none fails the
-    # identity check; with a kernel that calls every element finite too, the
-    # scan yields hits and mismatches.
+    # fails the re-check by `order`, and a join that yields none fails the
+    # identity check; with an `order` that calls every element finite too,
+    # the scan yields hits and mismatches.
     golden = json.loads((Path(__file__).resolve().parent / "data" / "readme_outputs.json").read_text())
     command = "surfbraid bieberbach torsion-scan --n 2 --genus 1 --bound 1"
     expected = next(entry["stdout"] for entry in golden if entry["command"] == command)
@@ -625,7 +625,7 @@ def test_torsion_scan_checks_run_under_python_O():
         "    return [report.scanned, len(report.torsion_hits), len(report.obstruction_mismatches)]\n"
         + JOIN_FAULTS["nothing"] + "nothing = scan()\n"
         + JOIN_FAULTS["everything"] + "everything = scan()\n"
-        "torsion.cycle_sums_vanish = lambda rows, orbits: True  # every element called finite\n"
+        "torsion.order = lambda x: torsion.OrderResult(x.perm.order())  # every element called finite\n"
         "print(json.dumps([nothing, everything, scan()]))\n"
     )
     res = run_optimized(code)
@@ -642,13 +642,13 @@ def test_torsion_scan_checks_run_under_python_O():
 
 def _rejected_under_python_O(fault):
     """Run a bound-1 scan at n = 2, g = 1 under -O after ``fault``, with the
-    join and the kernel unset, and return what it printed."""
+    join and the finite-order test unset, and return what it printed."""
     code = (
         "from surfbraid import bieberbach, torsion\n"
         "from surfbraid.core import CoeffVector, Element\n"
         "desc = bieberbach.make_bieberbach(2, 1)\n"
         + fault +
-        "torsion.zero_sum_rows = torsion.cycle_sums_vanish = None  # joining or checking would raise TypeError\n"
+        "torsion.zero_sum_rows = torsion.order = None  # joining or checking would raise TypeError\n"
         "try:\n"
         "    desc.torsion_scan(1)\n"
         "except ValueError as exc:\n"
@@ -662,7 +662,7 @@ def _rejected_under_python_O(fault):
 def test_torsion_scan_row_check_runs_under_python_O():
     # The scan checks its offset-table rows with an explicit branch, not an
     # assert: under -O a float entry from the row builder is still rejected,
-    # before any table reaches the join or any tuple of rows the kernel.
+    # before any table reaches the join or any element the finite-order test.
     assert _rejected_under_python_O(
         "real_strand_row = bieberbach._strand_row\n"
         "bieberbach._strand_row = lambda *args: (0.5,) + real_strand_row(*args)[1:]\n"
@@ -681,17 +681,17 @@ def test_torsion_scan_shift_row_check_runs_under_python_O():
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 @pytest.mark.parametrize("fault, x, message", [
-    ("torsion.cycle_sums_vanish = lambda rows, orbits: True", '{"n":2,"g":1,"perm":[2,1],"coeffs":[[1,0],[0,0]]}',
+    ("torsion.order = lambda x: torsion.OrderResult(x.perm.order())", '{"n":2,"g":1,"perm":[2,1],"coeffs":[[1,0],[0,0]]}',
      "x**2 must be the identity for an element of order 2"),
-    ("torsion.cycle_sums_vanish = lambda rows, orbits: False", '{"n":2,"g":1,"perm":[2,1],"coeffs":[[1,0],[-1,0]]}',
+    ("torsion.order = lambda x: torsion.OrderResult(None)", '{"n":2,"g":1,"perm":[2,1],"coeffs":[[1,0],[-1,0]]}',
      "an infinite-order element must have a nonzero power over the identity permutation"),
     ("real = Permutation.order\nPermutation.order = lambda self: 2 * real(self)",
      '{"n":2,"g":1,"perm":[2,1],"coeffs":[[1,0],[-1,0]]}', "x**2 must not be the identity for an element of order 4"),
 ], ids=["called-finite", "called-infinite", "order-too-large"])
 def test_order_command_checks_the_printed_order_with_powers(flags, fault, x, message):
     # The printed order is backed by closed-form powers that run under -O
-    # too: a finite-order kernel that calls every element finite (or every
-    # element infinite), or a permutation order twice too large, makes
+    # too: an `order` that calls every element finite (or every element
+    # infinite), or a permutation order twice too large, makes
     # `surfbraid order` exit 4 with the power check's message, not print a
     # wrong order.
     code = (
@@ -703,6 +703,34 @@ def test_order_command_checks_the_printed_order_with_powers(flags, fault, x, mes
     )
     res = subprocess.run([sys.executable, *flags, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                          capture_output=True, text=True, timeout=60)
+    assert (res.returncode, res.stdout) == (4, "")
+    assert res.stderr == f"surfbraid: internal check failed: {message}\n"
+
+
+@pytest.mark.parametrize("k, added, message", [
+    (2, 1, "Betti numbers [1, 2, 6, 8, 5, 2, 1] of det 1 must satisfy Poincare duality"),
+    (3, 2, "a flat manifold must have Euler characteristic 0"),
+], ids=["beta2-plus-1", "beta3-plus-2"])
+def test_invariants_command_checks_duality_and_euler_characteristic_under_python_O(k, added, message):
+    # beta_k is the average over the p = 3 powers of M of the k-th Newton
+    # coefficient; adding 3 * added to the identity's adds `added` to beta_k.
+    # beta_2 + 1 at (3, 1), [1, 2, 6, 8, 5, 2, 1], breaks duality and the
+    # Euler characteristic; beta_3 + 2, [1, 2, 5, 10, 5, 2, 1], is
+    # palindromic and breaks the Euler characteristic alone.  Either makes
+    # `invariants` exit 4 under -O, not print the wrong Betti numbers.
+    code = (
+        "import sys\n"
+        "from surfbraid import cli, invariants\n"
+        "real = invariants._elementary_symmetric_from_traces\n"
+        "def faulty(traces, m):\n"
+        "    e = real(traces, m)\n"
+        "    if tuple(traces) == (m,) * m:  # the power sums of the identity\n"
+        f"        e[{k}] += 3 * {added}\n"
+        "    return e\n"
+        "invariants._elementary_symmetric_from_traces = faulty\n"
+        "sys.exit(cli.main(['invariants', '--n', '3', '--genus', '1']))\n"
+    )
+    res = run_optimized(code)
     assert (res.returncode, res.stdout) == (4, "")
     assert res.stderr == f"surfbraid: internal check failed: {message}\n"
 

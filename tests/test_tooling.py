@@ -291,7 +291,7 @@ def test_readme_names_resolve_in_the_package():
             if not hasattr(target, attr):
                 missing.append(f"{owner}.{attr}")
     assert "torsion.cycle_sums" in named and "Element.bits" in named
-    assert {"BieberbachDescriptor._strand_tables", "torsion.zero_sum_rows", "torsion.cycle_sums_vanish",
+    assert {"BieberbachDescriptor._strand_tables", "torsion.zero_sum_rows", "torsion.order",
             "invariants.CyclicRep"} <= set(named)
     assert not missing, f"README names that the package does not define: {missing}"
 

@@ -51,7 +51,7 @@ VALUES = [
      ("generator_words", "subgroup_order", "normality_verified", "note"),
      "FiniteNormalWitness(generator_words=('a[1,1]',), subgroup_order=2, normality_verified=True, "
      "note='a note')"),
-    # is_finite is derived from the value: stored, refused assignment and restored, but not shown
+    # is_finite is a property derived from the value: refused assignment and restored, but not shown
     (lambda: OrderResult(None), ("value", "is_finite"), "OrderResult(value=None)"),
     (lambda: OrderResult(3), ("value", "is_finite"), "OrderResult(value=3)"),
     (lambda: FrobeniusEmbedding.zero(1), ("genus", "blocks"),

@@ -316,6 +316,18 @@ def test_classical_word_spellings():
         t_word(g3, 2, 2)
 
 
+@pytest.mark.parametrize("bad", ["2", None, 2.0, True], ids=["str", "None", "float", "bool"])
+@pytest.mark.parametrize("word", [t_word, a_word], ids=["t_word", "a_word"])
+def test_twist_words_reject_an_index_that_is_not_an_int(word, bad):
+    # the type is read before any comparison: a GeneratorIndexError (a
+    # ValueError), never the TypeError of 1 <= "2", and a bool is not taken
+    # for 1
+    g3 = GroupDescriptor.torus(3)
+    for i, j in [(1, bad), (bad, 3)]:
+        with pytest.raises(GeneratorIndexError, match="need 1 <= i < j <= n"):
+            word(g3, i, j)
+
+
 def test_artin_relation_lands_on_long_transposition():
     g3 = GroupDescriptor.torus(3)
     lhs = normalize(g3, sigma_word([1, 2, 1]))
