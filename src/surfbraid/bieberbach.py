@@ -147,15 +147,22 @@ class BieberbachDescriptor(Frozen):
         i's coordinates coords[i::n] (:func:`_strand_row`, strands from 0) to
         strand w(i): column r*n + i is the unit vector at r*n + w(i).  Where
         handle 1 meets strand 0, whose coordinate lam reaches every strand, the
-        column is decoded from the moved basis vector and checked to lie in L."""
+        column is decoded from the moved basis vector and checked to lie in L.
+        Each column's nonzero entries are appended to their rows, column by
+        column, so the rows come out in the stored form of :class:`IntMatrix`."""
         n, dim, w = self.n, self.dimension, self.generator.perm
-        columns = []
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
         for k in range(dim):
             target = k - k % n + w(k % n + 1) - 1
-            columns.append((0,) * target + (1,) + (0,) * (dim - 1 - target) if k and target
-                           else self.lattice_coords(self._basis_vector(k).permuted(w)))
-        check(None not in columns, "conjugation by the generator must preserve the lattice")
-        return IntMatrix._trusted(tuple(list(zip(*columns))))
+            if k and target:
+                rows[target].append((k, 1))
+                continue
+            coords = self.lattice_coords(self._basis_vector(k).permuted(w))
+            check(coords is not None, "conjugation by the generator must preserve the lattice")
+            for i, v in enumerate(coords):
+                if v:
+                    rows[i].append((k, v))
+        return IntMatrix._trusted(dim, tuple([tuple(row) for row in rows]))
 
     def lattice_coords(self, vec: CoeffVector) -> tuple[int, ...] | None:
         """Coordinates of a lattice vector in the fixed basis, or None if the
@@ -172,6 +179,8 @@ class BieberbachDescriptor(Frozen):
         """The lattice vector with the given coordinates in the fixed basis,
         one :func:`_strand_row` per strand."""
         n, g = self.n, self.genus
+        if not isinstance(coords, tuple) or any([type(c) is not int for c in coords]):
+            raise ValueError(f"coordinates must be a tuple of integers, got {coords!r}")
         if len(coords) != 2 * n * g:
             raise ValueError(f"need {2 * n * g} coordinates, got {len(coords)}")
         return CoeffVector(tuple([_strand_row(n, coords[0], i, coords[i::n]) for i in range(n)]))

@@ -55,6 +55,8 @@ class Permutation(Frozen):
 
     @classmethod
     def identity(cls, n: int) -> Permutation:
+        if type(n) is not int or n < 0:
+            raise ValueError(f"degree must be an integer >= 0, got {n!r}")
         return cls._trusted(tuple(range(1, n + 1)))
 
     @classmethod

@@ -105,8 +105,8 @@ def _check_char_poly(matrix: IntMatrix, coeffs: tuple[int, ...], what: str) -> N
     m = matrix.nrows
     check(len(coeffs) == m + 1 and coeffs[-1] == 1, f"{what} must be monic of degree {m}")
     for t in range(m):
-        shifted = IntMatrix(tuple([tuple([(t if i == j else 0) - v for j, v in enumerate(row)])
-                                   for i, row in enumerate(matrix.rows)]))
+        shifted = IntMatrix.from_rows(tuple([tuple([(t if i == j else 0) - v for j, v in enumerate(row)])
+                                             for i, row in enumerate(matrix.rows)]))
         value = sum([c * t**k for k, c in enumerate(coeffs)])
         check(value == shifted.det(), f"{what} must be det(xI - M) at x = {t}")
 
@@ -134,7 +134,7 @@ def _suite_invariants() -> None:
               "the flat manifold must be orientable, Anosov and Kaehler")
     # the order-6 rotation: M^2 != I, so its chain is cut after dim = 2 traces
     # and runs on to the period 6 of its power sums, found by their recurrence
-    rotation = CyclicRep(IntMatrix(((1, -1), (1, 0))), 6)
+    rotation = CyclicRep(IntMatrix.from_rows(((1, -1), (1, 0))), 6)
     _check_char_poly(rotation.matrix, rotation.char_poly, "the cut chain's char poly")
     check(rotation.cyclotomic == {6: 1}, "the order-6 rotation must have the single factor Phi_6")
     check(betti_numbers(rotation) == (1, 0, 1), "the order-6 rotation must have Betti numbers (1, 0, 1)")

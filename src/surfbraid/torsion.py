@@ -279,6 +279,8 @@ class FrobeniusEmbedding(Frozen):
 
     @classmethod
     def zero(cls, genus: int) -> FrobeniusEmbedding:
+        if type(genus) is not int:
+            raise ValueError(f"genus must be an integer, got {genus!r}")
         return cls(genus, ((0, 0, 0, 0),) * (2 * genus))
 
     @property
@@ -331,6 +333,8 @@ def default_multiplier(p: int) -> int:
 def multiplication_permutation(p: int, l: int) -> Permutation:
     """The permutation of 1..p given by i -> l*i mod p, with p playing the
     role of the zero residue (so p is a fixed point)."""
+    if type(p) is not int or type(l) is not int:
+        raise ValueError(f"modulus and multiplier must be integers, got p={p!r}, l={l!r}")
     images = [((l * i - 1) % p) + 1 for i in range(1, p + 1)]
     return Permutation(tuple(images))
 

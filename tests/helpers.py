@@ -44,8 +44,8 @@ X = sympy.Symbol("x")
 
 
 def int_matrix(rows) -> IntMatrix:
-    """The integer matrix with the given rows, entries taken as they are."""
-    return IntMatrix(tuple([tuple(row) for row in rows]))
+    """The integer matrix with the given dense rows, entries taken as they are."""
+    return IntMatrix.from_rows(tuple([tuple(row) for row in rows]))
 
 
 def lattice_element(group: GroupDescriptor, rows) -> Element:
@@ -451,18 +451,19 @@ def faddeev_leverrier_char_poly(matrix: IntMatrix) -> tuple[int, ...]:
         coeffs[m - k] = q
         if k < m:
             shifted = [row[:i] + (row[i] + q,) + row[i + 1:] for i, row in enumerate(aux.rows)]
-            aux = matrix * IntMatrix(tuple(shifted))
+            aux = matrix * IntMatrix.from_rows(tuple(shifted))
     return tuple(coeffs)
 
 
 def matmul_by_triple_loop(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """The textbook product: entry (i, j) is sum_k a[i][k] * b[k][j]."""
     assert a.ncols == b.nrows
+    a_rows, b_rows = a.rows, b.rows  # the dense view is built on each read
     rows = [[0] * b.ncols for _ in range(a.nrows)]
     for i in range(a.nrows):
         for j in range(b.ncols):
             for k in range(a.ncols):
-                rows[i][j] += a.rows[i][k] * b.rows[k][j]
+                rows[i][j] += a_rows[i][k] * b_rows[k][j]
     return int_matrix(rows)
 
 
@@ -472,7 +473,8 @@ def power_traces_by_triple_loop(matrix: IntMatrix) -> tuple[int, ...]:
     identity = IntMatrix.identity(matrix.nrows)
     traces, power = [matrix.nrows], matrix
     while power != identity:
-        traces.append(sum(power.rows[i][i] for i in range(matrix.nrows)))
+        rows = power.rows
+        traces.append(sum(rows[i][i] for i in range(matrix.nrows)))
         power = matmul_by_triple_loop(matrix, power)
     return tuple(traces)
 
@@ -532,10 +534,10 @@ def reference_kahler_check(rep) -> bool:
 
 def sum_principal_minors(matrix: IntMatrix, k: int) -> int:
     """Trace of the k-th exterior power, as an explicit sum of k x k minors."""
-    m = matrix.nrows
+    m, rows = matrix.nrows, matrix.rows
     total = 0
     for subset in itertools.combinations(range(m), k):
-        sub = [[matrix.rows[i][j] for j in subset] for i in subset]
+        sub = [[rows[i][j] for j in subset] for i in subset]
         total += cofactor_det(sub)
     return total
 

@@ -157,6 +157,16 @@ def test_coeffs_from_coords_rejects_a_wrong_coordinate_count():
             desc.coeffs_from_coords((0,) * count)
 
 
+@pytest.mark.parametrize("bad", ["1", None, 1.5, True])
+def test_coeffs_from_coords_rejects_coordinates_that_are_not_ints(bad):
+    # checked before any arithmetic: a float or bool would otherwise give rows
+    # of floats or be taken for 1
+    desc = make_bieberbach(2, 1)
+    for coords in ((bad, 0, 0, 0), (0, 0, 0, bad), [0, 0, 0, 0], None):
+        with pytest.raises(ValueError, match="coordinates must be a tuple of integers"):
+            desc.coeffs_from_coords(coords)
+
+
 def test_membership_examples():
     desc = make_bieberbach(3, 1)
     g = desc.group

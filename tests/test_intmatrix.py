@@ -1,3 +1,6 @@
+import copy
+import itertools
+import pickle
 import random
 from functools import reduce
 from operator import mul
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from surfbraid.bieberbach import make_bieberbach
 from surfbraid.intmatrix import IntMatrix
-from surfbraid.invariants import CyclicRep
+from surfbraid.invariants import CyclicRep, invariant_report
 
 from helpers import (
     DERANDOMIZED,
@@ -49,7 +52,7 @@ def companion_of_x_pow_minus_one(n):
 def test_shape_validation():
     for rows in (((1, 2), (3,)), [(1, 0), (0, 1)], ((1, 0), [0, 1]), ((1, 0), 1)):
         with pytest.raises(ValueError):
-            IntMatrix(rows)
+            IntMatrix.from_rows(rows)
     with pytest.raises(ValueError):
         int_matrix([[1, 2]]).det()
 
@@ -58,7 +61,74 @@ def test_shape_validation():
 def test_entries_are_rejected_never_coerced(rows):
     # bad input, not a failed internal check (VerificationError) further on
     with pytest.raises(ValueError, match="integers"):
-        IntMatrix(rows).det()
+        IntMatrix.from_rows(rows).det()
+
+
+@pytest.mark.parametrize("ncols, entries", [
+    (True, ()), (2.0, ()), ("2", ()), (-1, ()), (None, ()),  # the column count
+    (2, [((0, 1),)]), (2, (((0, 1),), [(1, 1)])), (2, ((0, 1),)),  # rows not a tuple of tuples
+    (2, (((0,),),)), (2, (((0, 1, 2),),)), (2, ([0, 1],)),  # entries not pairs
+    (2, (((0, 1.0),),)), (2, (((0, True),),)), (2, (((False, 1),),)), (2, ((("0", 1),),)),  # not integers
+    (2, (((0, 0),),)),  # a stored zero
+    (2, (((2, 1),),)), (2, (((-1, 1),),)), (0, (((0, 1),),)),  # a column outside [0, ncols)
+    (3, (((1, 1), (0, 1)),)), (3, (((1, 1), (1, 2)),)),  # columns not increasing
+])
+def test_the_constructor_checks_the_stored_form(ncols, entries):
+    with pytest.raises(ValueError):
+        IntMatrix(ncols, entries)
+
+
+def test_the_stored_form_drops_zeros_and_the_dense_view_restores_them():
+    a = IntMatrix.from_rows(((0, 3, 0), (0, 0, 0), (-1, 0, 2)))
+    assert (a.ncols, a.entries) == (3, (((1, 3),), (), ((0, -1), (2, 2))))
+    assert a.rows == ((0, 3, 0), (0, 0, 0), (-1, 0, 2)) and a.to_json_obj() == [[0, 3, 0], [0, 0, 0], [-1, 0, 2]]
+    rng = random.Random(37)
+    for _ in range(50):
+        b = sparse_random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), density=rng.choice([0.0, 0.3, 1.0]))
+        assert IntMatrix.from_rows(b.rows) == b and IntMatrix(b.ncols, b.entries) == b
+
+
+def test_a_row_that_cancels_to_zero_equals_and_hashes_like_the_zero_matrix():
+    product = int_matrix([[1, 1]]) * int_matrix([[1], [-1]])
+    zero = int_matrix([[0]])
+    assert product == zero and hash(product) == hash(zero) and product.entries == ((),)
+    difference = int_matrix([[2, -1], [0, 3]]) - int_matrix([[2, -1], [0, 3]])
+    assert difference == int_matrix([[0, 0], [0, 0]]) == IntMatrix(2, ((), ()))
+    assert hash(difference) == hash(IntMatrix(2, ((), ())))
+
+
+def test_empty_and_zero_matrices_of_different_shapes_are_unequal():
+    shapes = {(0, 0): IntMatrix(0, ()), (2, 0): IntMatrix(0, ((), ())), (0, 2): IntMatrix(2, ()),
+              (1, 1): int_matrix([[0]]), (1, 2): int_matrix([[0, 0]]), (2, 1): int_matrix([[0], [0]])}
+    for shape, m in shapes.items():
+        assert (m.nrows, m.ncols) == shape
+    for a, b in itertools.combinations(shapes.values(), 2):
+        assert a != b and not a == b
+    assert len(set(shapes.values())) == len(shapes)
+
+
+def test_pickling_and_copying_keep_equality_and_hash():
+    h = make_bieberbach(8, 2).holonomy_matrix()
+    for clone in [copy.copy(h), copy.deepcopy(h)] + [
+            pickle.loads(pickle.dumps(h, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]:
+        assert type(clone) is IntMatrix and clone == h and hash(clone) == hash(h)
+        assert clone.entries == h.entries and clone.ncols == h.ncols
+        assert clone * h == h * h and clone - h == h - h
+
+
+def test_holonomy_to_report_reads_no_dense_row(monkeypatch):
+    # the stored entries are the one form on the path from the holonomy
+    # matrix to the invariant report: no step there builds a dense row
+    def report():
+        return invariant_report(CyclicRep(make_bieberbach(8, 2).holonomy_matrix(), 8))
+
+    expected = report()
+
+    def refuse(self):
+        raise AssertionError("a dense row was built")
+
+    monkeypatch.setattr(IntMatrix, "rows", property(refuse))
+    assert report() == expected
 
 
 def test_arithmetic_builds_matrices_without_validation(monkeypatch):
@@ -80,7 +150,7 @@ def test_arithmetic_builds_matrices_without_validation(monkeypatch):
 @pytest.mark.parametrize("op", ["__sub__"])
 def test_sum_and_difference_need_equal_shapes(op):
     a = int_matrix([[1, 2], [3, 4]])
-    for b in (int_matrix([[1]]), int_matrix([[1, 2]]), int_matrix([[1], [2]]), IntMatrix(())):
+    for b in (int_matrix([[1]]), int_matrix([[1, 2]]), int_matrix([[1], [2]]), IntMatrix.from_rows(())):
         with pytest.raises(ValueError, match="shapes differ"):
             getattr(a, op)(b)
         with pytest.raises(ValueError, match="shapes differ"):
@@ -89,9 +159,11 @@ def test_sum_and_difference_need_equal_shapes(op):
 
 @pytest.mark.parametrize("other", [True, 2, 2.0, ((1,),)])
 def test_product_rejects_an_operand_that_is_not_a_matrix(other):
-    # bad input, not an AttributeError from deep inside the product
+    # bad input, not an AttributeError from deep inside the product or difference
     with pytest.raises(ValueError, match="multiplies only an IntMatrix"):
         int_matrix([[1]]) * other
+    with pytest.raises(ValueError, match="subtracts only an IntMatrix"):
+        int_matrix([[1]]) - other
 
 
 def test_product_and_power():
@@ -138,7 +210,7 @@ def test_product_of_permutation_and_signed_permutation_matrices_against_triple_l
         for x, y in [(p, a), (s, a), (p, s), (s, p), (p, p), (s, s)]:
             assert x * y == matmul_by_triple_loop(x, y)
         # a unit row takes the right operand's row tuple itself
-        assert all([row is a.rows[r.index(1)] for row, r in zip((p * a).rows, p.rows)])
+        assert all([row is a.entries[r[0][0]] for row, r in zip((p * a).entries, p.entries)])
 
 
 def test_product_rows_with_one_nonzero_entry_against_triple_loop():
@@ -182,6 +254,13 @@ def test_holonomy_products_and_power_traces_against_triple_loop():
             assert CyclicRep(h, n).power_traces == power_traces_by_triple_loop(h)
 
 
+@pytest.mark.parametrize("m", ["3", None, 3.0, True, -1])
+def test_identity_rejects_a_dimension_that_is_not_an_int(m):
+    # a bool would be stored as the column count
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        IntMatrix.identity(m)
+
+
 def test_identity_and_trace():
     for m in range(6):
         identity = IntMatrix.identity(m)
@@ -198,6 +277,18 @@ def test_det_against_cofactor_oracle():
             assert a.det() == cofactor_det([list(r) for r in a.rows])
     singular = int_matrix([[1, 2, 3], [2, 4, 6], [0, 1, 5]])
     assert singular.det() == 0
+
+
+def test_det_of_sparse_and_permutation_matrices_against_cofactor_oracle():
+    # the echelon's sign counts both its swaps and the order its pivot rows
+    # are left in; permutation-like and zero-row matrices exercise both
+    rng = random.Random(233)
+    for m in range(1, 7):
+        for _ in range(20):
+            for a in (signed_permutation_matrix(rng, m, signs=(1, -1, 2)),
+                      sparse_random_matrix(rng, m, m, density=rng.choice([0.2, 0.4]))):
+                assert a.det() == cofactor_det([list(r) for r in a.rows])
+                assert a.rank() == len(smith_invariant_factors([list(r) for r in a.rows]))
 
 
 def test_rank():

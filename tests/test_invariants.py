@@ -292,7 +292,7 @@ def assert_coefficient_tuple(poly, dim):
 
 def test_char_poly_is_a_monic_coefficient_tuple():
     # The order-6 rotation's chain is cut after dim = 2 traces; its polynomial is Phi_6.
-    rotation = CyclicRep(IntMatrix(((1, -1), (1, 0))), 6)
+    rotation = CyclicRep(IntMatrix.from_rows(((1, -1), (1, 0))), 6)
     assert rotation.char_poly == (1, -1, 1)
     assert_coefficient_tuple(rotation.char_poly, rotation.dimension)
     # the check rejects a list, a tuple one term short or one term long, and

@@ -29,6 +29,14 @@ def test_identity_and_validation():
         Permutation([2, 1])
 
 
+@pytest.mark.parametrize("n", ["3", None, 3.0, True, -1])
+def test_identity_rejects_a_degree_that_is_not_an_int(n):
+    # a ValueError, never the TypeError of "3" + 1; a bool is not taken for 1,
+    # and a negative degree does not give the empty permutation
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        Permutation.identity(n)
+
+
 def test_transposition():
     t = Permutation.transposition(4, 2)
     assert [t(i) for i in (1, 2, 3, 4)] == [1, 3, 2, 4]

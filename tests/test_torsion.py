@@ -752,6 +752,20 @@ def test_multiplication_permutation():
     assert default_multiplier(7) == 2
 
 
+@pytest.mark.parametrize("bad", ["5", None, 5.0, True])
+def test_multiplication_permutation_rejects_arguments_that_are_not_ints(bad):
+    for p, l in ((bad, 2), (5, bad)):
+        with pytest.raises(ValueError, match="modulus and multiplier must be integers"):
+            multiplication_permutation(p, l)
+
+
+@pytest.mark.parametrize("genus", ["1", None, 1.0, True])
+def test_zero_embedding_rejects_a_genus_that_is_not_an_int(genus):
+    # a ValueError, never the TypeError of 2 * "1" repeating a tuple
+    with pytest.raises(ValueError, match="genus must be an integer"):
+        FrobeniusEmbedding.zero(genus)
+
+
 def test_default_multiplier_rejects_what_is_not_an_odd_prime_from_5():
     # the prime check runs before the unit search, which assumes a prime modulus
     for p in (1, 3, 4, 9, 2, 0, -5):

@@ -32,11 +32,12 @@ VALUES = [
      ("is_crystallographic", "dimension", "holonomy_order", "witness"),
      "Verdict(is_crystallographic=False, dimension=None, holonomy_order=None, "
      "witness={'kind': 'finite_normal_subgroup'})"),
-    (lambda: IntMatrix(((1, 2), (3, 4))), ("rows",), "IntMatrix(rows=((1, 2), (3, 4)))"),
+    (lambda: IntMatrix(2, (((0, 1), (1, 2)), ((1, 4),))), ("ncols", "entries"),
+     "IntMatrix(ncols=2, entries=(((0, 1), (1, 2)), ((1, 4),)))"),
     # the power traces, char_poly and cyclotomic are derived: neither shown nor compared
-    (lambda: CyclicRep(IntMatrix(((0, 1), (1, 0))), 2),
+    (lambda: CyclicRep(IntMatrix(2, (((1, 1),), ((0, 1),))), 2),
      ("matrix", "order", "power_traces", "char_poly", "cyclotomic"),
-     "CyclicRep(matrix=IntMatrix(rows=((0, 1), (1, 0))), order=2)"),
+     "CyclicRep(matrix=IntMatrix(ncols=2, entries=(((1, 1),), ((0, 1),))), order=2)"),
     (lambda: GnMembership(True, 1, (2, 3)), ("in_group", "j", "coords"),
      "GnMembership(in_group=True, j=1, coords=(2, 3))"),
     (lambda: TorsionScanReport(2, 1, 0, 2, (), ()),
@@ -102,8 +103,9 @@ REBUILT = [
     (lambda: Permutation((2, 1)) * Permutation.identity(2), lambda: Permutation((2, 1))),
     (lambda: X * Element.identity(T2), lambda: X),
     (lambda: Element._trusted(T2, CoeffVector(((1, 0), (0, -2))), Permutation._trusted((2, 1))), lambda: X),
-    (lambda: IntMatrix._trusted(((1, 2), (3, 4))), lambda: IntMatrix(((1, 2), (3, 4)))),
-    (lambda: IntMatrix(((1, 2), (3, 4))) * IntMatrix.identity(2), lambda: IntMatrix(((1, 2), (3, 4)))),
+    (lambda: IntMatrix._trusted(2, (((0, 1), (1, 2)), ((1, 4),))), lambda: IntMatrix(2, (((0, 1), (1, 2)), ((1, 4),)))),
+    (lambda: IntMatrix.from_rows(((1, 2), (0, 4))) * IntMatrix.identity(2),
+     lambda: IntMatrix(2, (((0, 1), (1, 2)), ((1, 4),)))),
 ]
 
 
@@ -139,8 +141,8 @@ def test_instances_of_different_classes_never_compare_equal():
     values = [build() for build, _, _ in VALUES]
     for a, b in itertools.permutations(values, 2):
         assert a != b and not a == b
-    # the same field name and value in another class is still another value
-    assert CoeffVector(((1,),)) != IntMatrix(((1,),))
+    # the same rows in another class are still another value
+    assert CoeffVector(((1,),)) != IntMatrix.from_rows(((1,),))
 
 
 def test_cached_orbits_survive_pickle_and_copy():
