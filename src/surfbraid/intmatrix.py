@@ -27,8 +27,9 @@ class IntMatrix(Frozen):
     increasing inside [0, ncols).  :meth:`from_rows` builds a matrix from
     dense rows, checked to be tuples of equal length holding integers only,
     and :attr:`rows` gives them back.  Floats, booleans and strings are
-    rejected, never coerced.  Results of arithmetic are built by
-    :meth:`_trusted`, which skips the check.
+    rejected, never coerced.  Results of arithmetic, and of :meth:`from_rows`
+    once its dense checks pass, are built by :meth:`_trusted`, which skips
+    the check of the stored form.
 
     Rows are built with tuple() of a list, not of a generator: from a list
     the tuple is allocated at its exact size, from a generator it is
@@ -62,7 +63,8 @@ class IntMatrix(Frozen):
             raise ValueError("ragged rows")
         if any([type(v) is not int for r in rows for v in r]):
             raise ValueError(f"matrix entries must be integers, got {rows!r}")
-        return cls(len(rows[0]) if rows else 0, tuple([tuple([e for e in enumerate(r) if e[1]]) for r in rows]))
+        entries = tuple([tuple([e for e in enumerate(r) if e[1]]) for r in rows])
+        return cls._trusted(len(rows[0]) if rows else 0, entries)
 
     @classmethod
     def _trusted(cls, ncols: int, entries: tuple[tuple[tuple[int, int], ...], ...]) -> IntMatrix:

@@ -133,8 +133,9 @@ def _suite_invariants() -> None:
         check(orientability(rep) and anosov_check(rep) and kahler_check(rep),
               "the flat manifold must be orientable, Anosov and Kaehler")
     # the order-6 rotation: M^2 != I, so its chain is cut after dim = 2 traces
-    # and runs on to the period 6 of its power sums, found by their recurrence
-    rotation = CyclicRep(IntMatrix.from_rows(((1, -1), (1, 0))), 6)
+    # and runs on to the period 6 of its power sums, found by their recurrence;
+    # [[1, -1], [1, 0]] is written in the stored form, through the checked constructor
+    rotation = CyclicRep(IntMatrix(2, (((0, 1), (1, -1)), ((0, 1),))), 6)
     _check_char_poly(rotation.matrix, rotation.char_poly, "the cut chain's char poly")
     check(rotation.cyclotomic == {6: 1}, "the order-6 rotation must have the single factor Phi_6")
     check(betti_numbers(rotation) == (1, 0, 1), "the order-6 rotation must have Betti numbers (1, 0, 1)")

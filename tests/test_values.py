@@ -9,6 +9,7 @@ import pytest
 
 from surfbraid.bieberbach import GnMembership, TorsionScanReport, make_bieberbach
 from surfbraid.core import CoeffVector, Element, GroupDescriptor, Verdict
+from surfbraid.errors import Frozen
 from surfbraid.intmatrix import IntMatrix
 from surfbraid.invariants import CyclicRep
 from surfbraid.nonorientable import AbelianInvariants, FiniteNormalWitness
@@ -141,8 +142,14 @@ def test_instances_of_different_classes_never_compare_equal():
     values = [build() for build, _, _ in VALUES]
     for a, b in itertools.permutations(values, 2):
         assert a != b and not a == b
-    # the same rows in another class are still another value
-    assert CoeffVector(((1,),)) != IntMatrix.from_rows(((1,),))
+    # the same fields holding the same values in another class are still
+    # another value: only the class test of Frozen.__eq__ keeps them apart
+    class Entries(Frozen):
+        __slots__ = _fields = ("ncols", "entries")
+
+    a, b = IntMatrix(1, (((0, 1),),)), Entries(1, (((0, 1),),))
+    assert a._key(a) == b._key(b)
+    assert a != b and not a == b and b != a and not b == a
 
 
 def test_cached_orbits_survive_pickle_and_copy():
