@@ -192,6 +192,8 @@ class BieberbachDescriptor(Frozen):
     def membership(self, x: Element) -> GnMembership:
         """Decide membership and, if so, express x as lattice part times the
         j-th power of the distinguished generator."""
+        if not isinstance(x, Element):
+            raise ValueError(f"membership is decided for an Element, got {type(x).__name__}")
         if x.group != self.group:
             raise GroupMismatchError("element does not live in the ambient group of this subgroup")
         j = x.perm(1) - 1

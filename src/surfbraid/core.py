@@ -154,6 +154,8 @@ class CoeffVector(Frozen):
 
     @classmethod
     def zero(cls, n: int, handles: int) -> CoeffVector:
+        if type(n) is not int or type(handles) is not int:
+            raise ValueError(f"row count and row length must be integers, got n={n!r}, handles={handles!r}")
         return cls(((0,) * handles,) * n)
 
     def is_zero(self) -> bool:
@@ -221,9 +223,14 @@ class Element(Frozen):
     __slots__ = _fields = ("group", "coeffs", "perm")
 
     def __post_init__(self):
-        group, rows = self.group, self.coeffs.rows
+        group, coeffs, perm = self.group, self.coeffs, self.perm
+        if not (isinstance(group, GroupDescriptor) and isinstance(coeffs, CoeffVector)
+                and isinstance(perm, Permutation)):
+            raise ValueError(f"an element is a GroupDescriptor, a CoeffVector and a Permutation, got "
+                             f"{type(group).__name__}, {type(coeffs).__name__} and {type(perm).__name__}")
+        rows = coeffs.rows
         _require_elements(group)
-        self._check_sizes(group, len(rows), len(self.perm.images))
+        self._check_sizes(group, len(rows), len(perm.images))
         self._check_rows(group, rows)
 
     @staticmethod

@@ -108,6 +108,8 @@ def order(x: Element) -> OrderResult:
     every cycle of w, read up to the first nonzero sum (a fixed strand's sum
     is its own row); then it is the order of w.  The one place the
     finite-order test is written."""
+    if not isinstance(x, Element):
+        raise ValueError(f"the order is taken of an Element, got {type(x).__name__}")
     x.group.require_orientable("element order")
     rows = x.coeffs.rows
     for cycle in x.perm.orbits:
@@ -220,6 +222,9 @@ def conjugacy_test(e1: Element, e2: Element) -> Element | None:
     :func:`conjugator_to_section` over (v2 - xi(v1)) * section(w2); xi
     matches the cycle sums, so that element has finite order and the walk
     closes."""
+    if not (isinstance(e1, Element) and isinstance(e2, Element)):
+        raise ValueError(f"conjugacy is tested between two Elements, "
+                         f"got {type(e1).__name__} and {type(e2).__name__}")
     group = e1.group
     if group != e2.group:
         raise GroupMismatchError("conjugacy test requires elements of the same group")

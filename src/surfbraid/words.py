@@ -17,10 +17,10 @@ confluence machinery is needed.
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, NoReturn
 
-from .core import CoeffVector, Element, GroupDescriptor
-from .errors import Frozen, GeneratorIndexError, WordSyntaxError, check_exponent
+from .core import SPHERE, CoeffVector, Element, GroupDescriptor
+from .errors import Frozen, GeneratorIndexError, WordSyntaxError, check, check_exponent
 from .permutations import Permutation
 
 SIGMA = "s"
@@ -109,7 +109,15 @@ _set_letters = BraidWord.letters.__set__  # the unchecked store of BraidWord._tr
 
 
 def check_letter(group: GroupDescriptor, kind: str, i: int, r: int) -> None:
-    """Check the indices of the letter s_i (kind 's') or a[i,r] (kind 'a') against the group."""
+    """Raise the index error of the letter s_i (kind 's') or a[i,r] (kind 'a')
+    against the group, if it has one: the one place an index failure is
+    raised and named.
+
+    :func:`parse` and :func:`_fold` test each letter's bounds inline, with
+    0 < i < n for s_i and 0 < i <= n, 0 < r <= h for a[i,r], where h is the
+    handle count, 0 on the sphere, so every handle letter misses there.
+    They call this only on a miss, so a valid letter costs no call.
+    """
     if kind == SIGMA:
         if not 1 <= i <= group.n - 1:
             raise GeneratorIndexError(f"s{i}: index {i} out of range 1..{group.n - 1}")
@@ -121,14 +129,16 @@ def check_letter(group: GroupDescriptor, kind: str, i: int, r: int) -> None:
             raise GeneratorIndexError(f"a[{i},{r}]: handle {r} out of range 1..{handles}")
 
 
-# One match per term: a separator, a generator with its exponent (or a
-# caret that starts no exponent), or the first character of anything else.
+# One match per term: a generator with its exponent (or a caret that starts
+# no exponent), or the first character of anything else.  The separators,
+# ASCII whitespace and '*', are skipped before a term and never match alone,
+# so every other character starts a term and the matches tile the text but
+# for its separators.
 _TERM = re.compile(
-    r"""\s*(?:
-        (?P<sep>\*)
-      | (?:s(?P<si>\d+) | a\[\s*(?P<aj>\d+)\s*,\s*(?P<ar>\d+)\s*\])
+    r"""[\s*]*(?:
+        (?:s(?P<si>\d+) | a\[\s*(?P<aj>\d+)\s*,\s*(?P<ar>\d+)\s*\])
         (?:\^(?P<exp>[+-]?\d+) | (?P<caret>\^))?
-      | (?P<bad>\S)
+      | (?P<bad>[^\s*])
     )""",
     re.VERBOSE | re.ASCII,
 )
@@ -138,53 +148,83 @@ _GEN_PREFIX = re.compile(r"s\d*|a(?:\[\s*(?:\d+\s*(?:,\s*(?:\d+\s*)?)?)?)?", re.
 
 def parse(group: GroupDescriptor, text: str) -> BraidWord:
     """Parse a braid word string, validating all generator indices against the group.
-    Every non-blank character starts a term, so the matches tile the text."""
+
+    The loop reads the plain group tuples of ``_TERM.findall``.  A term's
+    syntax is checked before its indices, so the first faulty term decides
+    the error: a bad character, a bare caret or a zero exponent hands the
+    text to :func:`_raise_syntax_error`, and an index out of range to
+    :func:`check_letter`."""
+    if not isinstance(text, str):
+        raise ValueError(f"a braid word is parsed from a str, got {type(text).__name__}")
+    n = group.n
+    handles = 0 if group.kind == SPHERE else group.handle_count
     letters: list[Letter] = []
+    append, new = letters.append, tuple.__new__
+    for si, aj, ar, exp, caret, bad in _TERM.findall(text):
+        e = int(exp) if exp else 1
+        if bad or caret or not e:
+            _raise_syntax_error(text)
+        if si:
+            i = int(si)
+            if not 0 < i < n:
+                check_letter(group, SIGMA, i, 0)
+            append(new(Letter, (SIGMA, i, 0, e)))  # kind and exponent checked above
+        else:
+            i, r = int(aj), int(ar)
+            if not (0 < i <= n and 0 < r <= handles):
+                check_letter(group, HANDLE, i, r)
+            append(new(Letter, (HANDLE, i, r, e)))
+    return BraidWord._trusted(tuple(letters))
+
+
+def _raise_syntax_error(text: str) -> NoReturn:
+    """Raise the first syntax error of a word that :func:`parse` found faulty.
+    The re-scan runs the same matches with their positions, since the plain
+    tuples of ``findall`` carry none; the terms before the faulty one passed
+    every check.  A bad character is named after the longest generator start
+    it breaks, or the end of the word if that start runs to it."""
     for m in _TERM.finditer(text):
-        sep, si, aj, ar, exp, caret, bad = m.groups()
-        if sep:
-            continue
-        if bad:
+        if m["bad"]:
             prefix = _GEN_PREFIX.match(text, m.start("bad"))
             pos = prefix.end() if prefix else m.start("bad")
             if pos == len(text):
                 raise WordSyntaxError("unexpected end of word", pos)
             raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if caret:
+        if m["caret"]:
             raise WordSyntaxError("malformed exponent", m.start("caret"))
-        e = 1 if exp is None else int(exp)
-        if e == 0:
+        if m["exp"] and not int(m["exp"]):
             raise WordSyntaxError("exponent 0 is not allowed", m.start("exp"))
-        kind, i, r = (SIGMA, int(si), 0) if si is not None else (HANDLE, int(aj), int(ar))
-        check_letter(group, kind, i, r)
-        letters.append(tuple.__new__(Letter, (kind, i, r, e)))  # kind and exponent checked above
-    return BraidWord._trusted(tuple(letters))
+    check(False, f"the re-scan of a faulty word must find its syntax error: {text!r}")
 
 
 def _fold(group: GroupDescriptor, letters: Iterable[Letter], images) -> tuple[list[list[int]], list[int]]:
     """The left fold of :func:`normalize` on its raw state: the coefficient rows
     and the image list of w, as mutable lists.  ``images`` is
-    ``group.letter_images()``, built once by the caller.
+    ``group.letter_images()``, built once by the caller, so its length is the
+    handle count.
 
     Folding left to right: an s_i letter multiplies the permutation part by
     the transposition (i, i+1) (its section squares to the identity, so the
     sign of the exponent is irrelevant); an a[j,r]^e letter adds e times the
     letter image of a[j,r] (:meth:`GroupDescriptor.letter_images`) to the
     row of strand w(j), where w is the permutation accumulated so far.
-    Every letter's indices pass :func:`check_letter` first.
+    Every letter's indices are tested first, as :func:`check_letter` says.
 
     w is kept as one mutable image list: (w * t_i)(k) = w(t_i(k)), so an
     odd power of s_i swaps entries i-1 and i in O(1).
     """
-    n = group.n
-    rows = [[0] * len(images) for _ in range(n)]
+    n, handles = group.n, len(images)
+    rows = [[0] * handles for _ in range(n)]
     w = list(range(1, n + 1))
     for kind, i, r, e in letters:
-        check_letter(group, kind, i, r)
         if kind == SIGMA:
+            if not 0 < i < n:
+                check_letter(group, kind, i, r)
             if e % 2:
                 w[i - 1], w[i] = w[i], w[i - 1]
         else:
+            if not (0 < i <= n and 0 < r <= handles):
+                check_letter(group, kind, i, r)
             row = rows[w[i - 1] - 1]
             for col, v in images[r - 1]:
                 row[col] += v * e
@@ -194,6 +234,8 @@ def _fold(group: GroupDescriptor, letters: Iterable[Letter], images) -> tuple[li
 def normalize(group: GroupDescriptor, word: BraidWord) -> Element:
     """Rewrite a word to its unique normal form (any surface but the sphere):
     the element of the state :func:`_fold` leaves."""
+    if not isinstance(word, BraidWord):
+        raise ValueError(f"normalize takes a BraidWord, got {type(word).__name__}")
     rows, w = _fold(group, word.letters, group.letter_images())
     coeffs = CoeffVector(tuple([tuple(r) for r in rows]))
     return Element._trusted(group, coeffs, Permutation._trusted(tuple(w)))

@@ -9,8 +9,9 @@ Euclidean division by rescanning, Smith normal form, principal-minor
 sums, the Bieberbach lattice basis and holonomy blocks written out by
 hand, column-sum cycle sums, the coordinate-by-coordinate torsion scan,
 the eigenvalue-pairing Kaehler criterion, the conjugacy witness composed
-from two section conjugators and the search over all of S_n for a
-conjugator's permutation part.  Plus the constructors only tests need:
+from two section conjugators, the search over all of S_n for a
+conjugator's permutation part and the braid word parser written one
+match per term and separator.  Plus the constructors only tests need:
 matrices, lattice elements and Frobenius blocks from nested lists, words
 from text, and Bieberbach elements from coordinates.  None of them
 coerces an entry.
@@ -21,19 +22,20 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import sympy
 from hypothesis import settings
 
-from surfbraid import torsion
+from surfbraid import torsion, words
 from surfbraid.bieberbach import BieberbachDescriptor, TorsionScanReport
 from surfbraid.core import CoeffVector, Element, GroupDescriptor
-from surfbraid.errors import InfiniteOrderError
+from surfbraid.errors import InfiniteOrderError, WordSyntaxError
 from surfbraid.intmatrix import IntMatrix
 from surfbraid.permutations import Permutation
 from surfbraid.torsion import FrobeniusEmbedding, conjugating_permutation, conjugator_to_section
-from surfbraid.words import normalize, parse
+from surfbraid.words import HANDLE, SIGMA, BraidWord, Letter, normalize, parse
 
 # Property tests draw the same examples on every run and keep no example
 # database, so tier-1 is deterministic and no earlier failure is replayed.
@@ -64,6 +66,45 @@ def single_block(genus: int, r: int, params: tuple[int, int, int, int]) -> Frobe
 def normalize_text(group: GroupDescriptor, text: str) -> Element:
     """The normal form of a braid word given as text."""
     return normalize(group, parse(group, text))
+
+
+# The parser's term pattern with one match per separator, and its loop over
+# Match objects, as words.parse read them before it used findall.
+_REFERENCE_TERM = re.compile(
+    r"""\s*(?:
+        (?P<sep>\*)
+      | (?:s(?P<si>\d+) | a\[\s*(?P<aj>\d+)\s*,\s*(?P<ar>\d+)\s*\])
+        (?:\^(?P<exp>[+-]?\d+) | (?P<caret>\^))?
+      | (?P<bad>\S)
+    )""",
+    re.VERBOSE | re.ASCII,
+)
+_REFERENCE_GEN_PREFIX = re.compile(r"s\d*|a(?:\[\s*(?:\d+\s*(?:,\s*(?:\d+\s*)?)?)?)?", re.ASCII)
+
+
+def reference_parse(group: GroupDescriptor, text: str) -> BraidWord:
+    """The braid word parser as it read every term, separators included, one
+    Match at a time, and checked every letter with words.check_letter."""
+    letters: list[Letter] = []
+    for m in _REFERENCE_TERM.finditer(text):
+        sep, si, aj, ar, exp, caret, bad = m.groups()
+        if sep:
+            continue
+        if bad:
+            prefix = _REFERENCE_GEN_PREFIX.match(text, m.start("bad"))
+            pos = prefix.end() if prefix else m.start("bad")
+            if pos == len(text):
+                raise WordSyntaxError("unexpected end of word", pos)
+            raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        if caret:
+            raise WordSyntaxError("malformed exponent", m.start("caret"))
+        e = 1 if exp is None else int(exp)
+        if e == 0:
+            raise WordSyntaxError("exponent 0 is not allowed", m.start("exp"))
+        kind, i, r = (SIGMA, int(si), 0) if si is not None else (HANDLE, int(aj), int(ar))
+        words.check_letter(group, kind, i, r)
+        letters.append(tuple.__new__(Letter, (kind, i, r, e)))  # kind and exponent checked above
+    return BraidWord._trusted(tuple(letters))
 
 
 def element_from_coords(desc: BieberbachDescriptor, j: int, coords: tuple[int, ...]) -> Element:

@@ -185,6 +185,13 @@ def test_membership_examples():
     assert not desc.membership(outside).in_group
 
 
+@pytest.mark.parametrize("bad", ["x", None, CoeffVector.zero(3, 2)], ids=["str", "None", "coeffs"])
+def test_membership_takes_only_an_element(bad):
+    # a ValueError naming the type, never the AttributeError of bad.group
+    with pytest.raises(ValueError, match=f"^membership is decided for an Element, got {type(bad).__name__}$"):
+        make_bieberbach(3, 1).membership(bad)
+
+
 def test_membership_reconstruction_round_trip():
     rng = random.Random(157)
     for n, g in [(2, 1), (3, 2), (4, 1)]:

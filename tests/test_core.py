@@ -382,6 +382,30 @@ def test_power_rejects_an_exponent_that_is_not_an_int(k):
         x ** k
 
 
+@pytest.mark.parametrize("fields, types", [
+    ((T2, "x", Permutation.identity(2)), "GroupDescriptor, str and Permutation"),
+    ((T2, CoeffVector.zero(2, 2), "p"), "GroupDescriptor, CoeffVector and str"),
+    ((T2, ((0, 0), (0, 0)), Permutation.identity(2)), "GroupDescriptor, tuple and Permutation"),
+    ((T2, CoeffVector.zero(2, 2), (1, 2)), "GroupDescriptor, CoeffVector and tuple"),
+    (("orientable", CoeffVector.zero(2, 2), Permutation.identity(2)), "str, CoeffVector and Permutation"),
+    ((None, None, None), "NoneType, NoneType and NoneType"),
+], ids=["coeffs str", "perm str", "coeffs tuple", "perm tuple", "group str", "all None"])
+def test_element_constructor_checks_its_field_types_before_its_rows(fields, types):
+    # a ValueError naming the types, never the AttributeError of reading
+    # .rows, .images or .kind off the wrong object
+    message = f"an element is a GroupDescriptor, a CoeffVector and a Permutation, got {types}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Element(*fields)
+
+
+@pytest.mark.parametrize("bad", ["2", None, 2.0, True], ids=["str", "None", "float", "bool"])
+def test_zero_coefficients_reject_a_size_that_is_not_an_int(bad):
+    # a ValueError, never the TypeError of repeating a tuple "2" times
+    for n, handles in ((bad, 2), (2, bad)):
+        with pytest.raises(ValueError, match="^row count and row length must be integers, got "):
+            CoeffVector.zero(n, handles)
+
+
 def test_strand_generator_indices_must_be_ints():
     # True would pass the range check as 1 and give a[1,1]
     for i, r in [(True, 1), (1, True), (1.0, 1), (1, 1.0), ("1", 1)]:

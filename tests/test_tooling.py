@@ -120,6 +120,7 @@ REACH_EXTRA = [
     (["mul", *_KLEIN, _MIXED, _MIXED], 0),
     (["no-such-command"], 1),
     (["normalize", "--n", "2", "a[1"], 2),
+    (["normalize", "--n", "2", "a[1,3]"], 2),
 ]
 # The defs that no command runs, each with the reason it stays.
 UNREACHED_ALLOWED = {

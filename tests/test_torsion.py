@@ -759,6 +759,18 @@ def test_multiplication_permutation_rejects_arguments_that_are_not_ints(bad):
             multiplication_permutation(p, l)
 
 
+@pytest.mark.parametrize("bad", ["x", None, 1, Permutation.identity(2)], ids=["str", "None", "int", "perm"])
+def test_order_and_conjugacy_take_only_elements(bad):
+    # a ValueError naming the type, never the AttributeError of bad.group
+    x = Element.identity(T2)
+    with pytest.raises(ValueError, match=f"^the order is taken of an Element, got {type(bad).__name__}$"):
+        order(bad)
+    name = type(bad).__name__
+    for e1, e2, names in ((x, bad, f"Element and {name}"), (bad, x, f"{name} and Element")):
+        with pytest.raises(ValueError, match=f"^conjugacy is tested between two Elements, got {names}$"):
+            conjugacy_test(e1, e2)
+
+
 @pytest.mark.parametrize("genus", ["1", None, 1.0, True])
 def test_zero_embedding_rejects_a_genus_that_is_not_an_int(genus):
     # a ValueError, never the TypeError of 2 * "1" repeating a tuple

@@ -2,13 +2,16 @@ import json
 import random
 import re
 from functools import reduce
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfbraid import words
 from surfbraid.core import Element, GroupDescriptor
-from surfbraid.errors import GeneratorIndexError, UnsupportedSurfaceError, WordSyntaxError
+from surfbraid.errors import DomainError, GeneratorIndexError, UnsupportedSurfaceError, WordSyntaxError
 from surfbraid.permutations import Permutation
 from surfbraid.words import (
     BraidWord,
@@ -22,7 +25,7 @@ from surfbraid.words import (
     t_word,
 )
 
-from helpers import normalize_text
+from helpers import DERANDOMIZED, normalize_text, reference_parse
 
 
 T2 = GroupDescriptor.torus(2)
@@ -126,6 +129,139 @@ def test_parse_pins_every_syntax_error_message_and_position():
         with pytest.raises(WordSyntaxError) as info:
             parse(T2, word)
         assert (str(info.value), info.value.position) == (f"{message} (at position {position})", position), word
+
+
+def parse_outcome(parser, group, text):
+    """The letters a parser returns, or the class, message and position of its error."""
+    try:
+        return parser(group, text).letters
+    except DomainError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+# The grammar's characters, the separators, and characters it rejects: a
+# non-ASCII space, a non-ASCII digit and a letter that starts no generator.
+WORD_ALPHABET = "sa[],^+-*0123456789 \t\xa0\u0661q"
+PARSE_GROUPS = (GroupDescriptor.orientable(3, 2), GroupDescriptor.sphere(3))
+
+
+@settings(DERANDOMIZED, max_examples=600)
+@given(st.sampled_from(PARSE_GROUPS), st.text(alphabet=WORD_ALPHABET, max_size=20))
+def test_parse_agrees_with_the_reference_parser_on_any_text(group, text):
+    assert parse_outcome(parse, group, text) == parse_outcome(reference_parse, group, text)
+
+
+@st.composite
+def words_with_one_fault(draw):
+    """A word of letters, now and then with an index one past the bounds of
+    PARSE_GROUPS, joined by drawn separators, then one character inserted,
+    deleted or replaced."""
+    letters = draw(st.lists(st.tuples(st.sampled_from("sa"), st.sampled_from([1, 2] * 4 + [3, 0]),
+                                      st.sampled_from([1, 2, 3, 4] * 4 + [0, 5]),
+                                      st.sampled_from([-12, -2, -1, 1, 1, 2, 30])), max_size=6))
+    text = ""
+    for kind, i, r, e in letters:
+        text += Letter(kind, i, r, e).text() + draw(st.sampled_from(["", " ", "*", " * ", "\t", "  "]))
+    pos = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from(WORD_ALPHABET))
+    fault = draw(st.sampled_from(["insert", "delete", "replace"]))
+    if fault == "insert":
+        return text[:pos] + char + text[pos:]
+    return text[:pos] + (char if fault == "replace" else "") + text[pos + 1:]
+
+
+@settings(DERANDOMIZED, max_examples=600)
+@given(st.sampled_from(PARSE_GROUPS), words_with_one_fault())
+def test_parse_agrees_with_the_reference_parser_on_words_with_one_fault(group, text):
+    assert parse_outcome(parse, group, text) == parse_outcome(reference_parse, group, text)
+
+
+def test_parse_stops_at_the_first_faulty_term():
+    # MALFORMED pins that a term's syntax is checked before its indices
+    with pytest.raises(GeneratorIndexError, match=r"^s9: index 9 out of range 1\.\.1$"):
+        parse(T2, "s9 q")
+    with pytest.raises(WordSyntaxError, match=r"^unexpected character 'q' \(at position 3\)$"):
+        parse(T2, "s1 q a[3,1]")
+
+
+def raised(call, *args):
+    """The class and message of the DomainError a call raises, or None."""
+    try:
+        call(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("group", [GroupDescriptor.orientable(3, 2), GroupDescriptor.nonorientable(3, 2),
+                                   GroupDescriptor.sphere(3)], ids=["orientable", "nonorientable", "sphere"])
+def test_inline_index_bounds_raise_exactly_when_check_letter_does(group):
+    # parse and the fold test each letter's bounds inline and call
+    # check_letter only on a miss; over every (kind, i, r) with i and r in
+    # [-2, n + 2] they must raise what check_letter raises, and only then.
+    # The sphere has no letter images, so normalize raises there for every
+    # letter; its fold is run on the empty image list instead.
+    sphere = group.kind == "sphere"
+    images = () if sphere else group.letter_images()
+    bounds = range(-2, group.n + 3)
+    for kind, i, r in product("sa", bounds, bounds):
+        expected = raised(words.check_letter, group, kind, i, r)
+        letter = Letter(kind, i, r)
+        assert raised(words._fold, group, (letter,), images) == expected, letter
+        if not sphere:
+            assert raised(normalize, group, BraidWord((letter,))) == expected, letter
+        if i >= 0 and r >= 0:  # the grammar has no sign on an index
+            assert raised(parse, group, letter.text()) == expected, letter
+    if sphere:
+        with pytest.raises(UnsupportedSurfaceError):
+            normalize(group, BraidWord((Letter("s", 1),)))
+
+
+def test_a_sigma_letter_folds_whatever_its_handle_field():
+    # the fold reads only the index of an s letter; its handle field is ignored
+    group = GroupDescriptor.orientable(3, 2)
+    section = Element.section(group, Permutation.transposition(3, 1))
+    for r in (5, -1, 0):
+        assert normalize(group, BraidWord((Letter("s", 1, r),))) == section
+        assert normalize(group, BraidWord((Letter("s", 1, r, -3), Letter("a", 1, 2)))) == \
+            section * Element.strand_generator(group, 1, 2)
+
+
+def test_valid_words_make_no_check_letter_call(monkeypatch):
+    # Only a letter out of range calls check_letter: 200-letter words at
+    # n = 32, g = 4 parse and normalize without it, and so does every fold
+    # of check_relations.
+    rng = random.Random(43)
+    cases = []
+    for group in (GroupDescriptor.orientable(32, 4), GroupDescriptor.nonorientable(32, 4)):
+        n, handles = group.n, group.handle_count
+        for _ in range(4):
+            word = BraidWord(tuple([
+                Letter("s", rng.randint(1, n - 1), 0, rng.choice([-1, 1, 2])) if rng.random() < 0.5
+                else Letter("a", rng.randint(1, n), rng.randint(1, handles), rng.choice([-2, -1, 1, 3]))
+                for _ in range(200)]))
+            cases.append((group, word, word.text(), normalize(group, word)))
+
+    def refuse(*args):
+        raise AssertionError("a valid letter called check_letter")
+
+    monkeypatch.setattr(words, "check_letter", refuse)
+    for group, word, text, element in cases:
+        assert parse(group, text) == word
+        assert normalize(group, word) == element
+    assert check_relations(GroupDescriptor.orientable(4, 1)).ok
+
+
+@pytest.mark.parametrize("text", [None, b"s1", 5, ["s1"]], ids=["None", "bytes", "int", "list"])
+def test_parse_takes_only_a_str(text):
+    with pytest.raises(ValueError, match=f"^a braid word is parsed from a str, got {type(text).__name__}$"):
+        parse(T2, text)
+
+
+@pytest.mark.parametrize("word", ["s1", None, (Letter("s", 1),)], ids=["str", "None", "tuple"])
+def test_normalize_takes_only_a_braid_word(word):
+    with pytest.raises(ValueError, match=f"^normalize takes a BraidWord, got {type(word).__name__}$"):
+        normalize(T2, word)
 
 
 def test_parse_builds_one_letter_per_term():
